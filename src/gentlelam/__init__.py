@@ -18,9 +18,9 @@ from .schemes import (Component, ConsistencyFailure, DecoratedComponent,
                       NotJacobian, SamplingFailure, UniquenessViolation,
                       block_critical_summands, canonical_decomposition,
                       ceh_values, component_dim, components,
-                      decorated_g_vector, dim_gl, generic_point,
-                      is_generically_reduced, is_smooth_point, is_tau_reduced,
-                      rank_functions, tangent_dim,
+                      critical_relation_pairs, decorated_g_vector, dim_gl,
+                      generic_point, is_generically_reduced, is_smooth_point,
+                      is_tau_reduced, rank_functions, tangent_dim,
                       tau_reduced_components_census)
 from .surface import (CoefficientQuiver, CurveSeq, InconsistentSequence,
                       InvalidLamination, InvalidTriangulation, Lamination,

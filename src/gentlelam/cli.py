@@ -12,8 +12,9 @@ from . import fileio
 from .laurent import bangle, verify_bangle_equals_generic
 from .quiver import NotGentle, is_jacobian, rho_blocks
 from .schemes import block_critical_summands, canonical_decomposition, \
-    ceh_values, component_dim, components, decorated_g_vector, dim_gl, \
-    is_generically_reduced, is_smooth_point, is_tau_reduced, tangent_dim
+    ceh_values, component_dim, components, critical_relation_pairs, \
+    decorated_g_vector, dim_gl, is_generically_reduced, is_smooth_point, \
+    is_tau_reduced, tangent_dim
 from .strings import rank_function_of
 from .surface import build_QT, eta, shear_of_lamination
 
@@ -70,21 +71,14 @@ def cmd_components(args):
     if len(d) != A.n:
         raise fileio.ParseError("--dims length must match the vertex count")
     jac = is_jacobian(A)
+    comps = components(A, d)
     out = []
-    lines = [f"mod(A, {list(d)}): {len(components(A, d))} component(s); "
+    lines = [f"mod(A, {list(d)}): {len(comps)} component(s); "
              f"dim GL = {dim_gl(d)}"]
-    for Z in components(A, d):
+    for Z in comps:
         dz = component_dim(A, Z)
         c, e, h = ceh_values(A, Z, seed=args.seed)
-        r = Z.rank()
-        critical = [
-            [a, b] for a, b in A.relations
-            if r[a] < d[A.t(a) - 1] and r[b] < d[A.s(b) - 1]
-            and r[a] + r[b] < d[A.s(a) - 1]
-            and all(r[a2] + r[a] < d[A.t(a) - 1]
-                    for a2 in A.arrow_ids if (a2, a) in A.relations)
-            and all(r[b] + r[b2] < d[A.s(b) - 1]
-                    for b2 in A.arrow_ids if (b, b2) in A.relations)]
+        critical = [list(p) for p in critical_relation_pairs(A, d, Z.rank())]
         entry = {
             "rank_function": dict(Z.r),
             "dim": dz,
@@ -94,7 +88,7 @@ def cmd_components(args):
             # at the maximal rank function; those pairs describe where the
             # singular locus of the ambient scheme meets this component
             "generic_smooth": not critical,
-            "singular_relation_pairs": sorted(critical),
+            "singular_relation_pairs": critical,
             "c": c, "e": e, "h": h,
         }
         if jac:

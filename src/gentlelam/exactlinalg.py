@@ -73,10 +73,6 @@ def sparse_rank(rows, ncols=None):
     return rank
 
 
-def sparse_nullity(rows, ncols):
-    return ncols - sparse_rank(rows, ncols)
-
-
 def frac_mat(m):
     return [[Fraction(x) for x in row] for row in m]
 
@@ -90,24 +86,8 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(r, c):
-    return [[0] * c for _ in range(r)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    return [[x * s for x in row] for row in a]
 
 
 def rref(mat, ncols=None):

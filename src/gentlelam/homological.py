@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlinalg import nullspace, rref, sparse_rank
-from .strings import (BandWord, StringWord, band_module, canonical_band,
+from .strings import (BandWord, StringWord, canonical_band,
                       canonical_string, hom_basis, hom_dim, letter_inv,
-                      letter_s, letter_t, make_rep, pair_ok, string_module,
-                      string_word, zero_rep)
+                      letter_s, letter_t, make_rep, pair_ok, string_word,
+                      zero_rep)
 
 hom_dim_oracle = hom_dim
 
@@ -662,9 +662,3 @@ def _two_sided(A, X, Y, q, s, oriented, x_band, y_band):
     if not oriented:
         lD2, lF2 = lF2, lD2
     return (lD1 >= 1 or lD2 >= 1) and (lF1 >= 1 or lF2 >= 1)
-
-
-def modules_of(A, X, lam=1):
-    if isinstance(X, BandWord):
-        return band_module(A, X, lam)
-    return string_module(A, X)

@@ -179,10 +179,11 @@ def dim_gl(d):
     return sum(x * x for x in d)
 
 
-def is_smooth_point(A, M):
-    """Rank-function smoothness criterion at the module M."""
-    d = M.dims
-    r = rank_function_of(A, M)
+def critical_relation_pairs(A, d, r):
+    """The relation pairs (a, b), sorted, that are critical for the rank
+    function r on mod(A, d): points with rank function r are singular
+    exactly when there is one."""
+    out = []
     for a, b in A.relations:
         if not (r[a] < d[A.t(a) - 1] and r[b] < d[A.s(b) - 1]
                 and r[a] + r[b] < d[A.s(a) - 1]):
@@ -192,8 +193,13 @@ def is_smooth_point(A, M):
         ok3 = all(r[b] + r[b2] < d[A.s(b) - 1]
                   for b2 in A.arrow_ids if (b, b2) in A.relations)
         if ok2 and ok3:
-            return False
-    return True
+            out.append((a, b))
+    return sorted(out)
+
+
+def is_smooth_point(A, M):
+    """Rank-function smoothness criterion at the module M."""
+    return not critical_relation_pairs(A, M.dims, rank_function_of(A, M))
 
 
 def tangent_dim(A, M):
@@ -294,8 +300,6 @@ def is_tau_reduced(A, Z):
     return not block_critical_summands(A, Z)
 
 
-_MULTISET_CACHE = {}
-
 _LAMBDA_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
@@ -304,7 +308,8 @@ def generic_multiset(A, Z, bound=None):
 
     Searches for strings and bands whose dimension vectors and rank
     functions add up to (d, r); a candidate is certified generic by the
-    exact dimension count dim Z = dim GL - dim End + #bands.
+    exact dimension count dim Z = dim GL - dim End + #bands.  Results
+    are memoized on the algebra object.
     """
     from .strings import BandWord, band_module, direct_sum, \
         enumerate_bands, enumerate_strings, string_module
@@ -312,24 +317,23 @@ def generic_multiset(A, Z, bound=None):
     total = sum(d)
     if bound is None:
         bound = total
-    key = (id(A), d, Z.r, bound)
-    if key in _MULTISET_CACHE:
-        return _MULTISET_CACHE[key]
+    memo = A.__dict__.get("_multisets")
+    if memo is None:
+        memo = {}
+        object.__setattr__(A, "_multisets", memo)
+    key = (d, Z.r, bound)
+    if key in memo:
+        return list(memo[key])
     if total == 0:
-        _MULTISET_CACHE[key] = []
+        memo[key] = []
         return []
     n_strings = total - sum(r.values())
     dz = component_dim(A, Z)
     gl = dim_gl(d)
-    cand = []
-    for B in enumerate_bands(A, min(bound, total)):
-        M = band_module(A, B, 1)
-        if all(M.dims[v] <= d[v] for v in range(A.n)):
-            cand.append((B, M))
-    for C in enumerate_strings(A, min(bound, total) - 1):
-        M = string_module(A, C)
-        if all(M.dims[v] <= d[v] for v in range(A.n)):
-            cand.append((C, M))
+    cand = [(B, band_module(A, B, 1))
+            for B in enumerate_bands(A, min(bound, total), d)]
+    cand += [(C, string_module(A, C))
+             for C in enumerate_strings(A, min(bound, total) - 1, d)]
     cand.sort(key=lambda x: (-x[1].dim(), str(x[0])))
     sol = []
 
@@ -381,7 +385,7 @@ def generic_multiset(A, Z, bound=None):
     if not rec(0, d, dict(r), n_strings):
         raise SamplingFailure(
             f"no generic decomposition within bound {bound} for {Z.r}")
-    _MULTISET_CACHE[key] = list(sol)
+    memo[key] = list(sol)
     return list(sol)
 
 

@@ -57,8 +57,8 @@ def letter_t(A, c):
     return A.s(c[0]) if c[1] else A.t(c[0])
 
 
-def pair_ok(A, x, y):
-    """May letter y follow letter x inside a word (x, y, ...)?"""
+def _pair_rule(A, x, y):
+    """The rule behind `pair_ok`, read off the quiver and the relations."""
     if letter_s(A, x) != letter_t(A, y):
         return False
     if x == letter_inv(y):
@@ -68,6 +68,39 @@ def pair_ok(A, x, y):
     if x[1] and y[1] and (y[0], x[0]) in A.relations:
         return False
     return True
+
+
+@dataclass(frozen=True)
+class _LetterTable:
+    letters: tuple  # every letter, in arrow order, direct before inverse
+    pairs: frozenset  # (x, y) such that y may follow x in a word
+    after: dict  # letter x -> the letters y with (x, y) in pairs
+    source: dict  # letter -> letter_s
+    target: dict  # letter -> letter_t
+
+
+def _letter_table(A):
+    """The letter table of A, built from `_pair_rule` on first use and
+    kept on the algebra object."""
+    tab = A.__dict__.get("_letter_table")
+    if tab is None:
+        letters = tuple(letter(a, inv) for a in A.arrow_ids
+                        for inv in (False, True))
+        pairs = frozenset((x, y) for x in letters for y in letters
+                          if _pair_rule(A, x, y))
+        tab = _LetterTable(
+            letters, pairs,
+            {x: tuple(y for y in letters if (x, y) in pairs)
+             for x in letters},
+            {x: letter_s(A, x) for x in letters},
+            {x: letter_t(A, x) for x in letters})
+        object.__setattr__(A, "_letter_table", tab)
+    return tab
+
+
+def pair_ok(A, x, y):
+    """May letter y follow letter x inside a word (x, y, ...)?"""
+    return (x, y) in _letter_table(A).pairs
 
 
 @dataclass(frozen=True, order=True)
@@ -276,55 +309,87 @@ def rank_function_of(A, rep):
     return r
 
 
-def check_rank_function(A, d, r):
-    """Rank-function axioms for (A, d)."""
-    for aid in A.arrow_ids:
-        if not 0 <= r[aid] <= min(d[A.s(aid) - 1], d[A.t(aid) - 1]):
-            return False
-    for a, b in A.relations:
-        if r[a] + r[b] > d[A.s(a) - 1]:
-            return False
-    return True
+def _room(A, max_len, dims):
+    """Basis vectors each vertex may still take (index = vertex, slot 0
+    unused).  Without dims nothing binds: a word of length <= max_len
+    has at most max_len + 1 basis vectors."""
+    if dims is None:
+        return [max_len + 1] * (A.n + 1)
+    if len(dims) != A.n:
+        raise ValueError("dimension vector length must match the vertex count")
+    return [0] + [int(x) for x in dims]
 
 
-def enumerate_strings(A, max_len):
-    """All canonical strings of length <= max_len, deterministic order."""
-    letters = [letter(a, inv) for a in A.arrow_ids for inv in (False, True)]
-    found = {StringWord((), v) for v in range(1, A.n + 1)}
+def enumerate_strings(A, max_len, dims=None):
+    """All canonical strings of length <= max_len, deterministic order.
 
-    def extend(word):
-        found.add(canonical_string(A, StringWord(word)))
-        if len(word) >= max_len:
-            return
-        for c in letters:
-            if pair_ok(A, word[-1], c):
-                extend(word + (c,))
-
-    if max_len >= 1:
-        for c in letters:
-            extend((c,))
-    return sorted(found, key=lambda w: (len(w), w.vertex or 0, w.letters))
-
-
-def enumerate_bands(A, max_len):
-    """All canonical bands of length <= max_len, deterministic order."""
-    letters = [letter(a, inv) for a in A.arrow_ids for inv in (False, True)]
+    With a dimension vector `dims`, only the strings whose module has
+    dimension vector <= dims entrywise: the unrestricted list filtered,
+    in the same order.  The search cuts a word as soon as some vertex
+    holds more basis vectors than dims allows, since extending a word
+    only adds basis vectors.
+    """
+    tab = _letter_table(A)
+    room = _room(A, max_len, dims)
     found = set()
 
     def extend(word):
-        if len(word) >= 2 and pair_ok(A, word[-1], word[0]):
+        # canonical representative of {C, C^-}: the smaller letter tuple
+        found.add(min(word, tuple((a, not inv) for a, inv in reversed(word))))
+        if len(word) >= max_len:
+            return
+        for c in tab.after[word[-1]]:
+            v = tab.source[c]
+            if room[v]:
+                room[v] -= 1
+                extend(word + (c,))
+                room[v] += 1
+
+    if max_len >= 1:
+        for c in tab.letters:
+            s, t = tab.source[c], tab.target[c]
+            room[s] -= 1
+            room[t] -= 1
+            if room[s] >= 0 and room[t] >= 0:
+                extend((c,))
+            room[s] += 1
+            room[t] += 1
+    out = [StringWord((), v) for v in range(1, A.n + 1) if room[v]]
+    out += [StringWord(w) for w in found]
+    return sorted(out, key=lambda w: (len(w), w.vertex or 0, w.letters))
+
+
+def enumerate_bands(A, max_len, dims=None):
+    """All canonical bands of length <= max_len, deterministic order.
+
+    `dims` restricts the list as in `enumerate_strings`, here to the
+    bands whose modules have dimension vector <= dims.
+    """
+    tab = _letter_table(A)
+    room = _room(A, max_len, dims)
+    found = set()
+
+    def extend(word):
+        if len(word) >= 2 and (word[-1], word[0]) in tab.pairs:
             try:
                 found.add(canonical_band(A, band_word(A, word)))
             except InvalidBand:
                 pass
         if len(word) >= max_len:
             return
-        for c in letters:
-            if pair_ok(A, word[-1], c):
+        for c in tab.after[word[-1]]:
+            v = tab.target[c]
+            if room[v]:
+                room[v] -= 1
                 extend(word + (c,))
+                room[v] += 1
 
-    for c in letters:
-        extend((c,))
+    for c in tab.letters:
+        v = tab.target[c]
+        if room[v]:
+            room[v] -= 1
+            extend((c,))
+            room[v] += 1
     return sorted(found, key=lambda w: (len(w), w.letters))
 
 
@@ -724,8 +789,10 @@ def decompose(A, rep, dictionary_bound, seed=0):
 
     Splits along the support graph first, then with random
     endomorphisms (Fitting), and identifies summands against the
-    enumerated dictionary, certifying each match with an explicit
-    invertible intertwiner.
+    dictionary of words of length <= dictionary_bound, certifying each
+    match with an explicit invertible intertwiner.  Only the words whose
+    dimension vector fits a summand's are enumerated, once per distinct
+    summand dimension vector.
     """
     rng = random.Random(seed)
     pieces = [rep]
@@ -741,11 +808,14 @@ def decompose(A, rep, dictionary_bound, seed=0):
             done.append(p)
         else:
             pieces.extend(blocks)
-    strings = enumerate_strings(A, dictionary_bound)
-    bands = enumerate_bands(A, dictionary_bound)
+    dictionary = {}  # summand dims -> the words of the bound that fit
     out = []
     for p in done:
-        label = _identify(A, p, strings, bands)
+        if p.dims not in dictionary:
+            dictionary[p.dims] = (
+                enumerate_strings(A, dictionary_bound, p.dims),
+                enumerate_bands(A, dictionary_bound, p.dims))
+        label = _identify(A, p, *dictionary[p.dims])
         if label is None:
             raise DictionaryExhausted(
                 f"summand with dims {p.dims} not identified within bound")
