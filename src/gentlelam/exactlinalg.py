@@ -1,76 +1,80 @@
 """Exact linear algebra over the rationals.
 
-Small dense matrices are lists of row-lists with int/Fraction entries
-(ints are kept as long as possible, they are much faster).  The sparse
-rank routine works on rows given as {col: value} dicts and is the
-workhorse behind the Hom-space dimension oracle.
+All elimination goes through one kernel, `_echelon`: sparse
+Gauss-Jordan elimination, fraction-free in the sense of Bareiss (1968):
+rows stay integral, are combined by cross-multiplying with the cofactors
+of the gcd of the two entries, and each pivot row is divided by its
+content.  It takes rows as dense lists or as {col: value} dicts,
+with int or Fraction entries, and clears denominators row by row, so the
+elimination itself runs on Python ints.  It returns {pivot column:
+primitive integer row}, every row zero in every other pivot column:
+the reduced row echelon form up to one scale per row.  That form is
+unique, so the result does not depend on the order rows are eliminated
+in, and `rref` (each row divided by its pivot entry), `sparse_rank`,
+`nullspace`, `solve`, `is_invertible` and `mat_inverse` are views of it.
+
+Dense matrices are lists of row-lists; results carry Fraction entries.
 """
 
 from fractions import Fraction
 from math import gcd
 
 
-def _as_int_rows(rows):
-    """Clear denominators row-wise, return integer rows (dict col->int)."""
-    out = []
-    for row in rows:
-        den = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
-        new = {}
-        for c, v in row.items():
-            w = v * den
-            w = int(w)
-            if w:
-                new[c] = w
-        if new:
-            out.append(new)
-    return out
+def _int_row(row):
+    """A dense or {col: value} row as {col: int}, denominators cleared."""
+    items = [(c, v) for c, v in
+             (row.items() if isinstance(row, dict) else enumerate(row)) if v]
+    den = 1
+    for _, v in items:
+        if isinstance(v, Fraction):
+            den = den * v.denominator // gcd(den, v.denominator)
+    return {c: int(v * den) for c, v in items}
 
 
-def sparse_rank(rows, ncols=None):
-    """Rank of a sparse integer/rational matrix.
+def _primitive(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
-    Fraction-free elimination: the pivot row is combined into others by
-    cross-multiplication, and each row is reduced by its content (gcd)
-    to keep entries small.
-    """
-    rows = _as_int_rows(rows)
-    # column -> list index of the row used as pivot there
-    pivot_of_col = {}
-    rank = 0
-    # process rows sparsest-first; re-queue rows after reduction
-    queue = sorted(rows, key=len)
-    while queue:
-        row = queue.pop()
-        while row:
-            c = min(row)
-            piv = pivot_of_col.get(c)
-            if piv is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    row = {cc: vv // g for cc, vv in row.items()}
-                pivot_of_col[c] = row
-                rank += 1
-                break
-            a = row[c]
-            b = piv[c]
-            g = gcd(a, b)
-            ma, mb = b // g, a // g
-            new = {}
-            for cc, vv in row.items():
-                new[cc] = vv * ma
-            for cc, vv in piv.items():
-                w = new.get(cc, 0) - vv * mb
-                if w:
-                    new[cc] = w
-                elif cc in new:
-                    del new[cc]
-            row = new
-    return rank
+
+def _clear(row, piv, c):
+    """An integer multiple of row minus one of piv, zero in column c."""
+    a, b = row[c], piv[c]
+    g = gcd(a, b)
+    ma, mb = b // g, a // g
+    new = {cc: vv * ma for cc, vv in row.items()}
+    for cc, vv in piv.items():
+        w = new.get(cc, 0) - vv * mb
+        if w:
+            new[cc] = w
+        else:
+            del new[cc]
+    return new
+
+
+def _echelon(rows):
+    """{pivot column: primitive integer row} of the reduced echelon form."""
+    pivots = {}
+    for row in map(_int_row, rows):
+        # a pivot row is zero in the other pivot columns, so clearing one
+        # column leaves the row's entries in the others nonzero
+        for c in [c for c in row if c in pivots]:
+            row = _clear(row, pivots[c], c)
+        if not row:
+            continue
+        c = min(row)
+        row = _primitive(row)
+        for p, other in pivots.items():
+            if c in other:
+                pivots[p] = _primitive(_clear(other, row, c))
+        pivots[c] = row
+    return pivots
+
+
+def sparse_rank(rows):
+    """Rank of a matrix given as dense or {col: value} rows."""
+    return len(_echelon(rows))
 
 
 def frac_mat(m):
@@ -81,7 +85,6 @@ def mat_mul(a, b):
     """Product of dense matrices (lists of rows)."""
     if not a or not b:
         return [[] for _ in a]
-    nb = len(b[0])
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
@@ -91,85 +94,60 @@ def identity(n):
 
 
 def rref(mat, ncols=None):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = [[Fraction(x) for x in row] for row in mat]
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    ncols is the column count, read from the first row when omitted."""
     if ncols is None:
-        ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def rank(mat):
-    if not mat or not mat[0]:
-        return 0
-    _, pivots = rref(mat)
-    return len(pivots)
+        ncols = len(mat[0]) if mat else 0
+    ech = _echelon(mat)
+    pivots = sorted(ech)
+    return [[Fraction(ech[p].get(j, 0), ech[p][p]) for j in range(ncols)]
+            for p in pivots], pivots
 
 
 def nullspace(mat, ncols):
-    """Basis of the right kernel of a dense matrix, as column vectors."""
-    red, pivots = rref(mat, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right kernel of a matrix given as dense or
+    {col: value} rows, as column vectors."""
+    ech = _echelon(mat)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in ech:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+        for p, row in ech.items():
+            v[p] = Fraction(-row.get(f, 0), row[p])
         basis.append(v)
     return basis
 
 
 def solve(mat, rhs):
     """One solution of mat*x = rhs, or None if inconsistent."""
-    n = len(mat)
     ncols = len(mat[0]) if mat else 0
-    aug = [list(mat[i]) + [rhs[i]] for i in range(n)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
+    ech = _echelon([list(row) + [b] for row, b in zip(mat, rhs)])
+    if ncols in ech:
         return None
     x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
+    for p, row in ech.items():
+        x[p] = Fraction(row.get(ncols, 0), row[p])
     return x
 
 
 def is_invertible(mat):
     n = len(mat)
-    if n == 0:
-        return True
     if any(len(row) != n for row in mat):
         return False
-    return rank(mat) == n
+    return len(_echelon(mat)) == n
 
 
 def mat_inverse(mat):
     n = len(mat)
-    aug = [list(Fraction(x) for x in mat[i]) + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
+    ech = _echelon([list(row) + [int(i == j) for j in range(n)]
+                    for i, row in enumerate(mat)])
+    if any(i not in ech for i in range(n)):
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in red[:n]]
+    return [[Fraction(ech[i].get(n + j, 0), ech[i][i]) for j in range(n)]
+            for i in range(n)]
 
 
 def charpoly(mat):

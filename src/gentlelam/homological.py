@@ -239,10 +239,13 @@ def _paths_ending_at(A, i):
 
 def tau_dtr(A, M):
     """Auslander-Reiten translate as D Tr via the minimal presentation."""
-    n = A.n
     if M.dim() == 0:
         return zero_rep(A)
-    pres = min_proj_presentation(A, M)
+    return _tau_of_presentation(A, min_proj_presentation(A, M))
+
+
+def _tau_of_presentation(A, pres):
+    n = A.n
     if not pres.omega_tops:
         return zero_rep(A)  # projective module
     # right projectives e_iA for the P0 copies, e_jA for the P1 copies
@@ -279,7 +282,6 @@ def tau_dtr(A, M):
         # vec lives in P0 at vertex jl; split into copies
         for k, (ik, _) in enumerate(pres.p0_copies):
             repk, pathsk, indexk = pres.p0_paths[k]
-            base = None
             # offset of copy k at vertex jl inside P0
             off = 0
             for kk in range(k):
@@ -304,7 +306,7 @@ def tau_dtr(A, M):
                     z = p + y
                     if z not in index_out:
                         continue  # killed by a relation
-                    uo, ko = index_out[z]
+                    ko = index_out[z][1]
                     G[u - 1][offs1[l][u - 1] + ko][
                         offs0[k][u - 1] + index_in[y][1]] += c
     # cokernel per vertex with quotient bases
@@ -335,9 +337,9 @@ def tau_dtr(A, M):
         mat = [[Fraction(0)] * tau_dims[tu] for _ in range(tau_dims[su])]
         for col, coord in enumerate(quot_basis[tu]):
             # coord indexes a basis path of some copy l at vertex t(a)
-            l, local = _locate(offs1, tu, coord, sources, right)
+            l, local = _locate(offs1, tu, coord, sources)
             paths, index, _ = right[sources[l]]
-            y = _path_at(index, tu + 1, local, paths, A, sources[l])
+            y = _path_at(index, tu + 1, local, paths)
             if y and (y[-1], aid) in A.relations:
                 continue
             z = y + (aid,)
@@ -354,14 +356,14 @@ def tau_dtr(A, M):
     return make_rep(A, tau_dims, tau_mats)
 
 
-def _locate(offsets, u, coord, copies, right):
+def _locate(offsets, u, coord, copies):
     for l in range(len(copies) - 1, -1, -1):
         if coord >= offsets[l][u]:
             return l, coord - offsets[l][u]
     raise IndexError
 
 
-def _path_at(index, vertex, local, paths, A, base_vertex):
+def _path_at(index, vertex, local, paths):
     for p in paths:
         uv, k = index[p]
         if uv == vertex and k == local:
@@ -374,7 +376,10 @@ def ext1_dim(A, M, N):
     restrictions of Hom(P0, N)."""
     if M.dim() == 0 or N.dim() == 0:
         return 0
-    pres = min_proj_presentation(A, M)
+    return _ext1_of_presentation(A, min_proj_presentation(A, M), N)
+
+
+def _ext1_of_presentation(A, pres, N):
     from .strings import _subrep
     omega = _subrep(A, pres.p0, pres.omega_bases)
     if omega.dim() == 0:

@@ -11,7 +11,8 @@ module with random invertible matrices.
 import random
 from dataclasses import dataclass, field
 
-from .homological import ext1_dim, hom_dim_oracle, tau_dtr
+from .homological import (_ext1_of_presentation, _tau_of_presentation,
+                          hom_dim_oracle, min_proj_presentation)
 from .quiver import is_jacobian, rho_blocks, transport_dimvec
 from .strings import (InvalidString, conjugate, decompose, random_glpoint, rank_function_of, string_module)
 
@@ -286,8 +287,6 @@ def block_critical_summands(A, Z):
                 type1.append(arrow)
             if ti <= n_arrows and q[i] >= 1 and p[ti] >= 1:
                 type2.append(arrow)
-            if cyclic and q[i] >= 1 and p[ti] >= 1 and ti <= n_arrows:
-                pass
         if type1 or type2:
             report.append((block, tuple(type1), tuple(type2)))
     return report
@@ -423,8 +422,9 @@ def ceh_values(A, Z, seed=0):
     for s in (seed, seed + 1, seed + 2):
         M = generic_point(A, Z, s)
         c = dz - (gl - hom_dim_oracle(A, M, M))
-        e = ext1_dim(A, M, M)
-        h = hom_dim_oracle(A, M, tau_dtr(A, M))
+        pres = min_proj_presentation(A, M)
+        e = _ext1_of_presentation(A, pres, M)
+        h = hom_dim_oracle(A, M, _tau_of_presentation(A, pres))
         t = (c, e, h)
         best = t if best is None else tuple(min(x, y) for x, y in zip(best, t))
     return best

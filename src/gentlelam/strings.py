@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlinalg import (charpoly, identity, is_invertible, mat_inverse,
-                          mat_mul, nullspace, rational_roots, solve,
+                          mat_mul, nullspace, rational_roots, rref, solve,
                           sparse_rank)
 
 
@@ -475,13 +475,7 @@ def hom_dim(A, M, N):
 def hom_basis(A, M, N):
     """Basis of Hom(M, N), each element a list of per-vertex matrices."""
     rows, offs, nvars = _intertwiner_rows(A, M, N)
-    dense = []
-    for r in rows:
-        row = [0] * nvars
-        for c, v in r.items():
-            row[c] = v
-        dense.append(row)
-    vecs = nullspace(dense if dense else [[0] * nvars] if nvars else [], nvars)
+    vecs = nullspace(rows, nvars)
     out = []
     for vec in vecs:
         f = []
@@ -544,8 +538,9 @@ def _subrep(A, rep, bases):
     return make_rep(A, dims, mats)
 
 
-def _endo_power_kernel(A, rep, phi, shift, power):
-    bases = []
+def _endo_powers(A, rep, phi, shift, power):
+    """Per vertex: (phi_v - shift)^min(power, dim_v)."""
+    powers = []
     for v in range(A.n):
         d = rep.dims[v]
         m = [[phi[v][i][j] - (shift if i == j else 0) for j in range(d)]
@@ -553,35 +548,25 @@ def _endo_power_kernel(A, rep, phi, shift, power):
         p = identity(d)
         for _ in range(min(power, d)):
             p = mat_mul(m, p)
-        bases.append(nullspace(p, d))
-    return bases
-
-
-def _image_bases(A, rep, phi, shift, power):
-    from .exactlinalg import rref
-    bases = []
-    for v in range(A.n):
-        d = rep.dims[v]
-        m = [[phi[v][i][j] - (shift if i == j else 0) for j in range(d)]
-             for i in range(d)]
-        p = identity(d)
-        for _ in range(min(power, d)):
-            p = mat_mul(m, p)
-        pt = [list(col) for col in zip(*p)] if d else []
-        red, _ = rref(pt, d)
-        bases.append([list(r) for r in red])
-    return bases
+        powers.append(p)
+    return powers
 
 
 def _try_split(A, rep, phi):
-    """Fitting split along ker/im of (phi - r)^dim for eigenvalues r."""
+    """Fitting split along ker/im of (phi - r)^dim for eigenvalues r.
+
+    phi is block diagonal, so its eigenvalues are those of its blocks."""
     total = rep.dim()
-    roots = set(rational_roots(_charpoly_of_endo(A, rep, phi))) | {Fraction(0)}
+    roots = {Fraction(0)}
+    for v in range(A.n):
+        if rep.dims[v]:
+            roots.update(rational_roots(charpoly(phi[v])))
     for r in sorted(roots):
-        ker = _endo_power_kernel(A, rep, phi, r, total)
+        powers = _endo_powers(A, rep, phi, r, total)
+        ker = [nullspace(p, d) for p, d in zip(powers, rep.dims)]
         kdim = sum(len(b) for b in ker)
         if 0 < kdim < total:
-            im = _image_bases(A, rep, phi, r, total)
+            im = [rref(list(zip(*p)), d)[0] for p, d in zip(powers, rep.dims)]
             try:
                 left = _subrep(A, rep, ker)
                 right = _subrep(A, rep, im)
@@ -590,23 +575,6 @@ def _try_split(A, rep, phi):
             if left.dim() + right.dim() == total:
                 return [left, right]
     return None
-
-
-def _charpoly_of_endo(A, rep, phi):
-    total = rep.dim()
-    big = []
-    offs = []
-    off = 0
-    for v in range(A.n):
-        offs.append(off)
-        off += rep.dims[v]
-    for v in range(A.n):
-        for i in range(rep.dims[v]):
-            row = [0] * total
-            for j in range(rep.dims[v]):
-                row[offs[v] + j] = phi[v][i][j]
-            big.append(row)
-    return charpoly(big) if total else [Fraction(1)]
 
 
 def _split_once(A, rep, rng):
@@ -655,7 +623,7 @@ def _poly_neg(p):
     return tuple(-x for x in p)
 
 
-def _pencil_pivot_roots(rows, ncols):
+def _pencil_pivot_roots(rows):
     """Rational mu at which the sparse Q[mu]-matrix can drop rank.
 
     Division-free elimination; by specialization, every rank-dropping
@@ -738,7 +706,7 @@ def band_lambda_candidates(A, B, rep):
                                              _poly(-Na[u][k]))
                 if row:
                     rows.append(row)
-    cands = _pencil_pivot_roots(rows, off)
+    cands = _pencil_pivot_roots(rows)
     cands.add(Fraction(1))
     return sorted(c for c in cands if c != 0)
 
