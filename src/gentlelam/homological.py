@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlinalg import nullspace, rref, sparse_rank
-from .strings import (BandWord, StringWord, canonical_band,
-                      canonical_string, hom_basis, hom_dim, letter_inv,
-                      letter_s, letter_t, make_rep, pair_ok, string_word,
-                      zero_rep)
+from .strings import (BandWord, StringWord, _subrep, _sum_offsets,
+                      canonical_band, canonical_string, direct_sum,
+                      hom_basis, hom_dim, letter_inv, letter_s, letter_t,
+                      make_rep, pair_ok, string_word, zero_rep)
 
 hom_dim_oracle = hom_dim
 
@@ -121,14 +121,21 @@ def _top_vectors(A, M):
 
 @dataclass
 class Presentation:
-    """Minimal projective presentation P1 -> P0 -> M -> 0."""
+    """Minimal projective presentation P1 -> P0 -> M -> 0.
+
+    P0 is the direct sum of one indecomposable projective P_v per top
+    basis vector of M (its copies, in vertex order); the cover sends the
+    generator of each copy to that top vector.  Omega(M) is the kernel
+    of the cover, and P1 covers Omega(M) in the same way.
+    """
     n_vec: tuple  # top multiplicities of M
     m_vec: tuple  # top multiplicities of Omega(M)
     p0: object  # Representation of P0
-    cover: list  # per-vertex matrices P0_v -> M_v
+    omega: object  # Representation of Omega(M), in the omega_bases
     omega_bases: list  # per-vertex column bases of Omega inside P0
-    p0_copies: list  # list of (vertex, generator path index data)
-    p0_paths: list  # per copy: (paths, index) of its projective
+    p0_copies: list  # per copy: (vertex v, top coordinate of M at v)
+    p0_paths: list  # per copy: projective_rep(A, v), (rep, paths, index)
+    p0_offsets: list  # per copy: where its basis starts at each vertex of P0
     omega_tops: list  # per P1-copy: (vertex j_l, vector in P0 coords at j_l)
 
 
@@ -136,36 +143,15 @@ def min_proj_presentation(A, M):
     n = A.n
     tops = _top_vectors(A, M)
     n_vec = tuple(len(tops[v]) for v in range(n))
-    copies = []
-    for v in range(n):
-        for c in tops[v]:
-            copies.append((v + 1, c))
-    projs = {}
-    for v, _ in copies:
-        if v not in projs:
-            projs[v] = projective_rep(A, v)
-    # assemble P0 and the cover
-    dims = [0] * n
-    offsets = []  # per copy, per vertex offset
-    for v, _ in copies:
-        rep, _, _ = projs[v]
-        offsets.append(tuple(dims))
-        for u in range(n):
-            dims[u] += rep.dims[u]
-    mats = {aid: [[0] * dims[A.s(aid) - 1] for _ in range(dims[A.t(aid) - 1])]
-            for aid in A.arrow_ids}
-    for ci, (v, _) in enumerate(copies):
-        rep, _, _ = projs[v]
-        for aid in A.arrow_ids:
-            su, tu = A.s(aid) - 1, A.t(aid) - 1
-            for i, row in enumerate(rep.mats[aid]):
-                for j, x in enumerate(row):
-                    if x:
-                        mats[aid][offsets[ci][tu] + i][offsets[ci][su] + j] = x
-    p0 = make_rep(A, dims, mats)
+    copies = [(v + 1, c) for v in range(n) for c in tops[v]]
+    projs = {v: projective_rep(A, v) for v in {v for v, _ in copies}}
+    p0_paths = [projs[v] for v, _ in copies]
+    reps = [rep for rep, _, _ in p0_paths]
+    p0 = direct_sum(A, reps)
+    offsets, dims = _sum_offsets(A, reps)
     cover = [[[0] * dims[u] for _ in range(M.dims[u])] for u in range(n)]
     for ci, (v, coord) in enumerate(copies):
-        rep, paths, index = projs[v]
+        _, paths, index = p0_paths[ci]
         gen = [Fraction(0)] * M.dims[v - 1]
         gen[coord] = Fraction(1)
         for p in paths:
@@ -174,34 +160,24 @@ def min_proj_presentation(A, M):
             col = offsets[ci][u - 1] + index[p][1]
             for i in range(M.dims[u - 1]):
                 cover[u - 1][i][col] = img[i]
-    omega_bases = []
-    for u in range(n):
-        if dims[u] == 0:
-            omega_bases.append([])
-            continue
-        omega_bases.append(nullspace(cover[u], dims[u]))
-    # tops of Omega in P0 coordinates
-    omega_tops, m_list = _omega_tops(A, p0, omega_bases)
-    return Presentation(
-        n_vec=n_vec, m_vec=tuple(m_list), p0=p0, cover=cover,
-        omega_bases=omega_bases, p0_copies=copies,
-        p0_paths=[projs[v] for v, _ in copies], omega_tops=omega_tops)
-
-
-def _omega_tops(A, p0, omega_bases):
-    """Generators of the syzygy as vectors inside P0."""
-    n = A.n
-    dims_o = [len(b) for b in omega_bases]
-    # omega as abstract rep: matrices in the omega bases
-    from .strings import _subrep
+    omega_bases = [nullspace(cover[u], dims[u]) if dims[u] else []
+                   for u in range(n)]
     omega = _subrep(A, p0, omega_bases)
+    omega_tops, m_list = _omega_tops(A, omega, omega_bases)
+    return Presentation(
+        n_vec=n_vec, m_vec=tuple(m_list), p0=p0, omega=omega,
+        omega_bases=omega_bases, p0_copies=copies, p0_paths=p0_paths,
+        p0_offsets=offsets, omega_tops=omega_tops)
+
+
+def _omega_tops(A, omega, omega_bases):
+    """Generators of the syzygy as vectors inside P0."""
     tops = _top_vectors(A, omega)
     omega_tops = []
-    m_list = [0] * n
-    for v in range(n):
+    m_list = [0] * A.n
+    for v in range(A.n):
         for c in tops[v]:
-            vec = omega_bases[v][c]
-            omega_tops.append((v + 1, vec))
+            omega_tops.append((v + 1, omega_bases[v][c]))
             m_list[v] += 1
     return omega_tops, m_list
 
@@ -251,41 +227,17 @@ def _tau_of_presentation(A, pres):
     # right projectives e_iA for the P0 copies, e_jA for the P1 copies
     sinks = [v for v, _ in pres.p0_copies]
     sources = [v for v, _ in pres.omega_tops]
-    right = {}
-    for v in set(sinks) | set(sources):
-        paths = _paths_ending_at(A, v)
-        by_vertex = {u: [] for u in range(1, n + 1)}
-        for p in paths:
-            by_vertex[A.s(p[-1]) if p else v].append(p)
-        index = {}
-        dims = [0] * n
-        for u in range(1, n + 1):
-            for k, p in enumerate(by_vertex[u]):
-                index[p] = (u, k)
-            dims[u - 1] = len(by_vertex[u])
-        right[v] = (paths, index, dims)
-    # big right modules
-    def build_space(copy_list):
-        dims = [0] * n
-        offsets = []
-        for v in copy_list:
-            offsets.append(tuple(dims))
-            for u in range(n):
-                dims[u] += right[v][2][u]
-        return dims, offsets
-
-    dims0, offs0 = build_space(sinks)
-    dims1, offs1 = build_space(sources)
+    right = {v: _paths_ending_at(A, v) for v in set(sinks) | set(sources)}
+    basis0, at0 = _right_basis(A, right, sinks)
+    basis1, at1 = _right_basis(A, right, sources)
+    dims0, dims1 = [len(b) for b in basis0], [len(b) for b in basis1]
     # map G: +e_{i_k}A -> +e_{j_l}A, block (l,k): left multiplication by x_{lk}
     G = [[[Fraction(0)] * dims0[u] for _ in range(dims1[u])] for u in range(n)]
     for l, (jl, vec) in enumerate(pres.omega_tops):
         # vec lives in P0 at vertex jl; split into copies
         for k, (ik, _) in enumerate(pres.p0_copies):
-            repk, pathsk, indexk = pres.p0_paths[k]
-            # offset of copy k at vertex jl inside P0
-            off = 0
-            for kk in range(k):
-                off += pres.p0_paths[kk][0].dims[jl - 1]
+            _, pathsk, indexk = pres.p0_paths[k]
+            off = pres.p0_offsets[k][jl - 1]
             comp = {}
             for p in pathsk:
                 if path_target(A, p, ik) != jl:
@@ -296,19 +248,12 @@ def _tau_of_presentation(A, pres):
             if not comp:
                 continue
             # left multiplication by sum_p comp[p] * p : e_{ik}A -> e_{jl}A
-            paths_in, index_in, _ = right[ik]
-            paths_out, index_out, _ = right[jl]
-            for y in paths_in:
-                u = A.s(y[-1]) if y else ik
+            for y in right[ik]:
+                u = A.s(y[-1]) - 1 if y else ik - 1
                 for p, c in comp.items():
-                    if y and p and (p[-1], y[0]) in A.relations:
-                        continue
-                    z = p + y
-                    if z not in index_out:
-                        continue  # killed by a relation
-                    ko = index_out[z][1]
-                    G[u - 1][offs1[l][u - 1] + ko][
-                        offs0[k][u - 1] + index_in[y][1]] += c
+                    row = at1[u].get((l, p + y))
+                    if row is not None:  # else killed by a relation
+                        G[u][row][at0[u][(k, y)]] += c
     # cokernel per vertex with quotient bases
     quot_basis = []  # per vertex: list of standard coordinates kept
     reducers = []  # per vertex: (rref rows of image, pivots)
@@ -336,17 +281,13 @@ def _tau_of_presentation(A, pres):
         # matrix of a_op on the quotient: from vertex tu to vertex su
         mat = [[Fraction(0)] * tau_dims[tu] for _ in range(tau_dims[su])]
         for col, coord in enumerate(quot_basis[tu]):
-            # coord indexes a basis path of some copy l at vertex t(a)
-            l, local = _locate(offs1, tu, coord, sources)
-            paths, index, _ = right[sources[l]]
-            y = _path_at(index, tu + 1, local, paths)
-            if y and (y[-1], aid) in A.relations:
-                continue
-            z = y + (aid,)
-            if z not in index:
-                continue
-            w = [Fraction(0)] * sum(right[v][2][su] for v in sources)
-            w[offs1[l][su] + index[z][1]] = Fraction(1)
+            # coord is the basis path y of copy l at vertex t(a)
+            l, y = basis1[tu][coord]
+            row = at1[su].get((l, y + (aid,)))
+            if row is None:
+                continue  # y.a is killed by a relation
+            w = [Fraction(0)] * dims1[su]
+            w[row] = Fraction(1)
             img = reduce_vec(su, w)
             for i in range(tau_dims[su]):
                 mat[i][col] = img[i]
@@ -356,19 +297,16 @@ def _tau_of_presentation(A, pres):
     return make_rep(A, tau_dims, tau_mats)
 
 
-def _locate(offsets, u, coord, copies):
-    for l in range(len(copies) - 1, -1, -1):
-        if coord >= offsets[l][u]:
-            return l, coord - offsets[l][u]
-    raise IndexError
-
-
-def _path_at(index, vertex, local, paths):
-    for p in paths:
-        uv, k = index[p]
-        if uv == vertex and k == local:
-            return p
-    raise IndexError
+def _right_basis(A, right, copies):
+    """Basis of the direct sum of the right projectives e_vA, v in
+    `copies`: per vertex u, the (copy, path) pairs of the paths in
+    `right[v]` that start at u, in copy order; and per vertex the
+    position of each pair."""
+    basis = [[] for _ in range(A.n)]
+    for l, v in enumerate(copies):
+        for y in right[v]:
+            basis[(A.s(y[-1]) if y else v) - 1].append((l, y))
+    return basis, [{x: i for i, x in enumerate(b)} for b in basis]
 
 
 def ext1_dim(A, M, N):
@@ -380,8 +318,7 @@ def ext1_dim(A, M, N):
 
 
 def _ext1_of_presentation(A, pres, N):
-    from .strings import _subrep
-    omega = _subrep(A, pres.p0, pres.omega_bases)
+    omega = pres.omega
     if omega.dim() == 0:
         return 0
     homs_o = hom_basis(A, omega, N)

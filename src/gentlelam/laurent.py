@@ -11,9 +11,10 @@ summands.
 
 from dataclasses import dataclass
 from .homological import DecoratedModule, g_vector
-from .strings import BandWord, DictionaryExhausted, StringWord, decompose
+from .strings import BandWord, DictionaryExhausted, decompose, word_sum, \
+    word_walk
 from .surface import CoefficientQuiver, build_QT, \
-    coefficient_quiver, shear_coordinates, _vnum
+    coefficient_quiver, curve_to_module, shear_coordinates, _vnum
 
 
 class UnsupportedModule(ValueError):
@@ -179,24 +180,12 @@ def coideal_generating_function(Q, B):
 
 
 def word_coefficient_quiver(A, w):
-    """Coefficient quiver of a string or band module from its word."""
-    from .strings import letter_s, letter_t
-    cyclic = isinstance(w, BandWord)
-    if isinstance(w, StringWord) and w.is_trivial:
-        return CoefficientQuiver((w.vertex,), (), False)
-    ls = w.letters
-    verts = [letter_t(A, c) for c in ls]
-    if not cyclic:
-        verts.append(letter_s(A, ls[-1]))
-    m = len(verts)
-    arrows = []
-    for i, c in enumerate(ls):
-        j2 = (i + 1) % m if cyclic else i + 1
-        if c[1]:
-            arrows.append((i + 1, j2 + 1, c[0]))
-        else:
-            arrows.append((j2 + 1, i + 1, c[0]))
-    return CoefficientQuiver(tuple(verts), tuple(arrows), cyclic)
+    """Coefficient quiver of a string or band module from its word: the
+    basis vectors of `word_walk` and an arrow per step, positions 1-based."""
+    verts, steps = word_walk(A, w)
+    return CoefficientQuiver(tuple(verts),
+                             tuple((p + 1, q + 1, aid) for aid, p, q in steps),
+                             isinstance(w, BandWord))
 
 
 # ---------------------------------------------------------------------------
@@ -256,25 +245,15 @@ def cc_prime(T, dec, bound=10, B=None, algebra=None):
 def generic_decorated_module(T, L, algebra=None):
     """A generic point of eta(L): summands with pairwise distinct band
     parameters, plus the decoration from the arcs."""
-    from .strings import band_module, direct_sum, string_module, zero_rep
-    from .surface import curve_to_module
     A = algebra or build_QT(T)
-    n = A.n
-    v = [0] * n
-    parts = []
-    lam_pool = iter((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    v = [0] * A.n
+    words = []
     for gamma, mult in L.entries:
         if gamma.kind == "arc":
             v[_vnum(T)[gamma.arc] - 1] += mult
-            continue
-        w = curve_to_module(T, gamma)
-        for _ in range(mult):
-            if isinstance(w, BandWord):
-                parts.append(band_module(A, w, next(lam_pool)))
-            else:
-                parts.append(string_module(A, w))
-    M = direct_sum(A, parts) if parts else zero_rep(A)
-    return DecoratedModule(M, tuple(v))
+        else:
+            words += [curve_to_module(T, gamma)] * mult
+    return DecoratedModule(word_sum(A, words), tuple(v))
 
 
 def verify_bangle_equals_generic(T, L, bound=12, algebra=None):

@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 from .homological import (_ext1_of_presentation, _tau_of_presentation,
                           hom_dim_oracle, min_proj_presentation)
 from .quiver import is_jacobian, rho_blocks, transport_dimvec
-from .strings import (InvalidString, conjugate, decompose, random_glpoint, rank_function_of, string_module)
+from .strings import (BandWord, InvalidString, band_module, conjugate,
+                      decompose, enumerate_bands, enumerate_strings,
+                      band_parameters, random_glpoint, rank_function_of,
+                      string_module, word_sum)
 
 
 class NotJacobian(ValueError):
@@ -50,7 +53,6 @@ def rank_functions(A, d, maximal_only=False):
     def ok_partial(r, a):
         for kind, other in rel_of.get(a, []):
             if other in r:
-                x, y = (r[a], r[other]) if kind == "s" else (r[other], r[a])
                 # relation pair (u, v) with bound d_{s(u)} = d_{t(v)}
                 u = a if kind == "s" else other
                 if r[a] + r[other] > d[A.s(u) - 1]:
@@ -299,9 +301,6 @@ def is_tau_reduced(A, Z):
     return not block_critical_summands(A, Z)
 
 
-_LAMBDA_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-
-
 def generic_multiset(A, Z, bound=None):
     """The canonical decomposition of the component as a word multiset.
 
@@ -310,8 +309,6 @@ def generic_multiset(A, Z, bound=None):
     exact dimension count dim Z = dim GL - dim End + #bands.  Results
     are memoized on the algebra object.
     """
-    from .strings import BandWord, band_module, direct_sum, \
-        enumerate_bands, enumerate_strings, string_module
     d, r = Z.d, Z.rank()
     total = sum(d)
     if bound is None:
@@ -366,19 +363,10 @@ def generic_multiset(A, Z, bound=None):
         return False
 
     def certify():
-        from .homological import hom_dim_oracle
-        parts = []
-        lam = iter(_LAMBDA_POOL)
-        q = 0
-        for w in sol:
-            if isinstance(w, BandWord):
-                parts.append(band_module(A, w, next(lam)))
-                q += 1
-            else:
-                parts.append(string_module(A, w))
-        M = direct_sum(A, parts)
+        M = word_sum(A, sol)
         if rank_function_of(A, M) != r:
             return False
+        q = sum(isinstance(w, BandWord) for w in sol)
         return dz == gl - hom_dim_oracle(A, M, M) + q
 
     if not rec(0, d, dict(r), n_strings):
@@ -391,21 +379,10 @@ def generic_multiset(A, Z, bound=None):
 def generic_point(A, Z, seed=0):
     """A generic module of the component: the certified generic direct
     sum (distinct rational band parameters) under a random conjugation."""
-    from .strings import BandWord, band_module, direct_sum, \
-        string_module, zero_rep
-    d, r = Z.d, Z.rank()
+    r = Z.rank()
     words = generic_multiset(A, Z)
     rng = random.Random(seed)
-    lams = list(_LAMBDA_POOL)
-    rng.shuffle(lams)
-    lam = iter(lams)
-    parts = []
-    for w in words:
-        if isinstance(w, BandWord):
-            parts.append(band_module(A, w, next(lam)))
-        else:
-            parts.append(string_module(A, w))
-    M = direct_sum(A, parts) if parts else zero_rep(A)
+    M = word_sum(A, words, band_parameters(rng))
     for _ in range(8):
         g = random_glpoint(rng, M.dims, 3)
         N = conjugate(A, M, g)

@@ -1,13 +1,12 @@
 """Strings, bands and their explicit matrix representations.
 
 A letter is a pair (arrow_id, inv).  Words compose right-to-left like
-paths: in a word (c_1, ..., c_m) we need s(c_i) = t(c_{i+1}).  Basis
-vector j of the string module sits at the vertex t(c_j) (the extra last
-one at s(c_m)); a direct letter c_j = a sends basis j+1 to basis j
-under a, an inverse letter c_j = a^- sends j to j+1.  Band modules are
-the cyclic variant with the parameter lambda on the wrap-around letter.
+paths: in a word (c_1, ..., c_m) we need s(c_i) = t(c_{i+1}).  The basis
+of a word module is laid out by `word_walk`; generic direct sums of word
+modules draw their band parameters from `band_parameters`.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -255,46 +254,62 @@ def zero_rep(A):
     return make_rep(A, [0] * A.n, {})
 
 
-def string_module(A, C):
-    C = C if isinstance(C, StringWord) else string_word(A, C)
-    if C.is_trivial:
-        dims = [0] * A.n
-        dims[C.vertex - 1] = 1
-        return make_rep(A, dims, {})
-    string_word(A, C)
-    verts = [letter_t(A, c) for c in C.letters] + [letter_s(A, C.letters[-1])]
-    return _module_from_walk(A, C.letters, verts, cyclic=False, lam=1)
+def word_walk(A, w):
+    """The basis layout of the module of a StringWord or BandWord.
+
+    Returns (verts, steps).  Basis vector j sits at vertex verts[j]: for
+    a word (c_1, ..., c_m) that is t(c_{j+1}), and a string has one more
+    basis vector, at s(c_m) (the trivial string at its vertex has just
+    that one).  The basis vectors at a vertex are numbered in word order.
+    steps has one (arrow, source basis, target basis) per letter, in
+    word order: a direct letter c_j = a sends basis j to basis j-1 under
+    a, an inverse letter c_j = a^- sends basis j-1 to basis j (basis
+    indices from 0).  In a band the last step wraps around to basis 0
+    and carries the band parameter; every other step carries 1.
+    """
+    ls = w.letters
+    if isinstance(w, BandWord):
+        verts = [letter_t(A, c) for c in ls]
+    elif ls:
+        verts = [letter_t(A, c) for c in ls] + [letter_s(A, ls[-1])]
+    else:
+        verts = [w.vertex]
+    steps = []
+    for i, (aid, inv) in enumerate(ls):
+        j = (i + 1) % len(verts)
+        steps.append((aid, i, j) if inv else (aid, j, i))
+    return verts, steps
 
 
-def band_module(A, B, lam, q=1):
-    B = B if isinstance(B, BandWord) else band_word(A, B)
-    band_word(A, B)
-    lam = Fraction(lam)
-    if lam == 0:
-        raise ZeroLambda("band parameter must be nonzero")
-    if q != 1:
-        raise UnsupportedQuasiLength("only quasi-length 1 is implemented")
-    verts = [letter_t(A, c) for c in B.letters]
-    return _module_from_walk(A, B.letters, verts, cyclic=True, lam=lam)
-
-
-def _module_from_walk(A, letters, verts, cyclic, lam):
+def _walk_matrices(A, w, lam, one=1, zero=0):
+    """(dims, per-arrow matrices) of the module of a word: each step of
+    `word_walk` puts `one` into its arrow's matrix, the last one `lam`."""
+    verts, steps = word_walk(A, w)
     dims = [0] * A.n
     idx = []
     for v in verts:
         idx.append(dims[v - 1])
         dims[v - 1] += 1
-    mats = {aid: [[0] * dims[A.s(aid) - 1] for _ in range(dims[A.t(aid) - 1])]
-            for aid in A.arrow_ids}
-    m = len(letters)
-    for i, c in enumerate(letters):
-        j2 = (i + 1) % len(verts) if cyclic else i + 1
-        val = lam if (cyclic and i == m - 1) else 1
-        if c[1]:
-            mats[c[0]][idx[j2]][idx[i]] = val
-        else:
-            mats[c[0]][idx[i]][idx[j2]] = val
-    return make_rep(A, dims, mats)
+    mats = {aid: [[zero] * dims[A.s(aid) - 1]
+                  for _ in range(dims[A.t(aid) - 1])] for aid in A.arrow_ids}
+    for k, (aid, p, q) in enumerate(steps):
+        mats[aid][idx[q]][idx[p]] = lam if k == len(steps) - 1 else one
+    return dims, mats
+
+
+def string_module(A, C):
+    C = string_word(A, C)
+    return make_rep(A, *_walk_matrices(A, C, 1))
+
+
+def band_module(A, B, lam, q=1):
+    B = band_word(A, B)
+    lam = Fraction(lam)
+    if lam == 0:
+        raise ZeroLambda("band parameter must be nonzero")
+    if q != 1:
+        raise UnsupportedQuasiLength("only quasi-length 1 is implemented")
+    return make_rep(A, *_walk_matrices(A, B, lam))
 
 
 def rank_function_of(A, rep):
@@ -393,22 +408,56 @@ def enumerate_bands(A, max_len, dims=None):
     return sorted(found, key=lambda w: (len(w), w.letters))
 
 
+def _sum_offsets(A, reps):
+    """Per summand, the index at which its basis starts at each vertex
+    of the direct sum; and the dimension vector of the sum."""
+    offsets = []
+    dims = (0,) * A.n
+    for r in reps:
+        offsets.append(dims)
+        dims = tuple(x + y for x, y in zip(dims, r.dims))
+    return offsets, dims
+
+
 def direct_sum(A, reps):
-    n = A.n
-    dims = [sum(r.dims[v] for r in reps) for v in range(n)]
+    offsets, dims = _sum_offsets(A, reps)
     mats = {}
     for aid in A.arrow_ids:
         sv, tv = A.s(aid) - 1, A.t(aid) - 1
         m = [[0] * dims[sv] for _ in range(dims[tv])]
-        ro = co = 0
-        for r in reps:
+        for r, off in zip(reps, offsets):
             for i, row in enumerate(r.mats[aid]):
                 for j, x in enumerate(row):
-                    m[ro + i][co + j] = x
-            ro += r.dims[tv]
-            co += r.dims[sv]
+                    m[off[tv] + i][off[sv] + j] = x
         mats[aid] = m
     return make_rep(A, dims, mats)
+
+
+# Band parameters for generic direct sums.  Each band summand takes a
+# different one, so that no two summands are isomorphic; M(B, lam) is
+# M(B^-, 1/lam), and no integer >= 2 is the reciprocal of another, so a
+# band and its inverse cannot name one module either.  0 gives no band
+# module, and 1 stays for the probe modules M(B, 1) that `standard_homs`
+# and `decompose` compare against.
+BAND_PARAMETERS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def band_parameters(rng=None):
+    """The pool of band parameters as an endless iterator: the values of
+    BAND_PARAMETERS (shuffled by `rng` when given), then 44, 45, ..."""
+    head = list(BAND_PARAMETERS)
+    if rng is not None:
+        rng.shuffle(head)
+    return itertools.chain(head, itertools.count(BAND_PARAMETERS[-1] + 1))
+
+
+def word_sum(A, words, lams=None):
+    """Direct sum of the modules of string and band words, each band
+    taking the next parameter from `lams` (default: band_parameters())."""
+    lams = band_parameters() if lams is None else lams
+    return direct_sum(A, [band_module(A, w, next(lams))
+                          if isinstance(w, BandWord) else string_module(A, w)
+                          for w in words])
 
 
 def conjugate(A, rep, gs):
@@ -665,23 +714,8 @@ def band_lambda_candidates(A, B, rep):
     Q[mu]; a nonzero hom space at mu0 needs a rank drop there, hence
     mu0 shows up among the pivot roots.
     """
-    verts = [letter_t(A, c) for c in B.letters]
-    dims = [0] * A.n
-    idx = []
-    for v in verts:
-        idx.append(dims[v - 1])
-        dims[v - 1] += 1
-    m = len(B.letters)
-    # band matrices over Q[mu]: wrap letter carries the parameter
-    mats = {aid: [[() for _ in range(dims[A.s(aid) - 1])]
-                  for _ in range(dims[A.t(aid) - 1])] for aid in A.arrow_ids}
-    for i, c in enumerate(B.letters):
-        j2 = (i + 1) % m
-        val = _poly(0, 1) if i == m - 1 else _poly(1)
-        if c[1]:
-            mats[c[0]][idx[j2]][idx[i]] = val
-        else:
-            mats[c[0]][idx[i]][idx[j2]] = val
+    # band matrices over Q[mu]: the wrap-around step carries mu
+    dims, mats = _walk_matrices(A, B, _poly(0, 1), _poly(1), ())
     offs = []
     off = 0
     for v in range(A.n):

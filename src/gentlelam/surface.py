@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .quiver import Quiver, is_jacobian, validate_gentle
 from .strings import BandWord, StringWord, band_module, canonical_band, \
-    canonical_string, rank_function_of, string_module
+    canonical_string, rank_function_of, string_module, word_walk
 
 
 class InvalidTriangulation(ValueError):
@@ -121,14 +121,10 @@ class Triangulation:
 
     def _boundary_components(self):
         """Count boundary cycles: segments chain via shared marked points."""
-        nxt = {}
-        for b in self.boundary_segments:
-            t, i = self._cache["occ"][b][0]
-            # induced orientation runs from corner (t, i-1) to corner (t, i)
-            nxt[b] = None
         start_of = {}
         for b in self.boundary_segments:
             t, i = self._cache["occ"][b][0]
+            # induced orientation runs from corner (t, i-1) to corner (t, i)
             start_of[self._corner((t, (i - 1) % 3))] = b
         count = 0
         seen = set()
@@ -472,8 +468,7 @@ def _letters_of(T, crossings, transitions, cyclic):
     upto = m if cyclic else m - 1
     for i in range(upto):
         x, y = crossings[i], crossings[(i + 1) % m]
-        ti = transitions[i] if cyclic else transitions[i]
-        aid, src, tgt = T.arrow_between(ti, x, y)
+        aid, src, tgt = T.arrow_between(transitions[i], x, y)
         if src == y and tgt == x:
             letters.append((aid, False))
         elif src == x and tgt == y:
@@ -561,10 +556,6 @@ def _arc_fan_positions(T, arc):
     return out[0], out[1]
 
 
-def _marker_for(T, P):
-    return (T.forward_segment(P), 0)
-
-
 def _corner_between(T, tri, x, y):
     """Marked point at the corner of the triangle between edges x, y."""
     t = T.triangles[tri]
@@ -581,7 +572,7 @@ def _mk_open(T, crossings, transitions, pa, pb):
         assert x in T.triangles[transitions[i]], (crossings, transitions)
         assert x in T.triangles[transitions[i + 1]], (crossings, transitions)
     return CurveSeq("open", crossings=tuple(crossings),
-                    endpoints=(_marker_for(T, pa), _marker_for(T, pb)),
+                    endpoints=(T.marker_of_marked(pa), T.marker_of_marked(pb)),
                     transitions=tuple(transitions))
 
 
@@ -615,8 +606,7 @@ def rotate_tau(T, gamma, direction="forward"):
 
     if gamma.kind == "arc":
         (pa, posa), (pb, posb) = _arc_fan_positions(T, gamma.arc)
-        edges_a, tris_a = T.fan(pa)
-        edges_b, tris_b = T.fan(pb)
+        tris_a, tris_b = T.fan(pa)[1], T.fan(pb)[1]
         pre, pre_tr = swept(pa, posa, posa)
         post, post_tr = swept(pb, posb, posb)
         gap_a = tris_a[posa if fwd else posa - 1][0]
@@ -721,8 +711,7 @@ def _extended_data(T, gamma):
 
     if gamma.kind == "arc":
         (pa, posa), (pb, posb) = _arc_fan_positions(T, gamma.arc)
-        edges_a, tris_a = T.fan(pa)
-        edges_b, tris_b = T.fan(pb)
+        tris_a, tris_b = T.fan(pa)[1], T.fan(pb)[1]
         arcs_a, before_a = head(pa, posa)
         arcs_b, before_b = head(pb, posb)
         items = arcs_a + [gamma.arc] + list(reversed(arcs_b))
@@ -909,41 +898,26 @@ def arrow_triangle(aid):
     return int(aid[1:aid.index(":")])
 
 
-def _word_vertices(A, w):
-    from .strings import letter_s, letter_t
-    ls = w.letters
-    if isinstance(w, BandWord):
-        return [letter_t(A, c) for c in ls]
-    return [letter_t(A, c) for c in ls] + [letter_s(A, ls[-1])]
-
-
 def string_to_curve(T, A, C):
     """The open curve of a string module, via the opposite-corner rule."""
     arcs = sorted(T.internal_arcs)
-    if C.is_trivial:
-        j = arcs[C.vertex - 1]
-        t1, t2 = T.triangles_at_arc(j)
-        pa = _opposite_corner(T, t1, j)
-        pb = _opposite_corner(T, t2, j)
-        return CurveSeq("open", crossings=(j,),
-                        endpoints=(_marker_for(T, pa), _marker_for(T, pb)),
-                        transitions=(t1, t2))
-    verts = _word_vertices(A, C)
-    crossings = [arcs[v - 1] for v in verts]
+    crossings = [arcs[v - 1] for v in word_walk(A, C)[0]]
     mids = [arrow_triangle(c[0]) for c in C.letters]
-    t0 = _other_side(T, crossings[0], mids[0])
-    tm = _other_side(T, crossings[-1], mids[-1])
+    if mids:
+        t0 = _other_side(T, crossings[0], mids[0])
+        tm = _other_side(T, crossings[-1], mids[-1])
+    else:
+        t0, tm = T.triangles_at_arc(crossings[0])
     pa = _opposite_corner(T, t0, crossings[0])
     pb = _opposite_corner(T, tm, crossings[-1])
     return CurveSeq("open", crossings=tuple(crossings),
-                    endpoints=(_marker_for(T, pa), _marker_for(T, pb)),
+                    endpoints=(T.marker_of_marked(pa), T.marker_of_marked(pb)),
                     transitions=tuple([t0] + mids + [tm]))
 
 
 def band_to_curve(T, A, B):
     arcs = sorted(T.internal_arcs)
-    verts = _word_vertices(A, B)
-    crossings = [arcs[v - 1] for v in verts]
+    crossings = [arcs[v - 1] for v in word_walk(A, B)[0]]
     trans = [arrow_triangle(c[0]) for c in B.letters]
     return CurveSeq("loop", crossings=tuple(crossings),
                     transitions=tuple(trans))
