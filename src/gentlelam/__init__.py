@@ -29,8 +29,8 @@ from .surface import (CoefficientQuiver, CurveSeq, InconsistentSequence,
                       curve_to_module, eta, int_zero, make_lamination,
                       rotate_tau, shear_coordinates, shear_of_lamination,
                       string_to_curve, validate_curve)
-from .laurent import (LaurentPoly, UnsupportedModule, bangle,
-                      bangle_lamination, cc_prime, order_coideals,
+from .laurent import (LaurentPoly, NotPathOrCycle, UnsupportedModule,
+                      bangle, bangle_lamination, cc_prime, order_coideals,
                       signed_adjacency, specialize,
                       verify_bangle_equals_generic, word_coefficient_quiver,
                       yhat)

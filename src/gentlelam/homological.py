@@ -72,8 +72,20 @@ def path_target(A, p, start):
 
 
 def projective_rep(A, i):
-    """The indecomposable projective at vertex i with its path basis."""
-    paths = permitted_paths_from(A, i)
+    """The indecomposable projective at vertex i with its path basis:
+    (rep, paths, index).  Built once per vertex and kept on the algebra
+    object, so every caller shares it; none may change it."""
+    memo = A.__dict__.get("_projectives")
+    if memo is None:
+        memo = {}
+        object.__setattr__(A, "_projectives", memo)
+    if i not in memo:
+        memo[i] = _projective_rep(A, i)
+    return memo[i]
+
+
+def _projective_rep(A, i):
+    paths = tuple(permitted_paths_from(A, i))
     by_vertex = {v: [] for v in range(1, A.n + 1)}
     for p in paths:
         by_vertex[path_target(A, p, i)].append(p)

@@ -7,9 +7,21 @@ coideals (predecessor-closed vertex subsets) of the coefficient quiver;
 dual Caldero-Chapoton functions use the same counts through the
 quiver-Grassmannian interpretation of coideals and multiply over direct
 summands.
+
+The coefficient quiver of a curve or a word is a type-A path (open
+curves, strings) or an affine-A cycle (loops, bands) whose arrow k joins
+positions k and k+1.  `coideal_generating_function` sums over its
+coideals by a transfer-matrix sweep, one pass over the positions: each
+position is in the coideal or not, and each arrow forbids
+one of the four pairs of neighbouring states (the snake-graph expansion
+of Musiker-Schiffler-Williams).  `order_coideals` lists the coideals by
+a scan over all vertex subsets; it is kept as the independent oracle of
+the sweep and of the finite-field Grassmannian counts, and nothing in
+the library calls it.
 """
 
 from dataclasses import dataclass
+from operator import mul
 from .homological import DecoratedModule, g_vector
 from .strings import BandWord, DictionaryExhausted, decompose, word_sum, \
     word_walk
@@ -19,6 +31,11 @@ from .surface import CoefficientQuiver, build_QT, \
 
 class UnsupportedModule(ValueError):
     pass
+
+
+class NotPathOrCycle(ValueError):
+    """A coefficient quiver whose arrow k does not join positions k and
+    k+1 (mod m) for every k, or has too many or too few arrows."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +163,11 @@ def yhat(j, B):
 
 
 def order_coideals(Q):
-    """All predecessor-closed vertex subsets, ascending as bitmasks."""
+    """All predecessor-closed vertex subsets, ascending as bitmasks.
+
+    A scan of all 2^m subsets, for any quiver; the tests check the sweep
+    of `coideal_generating_function` and the finite-field Grassmannian
+    counts against it."""
     m = len(Q.labels)
     preds = [[] for _ in range(m)]
     for u, v, _ in Q.arrows:
@@ -168,15 +189,96 @@ def order_coideals(Q):
 
 
 def coideal_generating_function(Q, B):
-    """Sum over order coideals of the product of yhat over the labels."""
+    """Sum over order coideals of the product of yhat over the labels.
+
+    A sweep along the positions of the path or cycle `Q` (see
+    `_arrow_directions`).  After position k it holds, for each state of
+    k (0 out of the coideal, 1 in it), the sum over the admissible states
+    of positions 1..k.  An arrow u -> v admits every pair of states but
+    (u out, v in); taking position k multiplies by yhat(label k).  A path
+    adds up both end states.  A cycle sweeps once from each state of
+    position 1 and keeps the end states that the closing arrow between
+    positions m and 1 admits.
+
+    A term is kept as the count of each label in the coideal, packed into
+    one integer in base m + 1 (no count exceeds m), so that taking a
+    position adds a constant to every key; its x-exponents are B times the
+    counts, and the LaurentPoly is built once at the end.
+    """
     n = len(B)
-    total = LaurentPoly.zero(n)
-    for I in order_coideals(Q):
-        t = LaurentPoly.one(n)
-        for pos in I:
-            t = t * yhat(Q.labels[pos - 1], B)
-        total = total + t
-    return total
+    m = len(Q.labels)
+    forward = _arrow_directions(Q)
+    base = m + 1
+    shift = [base ** (j - 1) for j in Q.labels]
+    if Q.cyclic:
+        total = {}
+        for first in (0, 1):
+            start = ({0: 1}, {}) if first == 0 else ({}, {shift[0]: 1})
+            ends = _sweep(start, forward[:-1], shift)
+            for last in (0, 1):
+                if _admits(forward[-1], last, first):
+                    _add_into(total, ends[last])
+    else:
+        out, into = _sweep(({0: 1}, {shift[0]: 1}), forward, shift)
+        total = _add_into(out, into)
+    terms = {}
+    for key, c in total.items():
+        ye = []
+        for _ in range(n):
+            key, e = divmod(key, base)
+            ye.append(e)
+        xe = tuple(sum(map(mul, row, ye)) for row in B)
+        terms[(xe, tuple(ye))] = c
+    return LaurentPoly.from_dict(n, terms)
+
+
+def _arrow_directions(Q):
+    """Per arrow k (1-based), whether it points from position k to k+1
+    (mod m).  Q must be a path (m >= 1 positions, m - 1 arrows) or, when
+    Q.cyclic, a cycle (m arrows; a self-loop for m = 1)."""
+    m = len(Q.labels)
+    if m == 0 or len(Q.arrows) != (m if Q.cyclic else m - 1):
+        raise NotPathOrCycle(
+            f"{len(Q.arrows)} arrows on {m} positions of a "
+            f"{'cycle' if Q.cyclic else 'path'}")
+    forward = []
+    for k, (u, v, _) in enumerate(Q.arrows, 1):
+        nxt = k % m + 1
+        if (u, v) == (k, nxt):
+            forward.append(True)
+        elif (u, v) == (nxt, k):
+            forward.append(False)
+        else:
+            raise NotPathOrCycle(
+                f"arrow {k} joins positions {u} -> {v}, not {k} and {nxt}")
+    return forward
+
+
+def _admits(forward, here, there):
+    """Whether an arrow between a position in state `here` and the next
+    one in state `there` admits the pair: u -> v forbids (u out, v in)."""
+    return (here, there) != ((0, 1) if forward else (1, 0))
+
+
+def _add_into(d, other):
+    for k, c in other.items():
+        d[k] = d.get(k, 0) + c
+    return d
+
+
+def _sweep(state, forward, shift):
+    """Carry (out, in) across the arrows `forward` from position 1; arrow
+    k leads into position k+1, which multiplies by shift[k].  Updates the
+    dicts of `state` in place."""
+    out, into = state
+    for k, fwd in enumerate(forward, 1):
+        s = shift[k]
+        if fwd:  # k -> k+1: k+1 in needs k in
+            shifted = {key + s: c for key, c in into.items()}
+            out, into = _add_into(out, into), shifted
+        else:  # k+1 -> k: k in needs k+1 in
+            into = {key + s: c for key, c in _add_into(into, out).items()}
+    return out, into
 
 
 def word_coefficient_quiver(A, w):

@@ -264,7 +264,15 @@ class Triangulation:
 
 
 def build_QT(T):
-    """The gentle Jacobian algebra of the triangulation."""
+    """The gentle Jacobian algebra of the triangulation, built on first
+    use and kept in the triangulation's cache."""
+    A = T._cache.get("algebra")
+    if A is None:
+        A = T._cache["algebra"] = _jacobian_algebra(T)
+    return A
+
+
+def _jacobian_algebra(T):
     arcs = T.internal_arcs
     n = len(arcs)
     vnum = {a: k + 1 for k, a in enumerate(sorted(arcs))}
