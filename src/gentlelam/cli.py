@@ -15,7 +15,7 @@ from .schemes import block_critical_summands, canonical_decomposition, \
     ceh_values, component_dim, components, critical_relation_pairs, \
     decorated_g_vector, dim_gl, is_generically_reduced, is_smooth_point, \
     is_tau_reduced, tangent_dim
-from .strings import rank_function_of
+from .strings import DictionaryExhausted, rank_function_of
 from .surface import build_QT, eta, shear_of_lamination
 
 
@@ -98,7 +98,7 @@ def cmd_components(args):
                 {"type": k, "word": str(w)}
                 for k, w in canonical_decomposition(A, Z, args.max_len,
                                                     seed=args.seed)]
-        except Exception as exc:  # dictionary bound too small
+        except DictionaryExhausted as exc:  # --max-len too small
             entry["decomposition"] = f"unavailable: {exc}"
         out.append(entry)
         lines.append(f"  r={dict(Z.r)} dim={dz} ceh=({c},{e},{h})"

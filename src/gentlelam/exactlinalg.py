@@ -13,7 +13,10 @@ unique, so the result does not depend on the order rows are eliminated
 in, and `rref` (each row divided by its pivot entry), `sparse_rank`,
 `nullspace`, `solve`, `is_invertible` and `mat_inverse` are views of it.
 
-Dense matrices are lists of row-lists; results carry Fraction entries.
+Dense matrices are lists of row-lists.  `nullspace` returns primitive
+integer vectors; `mat_inverse` gives integral entries as int (so the
+inverse of a unimodular integer matrix is an integer matrix); `rref`
+and `solve` carry Fraction entries.
 """
 
 from fractions import Fraction
@@ -107,17 +110,27 @@ def rref(mat, ncols=None):
 
 def nullspace(mat, ncols):
     """Basis of the right kernel of a matrix given as dense or
-    {col: value} rows, as column vectors."""
+    {col: value} rows, as column vectors: one per free column f, the
+    rational kernel vector that is 1 at f and 0 at the other free
+    columns, scaled by the lcm of the pivots it meets and then made
+    primitive (integer entries with gcd 1, positive at f)."""
     ech = _echelon(mat)
     basis = []
     for f in range(ncols):
         if f in ech:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for p, row in ech.items():
-            v[p] = Fraction(-row.get(f, 0), row[p])
-        basis.append(v)
+        hits = [(p, row) for p, row in ech.items() if f in row]
+        scale = 1
+        for p, row in hits:
+            scale = scale * abs(row[p]) // gcd(scale, row[p])
+        v = [0] * ncols
+        v[f] = scale
+        for p, row in hits:
+            v[p] = -row[f] * scale // row[p]
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        basis.append([x // g for x in v] if g > 1 else v)
     return basis
 
 
@@ -146,8 +159,13 @@ def mat_inverse(mat):
                     for i, row in enumerate(mat)])
     if any(i not in ech for i in range(n)):
         raise ValueError("matrix not invertible")
-    return [[Fraction(ech[i].get(n + j, 0), ech[i][i]) for j in range(n)]
+    return [[_ratio(ech[i].get(n + j, 0), ech[i][i]) for j in range(n)]
             for i in range(n)]
+
+
+def _ratio(a, b):
+    """a / b as an int when b divides a, else as a Fraction."""
+    return a // b if a % b == 0 else Fraction(a, b)
 
 
 def charpoly(mat):

@@ -10,7 +10,6 @@ surgery on the word).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlinalg import nullspace, rref, sparse_rank
 from .strings import (BandWord, StringWord, _subrep, _sum_offsets,
@@ -108,14 +107,6 @@ def _projective_rep(A, i):
     return rep, paths, index
 
 
-def _apply_path(A, M, p, vec):
-    """M_p(vec) for a path p = (a_1, ..., a_k), a_k applied first."""
-    for aid in reversed(p):
-        m = M.mats[aid]
-        vec = [sum(row[j] * vec[j] for j in range(len(vec))) for row in m]
-    return vec
-
-
 def _top_vectors(A, M):
     """Per vertex: coordinates completing rad(M)_v to a basis of M_v."""
     tops = []
@@ -151,7 +142,10 @@ class Presentation:
     omega_tops: list  # per P1-copy: (vertex j_l, vector in P0 coords at j_l)
 
 
-def min_proj_presentation(A, M):
+def _cover_kernel(A, M):
+    """The projective cover P0 -> M of a minimal presentation and its
+    kernel: (top multiplicities of M, copies, p0_paths, P0, offsets,
+    per-vertex integer column bases of Omega(M) inside P0)."""
     n = A.n
     tops = _top_vectors(A, M)
     n_vec = tuple(len(tops[v]) for v in range(n))
@@ -164,16 +158,26 @@ def min_proj_presentation(A, M):
     cover = [[[0] * dims[u] for _ in range(M.dims[u])] for u in range(n)]
     for ci, (v, coord) in enumerate(copies):
         _, paths, index = p0_paths[ci]
-        gen = [Fraction(0)] * M.dims[v - 1]
-        gen[coord] = Fraction(1)
+        gen = [0] * M.dims[v - 1]
+        gen[coord] = 1
+        # paths come shortest first, so M_p = M_{p[0]} M_{p[1:]} reuses
+        # the image of p[1:]
+        image = {(): gen}
         for p in paths:
+            if p:
+                image[p] = [sum(x * y for x, y in zip(row, image[p[1:]]))
+                            for row in M.mats[p[0]]]
             u = path_target(A, p, v)
-            img = _apply_path(A, M, p, gen)
             col = offsets[ci][u - 1] + index[p][1]
-            for i in range(M.dims[u - 1]):
-                cover[u - 1][i][col] = img[i]
+            for i, x in enumerate(image[p]):
+                cover[u - 1][i][col] = x
     omega_bases = [nullspace(cover[u], dims[u]) if dims[u] else []
                    for u in range(n)]
+    return n_vec, copies, p0_paths, p0, offsets, omega_bases
+
+
+def min_proj_presentation(A, M):
+    n_vec, copies, p0_paths, p0, offsets, omega_bases = _cover_kernel(A, M)
     omega = _subrep(A, p0, omega_bases)
     omega_tops, m_list = _omega_tops(A, omega, omega_bases)
     return Presentation(
@@ -194,14 +198,38 @@ def _omega_tops(A, omega, omega_bases):
     return omega_tops, m_list
 
 
+def _image_rows(mat, vecs):
+    """The images mat * vec of the vectors, as {row: value} dicts."""
+    out = []
+    for vec in vecs:
+        nz = [(j, y) for j, y in enumerate(vec) if y]
+        img = {}
+        for i, row in enumerate(mat):
+            x = sum(row[j] * y for j, y in nz)
+            if x:
+                img[i] = x
+        out.append(img)
+    return out
+
+
 def g_vector(A, dec):
-    """g_i = m_i - n_i + dim V_i from the minimal presentation."""
+    """g_i = m_i - n_i + dim V_i from the minimal presentation.
+
+    m_i, the top multiplicity of Omega at i, is dim Omega_i minus the
+    rank of the images of Omega under the arrows into i, read inside P0
+    without building Omega as a representation."""
     M = dec.module if isinstance(dec, DecoratedModule) else dec
     v = dec.decoration if isinstance(dec, DecoratedModule) else (0,) * A.n
     if M.dim() == 0:
         return tuple(v)
-    pres = min_proj_presentation(A, M)
-    return tuple(pres.m_vec[i] - pres.n_vec[i] + v[i] for i in range(A.n))
+    n_vec, _, _, p0, _, omega_bases = _cover_kernel(A, M)
+    m_vec = []
+    for i in range(A.n):
+        rad = []
+        for aid in A.quiver.arrows_into(i + 1):
+            rad += _image_rows(p0.mats[aid], omega_bases[A.s(aid) - 1])
+        m_vec.append(len(omega_bases[i]) - sparse_rank(rad))
+    return tuple(m_vec[i] - n_vec[i] + v[i] for i in range(A.n))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +272,7 @@ def _tau_of_presentation(A, pres):
     basis1, at1 = _right_basis(A, right, sources)
     dims0, dims1 = [len(b) for b in basis0], [len(b) for b in basis1]
     # map G: +e_{i_k}A -> +e_{j_l}A, block (l,k): left multiplication by x_{lk}
-    G = [[[Fraction(0)] * dims0[u] for _ in range(dims1[u])] for u in range(n)]
+    G = [[[0] * dims0[u] for _ in range(dims1[u])] for u in range(n)]
     for l, (jl, vec) in enumerate(pres.omega_tops):
         # vec lives in P0 at vertex jl; split into copies
         for k, (ik, _) in enumerate(pres.p0_copies):
@@ -291,15 +319,15 @@ def _tau_of_presentation(A, pres):
     for aid in A.arrow_ids:
         su, tu = A.s(aid) - 1, A.t(aid) - 1
         # matrix of a_op on the quotient: from vertex tu to vertex su
-        mat = [[Fraction(0)] * tau_dims[tu] for _ in range(tau_dims[su])]
+        mat = [[0] * tau_dims[tu] for _ in range(tau_dims[su])]
         for col, coord in enumerate(quot_basis[tu]):
             # coord is the basis path y of copy l at vertex t(a)
             l, y = basis1[tu][coord]
             row = at1[su].get((l, y + (aid,)))
             if row is None:
                 continue  # y.a is killed by a relation
-            w = [Fraction(0)] * dims1[su]
-            w[row] = Fraction(1)
+            w = [0] * dims1[su]
+            w[row] = 1
             img = reduce_vec(su, w)
             for i in range(tau_dims[su]):
                 mat[i][col] = img[i]
@@ -337,20 +365,19 @@ def _ext1_of_presentation(A, pres, N):
     if not homs_o:
         return 0
     homs_p = hom_basis(A, pres.p0, N)
-    # restriction of F: P0 -> N to Omega, in the omega bases
+    # restriction of F: P0 -> N to Omega, in the omega bases: the images
+    # of the basis vectors of Omega under F, column blocks in basis order
     rows = []
-    ncols = sum(N.dims[v] * omega.dims[v] for v in range(A.n))
     for F in homs_p:
-        vec = []
+        row = {}
+        col = 0
         for v in range(A.n):
-            base = pres.omega_bases[v]
-            for bvec in base:
-                img = [sum(F[v][i][j] * bvec[j] for j in range(pres.p0.dims[v]))
-                       for i in range(N.dims[v])]
-                vec.extend(img)
-        rows.append({i: x for i, x in enumerate(vec) if x})
-    restr_rank = sparse_rank(rows)
-    return len(homs_o) - restr_rank
+            for img in _image_rows(F[v], pres.omega_bases[v]):
+                for i, x in img.items():
+                    row[col + i] = x
+                col += N.dims[v]
+        rows.append(row)
+    return len(homs_o) - sparse_rank(rows)
 
 
 def e_invariant(A, decM, decN):

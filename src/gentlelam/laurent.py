@@ -188,8 +188,9 @@ def order_coideals(Q):
     return out
 
 
-def coideal_generating_function(Q, B):
-    """Sum over order coideals of the product of yhat over the labels.
+def coideal_generating_function(Q, B, offset=None):
+    """Sum over order coideals of the product of yhat over the labels,
+    times x^offset when an x-exponent vector `offset` is given.
 
     A sweep along the positions of the path or cycle `Q` (see
     `_arrow_directions`).  After position k it holds, for each state of
@@ -203,9 +204,11 @@ def coideal_generating_function(Q, B):
     A term is kept as the count of each label in the coideal, packed into
     one integer in base m + 1 (no count exceeds m), so that taking a
     position adds a constant to every key; its x-exponents are B times the
-    counts, and the LaurentPoly is built once at the end.
+    counts (plus the offset), and the LaurentPoly is built once at the
+    end.
     """
     n = len(B)
+    offset = (0,) * n if offset is None else offset
     m = len(Q.labels)
     forward = _arrow_directions(Q)
     base = m + 1
@@ -227,7 +230,7 @@ def coideal_generating_function(Q, B):
         for _ in range(n):
             key, e = divmod(key, base)
             ye.append(e)
-        xe = tuple(sum(map(mul, row, ye)) for row in B)
+        xe = tuple(sum(map(mul, row, ye)) + o for row, o in zip(B, offset))
         terms[(xe, tuple(ye))] = c
     return LaurentPoly.from_dict(n, terms)
 
@@ -303,10 +306,8 @@ def bangle(T, gamma, B=None):
         j = _vnum(T)[gamma.arc]
         return LaurentPoly.monomial(
             n, tuple(1 if i == j - 1 else 0 for i in range(n)), (0,) * n)
-    s = shear_coordinates(T, gamma)
     Q = coefficient_quiver(T, gamma)
-    return LaurentPoly.monomial(n, s, (0,) * n) * \
-        coideal_generating_function(Q, B)
+    return coideal_generating_function(Q, B, shear_coordinates(T, gamma))
 
 
 def bangle_lamination(T, L, B=None):

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from .homological import (_ext1_of_presentation, _tau_of_presentation,
                           hom_dim_oracle, min_proj_presentation)
 from .quiver import is_jacobian, rho_blocks, transport_dimvec
-from .strings import (BandWord, InvalidString, band_module, conjugate,
+from .strings import (BandWord, InvalidString, band_parameters, conjugate,
                       decompose, enumerate_bands, enumerate_strings,
-                      band_parameters, random_glpoint, rank_function_of,
-                      string_module, word_sum)
+                      random_glpoint, rank_function_of, word_shape,
+                      word_sum)
 
 
 class NotJacobian(ValueError):
@@ -305,7 +305,8 @@ def generic_multiset(A, Z, bound=None):
     """The canonical decomposition of the component as a word multiset.
 
     Searches for strings and bands whose dimension vectors and rank
-    functions add up to (d, r); a candidate is certified generic by the
+    functions (read off the words by `word_shape`) add up to (d, r); a
+    candidate is built as a module only to be certified generic by the
     exact dimension count dim Z = dim GL - dim End + #bands.  Results
     are memoized on the algebra object.
     """
@@ -326,11 +327,10 @@ def generic_multiset(A, Z, bound=None):
     n_strings = total - sum(r.values())
     dz = component_dim(A, Z)
     gl = dim_gl(d)
-    cand = [(B, band_module(A, B, 1))
-            for B in enumerate_bands(A, min(bound, total), d)]
-    cand += [(C, string_module(A, C))
-             for C in enumerate_strings(A, min(bound, total) - 1, d)]
-    cand.sort(key=lambda x: (-x[1].dim(), str(x[0])))
+    cand = [(w, *word_shape(A, w))
+            for w in enumerate_bands(A, min(bound, total), d)
+            + enumerate_strings(A, min(bound, total) - 1, d)]
+    cand.sort(key=lambda x: (-sum(x[1]), str(x[0])))
     sol = []
 
     def feasible(rem_d, rem_r, rem_strings):
@@ -342,15 +342,14 @@ def generic_multiset(A, Z, bound=None):
                 return False
             return certify()
         for k in range(idx, len(cand)):
-            w, M = cand[k]
+            w, wd, wr = cand[k]
             is_band = isinstance(w, BandWord)
             if not is_band and rem_strings == 0:
                 continue
-            nd = tuple(rem_d[v] - M.dims[v] for v in range(A.n))
+            nd = tuple(rem_d[v] - wd[v] for v in range(A.n))
             if any(x < 0 for x in nd):
                 continue
-            rf = rank_function_of(A, M)
-            nr = {a: rem_r[a] - rf[a] for a in rem_r}
+            nr = {a: rem_r[a] - wr[a] for a in rem_r}
             if any(x < 0 for x in nr.values()):
                 continue
             ns = rem_strings - (0 if is_band else 1)
@@ -378,17 +377,19 @@ def generic_multiset(A, Z, bound=None):
 
 def generic_point(A, Z, seed=0):
     """A generic module of the component: the certified generic direct
-    sum (distinct rational band parameters) under a random conjugation."""
-    r = Z.rank()
+    sum (distinct band parameters) under a random unimodular integer
+    conjugation, so its entries are integers."""
     words = generic_multiset(A, Z)
     rng = random.Random(seed)
     M = word_sum(A, words, band_parameters(rng))
-    for _ in range(8):
-        g = random_glpoint(rng, M.dims, 3)
-        N = conjugate(A, M, g)
-        if rank_function_of(A, N) == r:
-            return N
-    raise SamplingFailure("could not sample a generic point")
+    N = conjugate(A, M, random_glpoint(rng, M.dims, 3))
+    # conjugation is an isomorphism, and band ranks do not depend on the
+    # parameter, so N has the rank function of the component
+    rf = rank_function_of(A, N)
+    if rf != Z.rank():
+        raise ConsistencyFailure(
+            f"generic point of {Z.r} has rank function {sorted(rf.items())}")
+    return N
 
 
 def ceh_values(A, Z, seed=0):

@@ -230,7 +230,9 @@ class Representation:
 
 
 def make_rep(A, dims, mats):
-    """Build a representation, checking shapes and the relations."""
+    """Build a representation, checking shapes and the relations.
+
+    Entries are stored as int when integral, else as Fraction."""
     dims = tuple(int(x) for x in dims)
     store = {}
     for aid in A.arrow_ids:
@@ -240,14 +242,33 @@ def make_rep(A, dims, mats):
             m = [[0] * ds for _ in range(dt)]
         if len(m) != dt or any(len(r) != ds for r in m):
             raise ValueError(f"matrix for {aid!r} has wrong shape")
-        store[aid] = tuple(tuple(x if isinstance(x, (int, Fraction))
-                                 else Fraction(x) for x in r) for r in m)
-    rep = Representation(dims, store)
+        store[aid] = tuple(tuple(map(_entry, r)) for r in m)
     for a, b in A.relations:
-        prod = mat_mul(rep.mat(a), rep.mat(b))
-        if any(any(x != 0 for x in row) for row in prod):
+        if _product_nonzero(store[a], store[b]):
             raise ValueError(f"relation ({a},{b}) not annihilated")
-    return rep
+    return Representation(dims, store)
+
+
+def _entry(x):
+    if isinstance(x, int):
+        return x
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _product_nonzero(ma, mb):
+    """Whether the matrix product ma * mb is nonzero, summed over the
+    nonzero entries only."""
+    rows_b = [[(j, y) for j, y in enumerate(row) if y] for row in mb]
+    for row in ma:
+        acc = {}
+        for k, x in enumerate(row):
+            if x:
+                for j, y in rows_b[k]:
+                    acc[j] = acc.get(j, 0) + x * y
+        if any(acc.values()):
+            return True
+    return False
 
 
 def zero_rep(A):
@@ -310,6 +331,23 @@ def band_module(A, B, lam, q=1):
     if q != 1:
         raise UnsupportedQuasiLength("only quasi-length 1 is implemented")
     return make_rep(A, *_walk_matrices(A, B, lam))
+
+
+def word_shape(A, w):
+    """(dims, ranks) of the module of a StringWord or BandWord, read off
+    `word_walk` without building it: dims counts the basis vectors at
+    each vertex, and each arrow matrix is a partial permutation (one
+    nonzero entry per step on that arrow, no two in a row or a column),
+    so its rank is its number of steps.  `rank_function_of` is the
+    oracle."""
+    verts, steps = word_walk(A, w)
+    dims = [0] * A.n
+    for v in verts:
+        dims[v - 1] += 1
+    ranks = dict.fromkeys(A.arrow_ids, 0)
+    for aid, _, _ in steps:
+        ranks[aid] += 1
+    return tuple(dims), ranks
 
 
 def rank_function_of(A, rep):
@@ -461,7 +499,9 @@ def word_sum(A, words, lams=None):
 
 
 def conjugate(A, rep, gs):
-    """g.M for an invertible matrix tuple g (one matrix per vertex)."""
+    """g.M for an invertible matrix tuple g (one matrix per vertex).  The
+    inverse is exact; for a unimodular integer g (as `random_glpoint`
+    draws) it is an integer matrix, and g.M is integral when M is."""
     inv = [mat_inverse(gs[v]) if rep.dims[v] else [] for v in range(A.n)]
     mats = {}
     for aid in A.arrow_ids:
@@ -471,16 +511,16 @@ def conjugate(A, rep, gs):
 
 
 def random_glpoint(rng, dims, bound=5):
+    """One unimodular integer matrix per vertex, g = L * U with L lower
+    and U upper unitriangular, their off-diagonal entries drawn from
+    [-bound, bound]: det g = 1, so g^-1 is an integer matrix too."""
     gs = []
     for d in dims:
-        if d == 0:
-            gs.append([])
-            continue
-        while True:
-            m = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
-            if is_invertible(m):
-                gs.append(m)
-                break
+        lo = [[rng.randint(-bound, bound) if j < i else int(i == j)
+               for j in range(d)] for i in range(d)]
+        up = [[rng.randint(-bound, bound) if j > i else int(i == j)
+               for j in range(d)] for i in range(d)]
+        gs.append(mat_mul(lo, up))
     return gs
 
 

@@ -1,0 +1,41 @@
+"""`components` reports a dictionary bound that is too small, and lets
+every other failure of the decomposition reach the exit code."""
+
+import json
+import os
+
+from conftest import GOLDEN
+from gentlelam import cli
+from gentlelam.schemes import ConsistencyFailure
+
+TORUS = os.path.join(GOLDEN, "torus_quiver.json")
+
+
+def components(capsys, *extra):
+    code = cli.main(["components", "--input", TORUS, "--dims", "1,1,0,0",
+                     "--format", "json", *extra])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_small_dictionary_bound_is_unavailable(capsys):
+    code, out, _ = components(capsys, "--max-len", "1")
+    assert code == 0
+    comps = json.loads(out)["components"]
+    assert comps and all(c["decomposition"].startswith("unavailable: ")
+                         for c in comps)
+    code, out, _ = components(capsys)
+    assert code == 0
+    assert all(isinstance(c["decomposition"], list)
+               for c in json.loads(out)["components"])
+
+
+def test_consistency_failure_is_not_hidden(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConsistencyFailure("2 string summands, rank count predicts 1")
+
+    monkeypatch.setattr(cli, "canonical_decomposition", fail)
+    code, out, err = components(capsys)
+    assert code != 0
+    assert "unavailable" not in out
+    assert "rank count predicts" in err
