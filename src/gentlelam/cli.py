@@ -187,16 +187,16 @@ def main(argv=None):
                     "laminations, bangle functions")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True,
-                           help="input file (algebra or triangulation JSON)")
+    def common(p):
+        p.add_argument("--input", required=True,
+                       help="input file (algebra or triangulation JSON)")
         p.add_argument("--format", choices=("human", "json"),
                        default="human")
         p.add_argument("--output", help="write the report to a file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-len", type=int, default=12,
-                       help="dictionary bound for decompositions")
+
+    seed = dict(type=int, default=0, help="seed of the generic points")
+    max_len = dict(type=int, default=12,
+                   help="dictionary bound for decompositions")
 
     p = sub.add_parser("check", help="gentle/Jacobian verdict and blocks")
     common(p)
@@ -204,6 +204,8 @@ def main(argv=None):
 
     p = sub.add_parser("components", help="components of mod(A, d)")
     common(p)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--max-len", **max_len)
     p.add_argument("--dims", required=True, help="comma-separated d")
     p.set_defaults(func=cmd_components)
 
@@ -225,12 +227,14 @@ def main(argv=None):
 
     p = sub.add_parser("eta", help="tau-reduced component of a lamination")
     common(p)
+    p.add_argument("--seed", **seed)
     p.add_argument("--lamination", required=True)
     p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("verify",
                        help="bangle vs generic dual CC function")
     common(p)
+    p.add_argument("--max-len", **max_len)
     p.add_argument("--lamination", required=True)
     p.set_defaults(func=cmd_verify)
 

@@ -3,18 +3,19 @@
 Every combinatorial operation here is paired elsewhere with an
 independent linear-algebra oracle: hom_dim_oracle solves intertwiner
 systems, tau_dtr computes the translate through a minimal projective
-presentation, transpose and duality, and ext1_dim works from the
-presentation.  The combinatorial routes are standard_homs (complete
-basis of Hom between string/band modules) and tau_string (hook/cohook
-surgery on the word).
+presentation, transpose and duality, and ext1_dim reads Ext^1 off the
+long exact sequence 0 -> Hom(M, N) -> Hom(P0, N) -> Hom(Omega M, N) ->
+Ext^1(M, N) -> 0 of that presentation.  The combinatorial routes are
+standard_homs (complete basis of Hom between string/band modules) and
+tau_string (hook/cohook surgery on the word).
 """
 
 from dataclasses import dataclass
 
-from .exactlinalg import nullspace, rref, sparse_rank
+from .exactlinalg import _echelon, nullspace, rref
 from .strings import (BandWord, StringWord, _subrep, _sum_offsets,
                       canonical_band, canonical_string, direct_sum,
-                      hom_basis, hom_dim, letter_inv, letter_s, letter_t,
+                      hom_dim, letter_inv, letter_s, letter_t,
                       make_rep, pair_ok, string_word, zero_rep)
 
 hom_dim_oracle = hom_dim
@@ -107,18 +108,42 @@ def _projective_rep(A, i):
     return rep, paths, index
 
 
-def _top_vectors(A, M):
-    """Per vertex: coordinates completing rad(M)_v to a basis of M_v."""
+def _image_rows(mat, vecs):
+    """The images mat * vec of {col: value} vectors, as {row: value} dicts."""
+    cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*mat)]
+    out = []
+    for vec in vecs:
+        img = {}
+        for j, y in vec.items():
+            for i, x in cols[j]:
+                img[i] = img.get(i, 0) + x * y
+        out.append({i: x for i, x in img.items() if x})
+    return out
+
+
+def _tops(A, mats, ech, dims):
+    """Top vectors of a subrepresentation X of a representation with
+    arrow matrices `mats` and dimensions `dims`, given per vertex v the
+    reduced echelon form {pivot: row} of X_v, as (vertex, vector) pairs
+    in vertex order.
+
+    rad(X)_v is spanned by the images of X_u under the arrows u -> v.
+    The tops at v are the rows of the echelon form of X_v at the pivot
+    columns that the echelon form of rad(X)_v lacks.  The leading
+    columns of a subspace are among those of the whole space, so these
+    rows meet rad(X)_v only in 0 and complete it to a basis of X_v.  For
+    a module in its own coordinates (unit vector rows) they are the unit
+    vectors at the non-pivot columns."""
     tops = []
     for v in range(A.n):
-        d = M.dims[v]
-        rad_rows = []
+        if not ech[v]:
+            continue  # X_v = 0: no tops
+        rad = []
         for aid in A.quiver.arrows_into(v + 1):
-            for col in zip(*M.mats[aid]) if M.dims[A.s(aid) - 1] else []:
-                rad_rows.append(list(col))
-        red, pivots = rref(rad_rows, d) if rad_rows else ([], [])
-        free = [c for c in range(d) if c not in pivots]
-        tops.append(free)
+            rad += _image_rows(mats[aid], ech[A.s(aid) - 1].values())
+        lead = _echelon(rad)
+        tops += [(v + 1, [row.get(j, 0) for j in range(dims[v])])
+                 for c, row in sorted(ech[v].items()) if c not in lead]
     return tops
 
 
@@ -127,39 +152,34 @@ class Presentation:
     """Minimal projective presentation P1 -> P0 -> M -> 0.
 
     P0 is the direct sum of one indecomposable projective P_v per top
-    basis vector of M (its copies, in vertex order); the cover sends the
-    generator of each copy to that top vector.  Omega(M) is the kernel
-    of the cover, and P1 covers Omega(M) in the same way.
+    vector of M (its copies, in vertex order); the cover sends the
+    generator of each copy to that top vector.  Omega(M), the kernel of
+    the cover, is kept as its column bases inside P0, and P1 covers it
+    in the same way.
     """
     n_vec: tuple  # top multiplicities of M
     m_vec: tuple  # top multiplicities of Omega(M)
     p0: object  # Representation of P0
-    omega: object  # Representation of Omega(M), in the omega_bases
-    omega_bases: list  # per-vertex column bases of Omega inside P0
-    p0_copies: list  # per copy: (vertex v, top coordinate of M at v)
+    omega_bases: list  # per-vertex integer column bases of Omega inside P0
+    p0_copies: list  # per copy: (vertex v, top vector of M at v)
     p0_paths: list  # per copy: projective_rep(A, v), (rep, paths, index)
     p0_offsets: list  # per copy: where its basis starts at each vertex of P0
-    omega_tops: list  # per P1-copy: (vertex j_l, vector in P0 coords at j_l)
+    omega_tops: list  # per P1-copy: (vertex j, top vector of Omega in P0 at j)
 
 
-def _cover_kernel(A, M):
-    """The projective cover P0 -> M of a minimal presentation and its
-    kernel: (top multiplicities of M, copies, p0_paths, P0, offsets,
-    per-vertex integer column bases of Omega(M) inside P0)."""
+def min_proj_presentation(A, M):
+    """The minimal projective presentation of M (see Presentation)."""
     n = A.n
-    tops = _top_vectors(A, M)
-    n_vec = tuple(len(tops[v]) for v in range(n))
-    copies = [(v + 1, c) for v in range(n) for c in tops[v]]
+    copies = _tops(A, M.mats, [{j: {j: 1} for j in range(d)} for d in M.dims],
+                   M.dims)
     projs = {v: projective_rep(A, v) for v in {v for v, _ in copies}}
     p0_paths = [projs[v] for v, _ in copies]
     reps = [rep for rep, _, _ in p0_paths]
     p0 = direct_sum(A, reps)
     offsets, dims = _sum_offsets(A, reps)
     cover = [[[0] * dims[u] for _ in range(M.dims[u])] for u in range(n)]
-    for ci, (v, coord) in enumerate(copies):
+    for ci, (v, gen) in enumerate(copies):
         _, paths, index = p0_paths[ci]
-        gen = [0] * M.dims[v - 1]
-        gen[coord] = 1
         # paths come shortest first, so M_p = M_{p[0]} M_{p[1:]} reuses
         # the image of p[1:]
         image = {(): gen}
@@ -173,63 +193,23 @@ def _cover_kernel(A, M):
                 cover[u - 1][i][col] = x
     omega_bases = [nullspace(cover[u], dims[u]) if dims[u] else []
                    for u in range(n)]
-    return n_vec, copies, p0_paths, p0, offsets, omega_bases
-
-
-def min_proj_presentation(A, M):
-    n_vec, copies, p0_paths, p0, offsets, omega_bases = _cover_kernel(A, M)
-    omega = _subrep(A, p0, omega_bases)
-    omega_tops, m_list = _omega_tops(A, omega, omega_bases)
+    omega_tops = _tops(A, p0.mats, [_echelon(b) for b in omega_bases], dims)
     return Presentation(
-        n_vec=n_vec, m_vec=tuple(m_list), p0=p0, omega=omega,
-        omega_bases=omega_bases, p0_copies=copies, p0_paths=p0_paths,
+        n_vec=tuple(sum(v == u for v, _ in copies) for u in range(1, n + 1)),
+        m_vec=tuple(sum(v == u for v, _ in omega_tops)
+                    for u in range(1, n + 1)),
+        p0=p0, omega_bases=omega_bases, p0_copies=copies, p0_paths=p0_paths,
         p0_offsets=offsets, omega_tops=omega_tops)
 
 
-def _omega_tops(A, omega, omega_bases):
-    """Generators of the syzygy as vectors inside P0."""
-    tops = _top_vectors(A, omega)
-    omega_tops = []
-    m_list = [0] * A.n
-    for v in range(A.n):
-        for c in tops[v]:
-            omega_tops.append((v + 1, omega_bases[v][c]))
-            m_list[v] += 1
-    return omega_tops, m_list
-
-
-def _image_rows(mat, vecs):
-    """The images mat * vec of the vectors, as {row: value} dicts."""
-    out = []
-    for vec in vecs:
-        nz = [(j, y) for j, y in enumerate(vec) if y]
-        img = {}
-        for i, row in enumerate(mat):
-            x = sum(row[j] * y for j, y in nz)
-            if x:
-                img[i] = x
-        out.append(img)
-    return out
-
-
 def g_vector(A, dec):
-    """g_i = m_i - n_i + dim V_i from the minimal presentation.
-
-    m_i, the top multiplicity of Omega at i, is dim Omega_i minus the
-    rank of the images of Omega under the arrows into i, read inside P0
-    without building Omega as a representation."""
+    """g_i = m_i - n_i + dim V_i from the minimal presentation."""
     M = dec.module if isinstance(dec, DecoratedModule) else dec
     v = dec.decoration if isinstance(dec, DecoratedModule) else (0,) * A.n
     if M.dim() == 0:
         return tuple(v)
-    n_vec, _, _, p0, _, omega_bases = _cover_kernel(A, M)
-    m_vec = []
-    for i in range(A.n):
-        rad = []
-        for aid in A.quiver.arrows_into(i + 1):
-            rad += _image_rows(p0.mats[aid], omega_bases[A.s(aid) - 1])
-        m_vec.append(len(omega_bases[i]) - sparse_rank(rad))
-    return tuple(m_vec[i] - n_vec[i] + v[i] for i in range(A.n))
+    pres = min_proj_presentation(A, M)
+    return tuple(pres.m_vec[i] - pres.n_vec[i] + v[i] for i in range(A.n))
 
 
 # ---------------------------------------------------------------------------
@@ -350,34 +330,25 @@ def _right_basis(A, right, copies):
 
 
 def ext1_dim(A, M, N):
-    """dim Ext^1(M, N) from the presentation: Hom(Omega M, N) modulo
-    restrictions of Hom(P0, N)."""
+    """dim Ext^1(M, N) from the long exact sequence of the presentation
+    (see _ext1_of_presentation)."""
     if M.dim() == 0 or N.dim() == 0:
         return 0
-    return _ext1_of_presentation(A, min_proj_presentation(A, M), N)
+    return _ext1_of_presentation(A, min_proj_presentation(A, M), N,
+                                 hom_dim(A, M, N))
 
 
-def _ext1_of_presentation(A, pres, N):
-    omega = pres.omega
-    if omega.dim() == 0:
-        return 0
-    homs_o = hom_basis(A, omega, N)
-    if not homs_o:
-        return 0
-    homs_p = hom_basis(A, pres.p0, N)
-    # restriction of F: P0 -> N to Omega, in the omega bases: the images
-    # of the basis vectors of Omega under F, column blocks in basis order
-    rows = []
-    for F in homs_p:
-        row = {}
-        col = 0
-        for v in range(A.n):
-            for img in _image_rows(F[v], pres.omega_bases[v]):
-                for i, x in img.items():
-                    row[col + i] = x
-                col += N.dims[v]
-        rows.append(row)
-    return len(homs_o) - sparse_rank(rows)
+def _ext1_of_presentation(A, pres, N, hom_mn):
+    """dim Ext^1(M, N), given the presentation of M and hom_mn =
+    dim Hom(M, N), from the exact sequence
+    0 -> Hom(M, N) -> Hom(P0, N) -> Hom(Omega M, N) -> Ext^1(M, N) -> 0,
+    with Hom(P_v, N) = N_v.  Omega is built as a representation here
+    only."""
+    if not pres.omega_tops:
+        return 0  # projective module
+    omega = _subrep(A, pres.p0, pres.omega_bases)
+    hom_p0 = sum(k * d for k, d in zip(pres.n_vec, N.dims))
+    return hom_dim(A, omega, N) - hom_p0 + hom_mn
 
 
 def e_invariant(A, decM, decN):

@@ -399,9 +399,10 @@ def ceh_values(A, Z, seed=0):
     best = None
     for s in (seed, seed + 1, seed + 2):
         M = generic_point(A, Z, s)
-        c = dz - (gl - hom_dim_oracle(A, M, M))
+        end = hom_dim_oracle(A, M, M)
+        c = dz - (gl - end)
         pres = min_proj_presentation(A, M)
-        e = _ext1_of_presentation(A, pres, M)
+        e = _ext1_of_presentation(A, pres, M, end)
         h = hom_dim_oracle(A, M, _tau_of_presentation(A, pres))
         t = (c, e, h)
         best = t if best is None else tuple(min(x, y) for x, y in zip(best, t))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .quiver import Quiver, is_jacobian, validate_gentle
 from .strings import BandWord, StringWord, band_module, canonical_band, \
-    canonical_string, rank_function_of, string_module, word_walk
+    canonical_string, string_module, word_shape, word_walk
 
 
 class InvalidTriangulation(ValueError):
@@ -878,12 +878,11 @@ def eta(T, L, algebra=None):
         if gamma.kind == "arc":
             v[_vnum(T)[gamma.arc] - 1] += mult
             continue
-        M = curve_module_rep(T, A, gamma)
-        rf = rank_function_of(A, M)
+        dims, ranks = word_shape(A, curve_to_module(T, gamma))
         for i in range(n):
-            d[i] += mult * M.dims[i]
+            d[i] += mult * dims[i]
         for aid in A.arrow_ids:
-            r[aid] += mult * rf[aid]
+            r[aid] += mult * ranks[aid]
     if sum(d[i] * v[i] for i in range(n)):
         raise InvalidLamination(
             "decoration and dimension vector are not orthogonal")
