@@ -155,16 +155,35 @@ class Presentation:
     vector of M (its copies, in vertex order); the cover sends the
     generator of each copy to that top vector.  Omega(M), the kernel of
     the cover, is kept as its column bases inside P0, and P1 covers it
-    in the same way.
+    in the same way.  P0 and its copy data depend on n_vec only and are
+    shared with every presentation of the same n_vec (see `_p0`).
     """
     n_vec: tuple  # top multiplicities of M
     m_vec: tuple  # top multiplicities of Omega(M)
     p0: object  # Representation of P0
     omega_bases: list  # per-vertex integer column bases of Omega inside P0
     p0_copies: list  # per copy: (vertex v, top vector of M at v)
-    p0_paths: list  # per copy: projective_rep(A, v), (rep, paths, index)
-    p0_offsets: list  # per copy: where its basis starts at each vertex of P0
+    p0_paths: tuple  # per copy: projective_rep(A, v), (rep, paths, index)
+    p0_offsets: tuple  # per copy: where its basis starts at each vertex of P0
     omega_tops: list  # per P1-copy: (vertex j, top vector of Omega in P0 at j)
+
+
+def _p0(A, n_vec):
+    """(P0, per-copy projective_rep, per-copy offsets, dims) for top
+    multiplicities n_vec: n_vec[v - 1] copies of P_v in vertex order.
+    Built once per n_vec and kept on the algebra object, so every
+    presentation with these tops shares it; none may change it."""
+    memo = A.__dict__.get("_p0s")
+    if memo is None:
+        memo = {}
+        object.__setattr__(A, "_p0s", memo)
+    if n_vec not in memo:
+        paths = tuple(projective_rep(A, v) for v in range(1, A.n + 1)
+                      for _ in range(n_vec[v - 1]))
+        reps = [rep for rep, _, _ in paths]
+        offsets, dims = _sum_offsets(A, reps)
+        memo[n_vec] = (direct_sum(A, reps), paths, tuple(offsets), dims)
+    return memo[n_vec]
 
 
 def min_proj_presentation(A, M):
@@ -172,11 +191,8 @@ def min_proj_presentation(A, M):
     n = A.n
     copies = _tops(A, M.mats, [{j: {j: 1} for j in range(d)} for d in M.dims],
                    M.dims)
-    projs = {v: projective_rep(A, v) for v in {v for v, _ in copies}}
-    p0_paths = [projs[v] for v, _ in copies]
-    reps = [rep for rep, _, _ in p0_paths]
-    p0 = direct_sum(A, reps)
-    offsets, dims = _sum_offsets(A, reps)
+    n_vec = tuple(sum(v == u for v, _ in copies) for u in range(1, n + 1))
+    p0, p0_paths, offsets, dims = _p0(A, n_vec)
     cover = [[[0] * dims[u] for _ in range(M.dims[u])] for u in range(n)]
     for ci, (v, gen) in enumerate(copies):
         _, paths, index = p0_paths[ci]
@@ -195,7 +211,7 @@ def min_proj_presentation(A, M):
                    for u in range(n)]
     omega_tops = _tops(A, p0.mats, [_echelon(b) for b in omega_bases], dims)
     return Presentation(
-        n_vec=tuple(sum(v == u for v, _ in copies) for u in range(1, n + 1)),
+        n_vec=n_vec,
         m_vec=tuple(sum(v == u for v, _ in omega_tops)
                     for u in range(1, n + 1)),
         p0=p0, omega_bases=omega_bases, p0_copies=copies, p0_paths=p0_paths,
@@ -208,8 +224,11 @@ def g_vector(A, dec):
     v = dec.decoration if isinstance(dec, DecoratedModule) else (0,) * A.n
     if M.dim() == 0:
         return tuple(v)
-    pres = min_proj_presentation(A, M)
-    return tuple(pres.m_vec[i] - pres.n_vec[i] + v[i] for i in range(A.n))
+    return _g_of_presentation(min_proj_presentation(A, M), v)
+
+
+def _g_of_presentation(pres, v):
+    return tuple(m - n + x for m, n, x in zip(pres.m_vec, pres.n_vec, v))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +372,17 @@ def _ext1_of_presentation(A, pres, N, hom_mn):
 
 def e_invariant(A, decM, decN):
     """dim Hom(N, tau M) + sum v_i(M) dim N_i; cross-checked against the
-    dual expression dim Hom(M, N) + sum g_i(M) dim N_i."""
+    dual expression dim Hom(M, N) + sum g_i(M) dim N_i.  Both read one
+    minimal presentation of M."""
     M, vM = decM.module, decM.decoration
     N, vN = decN.module, decN.decoration
-    tau = tau_dtr(A, M)
+    if M.dim() == 0:
+        tau, g = zero_rep(A), vM
+    else:
+        pres = min_proj_presentation(A, M)
+        tau = _tau_of_presentation(A, pres)
+        g = _g_of_presentation(pres, vM)
     val = hom_dim(A, N, tau) + sum(vM[i] * N.dims[i] for i in range(A.n))
-    g = g_vector(A, decM)
     dual = hom_dim(A, M, N) + sum(g[i] * N.dims[i] for i in range(A.n))
     if val != dual:
         raise FormulaMismatch(f"E-invariant formulas disagree: {val} != {dual}")

@@ -268,8 +268,17 @@ def rho_blocks(algebra):
     Within a block the arrows form a chain a_1, a_2, ... with
     a_{i+1}∘a_i in the ideal; a cyclic chain of length m has type C~_m,
     an open chain of m-1 arrows has type C_m.  Arrowless vertices give
-    1-blocks (type C_1).
+    1-blocks (type C_1).  The blocks are built once and kept on the
+    algebra object as a tuple.
     """
+    blocks = algebra.__dict__.get("_rho_blocks")
+    if blocks is None:
+        blocks = tuple(_rho_blocks(algebra))
+        object.__setattr__(algebra, "_rho_blocks", blocks)
+    return blocks
+
+
+def _rho_blocks(algebra):
     q = algebra.quiver
     succ = {}  # a -> b with b∘a in ideal
     pred = {}

@@ -1,6 +1,11 @@
 """Irreducible components of module schemes over gentle algebras.
 
-Components of mod(A, d) are indexed by maximal rank functions.  All
+Components of mod(A, d) are indexed by maximal rank functions.  Each
+rank constraint couples the two arrows of one relation, so it never
+leaves a rho-block, and the maximal rank functions are the product over
+the blocks of each block's maximal assignments, found by a walk along
+the block's relation chain (`rank_functions`, checked in the tests
+against the full enumeration filtered by single-arrow increments).  All
 dimension counts run block by block through the C_m / C~_m models: the
 generic module of a block component is P/S-multiset M_{d,r}, its
 endomorphism dimension comes from the finite Hom table of the model
@@ -8,8 +13,9 @@ algebras, and generic points are produced by conjugating the model
 module with random invertible matrices.
 """
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .homological import (_ext1_of_presentation, _tau_of_presentation,
                           hom_dim_oracle, min_proj_presentation)
@@ -37,12 +43,30 @@ class ConsistencyFailure(AssertionError):
 
 
 def rank_functions(A, d, maximal_only=False):
-    """All rank functions for (A, d); optionally only the maximal ones.
+    """All rank functions for (A, d), or only the maximal ones, as dicts
+    in arrow order, sorted lexicographically along `A.arrow_ids`.
 
-    The constraint set is downward closed, so r is maximal iff no
-    single-arrow increment stays valid.
+    The full enumeration walks every assignment 0 <= r_a <= min(d_s(a),
+    d_t(a)) with r_a + r_b <= d_s(a) for each relation (a, b).  The
+    maximal ones are not taken from it: every constraint couples two
+    arrows of one rho-block, so a single-arrow increment stays inside a
+    block and r is maximal iff its restriction to every block is.  They
+    are the product over `rho_blocks(A)` of each block's maximal
+    assignments (see `_block_maximal`).  The oracle for this route is
+    the full enumeration filtered by the single-increment test, which
+    the tests keep and the library never calls.
     """
     arrows = A.arrow_ids
+    if maximal_only:
+        blocks = [b for b in rho_blocks(A) if b.arrows]
+        where = {a: i for i, a in enumerate(
+            a for b in blocks for a in b.arrows)}
+        rows = []
+        for parts in itertools.product(*[_block_maximal(b, d)
+                                         for b in blocks]):
+            flat = sum(parts, ())
+            rows.append(tuple(flat[where[a]] for a in arrows))
+        return [dict(zip(arrows, row)) for row in sorted(rows)]
     caps = {a: min(d[A.s(a) - 1], d[A.t(a) - 1]) for a in arrows}
     rel_of = {}
     for a, b in A.relations:
@@ -71,30 +95,65 @@ def rank_functions(A, d, maximal_only=False):
         del r[a]
 
     rec(0, {})
-    if not maximal_only:
-        return out
+    return out
 
-    def valid(r):
-        for a in arrows:
-            if r[a] > caps[a]:
-                return False
-        for a, b in A.relations:
-            if r[a] + r[b] > d[A.s(a) - 1]:
-                return False
-        return True
 
-    maximal = []
-    for r in out:
-        if all(not valid({**r, a: r[a] + 1}) for a in arrows):
-            maximal.append(r)
-    return maximal
+def _block_maximal(block, d):
+    """The maximal rank assignments on the arrows a_1, ..., a_k of one
+    block, as tuples in chain order.
+
+    The constraints are r_i <= min(d_s(a_i), d_t(a_i)) and, at the vertex
+    a_i and a_{i+1} share, r_i + r_{i+1} <= d there; for C~ the chain
+    closes, a_k with a_1 (a loop with a^2 = 0 is its own neighbour).  A
+    depth-first walk fixes r_1, r_2, ... in turn and checks each
+    constraint once both its arrows are fixed, and each arrow's
+    maximality (r_i + 1 breaks some constraint) once all its neighbours
+    are.  On an open chain a branch that cannot be completed dies one
+    arrow later (on a cycle, r_1 and the closing constraint wait for the
+    last arrow), so the walk's work follows its output, not the box
+    prod(cap + 1) of all assignments.
+    """
+    dd = transport_dimvec(block, d)
+    k = len(block.arrows)
+    m = block.model_size
+    caps = [min(dd[i], dd[(i + 1) % m]) for i in range(k)]
+    cons = [(i, i + 1, dd[i + 1]) for i in range(k - 1)]
+    if block.block_type == "Ct":
+        cons.append((k - 1, 0, dd[0]))
+    touching = [[c for c in cons if x in c[:2]] for x in range(k)]
+    # a constraint is checked at its later arrow, an arrow's maximality
+    # at its last neighbour
+    due = [[c for c in cons if max(c[:2]) == p] for p in range(k)]
+    closes = [[] for _ in range(k)]
+    for x in range(k):
+        closes[max([x] + [max(c[:2]) for c in touching[x]])].append(x)
+    r = [0] * k
+    out = []
+
+    def saturated(x):
+        return r[x] == caps[x] or any(
+            r[i] + r[j] + (i == x) + (j == x) > bound
+            for i, j, bound in touching[x])
+
+    def rec(p):
+        if p == k:
+            out.append(tuple(r))
+            return
+        for v in range(caps[p] + 1):
+            r[p] = v
+            if any(r[i] + r[j] > bound for i, j, bound in due[p]):
+                break  # the sums only grow with v
+            if all(saturated(x) for x in closes[p]):
+                rec(p + 1)
+
+    rec(0)
+    return out
 
 
 @dataclass(frozen=True)
 class Component:
     d: tuple
     r: tuple  # sorted (arrow, rank) pairs; use .rank() for the dict
-    _blocks: tuple = field(default=None, compare=False, repr=False)
 
     def rank(self):
         return dict(self.r)
@@ -102,16 +161,10 @@ class Component:
 
 def components(A, d):
     d = tuple(d)
-    blocks = tuple(rho_blocks(A))
-    out = []
-    for r in rank_functions(A, d, maximal_only=True):
-        out.append(Component(d, tuple(sorted(r.items())), blocks))
+    out = [Component(d, tuple(sorted(r.items())))
+           for r in rank_functions(A, d, maximal_only=True)]
     out.sort(key=lambda z: z.r)
     return out
-
-
-def _blocks_of(A, Z):
-    return Z._blocks if Z._blocks is not None else tuple(rho_blocks(A))
 
 
 def _model_multiplicities(block, d, r):
@@ -171,7 +224,7 @@ def component_dim(A, Z):
     d = Z.d
     r = Z.rank()
     total = 0
-    for block in _blocks_of(A, Z):
+    for block in rho_blocks(A):
         dd = transport_dimvec(block, d)
         p, q = _model_multiplicities(block, d, r)
         total += sum(x * x for x in dd) - _block_end_dim(block, p, q)
@@ -274,7 +327,7 @@ def block_critical_summands(A, Z):
     """
     d, r = Z.d, Z.rank()
     report = []
-    for block in _blocks_of(A, Z):
+    for block in rho_blocks(A):
         if block.model_size == 1 and block.block_type == "C":
             continue
         p, q = _model_multiplicities(block, d, r)

@@ -1,6 +1,6 @@
 """Objects built once and kept on the object they describe."""
 
-from gentlelam import build_QT
+from gentlelam import Quiver, build_QT, rho_blocks, validate_gentle
 from gentlelam.homological import projective_rep
 
 
@@ -16,3 +16,15 @@ def test_projectives_kept_on_algebra(pants_algebra, torus_algebra):
             assert projective_rep(A, i) is projective_rep(A, i)
     assert projective_rep(pants_algebra, 1) is not \
         projective_rep(torus_algebra, 1)
+
+
+def test_blocks_kept_on_algebra(pants_algebra):
+    blocks = rho_blocks(pants_algebra)
+    assert isinstance(blocks, tuple)
+    assert rho_blocks(pants_algebra) is blocks
+    # equal algebras are distinct objects, each with its own blocks
+    q = Quiver(3, (("a", 2, 1), ("b", 3, 2)))
+    A, B = (validate_gentle(q, [("a", "b")]) for _ in range(2))
+    assert A == B
+    assert rho_blocks(A) == rho_blocks(B)
+    assert rho_blocks(A) is not rho_blocks(B)

@@ -5,15 +5,21 @@ route: Hom(Omega M, N) modulo the restrictions of a basis of
 Hom(P0, N).  The tops of M and of Omega are checked against the rank
 of the radical at each vertex."""
 
+import random
+
 import pytest
 
-from gentlelam import (BandWord, band_module, enumerate_bands,
-                       enumerate_strings, ext1_dim, min_proj_presentation,
-                       string_module)
+from gentlelam import (BandWord, DecoratedModule, band_module, direct_sum,
+                       e_invariant, enumerate_bands, enumerate_strings,
+                       ext1_dim, g_vector, homological,
+                       min_proj_presentation, string_module, tau_dtr)
 from gentlelam.exactlinalg import sparse_rank
+from gentlelam.homological import projective_rep
 from gentlelam.strings import _subrep, hom_basis, hom_dim
 
 ALGEBRAS = ("torus_algebra", "pants_algebra", "double_loop", "a3_relation")
+# the Hom corpora of criteria 3a and 3d: algebra and word length cap
+CORPORA = (("torus_algebra", 5), ("a3_relation", 8), ("pants_algebra", 5))
 
 
 def modules(A, max_len):
@@ -81,3 +87,60 @@ def test_tops_complete_the_radical(request, name):
                 len(omega[v]) - sparse_rank(rad)
             assert sparse_rank(omega[v] + tops) == len(omega[v])
             assert sparse_rank(rad + tops) == len(omega[v])
+
+
+@pytest.mark.parametrize("name,cap", CORPORA)
+def test_p0_is_shared_by_equal_tops(request, name, cap):
+    A = request.getfixturevalue(name)
+    mods = modules(A, cap)
+    first = {}
+    for M in mods:
+        pres = min_proj_presentation(A, M)
+        same = first.setdefault(pres.n_vec, pres)
+        assert pres.p0 is same.p0
+        assert pres.p0 == direct_sum(
+            A, [projective_rep(A, v)[0] for v, _ in pres.p0_copies])
+    assert len(first) < len(mods)
+    sample = random.Random(3).sample(mods, min(10, len(mods)))
+
+    def outputs(cold):
+        def run(f, *args):
+            if cold:  # build every P0 afresh
+                A.__dict__.pop("_p0s", None)
+            return f(A, *args)
+        return ([run(g_vector, M) for M in sample],
+                [run(tau_dtr, M) for M in sample],
+                [run(ext1_dim, M, N) for M in sample for N in sample])
+
+    assert outputs(cold=False) == outputs(cold=True)
+
+
+def test_e_invariant_reads_one_presentation(request, monkeypatch):
+    """The sample of criterion 3d, against the two-presentation route
+    (tau_dtr for Hom(N, tau M), g_vector for the dual expression)."""
+    rng = random.Random(5)
+    calls = []
+    real = homological.min_proj_presentation
+    monkeypatch.setattr(homological, "min_proj_presentation",
+                        lambda A, M: calls.append(M) or real(A, M))
+    for name, cap in CORPORA:
+        A = request.getfixturevalue(name)
+        words = enumerate_strings(A, cap) + enumerate_bands(A, cap)
+        sample = [rng.choice(words) for _ in range(16)]
+        mods = {w: band_module(A, w, 1) if isinstance(w, BandWord)
+                else string_module(A, w) for w in sample}
+        z = (0,) * A.n
+        for X in sample:
+            M = mods[X]
+            tau = tau_dtr(A, M)
+            g = g_vector(A, M)
+            for Y in sample:
+                N = mods[Y]
+                want = hom_dim(A, N, tau)
+                assert want == hom_dim(A, M, N) + sum(
+                    gi * di for gi, di in zip(g, N.dims))
+                del calls[:]
+                got = e_invariant(A, DecoratedModule(M, z),
+                                  DecoratedModule(N, z))
+                assert len(calls) == 1
+                assert got == want, (name, str(X), str(Y))
