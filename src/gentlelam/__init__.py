@@ -1,5 +1,6 @@
 """Gentle algebras: module schemes, surface laminations, bangle functions."""
 
+from .errors import FalseVerdict, InputError, InternalError
 from .quiver import (GentleAlgebra, InconsistentSigns, NonComposableRelation,
                      NotGentle, Quiver, RhoBlock, compute_sign_maps,
                      is_jacobian, rho_blocks, transport_dimvec,

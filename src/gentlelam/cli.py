@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success (and mathematically "true" verdicts), 1 for
-mathematically "false" verdicts, 2 for input or validation errors.
+Exit codes (see `errors`): 0 for success and mathematically "true"
+verdicts, 1 for mathematically "false" verdicts, 2 for input errors,
+3 for internal errors (a bound exhausted, an oracle disagreement).
 """
 
 import argparse
@@ -9,6 +10,7 @@ import json
 import sys
 
 from . import fileio
+from .errors import FalseVerdict, InternalError
 from .laurent import bangle, verify_bangle_equals_generic
 from .quiver import NotGentle, is_jacobian, rho_blocks
 from .schemes import block_critical_summands, canonical_decomposition, \
@@ -241,9 +243,16 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (fileio.ParseError, ValueError, AssertionError) as exc:
+    except FalseVerdict as exc:
+        print(f"false: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # InputError, or a malformed value
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (InternalError, AssertionError) as exc:
+        print(f"internal error ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,18 +20,27 @@ and `solve` carry Fraction entries.
 """
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 
 def _int_row(row):
     """A dense or {col: value} row as {col: int}, denominators cleared."""
-    items = [(c, v) for c, v in
-             (row.items() if isinstance(row, dict) else enumerate(row)) if v]
+    out = {c: v for c, v in
+           (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+    if all(type(v) is int for v in out.values()):
+        return out
+    den = _denominator(out.values())
+    return {c: int(v * den) for c, v in out.items()}
+
+
+def _denominator(values):
+    """The lcm of the denominators of the Fraction values."""
     den = 1
-    for _, v in items:
+    for v in values:
         if isinstance(v, Fraction):
             den = den * v.denominator // gcd(den, v.denominator)
-    return {c: int(v * den) for c, v in items}
+    return den
 
 
 def _primitive(row):
@@ -78,10 +87,6 @@ def _echelon(rows):
 def sparse_rank(rows):
     """Rank of a matrix given as dense or {col: value} rows."""
     return len(_echelon(rows))
-
-
-def frac_mat(m):
-    return [[Fraction(x) for x in row] for row in m]
 
 
 def mat_mul(a, b):
@@ -171,74 +176,83 @@ def _ratio(a, b):
 def charpoly(mat):
     """Characteristic polynomial, coefficients from x^n down to x^0.
 
-    Faddeev-LeVerrier; fine for the small matrices appearing here.
+    Faddeev-LeVerrier over the integers: for an integer matrix B the
+    steps M_1 = I, c_k = -tr(B M_k) / k, M_{k+1} = B M_k + c_k I divide
+    exactly, since each c_k is a coefficient of det(xI - B).  A rational
+    matrix is written B / D with B integral, and det(xI - B / D) has the
+    coefficients c_k / D^k.  Coefficients are int when integral, else
+    Fraction.
     """
     n = len(mat)
-    coeffs = [Fraction(1)]
+    den = _denominator(v for row in mat for v in row)
+    b = [[int(v * den) for v in row] for row in mat]
+    coeffs = [1]
     m = identity(n)
-    a = frac_mat(mat)
     for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(c)
+        m = mat_mul(b, m)
+        c = -sum(m[i][i] for i in range(n)) // k
+        coeffs.append(_ratio(c, den ** k))
         for i in range(n):
             m[i][i] += c
     return coeffs
 
 
-def poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
+def rational_roots(coeffs):
+    """All rational roots (with multiplicity) of a polynomial over Q,
+    given from the leading coefficient down, as Fractions: the zero
+    roots first, then the others in increasing order.
+
+    The coefficients are scaled to integers.  After the zero roots are
+    stripped, a root p/q in lowest terms has p dividing the constant and
+    q the leading coefficient.  Each candidate is tested by the
+    homogeneous value sum_i a_i p^(n-i) q^i and divided out as the
+    factor q x - p, which leaves an integer quotient (Gauss's lemma)."""
+    row = _int_row(coeffs)
+    if not row:
+        return []
+    lo, hi = min(row), max(row)
+    roots = [Fraction(0)] * (len(coeffs) - 1 - hi)
+    ic = [row.get(i, 0) for i in range(lo, hi + 1)]
+    if len(ic) <= 1:
+        return roots
+    cands = set()
+    for p in _divisors(ic[-1]):
+        for q in _divisors(ic[0]):
+            g = gcd(p, q)
+            cands.add((p // g, q // g))
+            cands.add((-p // g, q // g))
+    for p, q in sorted(cands, key=cmp_to_key(
+            lambda x, y: x[0] * y[1] - y[0] * x[1])):
+        while len(ic) > 1 and _homogeneous_value(ic, p, q) == 0:
+            roots.append(Fraction(p, q))
+            ic = _divide_linear(ic, p, q)
+    return roots
+
+
+def _divisors(k):
+    k = abs(k)
+    out = set()
+    d = 1
+    while d * d <= k:
+        if k % d == 0:
+            out.add(d)
+            out.add(k // d)
+        d += 1
+    return out
+
+
+def _homogeneous_value(ic, p, q):
+    """q^n f(p/q) for the integer polynomial ic of degree n."""
+    acc, qk = 0, 1
+    for c in ic:
+        acc = acc * p + c * qk
+        qk *= q
     return acc
 
 
-def poly_divmod_linear(coeffs, root):
-    """Divide by (x - root); returns (quotient, remainder)."""
-    out = []
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * Fraction(root) + c
-        out.append(acc)
-    return out[:-1], out[-1]
-
-
-def rational_roots(coeffs):
-    """All rational roots (with multiplicity) of a polynomial over Q."""
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    roots = []
-    # strip zero roots
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        roots.append(Fraction(0))
-        coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
-        return roots
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ic = [int(c * den) for c in coeffs]
-    lead, const = ic[0], ic[-1]
-
-    def divisors(k):
-        k = abs(k)
-        out = set()
-        d = 1
-        while d * d <= k:
-            if k % d == 0:
-                out.add(d)
-                out.add(k // d)
-            d += 1
-        return out
-
-    cands = set()
-    for p in divisors(const):
-        for q in divisors(lead):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    for cand in sorted(cands):
-        while len(coeffs) > 1 and poly_eval(coeffs, cand) == 0:
-            roots.append(cand)
-            coeffs, _ = poly_divmod_linear(coeffs, cand)
-    return roots
+def _divide_linear(ic, p, q):
+    """The integer quotient of ic by q x - p, which divides it."""
+    out = [ic[0] // q]
+    for c in ic[1:-1]:
+        out.append((c + p * out[-1]) // q)
+    return out

@@ -3,12 +3,13 @@
 import json
 from fractions import Fraction
 
+from .errors import InputError
 from .quiver import Quiver, validate_gentle
 from .strings import make_rep
 from .surface import Triangulation, make_lamination, validate_curve
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     pass
 
 

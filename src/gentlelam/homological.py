@@ -12,7 +12,8 @@ tau_string (hook/cohook surgery on the word).
 
 from dataclasses import dataclass
 
-from .exactlinalg import _echelon, nullspace, rref
+from .errors import InternalError
+from .exactlinalg import _echelon, _ratio, nullspace
 from .strings import (BandWord, StringWord, _subrep, _sum_offsets,
                       canonical_band, canonical_string, direct_sum,
                       hom_dim, letter_inv, letter_s, letter_t,
@@ -21,7 +22,7 @@ from .strings import (BandWord, StringWord, _subrep, _sum_offsets,
 hom_dim_oracle = hom_dim
 
 
-class FormulaMismatch(RuntimeError):
+class FormulaMismatch(InternalError):
     pass
 
 
@@ -270,8 +271,9 @@ def _tau_of_presentation(A, pres):
     basis0, at0 = _right_basis(A, right, sinks)
     basis1, at1 = _right_basis(A, right, sources)
     dims0, dims1 = [len(b) for b in basis0], [len(b) for b in basis1]
-    # map G: +e_{i_k}A -> +e_{j_l}A, block (l,k): left multiplication by x_{lk}
-    G = [[[0] * dims0[u] for _ in range(dims1[u])] for u in range(n)]
+    # map G: +e_{i_k}A -> +e_{j_l}A, block (l,k): left multiplication by
+    # x_{lk}; per vertex u, column j of G_u as a {row: value} dict
+    G = [[{} for _ in range(dims0[u])] for u in range(n)]
     for l, (jl, vec) in enumerate(pres.omega_tops):
         # vec lives in P0 at vertex jl; split into copies
         for k, (ik, _) in enumerate(pres.p0_copies):
@@ -289,29 +291,19 @@ def _tau_of_presentation(A, pres):
             # left multiplication by sum_p comp[p] * p : e_{ik}A -> e_{jl}A
             for y in right[ik]:
                 u = A.s(y[-1]) - 1 if y else ik - 1
+                col = G[u][at0[u][(k, y)]]
                 for p, c in comp.items():
                     row = at1[u].get((l, p + y))
                     if row is not None:  # else killed by a relation
-                        G[u][row][at0[u][(k, y)]] += c
-    # cokernel per vertex with quotient bases
-    quot_basis = []  # per vertex: list of standard coordinates kept
-    reducers = []  # per vertex: (rref rows of image, pivots)
-    for u in range(n):
-        cols = [[G[u][i][j] for i in range(dims1[u])] for j in range(dims0[u])]
-        red, pivots = rref(cols, dims1[u]) if cols else ([], [])
-        keep = [c for c in range(dims1[u]) if c not in pivots]
-        quot_basis.append(keep)
-        reducers.append((red, pivots))
-
-    def reduce_vec(u, w):
-        red, pivots = reducers[u]
-        w = list(w)
-        for row, pc in zip(red, pivots):
-            if w[pc]:
-                f = w[pc]
-                w = [x - f * y for x, y in zip(w, row)]
-        return [w[c] for c in quot_basis[u]]
-
+                        col[row] = col.get(row, 0) + c
+    # cokernel per vertex: the image of G_u has the reduced echelon form
+    # {pivot: row}; the non-pivot coordinates are a basis of the
+    # quotient, and a pivot coordinate p is -row[c] / row[p] on each
+    # non-pivot c
+    ech = [_echelon(G[u]) for u in range(n)]
+    quot_basis = [[c for c in range(dims1[u]) if c not in ech[u]]
+                  for u in range(n)]
+    quot_pos = [{c: i for i, c in enumerate(b)} for b in quot_basis]
     # A^op action on the cokernel: a_op sends t(a)-part to s(a)-part, y -> y.a
     tau_dims = [len(quot_basis[u]) for u in range(n)]
     tau_mats = {}
@@ -325,11 +317,13 @@ def _tau_of_presentation(A, pres):
             row = at1[su].get((l, y + (aid,)))
             if row is None:
                 continue  # y.a is killed by a relation
-            w = [0] * dims1[su]
-            w[row] = 1
-            img = reduce_vec(su, w)
-            for i in range(tau_dims[su]):
-                mat[i][col] = img[i]
+            red = ech[su].get(row)
+            if red is None:
+                mat[quot_pos[su][row]][col] = 1
+                continue
+            for c, x in red.items():
+                if c != row:
+                    mat[quot_pos[su][c]][col] = _ratio(-x, red[row])
         # dualize: arrow a of A acts on D(coker) as the transpose
         tau_mats[aid] = [[mat[j][i] for j in range(tau_dims[su])]
                          for i in range(tau_dims[tu])]

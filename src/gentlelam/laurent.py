@@ -22,6 +22,7 @@ the library calls it.
 
 from dataclasses import dataclass
 from operator import mul
+from .errors import InputError
 from .homological import DecoratedModule, g_vector
 from .strings import BandWord, DictionaryExhausted, decompose, word_sum, \
     word_walk
@@ -29,11 +30,11 @@ from .surface import CoefficientQuiver, build_QT, \
     coefficient_quiver, curve_to_module, shear_coordinates, _vnum
 
 
-class UnsupportedModule(ValueError):
+class UnsupportedModule(InputError):
     pass
 
 
-class NotPathOrCycle(ValueError):
+class NotPathOrCycle(InputError):
     """A coefficient quiver whose arrow k does not join positions k and
     k+1 (mod m) for every k, or has too many or too few arrows."""
 

@@ -10,8 +10,10 @@ zero).
 
 from dataclasses import dataclass, field
 
+from .errors import InputError, InternalError
 
-class NotGentle(ValueError):
+
+class NotGentle(InputError):
     pass
 
 
@@ -19,11 +21,11 @@ class NonComposableRelation(NotGentle):
     pass
 
 
-class InconsistentSigns(RuntimeError):
+class InconsistentSigns(InternalError):
     pass
 
 
-class UnclassifiableBlock(RuntimeError):
+class UnclassifiableBlock(InternalError):
     pass
 
 
@@ -89,15 +91,20 @@ class GentleAlgebra:
     sigma: dict = field(compare=False)
     epsilon: dict = field(compare=False)
 
+    def __post_init__(self):
+        # (source, target) per arrow, so `s` and `t` are one dict lookup
+        object.__setattr__(self, "_ends", {aid: (s, t) for aid, s, t
+                                           in self.quiver.arrows})
+
     @property
     def n(self):
         return self.quiver.n_vertices
 
     def s(self, aid):
-        return self.quiver.source(aid)
+        return self._ends[aid][0]
 
     def t(self, aid):
-        return self.quiver.target(aid)
+        return self._ends[aid][1]
 
     @property
     def arrow_ids(self):

@@ -17,6 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from .errors import FalseVerdict, InputError, InternalError
 from .homological import (_ext1_of_presentation, _tau_of_presentation,
                           hom_dim_oracle, min_proj_presentation)
 from .quiver import is_jacobian, rho_blocks, transport_dimvec
@@ -26,19 +27,19 @@ from .strings import (BandWord, InvalidString, band_parameters, conjugate,
                       word_sum)
 
 
-class NotJacobian(ValueError):
+class NotJacobian(InputError):
     pass
 
 
-class SamplingFailure(RuntimeError):
+class SamplingFailure(InternalError):
     pass
 
 
-class UniquenessViolation(AssertionError):
+class UniquenessViolation(FalseVerdict):
     pass
 
 
-class ConsistencyFailure(AssertionError):
+class ConsistencyFailure(InternalError):
     pass
 
 
@@ -431,7 +432,20 @@ def generic_multiset(A, Z, bound=None):
 def generic_point(A, Z, seed=0):
     """A generic module of the component: the certified generic direct
     sum (distinct band parameters) under a random unimodular integer
-    conjugation, so its entries are integers."""
+    conjugation, so its entries are integers.  Points are memoized on
+    the algebra object by (d, r, seed), so every caller shares them;
+    none may change them."""
+    memo = A.__dict__.get("_generic_points")
+    if memo is None:
+        memo = {}
+        object.__setattr__(A, "_generic_points", memo)
+    key = (Z.d, Z.r, seed)
+    if key not in memo:
+        memo[key] = _generic_point(A, Z, seed)
+    return memo[key]
+
+
+def _generic_point(A, Z, seed):
     words = generic_multiset(A, Z)
     rng = random.Random(seed)
     M = word_sum(A, words, band_parameters(rng))

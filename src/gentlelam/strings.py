@@ -11,16 +11,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlinalg import (charpoly, identity, is_invertible, mat_inverse,
-                          mat_mul, nullspace, rational_roots, rref, solve,
-                          sparse_rank)
+from .errors import InputError, InternalError
+from .exactlinalg import (_echelon, _ratio, charpoly, identity,
+                          is_invertible, mat_inverse, mat_mul, nullspace,
+                          rational_roots, rref, sparse_rank)
 
 
-class InvalidString(ValueError):
+class InvalidString(InputError):
     pass
 
 
-class InvalidBand(ValueError):
+class InvalidBand(InputError):
     pass
 
 
@@ -28,15 +29,15 @@ class NotPrimitive(InvalidBand):
     pass
 
 
-class ZeroLambda(ValueError):
+class ZeroLambda(InputError):
     pass
 
 
-class UnsupportedQuasiLength(NotImplementedError):
+class UnsupportedQuasiLength(InputError):
     pass
 
 
-class DictionaryExhausted(RuntimeError):
+class DictionaryExhausted(InternalError):
     pass
 
 
@@ -417,6 +418,13 @@ def enumerate_bands(A, max_len, dims=None):
 
     `dims` restricts the list as in `enumerate_strings`, here to the
     bands whose modules have dimension vector <= dims.
+
+    A canonical band starts with the least letter of its word and of its
+    inverse, and that letter is direct (a sorts before a^-).  So the
+    search starts only from direct letters a and never takes an arrow
+    that sorts before a.  The rotations of a band and of its inverse
+    visit the same vertices, so the dims cap keeps the canonical one
+    whenever it keeps any.
     """
     tab = _letter_table(A)
     room = _room(A, max_len, dims)
@@ -432,14 +440,14 @@ def enumerate_bands(A, max_len, dims=None):
             return
         for c in tab.after[word[-1]]:
             v = tab.target[c]
-            if room[v]:
+            if room[v] and c[0] >= word[0][0]:
                 room[v] -= 1
                 extend(word + (c,))
                 room[v] += 1
 
     for c in tab.letters:
         v = tab.target[c]
-        if room[v]:
+        if room[v] and not c[1]:
             room[v] -= 1
             extend((c,))
             room[v] += 1
@@ -602,42 +610,52 @@ def iso_test(A, M, N):
 
 
 def _subrep(A, rep, bases):
-    """Restrict to invariant per-vertex column spans."""
+    """Restrict to invariant per-vertex column spans.
+
+    Per arrow, one echelon form of [target basis | images of the source
+    basis] gives every image's coordinates: a pivot at or beyond the
+    basis width is an image outside the span, and otherwise the image of
+    source vector j has coordinate row[k + j] / row[i] on target basis
+    vector i."""
     dims = tuple(len(b) for b in bases)
     mats = {}
     for aid in A.arrow_ids:
         sv, tv = A.s(aid) - 1, A.t(aid) - 1
-        cols = []
-        for vec in bases[sv]:
-            img = [sum(row[j] * vec[j] for j in range(rep.dims[sv]))
-                   for row in rep.mats[aid]]
-            if dims[tv] == 0:
-                if any(x != 0 for x in img):
-                    raise ValueError("subspace not invariant")
-                cols.append([])
-                continue
-            bt = [[bases[tv][k][i] for k in range(dims[tv])]
-                  for i in range(rep.dims[tv])]
-            sol = solve(bt, img)
-            if sol is None:
-                raise ValueError("subspace not invariant")
-            cols.append(sol)
-        mats[aid] = [[cols[j][i] for j in range(dims[sv])]
-                     for i in range(dims[tv])]
+        k = dims[tv]
+        rows = [{} for _ in range(rep.dims[tv])]
+        for c, vec in enumerate(bases[tv]):
+            for i, x in enumerate(vec):
+                if x:
+                    rows[i][c] = x
+        for j, vec in enumerate(bases[sv]):
+            for i, row in enumerate(rep.mats[aid]):
+                x = sum(y * z for y, z in zip(row, vec) if y)
+                if x:
+                    rows[i][k + j] = x
+        ech = _echelon(rows)
+        if any(p >= k for p in ech):
+            raise ValueError("subspace not invariant")
+        mat = [[0] * dims[sv] for _ in range(k)]
+        for i, row in ech.items():
+            for j in range(dims[sv]):
+                if k + j in row:
+                    mat[i][j] = _ratio(row[k + j], row[i])
+        mats[aid] = mat
     return make_rep(A, dims, mats)
 
 
-def _endo_powers(A, rep, phi, shift, power):
-    """Per vertex: (phi_v - shift)^min(power, dim_v)."""
+def _endo_powers(A, rep, phi, p, q, power):
+    """Per vertex: (q phi_v - p)^min(power, dim_v), which has the kernel
+    and image of (phi_v - p/q)^min(power, dim_v) and integer entries."""
     powers = []
     for v in range(A.n):
         d = rep.dims[v]
-        m = [[phi[v][i][j] - (shift if i == j else 0) for j in range(d)]
+        m = [[q * phi[v][i][j] - (p if i == j else 0) for j in range(d)]
              for i in range(d)]
-        p = identity(d)
+        pw = identity(d)
         for _ in range(min(power, d)):
-            p = mat_mul(m, p)
-        powers.append(p)
+            pw = mat_mul(m, pw)
+        powers.append(pw)
     return powers
 
 
@@ -651,7 +669,7 @@ def _try_split(A, rep, phi):
         if rep.dims[v]:
             roots.update(rational_roots(charpoly(phi[v])))
     for r in sorted(roots):
-        powers = _endo_powers(A, rep, phi, r, total)
+        powers = _endo_powers(A, rep, phi, r.numerator, r.denominator, total)
         ker = [nullspace(p, d) for p, d in zip(powers, rep.dims)]
         kdim = sum(len(b) for b in ker)
         if 0 < kdim < total:
@@ -667,17 +685,22 @@ def _try_split(A, rep, phi):
 
 
 def _split_once(A, rep, rng):
+    """Try the Fitting split along each basis endomorphism, then along
+    six random combinations of them.  The six coefficient vectors are
+    drawn up front, so `rng` advances the same whichever candidate
+    splits; each combination is built only when the ones before it
+    failed."""
     basis = hom_basis(A, rep, rep)
     if len(basis) == 1:
         return None
-    candidates = list(basis)
-    for _ in range(6):
-        coef = [rng.randint(-9, 9) for _ in basis]
-        candidates.append([
-            [[sum(c * basis[k][v][i][j] for k, c in enumerate(coef))
-              for j in range(rep.dims[v])] for i in range(rep.dims[v])]
-            for v in range(A.n)])
-    for phi in candidates:
+    coefs = [[rng.randint(-9, 9) for _ in basis] for _ in range(6)]
+
+    def combination(coef):
+        return [[[sum(c * basis[k][v][i][j] for k, c in enumerate(coef))
+                  for j in range(rep.dims[v])] for i in range(rep.dims[v])]
+                for v in range(A.n)]
+
+    for phi in itertools.chain(basis, map(combination, coefs)):
         blocks = _try_split(A, rep, phi)
         if blocks:
             return blocks

@@ -16,16 +16,17 @@ use the two different sides of the crossed arc).
 
 from dataclasses import dataclass, field
 
+from .errors import InputError
 from .quiver import Quiver, is_jacobian, validate_gentle
 from .strings import BandWord, StringWord, band_module, canonical_band, \
     canonical_string, string_module, word_shape, word_walk
 
 
-class InvalidTriangulation(ValueError):
+class InvalidTriangulation(InputError):
     pass
 
 
-class InconsistentSequence(ValueError):
+class InconsistentSequence(InputError):
     pass
 
 
@@ -33,11 +34,11 @@ class NotLocallyMinimal(InconsistentSequence):
     pass
 
 
-class NotOpenCurve(ValueError):
+class NotOpenCurve(InputError):
     pass
 
 
-class InvalidLamination(ValueError):
+class InvalidLamination(InputError):
     pass
 
 

@@ -1,0 +1,105 @@
+"""The three failure families reach the CLI as exit codes, never as
+tracebacks: input errors exit 2, false verdicts 1, internal errors 3."""
+
+import json
+import os
+
+import pytest
+
+from conftest import GOLDEN
+from gentlelam import (ConsistencyFailure, DictionaryExhausted,
+                       FalseVerdict, FormulaMismatch, InconsistentSigns,
+                       InputError, InternalError, NotGentle, NotJacobian,
+                       SamplingFailure, UniquenessViolation, cli, quiver,
+                       schemes)
+from gentlelam.fileio import ParseError
+from gentlelam.quiver import UnclassifiableBlock
+
+TORUS = os.path.join(GOLDEN, "torus_quiver.json")
+INTERNAL = (SamplingFailure, DictionaryExhausted, FormulaMismatch,
+            InconsistentSigns, UnclassifiableBlock, ConsistencyFailure)
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    return code, out.out, out.err
+
+
+def components(capsys, *extra):
+    return run(capsys, "components", "--input", TORUS, "--dims", "1,1,0,0",
+               "--format", "json", *extra)
+
+
+def test_families():
+    for cls in (NotGentle, NotJacobian, ParseError):
+        assert issubclass(cls, InputError) and issubclass(cls, ValueError)
+    assert issubclass(UniquenessViolation, FalseVerdict)
+    for cls in INTERNAL:
+        assert issubclass(cls, InternalError)
+        assert not issubclass(cls, (ValueError, AssertionError))
+
+
+def test_input_errors_exit_2(tmp_path, capsys):
+    code, _, err = components(capsys, "--dims", "1,1,0")
+    assert code == 2 and "--dims length" in err
+    code, _, err = components(capsys, "--dims", "1,x,0,0")
+    assert code == 2 and err.startswith("error: ")
+    # a vertex with three outgoing arrows
+    bad = tmp_path / "not_gentle.json"
+    bad.write_text(json.dumps({
+        "vertices": 4,
+        "arrows": [{"id": a, "from": 1, "to": t}
+                   for a, t in (("a", 2), ("b", 3), ("c", 4))],
+        "relations": []}))
+    code, _, err = run(capsys, "components", "--input", str(bad),
+                       "--dims", "1,1,1,1")
+    assert code == 2 and "axiom (i)" in err
+
+
+def test_false_verdict_exits_1(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise UniquenessViolation("2 tau-reduced components at (1, 1, 0, 0)")
+
+    monkeypatch.setattr(cli, "components", fail)
+    code, out, err = components(capsys)
+    assert code == 1 and not out
+    assert err.startswith("false: ") and "2 tau-reduced" in err
+
+
+@pytest.mark.parametrize("cls", INTERNAL, ids=lambda c: c.__name__)
+def test_internal_errors_exit_3(capsys, monkeypatch, cls):
+    def fail(*args, **kwargs):
+        raise cls("bound exhausted or routes disagree")
+
+    monkeypatch.setattr(cli, "ceh_values", fail)
+    code, out, err = components(capsys)
+    assert code == 3 and not out
+    assert err.startswith(f"internal error ({cls.__name__}): ")
+
+
+def test_internal_errors_raised_inside_the_library_exit_3(capsys,
+                                                          monkeypatch):
+    def fail(cls):
+        def raise_it(*args, **kwargs):
+            raise cls("raised inside the library")
+        return raise_it
+
+    # the word search behind every generic point
+    monkeypatch.setattr(schemes, "generic_multiset", fail(SamplingFailure))
+    code, _, err = components(capsys)
+    assert code == 3 and "SamplingFailure" in err
+    # the sign maps of every algebra read from a file
+    monkeypatch.setattr(quiver, "compute_sign_maps", fail(InconsistentSigns))
+    code, _, err = run(capsys, "check", "--input", TORUS)
+    assert code == 3 and "InconsistentSigns" in err
+
+
+def test_failed_assertion_exits_3(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an internal check failed")
+
+    monkeypatch.setattr(cli, "ceh_values", fail)
+    code, _, err = components(capsys)
+    assert code == 3 and "an internal check failed" in err
