@@ -14,12 +14,19 @@ positions k and k+1.  `coideal_generating_function` sums over its
 coideals by a transfer-matrix sweep, one pass over the positions: each
 position is in the coideal or not, and each arrow forbids
 one of the four pairs of neighbouring states (the snake-graph expansion
-of Musiker-Schiffler-Williams).  `order_coideals` lists the coideals by
-a scan over all vertex subsets; it is kept as the independent oracle of
-the sweep and of the finite-field Grassmannian counts, and nothing in
-the library calls it.
+of Musiker-Schiffler-Williams).  The sweep keeps each term as one
+integer key that packs the x- and then the y-exponents into digits of
+w bytes (x-digits biased by 2^(8w - 1), w the least of 1, 2, 4, 8 that
+no partial term outgrows), so a position adds one constant to a key,
+the integer order of the keys is the order of the terms, and each key
+is read back with `int.to_bytes` and `memoryview.cast`.
+`order_coideals` lists the coideals by a scan over all vertex subsets;
+it is kept as the independent oracle of the sweep and of the
+finite-field Grassmannian counts, and nothing in the library calls it.
 """
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 from .errors import InputError
@@ -32,6 +39,11 @@ from .surface import CoefficientQuiver, build_QT, \
 
 class UnsupportedModule(InputError):
     pass
+
+
+class ExponentOutOfRange(InputError):
+    """A power of a LaurentPoly that is negative or not an integer, or a
+    coideal sum whose exponents may not fit 64-bit digits."""
 
 
 class NotPathOrCycle(InputError):
@@ -77,6 +89,9 @@ class LaurentPoly:
         return LaurentPoly.from_dict(self.n, d)
 
     def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ExponentOutOfRange(
+                f"power {k!r}: only non-negative integers are allowed")
         out = LaurentPoly.one(self.n)
         for _ in range(k):
             out = out * self
@@ -202,38 +217,64 @@ def coideal_generating_function(Q, B, offset=None):
     position 1 and keeps the end states that the closing arrow between
     positions m and 1 admits.
 
-    A term is kept as the count of each label in the coideal, packed into
-    one integer in base m + 1 (no count exceeds m), so that taking a
-    position adds a constant to every key; its x-exponents are B times the
-    counts (plus the offset), and the LaurentPoly is built once at the
-    end.
+    A term is kept as one integer of 2n digits, each w bytes wide, most
+    significant first: x_1 .. x_n, each plus the bias 2^(8w - 1), then
+    y_1 .. y_n (see `_key_width` for w).  Taking a position with label j
+    adds one constant to every key, column j of B in the x-digits and a
+    unit in the y_j digit; the offset is in the start key.  No digit
+    leaves its range, so none carries into the next, and the integer
+    order of the keys is the order of the LaurentPoly terms.  Each key is
+    read back as 2n signed w-byte integers once the bias bits are
+    flipped.
     """
     n = len(B)
     offset = (0,) * n if offset is None else offset
-    m = len(Q.labels)
     forward = _arrow_directions(Q)
-    base = m + 1
-    shift = [base ** (j - 1) for j in Q.labels]
+    w = _key_width(Q, B, offset)
+    radix = 1 << 8 * w
+    x_place = [radix ** (2 * n - i) for i in range(1, n + 1)]
+    bias = (radix >> 1) * sum(x_place)
+    start = bias + sum(map(mul, offset, x_place))
+    shift = [sum(B[i][j - 1] * x_place[i] for i in range(n))
+             + radix ** (n - j) for j in Q.labels]
     if Q.cyclic:
         total = {}
         for first in (0, 1):
-            start = ({0: 1}, {}) if first == 0 else ({}, {shift[0]: 1})
-            ends = _sweep(start, forward[:-1], shift)
+            state = ({start: 1}, {}) if first == 0 else \
+                ({}, {start + shift[0]: 1})
+            ends = _sweep(state, forward[:-1], shift)
             for last in (0, 1):
                 if _admits(forward[-1], last, first):
                     _add_into(total, ends[last])
     else:
-        out, into = _sweep(({0: 1}, {shift[0]: 1}), forward, shift)
+        out, into = _sweep(({start: 1}, {start + shift[0]: 1}), forward,
+                           shift)
         total = _add_into(out, into)
-    terms = {}
-    for key, c in total.items():
-        ye = []
-        for _ in range(n):
-            key, e = divmod(key, base)
-            ye.append(e)
-        xe = tuple(sum(map(mul, row, ye)) + o for row, o in zip(B, offset))
-        terms[(xe, tuple(ye))] = c
-    return LaurentPoly.from_dict(n, terms)
+    nbytes, fmt = 2 * n * w, "bhiq"[w.bit_length() - 1]
+    # to_bytes in the native order puts x_1 last on a little-endian host
+    step = -1 if sys.byteorder == "little" else 1
+    terms = []
+    for key in sorted(total):
+        e = tuple(memoryview((key ^ bias).to_bytes(nbytes, sys.byteorder))
+                  .cast(fmt))[::step]
+        terms.append(((e[:n], e[n:]), total[key]))
+    return LaurentPoly(n, tuple(terms))
+
+
+def _key_width(Q, B, offset):
+    """The digit width in bytes of the sweep's keys: the least w in
+    {1, 2, 4, 8} with every y-count (at most m) and every |x_i| (at most
+    |offset_i| + sum_j |b_ij| c_j, c_j the positions labelled j) below
+    2^(8w - 1), so that each fits a signed w-byte digit."""
+    counts = Counter(Q.labels)
+    span = max([len(Q.labels)] + [
+        abs(o) + sum(abs(row[j - 1]) * c for j, c in counts.items())
+        for row, o in zip(B, offset)])
+    for w in (1, 2, 4, 8):
+        if span < 1 << 8 * w - 1:
+            return w
+    raise ExponentOutOfRange(
+        f"an exponent of the coideal sum may reach {span}, past 2^63 - 1")
 
 
 def _arrow_directions(Q):

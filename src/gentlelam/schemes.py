@@ -432,15 +432,19 @@ def generic_multiset(A, Z, bound=None):
 def generic_point(A, Z, seed=0):
     """A generic module of the component: the certified generic direct
     sum (distinct band parameters) under a random unimodular integer
-    conjugation, so its entries are integers.  Points are memoized on
-    the algebra object by (d, r, seed), so every caller shares them;
-    none may change them."""
+    conjugation, so its entries are integers.  The points of the latest
+    component asked for are memoized on the algebra object by (d, r,
+    seed), so `ceh_values` and `canonical_decomposition` share them;
+    none may change them.  A point of another component empties the
+    memo first, so it holds the seeds of one component only."""
     memo = A.__dict__.get("_generic_points")
     if memo is None:
         memo = {}
         object.__setattr__(A, "_generic_points", memo)
     key = (Z.d, Z.r, seed)
     if key not in memo:
+        if memo and next(iter(memo))[:2] != key[:2]:
+            memo.clear()
         memo[key] = _generic_point(A, Z, seed)
     return memo[key]
 
