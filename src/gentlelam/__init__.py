@@ -18,7 +18,7 @@ from .homological import (DecoratedModule, FormulaMismatch, StandardHom,
 from .schemes import (Component, ConsistencyFailure, DecoratedComponent,
                       NotJacobian, SamplingFailure, UniquenessViolation,
                       block_critical_summands, canonical_decomposition,
-                      ceh_values, component_dim, components,
+                      ceh_by_words, ceh_values, component_dim, components,
                       critical_relation_pairs, decorated_g_vector, dim_gl,
                       generic_point, is_generically_reduced, is_smooth_point,
                       is_tau_reduced, rank_functions, tangent_dim,

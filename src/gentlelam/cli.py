@@ -6,6 +6,7 @@ verdicts, 1 for mathematically "false" verdicts, 2 for input errors,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -14,7 +15,7 @@ from .errors import FalseVerdict, InternalError
 from .laurent import bangle, verify_bangle_equals_generic
 from .quiver import NotGentle, is_jacobian, rho_blocks
 from .schemes import block_critical_summands, canonical_decomposition, \
-    ceh_values, component_dim, components, critical_relation_pairs, \
+    ceh_by_words, component_dim, components, critical_relation_pairs, \
     decorated_g_vector, dim_gl, is_generically_reduced, is_smooth_point, \
     is_tau_reduced, tangent_dim
 from .strings import DictionaryExhausted, rank_function_of
@@ -79,7 +80,7 @@ def cmd_components(args):
              f"dim GL = {dim_gl(d)}"]
     for Z in comps:
         dz = component_dim(A, Z)
-        c, e, h = ceh_values(A, Z, seed=args.seed)
+        c, e, h = ceh_by_words(A, Z)
         critical = [list(p) for p in critical_relation_pairs(A, d, Z.rank())]
         entry = {
             "rank_function": dict(Z.r),
@@ -182,7 +183,9 @@ def cmd_verify(args):
     return 0 if equal else 1
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argparse tree of `main`, built once per process."""
     ap = argparse.ArgumentParser(
         prog="gentlelam",
         description="Gentle algebras: module scheme components, surface "
@@ -196,7 +199,6 @@ def main(argv=None):
                        default="human")
         p.add_argument("--output", help="write the report to a file")
 
-    seed = dict(type=int, default=0, help="seed of the generic points")
     max_len = dict(type=int, default=12,
                    help="dictionary bound for decompositions")
 
@@ -206,7 +208,8 @@ def main(argv=None):
 
     p = sub.add_parser("components", help="components of mod(A, d)")
     common(p)
-    p.add_argument("--seed", **seed)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the generic point the decomposition splits")
     p.add_argument("--max-len", **max_len)
     p.add_argument("--dims", required=True, help="comma-separated d")
     p.set_defaults(func=cmd_components)
@@ -229,7 +232,8 @@ def main(argv=None):
 
     p = sub.add_parser("eta", help="tau-reduced component of a lamination")
     common(p)
-    p.add_argument("--seed", **seed)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the generic point of the g-vector")
     p.add_argument("--lamination", required=True)
     p.set_defaults(func=cmd_eta)
 
@@ -239,8 +243,11 @@ def main(argv=None):
     p.add_argument("--max-len", **max_len)
     p.add_argument("--lamination", required=True)
     p.set_defaults(func=cmd_verify)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FalseVerdict as exc:

@@ -67,14 +67,6 @@ def module_from_dict(A, data):
     return make_rep(A, dims, mats)
 
 
-def module_to_dict(M):
-    return {
-        "dims": list(M.dims),
-        "matrices": {aid: [[str(x) for x in row] for row in M.mats[aid]]
-                     for aid in sorted(M.mats)},
-    }
-
-
 def load_module(A, path):
     return module_from_dict(A, load_json(path))
 
@@ -91,14 +83,6 @@ def triangulation_from_dict(data):
     tris = tuple(tuple(_edge_id(e) for e in t)
                  for t in _need(data, "triangles", "surface"))
     return Triangulation(arcs, bnds, tris)
-
-
-def triangulation_to_dict(T):
-    return {
-        "internal_arcs": list(T.internal_arcs),
-        "boundary_segments": list(T.boundary_segments),
-        "triangles": [list(t) for t in T.triangles],
-    }
 
 
 def load_triangulation(path):
@@ -150,7 +134,3 @@ def lamination_from_file(T, path, algebra=None):
         gamma = curve_from_dict(T, _need(item, "curve", "lamination entry"))
         entries.append((gamma, int(item.get("mult", 1))))
     return make_lamination(T, entries, algebra=algebra)
-
-
-def lamination_to_list(L):
-    return [{"curve": curve_to_dict(g), "mult": m} for g, m in L.entries]

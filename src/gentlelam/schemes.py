@@ -21,10 +21,10 @@ from .errors import FalseVerdict, InputError, InternalError
 from .homological import (_ext1_of_presentation, _tau_of_presentation,
                           hom_dim_oracle, min_proj_presentation)
 from .quiver import is_jacobian, rho_blocks, transport_dimvec
-from .strings import (BandWord, InvalidString, band_parameters, conjugate,
-                      decompose, enumerate_bands, enumerate_strings,
-                      random_glpoint, rank_function_of, word_shape,
-                      word_sum)
+from .strings import (BandWord, InvalidString, band_module, band_parameters,
+                      conjugate, decompose, enumerate_bands,
+                      enumerate_strings, random_glpoint, rank_function_of,
+                      string_module, word_shape, word_sum)
 
 
 class NotJacobian(InputError):
@@ -355,78 +355,164 @@ def is_tau_reduced(A, Z):
     return not block_critical_summands(A, Z)
 
 
+def _algebra_memo(A, name):
+    """The dict named `name` kept on the algebra object (empty at first
+    use), so a memo lives and dies with the algebra it describes."""
+    memo = A.__dict__.get(name)
+    if memo is None:
+        memo = {}
+        object.__setattr__(A, name, memo)
+    return memo
+
+
+def _pack(values, width):
+    return sum(v << (k * width) for k, v in enumerate(values))
+
+
+def _candidates(A, d, bound):
+    """The words the search of `generic_multiset` may use for the
+    dimension vector d, as (word, packed shape) in search order, with the
+    packing: (list, width, guards, dims_mask).
+
+    A shape packs the dims of the word's module, its ranks in arrow order
+    and its string count (1 for a string, 0 for a band) into fields of
+    `width` bits; no value reaches the top bit of its field, the guard.
+    `guards` has every guard bit set and `dims_mask` every value bit of
+    the dims fields.  For a state s (a remainder packed, with the guards
+    set) and a shape c, every field of s - c is >= 0 iff (s - c) & guards
+    == guards: a field that goes negative clears its own guard and
+    borrows nothing from the next one.  The list depends on (d, bound)
+    only and is kept on the algebra, as are the word shapes."""
+    memo = _algebra_memo(A, "_candidates")
+    key = (d, bound)
+    if key not in memo:
+        shapes = _algebra_memo(A, "_word_shapes")
+        width = sum(d).bit_length() + 1
+        length = min(bound, sum(d))
+        cand = []
+        for w in (enumerate_bands(A, length, d)
+                  + enumerate_strings(A, length - 1, d)):
+            if w not in shapes:
+                shapes[w] = word_shape(A, w)
+            dims, ranks = shapes[w]
+            shape = (dims + tuple(ranks[a] for a in A.arrow_ids)
+                     + (int(not isinstance(w, BandWord)),))
+            cand.append((-sum(dims), str(w), w, _pack(shape, width)))
+        cand.sort(key=lambda x: x[:2])
+        slots = A.n + len(A.arrow_ids) + 1
+        memo[key] = ([x[2:] for x in cand], width,
+                     _pack([1 << (width - 1)] * slots, width),
+                     _pack([(1 << (width - 1)) - 1] * A.n, width))
+    return memo[key]
+
+
 def generic_multiset(A, Z, bound=None):
     """The canonical decomposition of the component as a word multiset.
 
-    Searches for strings and bands whose dimension vectors and rank
-    functions (read off the words by `word_shape`) add up to (d, r); a
-    candidate is built as a module only to be certified generic by the
-    exact dimension count dim Z = dim GL - dim End + #bands.  Results
-    are memoized on the algebra object.
+    Searches, depth first in the order of `_candidates`, for strings and
+    bands whose dimension vectors, rank functions (read off the words by
+    `word_shape`) and string counts add up to (d, r, sum d - sum r); each
+    search state is one packed integer, and a child keeps only the
+    candidates that still fit it.  A multiset that adds up is certified
+    generic by the exact dimension count dim Z = dim GL - dim End + #bands,
+    with dim End summed over the pairs of its summands (`_word_pairs`).
+    Results are memoized on the algebra object.
     """
     d, r = Z.d, Z.rank()
     total = sum(d)
     if bound is None:
         bound = total
-    memo = A.__dict__.get("_multisets")
-    if memo is None:
-        memo = {}
-        object.__setattr__(A, "_multisets", memo)
+    memo = _algebra_memo(A, "_multisets")
     key = (d, Z.r, bound)
     if key in memo:
         return list(memo[key])
     if total == 0:
         memo[key] = []
         return []
-    n_strings = total - sum(r.values())
+    cand, width, guards, dims_mask = _candidates(A, d, bound)
+    start = guards | _pack(d + tuple(r[a] for a in A.arrow_ids)
+                           + (total - sum(r.values()),), width)
     dz = component_dim(A, Z)
     gl = dim_gl(d)
-    cand = [(w, *word_shape(A, w))
-            for w in enumerate_bands(A, min(bound, total), d)
-            + enumerate_strings(A, min(bound, total) - 1, d)]
-    cand.sort(key=lambda x: (-sum(x[1]), str(x[0])))
     sol = []
 
-    def feasible(rem_d, rem_r, rem_strings):
-        return sum(rem_d) - sum(rem_r.values()) == rem_strings
+    def fitting(state, cands):
+        return [c for c in cands if (state - c[1]) & guards == guards]
 
-    def rec(idx, rem_d, rem_r, rem_strings):
-        if sum(rem_d) == 0:
-            if rem_strings or any(rem_r.values()):
-                return False
-            return certify()
-        for k in range(idx, len(cand)):
-            w, wd, wr = cand[k]
-            is_band = isinstance(w, BandWord)
-            if not is_band and rem_strings == 0:
-                continue
-            nd = tuple(rem_d[v] - wd[v] for v in range(A.n))
-            if any(x < 0 for x in nd):
-                continue
-            nr = {a: rem_r[a] - wr[a] for a in rem_r}
-            if any(x < 0 for x in nr.values()):
-                continue
-            ns = rem_strings - (0 if is_band else 1)
-            if not feasible(nd, nr, ns):
-                continue
+    def rec(state, cands):
+        if not state & dims_mask:
+            # every basis vector placed: the ranks and strings must be too
+            return state == guards and certify()
+        for k, (w, shape) in enumerate(cands):
+            rest = state - shape
             sol.append(w)
-            if rec(k, nd, nr, ns):
+            if rec(rest, fitting(rest, cands[k:])):
                 return True
             sol.pop()
         return False
 
     def certify():
-        M = word_sum(A, sol)
-        if rank_function_of(A, M) != r:
-            return False
+        end = sum(pair[0] for pair in _word_pairs(A, sol))
         q = sum(isinstance(w, BandWord) for w in sol)
-        return dz == gl - hom_dim_oracle(A, M, M) + q
+        return dz == gl - end + q
 
-    if not rec(0, d, dict(r), n_strings):
+    if not rec(start, fitting(start, cand)):
         raise SamplingFailure(
             f"no generic decomposition within bound {bound} for {Z.r}")
     memo[key] = list(sol)
     return list(sol)
+
+
+def _word_pairs(A, words, full=False):
+    """Per ordered pair (i, j) of summands of the generic direct sum of
+    `words`, (dim Hom(M_i, M_j),), or with `full` (dim Hom(M_i, M_j),
+    dim Ext^1(M_i, M_j), dim Hom(M_i, tau M_j)), in row-major order.
+
+    Each band summand takes the next parameter of `band_parameters()`, as
+    in `word_sum`.  These dimensions are read off small word modules and
+    kept on the algebra (`_word_pairs`) by (w_i, w_j, i == j and w_i a
+    band): the values do not depend on the parameters as long as two
+    distinct band summands have distinct ones, but a band's pair with
+    itself differs from its pair with another summand of the same word.
+    Ext^1 comes from the presentation of M_i (`_ext1_of_presentation`)
+    and tau M_j from that of M_j (`_tau_of_presentation`); each small
+    module, its presentation and its tau are built once per (word,
+    parameter) and kept on the algebra too (`_word_modules`)."""
+    memo = _algebra_memo(A, "_word_pairs")
+    lams = band_parameters()
+    summands = [(w, next(lams)) if isinstance(w, BandWord) else (w, None)
+                for w in words]
+    built = _algebra_memo(A, "_word_modules")  # -> [M, presentation, tau]
+
+    def small(x, part):
+        if x not in built:
+            w, lam = x
+            built[x] = [string_module(A, w) if lam is None
+                        else band_module(A, w, lam), None, None]
+        got = built[x]
+        if part >= 1 and got[1] is None:
+            got[1] = min_proj_presentation(A, got[0])
+        if part == 2 and got[2] is None:
+            got[2] = _tau_of_presentation(A, got[1])
+        return got[part]
+
+    need = 3 if full else 1
+    out = []
+    for i, x in enumerate(summands):
+        for j, y in enumerate(summands):
+            key = (x[0], y[0], i == j and x[1] is not None)
+            got = memo.get(key, ())
+            if len(got) < need:
+                hom = got[0] if got else hom_dim_oracle(
+                    A, small(x, 0), small(y, 0))
+                got = (hom,)
+                if full:
+                    got += (_ext1_of_presentation(A, small(x, 1),
+                                                  small(y, 0), hom),
+                            hom_dim_oracle(A, small(x, 0), small(y, 2)))
+                memo[key] = got
+            out.append(got[:need])
+    return out
 
 
 def generic_point(A, Z, seed=0):
@@ -437,10 +523,7 @@ def generic_point(A, Z, seed=0):
     seed), so `ceh_values` and `canonical_decomposition` share them;
     none may change them.  A point of another component empties the
     memo first, so it holds the seeds of one component only."""
-    memo = A.__dict__.get("_generic_points")
-    if memo is None:
-        memo = {}
-        object.__setattr__(A, "_generic_points", memo)
+    memo = _algebra_memo(A, "_generic_points")
     key = (Z.d, Z.r, seed)
     if key not in memo:
         if memo and next(iter(memo))[:2] != key[:2]:
@@ -480,18 +563,33 @@ def ceh_values(A, Z, seed=0):
     return best
 
 
+def ceh_by_words(A, Z):
+    """(c, e, h) of the component summed over ordered pairs of summands
+    of its certified multiset (`generic_multiset`): dim End,
+    dim Ext^1(M, M) and dim Hom(M, tau M) are additive over the direct
+    sum, c = dim Z - dim GL + dim End, and each pair is read off small
+    word modules (`_word_pairs`).  It builds no generic point; the
+    sampled `ceh_values` is its oracle."""
+    pairs = _word_pairs(A, generic_multiset(A, Z), full=True)
+    end, e, h = (sum(col) for col in zip(*pairs)) if pairs else (0, 0, 0)
+    return component_dim(A, Z) - dim_gl(Z.d) + end, e, h
+
+
 def canonical_decomposition(A, Z, bound, seed=0):
-    """Generic decomposition of the component into string and band labels."""
+    """Generic decomposition of the component into string and band
+    labels, found by `decompose` at the generic point of `seed` and
+    checked against the certified multiset of `generic_multiset`."""
     M = generic_point(A, Z, seed)
     parts = decompose(A, M, bound, seed=seed)
-    n_strings = sum(1 for x in parts if not isinstance(x, tuple))
-    expected = sum(Z.d) - sum(Z.rank().values())
-    if n_strings != expected:
+    labels = [("band", x[0]) if isinstance(x, tuple) else ("string", x)
+              for x in parts]
+    want = sorted(("band" if isinstance(w, BandWord) else "string", str(w))
+                  for w in generic_multiset(A, Z))
+    got = sorted((kind, str(w)) for kind, w in labels)
+    if got != want:
         raise ConsistencyFailure(
-            f"{n_strings} string summands, rank count predicts {expected}")
-    labels = []
-    for x in parts:
-        labels.append(("band", x[0]) if isinstance(x, tuple) else ("string", x))
+            f"decompose finds {got} at the generic point of {Z.r}, the "
+            f"certified multiset is {want}")
     return labels
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import golden
 from gentlelam import (BandWord, DecoratedModule, LaurentPoly,
-                       StringWord, band_module, bangle, canonical_decomposition, cc_prime, ceh_values,
+                       StringWord, band_module, bangle, canonical_decomposition, cc_prime, ceh_by_words, ceh_values,
                        component_dim, components, decorated_g_vector, dim_gl,
                        direct_sum, enumerate_bands, enumerate_strings, eta,
                        hom_dim_oracle, is_generically_reduced,
@@ -203,6 +203,7 @@ def test_criterion_4_tau_reduced_theory(pants_algebra):
             n_comp += 1
             c, e, h = ceh_values(A, Z, seed=11)
             assert is_tau_reduced(A, Z) == (c == e == h), (d, Z.r)
+            assert ceh_by_words(A, Z) == (c, e, h), (d, Z.r)
             if sum(d) and component_dim(A, Z) == dim_gl(d):
                 band_like.append((Z, (c, e, h)))
     # (iii) indecomposable band components have c = e = h = 1

@@ -1,7 +1,8 @@
 import json
 import os
 
-from conftest import GOLDEN
+from conftest import GOLDEN, golden
+from gentlelam import build_QT, fileio
 from gentlelam.cli import main
 
 
@@ -53,6 +54,22 @@ def test_components_double_loop(capsys):
     for entry in data["components"]:
         assert entry["dim"] == 16 and entry["band_only"]
         assert all(x["type"] == "band" for x in entry["decomposition"])
+
+
+def test_components_pants_golden(tmp_path, capsys):
+    """Byte-identical `components --format json` texts on the pants
+    algebra, one or more d in {0,1,2}^6 per component count."""
+    A = build_QT(fileio.load_triangulation(g("pants.json")))
+    algebra = tmp_path / "pants_algebra.json"
+    algebra.write_text(json.dumps(fileio.algebra_to_dict(A)))
+    expected = golden("pants_components.json")
+    counts = {len(want["components"]) for want in expected.values()}
+    assert counts == {1, 2, 3, 4, 6, 8, 9, 12, 16}
+    for dims, want in expected.items():
+        code, out, _ = run(capsys, "components", "--input", str(algebra),
+                           "--dims", dims, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(want, indent=2) + "\n", dims
 
 
 def test_smooth_verdict_exit_codes(tmp_path, capsys):

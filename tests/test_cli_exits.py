@@ -73,7 +73,7 @@ def test_internal_errors_exit_3(capsys, monkeypatch, cls):
     def fail(*args, **kwargs):
         raise cls("bound exhausted or routes disagree")
 
-    monkeypatch.setattr(cli, "ceh_values", fail)
+    monkeypatch.setattr(cli, "ceh_by_words", fail)
     code, out, err = components(capsys)
     assert code == 3 and not out
     assert err.startswith(f"internal error ({cls.__name__}): ")
@@ -100,6 +100,6 @@ def test_failed_assertion_exits_3(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("an internal check failed")
 
-    monkeypatch.setattr(cli, "ceh_values", fail)
+    monkeypatch.setattr(cli, "ceh_by_words", fail)
     code, _, err = components(capsys)
     assert code == 3 and "an internal check failed" in err

@@ -5,7 +5,7 @@ import json
 import os
 
 from conftest import GOLDEN
-from gentlelam import cli
+from gentlelam import cli, schemes
 from gentlelam.schemes import ConsistencyFailure
 
 TORUS = os.path.join(GOLDEN, "torus_quiver.json")
@@ -39,3 +39,17 @@ def test_consistency_failure_is_not_hidden(capsys, monkeypatch):
     assert code != 0
     assert "unavailable" not in out
     assert "rank count predicts" in err
+
+
+def test_decomposition_off_the_certified_multiset_exits_3(capsys,
+                                                          monkeypatch):
+    decompose = schemes.decompose
+
+    def loses_a_summand(*args, **kwargs):
+        return decompose(*args, **kwargs)[1:]
+
+    monkeypatch.setattr(schemes, "decompose", loses_a_summand)
+    code, out, err = components(capsys)
+    assert code == 3 and not out
+    assert err.startswith("internal error (ConsistencyFailure): ")
+    assert "certified multiset" in err

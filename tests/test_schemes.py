@@ -4,8 +4,8 @@ import pytest
 
 from gentlelam import (NotJacobian, StringWord, band_module,
                        block_critical_summands, canonical_decomposition,
-                       ceh_values, component_dim, components, dim_gl,
-                       direct_sum, enumerate_bands, enumerate_strings,
+                       ceh_by_words, ceh_values, component_dim, components,
+                       dim_gl, direct_sum, enumerate_bands, enumerate_strings,
                        generic_point, hom_dim_oracle, is_generically_reduced,
                        is_smooth_point, is_tau_reduced, rank_function_of,
                        rank_functions, string_module, tangent_dim,
@@ -146,6 +146,9 @@ def test_generic_point_rank(torus_algebra):
 def test_ceh_band_and_rigid(double_loop, torus_algebra):
     Z = components(double_loop, (2, 2, 2, 2))[0]
     assert ceh_values(double_loop, Z, seed=1) == (1, 1, 1)
+    for Z in components(double_loop, (2, 2, 2, 2)):
+        assert ceh_by_words(double_loop, Z) == ceh_values(double_loop, Z,
+                                                          seed=11)
     # a tau-rigid orbit closure has ceh (0,0,0)
     A = torus_algebra
     from gentlelam import is_tau_rigid
@@ -155,6 +158,7 @@ def test_ceh_band_and_rigid(double_loop, torus_algebra):
             Z = [Z for Z in components(A, M.dims)
                  if Z.rank() == rank_function_of(A, M)][0]
             assert ceh_values(A, Z, seed=1) == (0, 0, 0)
+            assert ceh_by_words(A, Z) == (0, 0, 0)
             break
 
 
@@ -165,6 +169,7 @@ def test_ceh_inequalities_fuzzed(torus_algebra):
         d = tuple(rng.randint(0, 2) for _ in range(4))
         for Z in components(A, d)[:2]:
             c, e, h = ceh_values(A, Z, seed=5)
+            assert ceh_by_words(A, Z) == (c, e, h)
             assert 0 <= c <= e <= h
             if is_generically_reduced(A, Z):
                 assert c == e

@@ -1,0 +1,129 @@
+"""c, e, h summed over word pairs of the certified generic multiset, and
+the packed multiset search behind it."""
+
+import itertools
+import random
+
+import pytest
+
+from gentlelam import (BandWord, Quiver, ceh_by_words, ceh_values,
+                       components, schemes, validate_gentle)
+from gentlelam.schemes import _candidates, _pack, generic_multiset
+from gentlelam.strings import word_shape
+
+
+def fresh_torus_algebra():
+    q = Quiver(4, (("a1", 1, 2), ("b1", 1, 2), ("a2", 2, 3), ("b2", 2, 4),
+                   ("a3", 3, 1), ("b3", 4, 1), ("c", 3, 4)))
+    return validate_gentle(q, [("a1", "a3"), ("a2", "a1"), ("a3", "a2"),
+                               ("b1", "b3"), ("b2", "b1"), ("b3", "b2")])
+
+
+def test_repeated_band_word_fills_both_keys():
+    A = fresh_torus_algebra()
+    Z, = components(A, (0, 2, 2, 2))
+    words = generic_multiset(A, Z)
+    B = words[0]
+    assert isinstance(B, BandWord) and words == [B, B]
+    assert ceh_by_words(A, Z) == ceh_values(A, Z, seed=11) == (2, 2, 2)
+    memo = A.__dict__["_word_pairs"]
+    # M(B, lam) is a brick with tau M = M; two parameters see nothing
+    assert memo[(B, B, True)] == (1, 1, 1)
+    assert memo[(B, B, False)] == (0, 0, 0)
+
+
+def test_string_pairs_carry_no_same_summand_key(torus_algebra):
+    A = torus_algebra
+    for Z in components(A, (1, 1, 1, 0)):
+        ceh_by_words(A, Z)
+    assert not [k for k in A.__dict__["_word_pairs"]
+                if k[2] and not isinstance(k[0], BandWord)]
+
+
+def test_algebras_do_not_share_the_pair_memo():
+    A, B = fresh_torus_algebra(), fresh_torus_algebra()
+    assert A == B
+    Z, = components(A, (0, 2, 2, 2))
+    ceh_by_words(A, Z)
+    assert A.__dict__["_word_pairs"]
+    assert not B.__dict__.get("_word_pairs")
+    assert ceh_by_words(B, Z) == ceh_by_words(A, Z)
+    assert B.__dict__["_word_pairs"] == A.__dict__["_word_pairs"]
+    assert B.__dict__["_word_pairs"] is not A.__dict__["_word_pairs"]
+
+
+def test_pair_route_builds_no_generic_point(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pair route sampled a generic point")
+
+    monkeypatch.setattr(schemes, "generic_point", forbidden)
+    monkeypatch.setattr(schemes, "ceh_values", forbidden)
+    A = fresh_torus_algebra()
+    seen = 0
+    for d in itertools.product(range(2), repeat=4):
+        for Z in components(A, d):
+            c, e, h = ceh_by_words(A, Z)
+            assert 0 <= c <= e <= h
+            seen += 1
+    assert seen > 16
+    assert not A.__dict__.get("_generic_points")
+
+
+def test_candidates_are_built_once_per_dimension_vector(monkeypatch):
+    calls = []
+    enumerate_bands = schemes.enumerate_bands
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_bands(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "enumerate_bands", counted)
+    A = fresh_torus_algebra()
+    d = (1, 2, 2, 1)
+    comps = components(A, d)
+    assert len(comps) > 1
+    for Z in comps:
+        generic_multiset(A, Z)
+    assert len(calls) == 1
+    assert list(A.__dict__["_candidates"]) == [(d, sum(d))]
+
+
+@pytest.mark.parametrize("d", [(1, 2, 2, 1), (3, 3, 2, 3), (0, 1, 0, 2)])
+def test_packed_fit_is_the_fieldwise_comparison(d):
+    A = fresh_torus_algebra()
+    cand, width, guards, dims_mask = _candidates(A, d, sum(d))
+    assert cand
+    shapes = {}
+    for w, packed in cand:
+        dims, ranks = word_shape(A, w)
+        shapes[w] = (dims + tuple(ranks[a] for a in A.arrow_ids)
+                     + (int(not isinstance(w, BandWord)),))
+        assert packed == _pack(shapes[w], width)
+    rng = random.Random(7)
+    slots = A.n + len(A.arrow_ids) + 1
+    for _ in range(200):
+        rem = [rng.randint(0, sum(d)) for _ in range(slots)]
+        state = guards | _pack(rem, width)
+        assert bool(state & dims_mask) == any(rem[:A.n])
+        for w, packed in cand:
+            rest = state - packed
+            fits = all(x >= y for x, y in zip(rem, shapes[w]))
+            assert (rest & guards == guards) == fits, (rem, w)
+            if fits:
+                assert rest == guards | _pack(
+                    [x - y for x, y in zip(rem, shapes[w])], width)
+
+
+def test_multiset_adds_up_to_the_component(torus_algebra):
+    A = torus_algebra
+    for d in itertools.product(range(3), repeat=A.n):
+        for Z in components(A, d):
+            dims, ranks = [0] * A.n, dict.fromkeys(A.arrow_ids, 0)
+            words = generic_multiset(A, Z)
+            for w in words:
+                wd, wr = word_shape(A, w)
+                dims = [x + y for x, y in zip(dims, wd)]
+                ranks = {a: ranks[a] + wr[a] for a in ranks}
+            assert (tuple(dims), ranks) == (d, Z.rank()), (d, Z.r)
+            strings = sum(not isinstance(w, BandWord) for w in words)
+            assert strings == sum(d) - sum(Z.rank().values())
