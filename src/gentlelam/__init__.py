@@ -12,9 +12,9 @@ from .strings import (BandWord, DictionaryExhausted, InvalidBand,
                       enumerate_bands, enumerate_strings, hom_dim, iso_test,
                       rank_function_of, string_module, string_word)
 from .homological import (DecoratedModule, FormulaMismatch, StandardHom,
-                          e_invariant, ext1_dim, g_vector, hom_dim_oracle,
-                          is_tau_rigid, min_proj_presentation, standard_homs,
-                          tau_dtr, tau_string)
+                          e_invariant, ext1_complex_dim, ext1_dim, g_vector,
+                          hom_dim_oracle, is_tau_rigid, min_proj_presentation,
+                          standard_homs, tau_dtr, tau_string)
 from .schemes import (Component, ConsistencyFailure, DecoratedComponent,
                       NotJacobian, SamplingFailure, UniquenessViolation,
                       block_critical_summands, canonical_decomposition,

@@ -8,12 +8,18 @@ long exact sequence 0 -> Hom(M, N) -> Hom(P0, N) -> Hom(Omega M, N) ->
 Ext^1(M, N) -> 0 of that presentation.  The combinatorial routes are
 standard_homs (complete basis of Hom between string/band modules) and
 tau_string (hook/cohook surgery on the word).
+
+The algebra is quadratic monomial, so g-vectors (`g_vector`, from the
+ranks of `_tor_ranks`) and Ext^1 (`ext1_complex_dim`, from the standard
+complex) are also read off matrices built from the arrows and the
+relations, with no presentation; the presentation routes
+(`_g_of_presentation`, `ext1_dim`) are their oracles.
 """
 
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .exactlinalg import _echelon, _ratio, nullspace
+from .exactlinalg import _echelon, _ratio, nullspace, sparse_rank
 from .strings import (BandWord, StringWord, _subrep, _sum_offsets,
                       canonical_band, canonical_string, direct_sum,
                       hom_dim, letter_inv, letter_s, letter_t,
@@ -158,6 +164,10 @@ class Presentation:
     the cover, is kept as its column bases inside P0, and P1 covers it
     in the same way.  P0 and its copy data depend on n_vec only and are
     shared with every presentation of the same n_vec (see `_p0`).
+
+    The presentation is built for tau (`tau_dtr`), Ext^1 (`ext1_dim`)
+    and the E-invariant; `g_vector` reads n_vec and m_vec off ranks
+    instead (`_tor_ranks`), and `_g_of_presentation` is its oracle.
     """
     n_vec: tuple  # top multiplicities of M
     m_vec: tuple  # top multiplicities of Omega(M)
@@ -220,16 +230,57 @@ def min_proj_presentation(A, M):
 
 
 def g_vector(A, dec):
-    """g_i = m_i - n_i + dim V_i from the minimal presentation."""
+    """g_i = m_i - n_i + dim V_i, where n and m are the top multiplicities
+    of M and of Omega M in the minimal presentation of M, read off the
+    ranks of `_tor_ranks` without building the presentation.  The
+    presentation route `_g_of_presentation` is the oracle."""
     M = dec.module if isinstance(dec, DecoratedModule) else dec
     v = dec.decoration if isinstance(dec, DecoratedModule) else (0,) * A.n
-    if M.dim() == 0:
-        return tuple(v)
-    return _g_of_presentation(min_proj_presentation(A, M), v)
+    n_vec, m_vec = _tor_ranks(A, M)
+    return tuple(m - n + x for m, n, x in zip(m_vec, n_vec, v))
 
 
 def _g_of_presentation(pres, v):
     return tuple(m - n + x for m, n, x in zip(pres.m_vec, pres.n_vec, v))
+
+
+def _tor_ranks(A, M):
+    """(n_vec, m_vec): per vertex v, n_v = dim Tor_0(S_v^op, M), the top
+    multiplicity of M at v, and m_v = dim Tor_1(S_v^op, M) =
+    dim Ext^1(M, S_v), the top multiplicity of Omega M.
+
+    A quadratic monomial algebra resolves the simple right module at v
+    by the arrows a into v and the relations (a, b) with a into v, so
+    Tor(S_v^op, M) is the homology of
+        + M_s(b)  --d2-->  + M_s(a)  --d1-->  M_v,
+    where d1 = [M_a] and d2 sends x in the summand of (a, b) to M_b x in
+    block a (d1 d2 = 0 since M_a M_b = 0).  So n_v = dim M_v - rank d1
+    and m_v = sum dim M_s(a) - rank d1 - rank d2.  d2 is block diagonal
+    over a, each block the matrices M_b of the relations (a, b) side by
+    side."""
+    n_vec, m_vec = [], []
+    for v in range(1, A.n + 1):
+        into = A.quiver.arrows_into(v)
+        r1 = _rank_side_by_side([M.mats[a] for a in into])
+        r2 = sum(_rank_side_by_side([M.mats[b] for a2, b in A.relations
+                                     if a2 == a]) for a in into)
+        n_vec.append(M.dims[v - 1] - r1)
+        m_vec.append(sum(M.dims[A.s(a) - 1] for a in into) - r1 - r2)
+    return tuple(n_vec), tuple(m_vec)
+
+
+def _rank_side_by_side(mats):
+    """Rank of the matrices (with equal row counts) placed side by
+    side."""
+    rows = {}
+    off = 0
+    for m in mats:
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                if x:
+                    rows.setdefault(i, {})[off + j] = x
+        off += len(m[0]) if m else 0
+    return sparse_rank(rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +413,57 @@ def _ext1_of_presentation(A, pres, N, hom_mn):
     omega = _subrep(A, pres.p0, pres.omega_bases)
     hom_p0 = sum(k * d for k, d in zip(pres.n_vec, N.dims))
     return hom_dim(A, omega, N) - hom_p0 + hom_mn
+
+
+def _relation_rows(A, M, N):
+    """(rows, variable count) of the relation differential
+    (f_a) -> (N_a f_b + f_a M_b), one row per entry of each relation
+    (a, b), on the variables f_a: M_s(a) -> N_t(a), arrow by arrow (entry
+    (u, k) of f_a is variable offs[a] + u * dim M_s(a) + k).  Its kernel
+    is Z^1 of the standard complex (`ext1_complex_dim`); with N = M it
+    is the differential of the relation equations at M, whose kernel is
+    the tangent space of the module scheme (`schemes.tangent_dim`)."""
+    dM, dN = M.dims, N.dims
+    offs = {}
+    off = 0
+    for aid in A.arrow_ids:
+        offs[aid] = off
+        off += dM[A.s(aid) - 1] * dN[A.t(aid) - 1]
+    rows = []
+    for a, b in A.relations:
+        Na, Mb = N.mats[a], M.mats[b]
+        dsa, dsb = dM[A.s(a) - 1], dM[A.s(b) - 1]
+        # entry (u, v) of f_a M_b + N_a f_b
+        for u in range(dN[A.t(a) - 1]):
+            for v in range(dsb):
+                row = {}
+                for k in range(dsa):
+                    if Mb[k][v]:
+                        row[offs[a] + u * dsa + k] = Mb[k][v]
+                for k, x in enumerate(Na[u]):
+                    if x:
+                        key = offs[b] + k * dsb + v
+                        row[key] = row.get(key, 0) + x
+                if row:
+                    rows.append(row)
+    return rows, off
+
+
+def ext1_complex_dim(A, M, N, hom_mn=None):
+    """dim Ext^1(M, N) from the start of the standard complex of a
+    quadratic monomial algebra (from its minimal bimodule resolution):
+        + Hom(M_v, N_v)  ->  + Hom(M_s(a), N_t(a))  ->  + Hom(M_s(b), N_t(a))
+    over the vertices, the arrows and the relations (a, b).  The kernel
+    of the first map is Hom(M, N), so B^1 has dimension
+    sum dim M_v dim N_v - dim Hom(M, N); the second map is
+    `_relation_rows`, with kernel Z^1; and Ext^1 = Z^1 / B^1.  hom_mn,
+    when given, is dim Hom(M, N).  No presentation is built; `ext1_dim`
+    is the oracle."""
+    if hom_mn is None:
+        hom_mn = hom_dim(A, M, N)
+    rows, nvars = _relation_rows(A, M, N)
+    b1 = sum(x * y for x, y in zip(M.dims, N.dims)) - hom_mn
+    return nvars - sparse_rank(rows) - b1
 
 
 def e_invariant(A, decM, decN):

@@ -18,7 +18,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import FalseVerdict, InputError, InternalError
-from .homological import (_ext1_of_presentation, _tau_of_presentation,
+from .exactlinalg import sparse_rank
+from .homological import (_ext1_of_presentation, _relation_rows,
+                          _tau_of_presentation, ext1_complex_dim, g_vector,
                           hom_dim_oracle, min_proj_presentation)
 from .quiver import is_jacobian, rho_blocks, transport_dimvec
 from .strings import (BandWord, InvalidString, band_module, band_parameters,
@@ -261,34 +263,10 @@ def is_smooth_point(A, M):
 
 def tangent_dim(A, M):
     """dim of the scheme tangent space at M: ambient dimension minus the
-    rank of the differential of the relation equations."""
-    from .exactlinalg import sparse_rank
-    d = M.dims
-    offs = {}
-    off = 0
-    for aid in A.arrow_ids:
-        offs[aid] = off
-        off += d[A.s(aid) - 1] * d[A.t(aid) - 1]
-    rows = []
-    for a, b in A.relations:
-        Ma, Mb = M.mats[a], M.mats[b]
-        dsb = d[A.s(b) - 1]
-        dsa = d[A.s(a) - 1]
-        dta = d[A.t(a) - 1]
-        # d(M_a M_b) = delta_a M_b + M_a delta_b, entry (u, v)
-        for u in range(dta):
-            for v in range(dsb):
-                row = {}
-                for k in range(dsa):
-                    if Mb[k][v]:
-                        row[offs[a] + u * dsa + k] = Mb[k][v]
-                for k in range(dsa):
-                    if Ma[u][k]:
-                        key = offs[b] + k * dsb + v
-                        row[key] = row.get(key, 0) + Ma[u][k]
-                if row:
-                    rows.append(row)
-    return off - sparse_rank(rows)
+    rank of the differential of the relation equations
+    (`homological._relation_rows` with N = M)."""
+    rows, nvars = _relation_rows(A, M, M)
+    return nvars - sparse_rank(rows)
 
 
 def max_component_dim_through(A, M):
@@ -382,7 +360,9 @@ def _candidates(A, d, bound):
     set) and a shape c, every field of s - c is >= 0 iff (s - c) & guards
     == guards: a field that goes negative clears its own guard and
     borrows nothing from the next one.  The list depends on (d, bound)
-    only and is kept on the algebra, as are the word shapes."""
+    only and is kept on the algebra, as are the word shapes, each with
+    the first object of its word, which every later list then holds in
+    place of its own copy."""
     memo = _algebra_memo(A, "_candidates")
     key = (d, bound)
     if key not in memo:
@@ -393,8 +373,8 @@ def _candidates(A, d, bound):
         for w in (enumerate_bands(A, length, d)
                   + enumerate_strings(A, length - 1, d)):
             if w not in shapes:
-                shapes[w] = word_shape(A, w)
-            dims, ranks = shapes[w]
+                shapes[w] = (w,) + word_shape(A, w)
+            w, dims, ranks = shapes[w]
             shape = (dims + tuple(ranks[a] for a in A.arrow_ids)
                      + (int(not isinstance(w, BandWord)),))
             cand.append((-sum(dims), str(w), w, _pack(shape, width)))
@@ -474,44 +454,42 @@ def _word_pairs(A, words, full=False):
     band): the values do not depend on the parameters as long as two
     distinct band summands have distinct ones, but a band's pair with
     itself differs from its pair with another summand of the same word.
-    Ext^1 comes from the presentation of M_i (`_ext1_of_presentation`)
-    and tau M_j from that of M_j (`_tau_of_presentation`); each small
-    module, its presentation and its tau are built once per (word,
+    Ext^1 comes from the standard complex (`ext1_complex_dim`), and
+    dim Hom(M_i, tau M_j) = dim Hom(M_j, M_i) + g(M_j) . dim M_i (the
+    dual E-invariant formula), so no presentation and no tau is built.
+    Each small module and its g-vector are built once per (word,
     parameter) and kept on the algebra too (`_word_modules`)."""
     memo = _algebra_memo(A, "_word_pairs")
     lams = band_parameters()
     summands = [(w, next(lams)) if isinstance(w, BandWord) else (w, None)
                 for w in words]
-    built = _algebra_memo(A, "_word_modules")  # -> [M, presentation, tau]
+    built = _algebra_memo(A, "_word_modules")  # -> (M, g-vector of M)
 
-    def small(x, part):
+    def small(x):
         if x not in built:
             w, lam = x
-            built[x] = [string_module(A, w) if lam is None
-                        else band_module(A, w, lam), None, None]
-        got = built[x]
-        if part >= 1 and got[1] is None:
-            got[1] = min_proj_presentation(A, got[0])
-        if part == 2 and got[2] is None:
-            got[2] = _tau_of_presentation(A, got[1])
-        return got[part]
+            M = string_module(A, w) if lam is None else band_module(A, w, lam)
+            built[x] = (M, g_vector(A, M))
+        return built[x]
 
-    need = 3 if full else 1
+    def pair(x, y, same):
+        key = (x[0], y[0], same)
+        if key not in memo:
+            memo[key] = (hom_dim_oracle(A, small(x)[0], small(y)[0]),)
+        return memo[key]
+
     out = []
     for i, x in enumerate(summands):
         for j, y in enumerate(summands):
-            key = (x[0], y[0], i == j and x[1] is not None)
-            got = memo.get(key, ())
-            if len(got) < need:
-                hom = got[0] if got else hom_dim_oracle(
-                    A, small(x, 0), small(y, 0))
-                got = (hom,)
-                if full:
-                    got += (_ext1_of_presentation(A, small(x, 1),
-                                                  small(y, 0), hom),
-                            hom_dim_oracle(A, small(x, 0), small(y, 2)))
-                memo[key] = got
-            out.append(got[:need])
+            same = i == j and x[1] is not None
+            got = pair(x, y, same)
+            if full and len(got) < 3:
+                (Mi, _), (Mj, gj) = small(x), small(y)
+                back = pair(y, x, same)[0]  # dim Hom(M_j, M_i)
+                got = memo[(x[0], y[0], same)] = got + (
+                    ext1_complex_dim(A, Mi, Mj, got[0]),
+                    back + sum(g * d for g, d in zip(gj, Mi.dims)))
+            out.append(got if full else got[:1])
     return out
 
 
@@ -568,8 +546,10 @@ def ceh_by_words(A, Z):
     of its certified multiset (`generic_multiset`): dim End,
     dim Ext^1(M, M) and dim Hom(M, tau M) are additive over the direct
     sum, c = dim Z - dim GL + dim End, and each pair is read off small
-    word modules (`_word_pairs`).  It builds no generic point; the
-    sampled `ceh_values` is its oracle."""
+    word modules (`_word_pairs`): Ext^1 from the standard complex, and
+    Hom(-, tau -) from Hom and the g-vector.  It builds no generic point,
+    no presentation and no tau; the sampled `ceh_values` is its
+    oracle."""
     pairs = _word_pairs(A, generic_multiset(A, Z), full=True)
     end, e, h = (sum(col) for col in zip(*pairs)) if pairs else (0, 0, 0)
     return component_dim(A, Z) - dim_gl(Z.d) + end, e, h

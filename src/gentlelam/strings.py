@@ -890,22 +890,23 @@ def decompose(A, rep, dictionary_bound, seed=0):
 
 
 def _identify(A, p, strings, bands):
+    """The word (a StringWord, or (BandWord, lambda)) of the
+    indecomposable p among the candidates, or None.  A candidate whose
+    dims and rank function (read off `word_shape`) differ from p's
+    cannot match and is skipped before its module is built; `iso_test`
+    certifies every match."""
     total = p.dim()
     rf = rank_function_of(A, p)
     n_str = total - sum(rf.values())
+    shape = (p.dims, rf)
     if n_str == 1:
         for C in strings:
-            if len(C) + 1 != total:
-                continue
-            M = string_module(A, C)
-            if M.dims == p.dims and iso_test(A, p, M):
+            if len(C) + 1 == total and word_shape(A, C) == shape and \
+                    iso_test(A, p, string_module(A, C)):
                 return C
     elif n_str == 0:
         for B in bands:
-            if len(B) != total:
-                continue
-            probe = band_module(A, B, 1)
-            if probe.dims != p.dims or rank_function_of(A, probe) != rf:
+            if len(B) != total or word_shape(A, B) != shape:
                 continue
             for lam in band_lambda_candidates(A, B, p):
                 if lam and iso_test(A, p, band_module(A, B, lam)):
