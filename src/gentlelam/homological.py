@@ -7,7 +7,12 @@ presentation, transpose and duality, and ext1_dim reads Ext^1 off the
 long exact sequence 0 -> Hom(M, N) -> Hom(P0, N) -> Hom(Omega M, N) ->
 Ext^1(M, N) -> 0 of that presentation.  The combinatorial routes are
 standard_homs (complete basis of Hom between string/band modules) and
-tau_string (hook/cohook surgery on the word).
+tau_string (hook/cohook surgery on the word).  Both write each end rule
+once, as the far end of a word is the start of its inverse: tau_string
+handles each end as the start of the word or of its inverse (`_cohook`,
+`_hook`), and the factor rules of standard_homs test the inverse flag of
+the letter before a factor; the letter after it, inverted, is the letter
+before the factor in the inverse word, so one rule serves both sides.
 
 The algebra is quadratic monomial, so g-vectors (`g_vector`, from the
 ranks of `_tor_ranks`) and Ext^1 (`ext1_complex_dim`, from the standard
@@ -493,63 +498,45 @@ def is_tau_rigid(A, M):
 # the combinatorial AR translate
 
 
-def _prependable(A, C):
-    """The direct letter that may be prepended to C, or None."""
-    if C.is_trivial:
-        for b in A.quiver.arrows_from(C.vertex):
-            if A.sigma[b] == -C.sign:
-                return b
-        return None
-    c1 = C.letters[0]
-    for b in A.quiver.arrows_from(letter_t(A, c1)):
-        if pair_ok(A, (b, False), c1):
-            return b
-    return None
-
-
-def _appendable(A, C):
-    """The arrow b with C.(b^-) a string, or None."""
-    if C.is_trivial:
-        for b in A.quiver.arrows_from(C.vertex):
-            if A.sigma[b] == C.sign:
-                return b
-        return None
-    cm = C.letters[-1]
-    for b in A.arrow_ids:
-        if pair_ok(A, cm, (b, True)):
-            return b
-    return None
-
-
-def _max_inverse_run_before(A, head):
-    """Letters (f_k^-, ..., f_1^-) maximally prepended before `head`."""
-    run = []
-    cur = head
-    while True:
-        nxt = None
-        for f in A.arrow_ids:
-            if pair_ok(A, (f, True), cur):
-                nxt = (f, True)
+def _cohook(A, first, vertex=None, sign=None):
+    """The cohook put in front of a word: its letters away from the
+    word, the direct letter b that may come first, then the inverse
+    letters f_1^-, f_2^-, ... as far as they go; None when no direct
+    letter may come first.  The word starts with the letter `first` or,
+    when `first` is None, is the trivial word at `vertex` with `sign`.
+    The far end of a word is the start of its inverse, so callers pass
+    the inverse of the last letter, or the flipped sign, for it."""
+    b = None
+    if first is None:
+        for a in A.quiver.arrows_from(vertex):
+            if A.sigma[a] == -sign:
+                b = a
                 break
-        if nxt is None:
-            return tuple(run)
-        run.insert(0, nxt)
-        cur = nxt
-
-
-def _max_direct_run_after(A, tail):
-    run = []
-    cur = tail
-    while True:
-        nxt = None
-        for f in A.arrow_ids:
-            if pair_ok(A, cur, (f, False)):
-                nxt = (f, False)
+    else:
+        for a in A.quiver.arrows_from(letter_t(A, first)):
+            if pair_ok(A, (a, False), first):
+                b = a
                 break
-        if nxt is None:
-            return tuple(run)
-        run.append(nxt)
-        cur = nxt
+    if b is None:
+        return None
+    run = [(b, False)]
+    while True:
+        for f in A.arrow_ids:
+            if pair_ok(A, (f, True), run[-1]):
+                run.append((f, True))
+                break
+        else:
+            return run
+
+
+def _hook(inverse_flags):
+    """Letters deleted with the hook at the start of a word whose letters
+    have the given inverse flags: its maximal direct run and the inverse
+    letter after it; None when no inverse letter follows."""
+    for k, inv in enumerate(inverse_flags):
+        if inv:
+            return k + 1
+    return None
 
 
 def tau_string(A, C):
@@ -559,58 +546,40 @@ def tau_string(A, C):
     (arrow + maximal counter-run); otherwise delete a hook (maximal
     run + one further letter), acting on the extended word.  Ends whose
     deletion finds nothing left, or overlapping deletions, signal a
-    projective module.
+    projective module.  Each end is handled as the start of the word or
+    of its inverse (`_cohook`, `_hook`).
     """
     C = canonical_string(A, C) if not isinstance(C, StringWord) else C
-    if not C.is_trivial:
+    if C.is_trivial:
+        front = _cohook(A, None, C.vertex, C.sign)
+        back = _cohook(A, None, C.vertex, -C.sign)
+    else:
         string_word(A, C)
-    b_left = _prependable(A, C)
-    b_right = _appendable(A, C)
-    word = list(C.letters)
-    left_add = right_add = None
-    if b_left is not None:
-        head = (b_left, False)
-        left_add = list(_max_inverse_run_before(A, head)) + [head]
-    if b_right is not None:
-        tail = (b_right, True)
-        right_add = [tail] + list(_max_direct_run_after(A, tail))
-    new = (left_add or []) + word + (right_add or [])
+        front = _cohook(A, C.letters[0])
+        back = _cohook(A, letter_inv(C.letters[-1]))
+    new = list(C.letters)
+    if front is not None:
+        new[:0] = reversed(front)
+    if back is not None:
+        new += [letter_inv(c) for c in back]
     lo, hi = 0, len(new)  # kept range after deletions
-    if b_left is None:
-        p = 0
-        while p < len(new) and not new[p][1]:
-            p += 1
-        if p == len(new):
+    if front is None:
+        lo = _hook(c[1] for c in new)
+        if lo is None:
             return None  # no inverse letter to delete: projective
-        lo = p + 1
-    if b_right is None:
-        q = 0
-        while q < len(new) and new[len(new) - 1 - q][1]:
-            q += 1
-        if q == len(new):
+    if back is None:
+        cut = _hook(not c[1] for c in reversed(new))
+        if cut is None:
             return None
-        hi = len(new) - q - 1
+        hi -= cut
     if lo > hi:
         return None  # deletions overlap: projective
-    kept = new[lo:hi]
-    if kept:
-        return canonical_string(A, StringWord(tuple(kept)))
-    # trivial result: locate its vertex (and slot sign) in the big word
-    if lo > 0:
-        v = letter_s(A, new[lo - 1])
-        sgn = -_sigma_letter(A, new[lo - 1])
-    else:
-        v = letter_t(A, new[hi])
-        sgn = _epsilon_letter(A, new[hi])
-    return canonical_string(A, StringWord((), v, sgn))
-
-
-def _sigma_letter(A, c):
-    return A.epsilon[c[0]] if c[1] else A.sigma[c[0]]
-
-
-def _epsilon_letter(A, c):
-    return A.sigma[c[0]] if c[1] else A.epsilon[c[0]]
+    if lo < hi:
+        return canonical_string(A, StringWord(tuple(new[lo:hi])))
+    # trivial result: the vertex between the deleted parts (its sign is
+    # immaterial, canonical_string sets it to 1)
+    v = letter_s(A, new[lo - 1]) if lo else letter_t(A, new[0])
+    return canonical_string(A, StringWord((), v))
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +589,13 @@ def _epsilon_letter(A, c):
 def _string_splits(A, C, kind):
     """Factorizations (D, E, F) of a string; kind 'sub' for S(C) and
     'quot' for F(C).  Yields (i, j, E) with E a letter tuple or
-    ('triv', vertex)."""
+    ('triv', vertex).  The letter before E (if any) is inverse for 'sub'
+    and direct for 'quot'; inverted, the letter after E is the letter
+    before E^- in the inverse word, so its own flag is the other one."""
     if C.is_trivial:
         yield (0, 0, ("triv", C.vertex))
         return
+    before = kind == "sub"
     ls = C.letters
     m = len(ls)
 
@@ -631,19 +603,11 @@ def _string_splits(A, C, kind):
         return letter_t(A, ls[i]) if i < m else letter_s(A, ls[m - 1])
 
     for i in range(m + 1):
-        if kind == "sub":
-            if not (i == 0 or ls[i - 1][1]):
-                continue
-        else:
-            if not (i == 0 or not ls[i - 1][1]):
-                continue
+        if i and ls[i - 1][1] != before:
+            continue
         for j in range(i, m + 1):
-            if kind == "sub":
-                if not (j == m or not ls[j][1]):
-                    continue
-            else:
-                if not (j == m or ls[j][1]):
-                    continue
+            if j < m and ls[j][1] == before:
+                continue
             E = ls[i:j] if j > i else ("triv", vertex_at(i))
             yield (i, j, E)
 
@@ -653,19 +617,14 @@ def _band_occurrences(A, B, kind, max_len):
 
     kind 'quot': previous letter direct and next letter inverse (images
     of the band module); kind 'sub': the other way around."""
+    before = kind == "sub"
     ls = B.letters
     m = len(ls)
     for o in range(m):
-        prev = ls[(o - 1) % m]
-        if kind == "quot" and prev[1]:
-            continue
-        if kind == "sub" and not prev[1]:
+        if ls[(o - 1) % m][1] != before:
             continue
         for L in range(0, max_len + 1):
-            nxt = ls[(o + L) % m]
-            if kind == "quot" and not nxt[1]:
-                continue
-            if kind == "sub" and nxt[1]:
+            if ls[(o + L) % m][1] == before:
                 continue
             E = tuple(ls[(o + t) % m] for t in range(L)) if L else \
                 ("triv", letter_t(A, ls[o]))
@@ -705,12 +664,12 @@ def standard_homs(A, X, Y):
         max_q = (len(Y) if not y_band else len(X) + len(Y)) + 2
         quots = list(_band_occurrences(A, X, "quot", max_q))
     else:
-        quots = [(i, j, E) for i, j, E in _string_splits(A, X, "quot")]
+        quots = list(_string_splits(A, X, "quot"))
     if y_band:
         max_s = (len(X) if not x_band else len(X) + len(Y)) + 2
         subs = list(_band_occurrences(A, Y, "sub", max_s))
     else:
-        subs = [(i, j, E) for i, j, E in _string_splits(A, Y, "sub")]
+        subs = list(_string_splits(A, Y, "sub"))
     for qa, qb, E1 in quots:
         for sa, sb, E2 in subs:
             oriented = _match(E1, E2)

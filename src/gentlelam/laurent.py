@@ -29,7 +29,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from operator import mul
-from .errors import InputError
+from .errors import InputError, InternalError
 from .homological import DecoratedModule, g_vector
 from .strings import BandWord, DictionaryExhausted, decompose, word_sum, \
     word_walk
@@ -162,7 +162,7 @@ def signed_adjacency(T):
     for i in range(n):
         for j in range(n):
             if b[i][j] + b[j][i] != 0:
-                raise AssertionError("signed adjacency not skew-symmetric")
+                raise InternalError("signed adjacency not skew-symmetric")
     return b
 
 

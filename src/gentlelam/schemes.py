@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 from .errors import FalseVerdict, InputError, InternalError
 from .exactlinalg import sparse_rank
-from .homological import (_ext1_of_presentation, _relation_rows,
-                          _tau_of_presentation, ext1_complex_dim, g_vector,
-                          hom_dim_oracle, min_proj_presentation)
+from .homological import (DecoratedModule, _ext1_of_presentation,
+                          _relation_rows, _tau_of_presentation,
+                          ext1_complex_dim, g_vector, hom_dim_oracle,
+                          min_proj_presentation)
 from .quiver import is_jacobian, rho_blocks, transport_dimvec
 from .strings import (BandWord, InvalidString, band_module, band_parameters,
                       conjugate, decompose, enumerate_bands,
@@ -496,21 +497,8 @@ def _word_pairs(A, words, full=False):
 def generic_point(A, Z, seed=0):
     """A generic module of the component: the certified generic direct
     sum (distinct band parameters) under a random unimodular integer
-    conjugation, so its entries are integers.  The points of the latest
-    component asked for are memoized on the algebra object by (d, r,
-    seed), so `ceh_values` and `canonical_decomposition` share them;
-    none may change them.  A point of another component empties the
-    memo first, so it holds the seeds of one component only."""
-    memo = _algebra_memo(A, "_generic_points")
-    key = (Z.d, Z.r, seed)
-    if key not in memo:
-        if memo and next(iter(memo))[:2] != key[:2]:
-            memo.clear()
-        memo[key] = _generic_point(A, Z, seed)
-    return memo[key]
-
-
-def _generic_point(A, Z, seed):
+    conjugation, so its entries are integers.  The same (Z, seed) gives
+    an equal point on equal algebras."""
     words = generic_multiset(A, Z)
     rng = random.Random(seed)
     M = word_sum(A, words, band_parameters(rng))
@@ -610,6 +598,5 @@ class DecoratedComponent:
 
 def decorated_g_vector(A, DZ, seed=0):
     """Generic g-vector of a decorated component."""
-    from .homological import DecoratedModule, g_vector
     M = generic_point(A, DZ.component, seed)
     return g_vector(A, DecoratedModule(M, DZ.v))

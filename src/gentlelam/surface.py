@@ -16,8 +16,10 @@ use the two different sides of the crossed arc).
 
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, InternalError
+from .homological import hom_dim_oracle, tau_dtr
 from .quiver import Quiver, is_jacobian, validate_gentle
+from .schemes import DecoratedComponent, components, is_tau_reduced
 from .strings import BandWord, StringWord, band_module, canonical_band, \
     canonical_string, string_module, word_shape, word_walk
 
@@ -575,14 +577,49 @@ def _corner_between(T, tri, x, y):
 
 
 def _mk_open(T, crossings, transitions, pa, pb):
-    """Open CurveSeq with explicitly known transition triangles."""
-    assert len(transitions) == len(crossings) + 1
+    """Open CurveSeq with explicitly known transition triangles, one on
+    each side of every crossing."""
+    if len(transitions) != len(crossings) + 1:
+        raise InternalError(
+            f"{len(transitions)} transitions for {len(crossings)} crossings")
     for i, x in enumerate(crossings):
-        assert x in T.triangles[transitions[i]], (crossings, transitions)
-        assert x in T.triangles[transitions[i + 1]], (crossings, transitions)
+        if x not in T.triangles[transitions[i]] or \
+                x not in T.triangles[transitions[i + 1]]:
+            raise InternalError(
+                f"transitions {tuple(transitions)} miss crossing {x!r} of "
+                f"{tuple(crossings)}")
     return CurveSeq("open", crossings=tuple(crossings),
                     endpoints=(T.marker_of_marked(pa), T.marker_of_marked(pb)),
                     transitions=tuple(transitions))
+
+
+def _fan_sweep(T, P, gap, fwd):
+    """The arcs of P's fan that a curve leaving P through the fan corner
+    `gap` comes to cross when its endpoint moves one marked point
+    forward (fwd) or backward, in curve order from the new endpoint, and
+    the triangle travelled before each.  Forward they are the arcs
+    between the gap and the forward segment; backward, those between the
+    backward segment and the gap."""
+    edges, tris = T.fan(P)
+    if fwd:
+        ks = range(len(edges) - 2, gap, -1)
+        return [edges[k] for k in ks], [tris[k][0] for k in ks]
+    ks = range(1, gap + 1)
+    return [edges[k] for k in ks], [tris[k - 1][0] for k in ks]
+
+
+def _swept_arc(T, arc, fwd):
+    """(crossings, transitions, pa, pb): the curve that an arc with
+    endpoints pa and pb becomes when both move one marked point forward
+    (fwd) or backward.  It leaves each endpoint through the fan corner
+    beside the arc on the side it moves to."""
+    (pa, posa), (pb, posb) = _arc_fan_positions(T, arc)
+    ga, gb = (posa, posb) if fwd else (posa - 1, posb - 1)
+    pre, pre_tr = _fan_sweep(T, pa, ga, fwd)
+    post, post_tr = _fan_sweep(T, pb, gb, fwd)
+    gaps = [T.fan(pa)[1][ga][0], T.fan(pb)[1][gb][0]]
+    return (pre + [arc] + post[::-1], pre_tr + gaps + post_tr[::-1],
+            pa, pb)
 
 
 def rotate_tau(T, gamma, direction="forward"):
@@ -591,87 +628,53 @@ def rotate_tau(T, gamma, direction="forward"):
     Forward follows the induced orientation and realizes the AR
     translation on the module side; backward is its inverse.  Loops are
     fixed.  Arcs of the triangulation rotate to honest curves, and
-    curves of projective modules collapse forward onto arcs.
+    curves of projective modules collapse forward onto arcs.  Each
+    endpoint of an open curve is moved as the start of the curve or of
+    the reversed curve, by one routine (`end`).
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     if gamma.kind == "loop":
         return gamma
     fwd = direction == "forward"
-
-    def swept(P, stop_fwd, stop_bwd):
-        """(arcs crossed at this end in curve order, transitions before
-        each of them)."""
-        edges, tris = T.fan(P)
-        K = len(edges) - 1
-        if fwd:
-            ks = list(range(K - 1, stop_fwd, -1))
-            return [edges[k] for k in ks], [tris[k][0] for k in ks]
-        ks = list(range(1, stop_bwd))
-        return [edges[k] for k in ks], [tris[k - 1][0] for k in ks]
-
-    def moved(P):
-        return T.next_marked(P) if fwd else T.prev_marked(P)
-
+    step = T.next_marked if fwd else T.prev_marked
     if gamma.kind == "arc":
-        (pa, posa), (pb, posb) = _arc_fan_positions(T, gamma.arc)
-        tris_a, tris_b = T.fan(pa)[1], T.fan(pb)[1]
-        pre, pre_tr = swept(pa, posa, posa)
-        post, post_tr = swept(pb, posb, posb)
-        gap_a = tris_a[posa if fwd else posa - 1][0]
-        gap_b = tris_b[posb if fwd else posb - 1][0]
-        crossings = pre + [gamma.arc] + list(reversed(post))
-        trans = pre_tr + [gap_a, gap_b] + list(reversed(post_tr))
-        return _mk_open(T, crossings, trans, moved(pa), moved(pb))
+        crossings, trans, pa, pb = _swept_arc(T, gamma.arc, fwd)
+        return _mk_open(T, crossings, trans, step(pa), step(pb))
     if gamma.kind != "open":
         raise NotOpenCurve("only arcs and open curves rotate")
-    pa = T.marked_of_marker(gamma.endpoints[0])
-    pb = T.marked_of_marker(gamma.endpoints[1])
-    ga = _gap_index(T, pa, gamma.transitions[0], gamma.crossings[0])
-    gb = _gap_index(T, pb, gamma.transitions[-1], gamma.crossings[-1])
-    pa2, pb2 = moved(pa), moved(pb)
-    Ka = len(T.fan(pa)[0]) - 1
-    Kb = len(T.fan(pb)[0]) - 1
-    seq = list(gamma.crossings)
-    otr = list(gamma.transitions)
+
+    def end(marker, seq, tr, limit):
+        """Move the endpoint `marker` at the start of the curve with
+        crossings `seq` and transitions `tr`: (arcs swept in front of
+        seq, the triangle before each, the number of crossings unhooked
+        from the front of seq, at most `limit`, the new endpoint)."""
+        P = T.marked_of_marker(marker)
+        P2 = step(P)
+        gap = _gap_index(T, P, tr[0], seq[0])
+        if gap != (len(T.fan(P)[0]) - 2 if fwd else 0):
+            return (*_fan_sweep(T, P, gap, fwd), 0, P2)
+        # the curve leaves P beside the segment to P2: slide around P2,
+        # unhooking crossings while the corner between consecutive
+        # crossings stays at P2
+        n = 0
+        while n < limit and P2 in T.endpoints_of_edge(seq[n]):
+            if n and _corner_between(T, tr[n], seq[n - 1], seq[n]) != P2:
+                break
+            n += 1
+        return [], [], n, P2
+
+    seq, otr = gamma.crossings, gamma.transitions
     m = len(seq)
-    lo, hi = 0, m
-    front_removed = back_removed = None
-    if (ga == Ka - 1) if fwd else (ga == 0):
-        # slide around pa2: unhook crossings while the corner between
-        # consecutive crossings stays at pa2
-        front_removed = []
-        if pa2 in T.endpoints_of_edge(seq[0]):
-            front_removed.append(seq[0])
-            lo = 1
-            while lo < m and pa2 in T.endpoints_of_edge(seq[lo]) and \
-                    _corner_between(T, otr[lo], seq[lo - 1], seq[lo]) == pa2:
-                front_removed.append(seq[lo])
-                lo += 1
-        pre, pre_tr = [], []
-    else:
-        pre, pre_tr = swept(pa, ga, ga + 1)
-    if (gb == Kb - 1) if fwd else (gb == 0):
-        back_removed = []
-        if hi > lo and pb2 in T.endpoints_of_edge(seq[hi - 1]):
-            back_removed.append(seq[hi - 1])
-            hi -= 1
-            while hi > lo and pb2 in T.endpoints_of_edge(seq[hi - 1]) and \
-                    _corner_between(T, otr[hi], seq[hi - 1],
-                                    seq[hi]) == pb2:
-                back_removed.append(seq[hi - 1])
-                hi -= 1
-        post, post_tr = [], []
-    else:
-        post, post_tr = swept(pb, gb, gb + 1)
-    kept = pre + seq[lo:hi] + list(reversed(post))
+    pre, pre_tr, lo, pa2 = end(gamma.endpoints[0], seq, otr, m)
+    # the back end may unhook what the front end left, no more
+    post, post_tr, cut, pb2 = end(gamma.endpoints[1], seq[::-1], otr[::-1],
+                                  m - lo)
+    hi = m - cut
+    kept = pre + list(seq[lo:hi]) + post[::-1]
     if not kept:
-        if front_removed:
-            cand = front_removed[-1]
-        elif back_removed:
-            cand = back_removed[-1]
-        else:
-            raise InconsistentSequence("rotation collapsed unexpectedly")
+        # the last crossing unhooked; an open curve crosses at least once
+        cand = seq[lo - 1] if lo else seq[hi]
         want = {pa2, pb2} if pa2 != pb2 else {pa2}
         if T.endpoints_of_edge(cand) != want:
             others = sorted(a for a in T.internal_arcs
@@ -682,7 +685,7 @@ def rotate_tau(T, gamma, direction="forward"):
             cand = others[0]
         return CurveSeq("arc", arc=cand)
     # transitions of the kept middle: otr[lo..hi] inclusive
-    trans = pre_tr + otr[lo:hi + 1] + list(reversed(post_tr))
+    trans = pre_tr + list(otr[lo:hi + 1]) + post_tr[::-1]
     return _mk_open(T, kept, trans, pa2, pb2)
 
 
@@ -691,13 +694,12 @@ def rotate_tau(T, gamma, direction="forward"):
 
 
 def _extended_data(T, gamma):
-    """(items, tri_between, prev_edge, next_edge, cyclic) for the curve
-    after the half rotation of its endpoints.
+    """(items, tri_before, tri_after, prev_edge, next_edge) for the curve
+    after the half rotation of its endpoints: per item, the triangles
+    travelled before and after it and its neighbouring edges.
 
-    For open curves and arcs, tri_between[i] is the triangle travelled
-    before item i (and tri_between[M] the one after the last item); the
-    sentinel neighbours of the outermost items are the forward boundary
-    segments of the endpoints.
+    For open curves and arcs the sentinel neighbours of the outermost
+    items are the forward boundary segments of the endpoints.
     """
     if gamma.kind == "loop":
         items = list(gamma.crossings)
@@ -708,36 +710,20 @@ def _extended_data(T, gamma):
         tri_before = [tb[(k - 1) % m] for k in range(m)]
         tri_after = [tb[k] for k in range(m)]
         return items, tri_before, tri_after, prev_e, next_e
-
-    def head(P, stop):
-        """Swept arcs at an end, with the triangle before each; the fan
-        corner below each swept edge carries the following triangle."""
-        edges, tris = T.fan(P)
-        K = len(edges) - 1
-        arcs = [edges[k] for k in range(K - 1, stop, -1)]
-        before = [tris[k][0] for k in range(K - 1, stop, -1)]
-        return arcs, before
-
+    # tri_between[i] is the triangle travelled before item i, and its
+    # last entry the one after the last item
     if gamma.kind == "arc":
-        (pa, posa), (pb, posb) = _arc_fan_positions(T, gamma.arc)
-        tris_a, tris_b = T.fan(pa)[1], T.fan(pb)[1]
-        arcs_a, before_a = head(pa, posa)
-        arcs_b, before_b = head(pb, posb)
-        items = arcs_a + [gamma.arc] + list(reversed(arcs_b))
-        tri_between = before_a + [tris_a[posa][0]] + \
-            [tris_b[posb][0]] + list(reversed(before_b))
-        sa, sb = T.forward_segment(pa), T.forward_segment(pb)
+        items, tri_between, pa, pb = _swept_arc(T, gamma.arc, True)
     else:
         pa = T.marked_of_marker(gamma.endpoints[0])
         pb = T.marked_of_marker(gamma.endpoints[1])
         ga = _gap_index(T, pa, gamma.transitions[0], gamma.crossings[0])
         gb = _gap_index(T, pb, gamma.transitions[-1], gamma.crossings[-1])
-        arcs_a, before_a = head(pa, ga)
-        arcs_b, before_b = head(pb, gb)
-        items = arcs_a + list(gamma.crossings) + list(reversed(arcs_b))
-        tri_between = before_a + list(gamma.transitions) + \
-            list(reversed(before_b))
-        sa, sb = T.forward_segment(pa), T.forward_segment(pb)
+        arcs_a, before_a = _fan_sweep(T, pa, ga, True)
+        arcs_b, before_b = _fan_sweep(T, pb, gb, True)
+        items = arcs_a + list(gamma.crossings) + arcs_b[::-1]
+        tri_between = before_a + list(gamma.transitions) + before_b[::-1]
+    sa, sb = T.forward_segment(pa), T.forward_segment(pb)
     m = len(items)
     prev_e = [sa if k == 0 else items[k - 1] for k in range(m)]
     next_e = [sb if k == m - 1 else items[k + 1] for k in range(m)]
@@ -803,7 +789,6 @@ def int_zero(T, gamma, delta, algebra=None):
     else goes through the vanishing of Hom(M, tau N) in both orders,
     with distinct band parameters for equal loops.
     """
-    from .homological import hom_dim_oracle, tau_dtr
     A = algebra or build_QT(T)
     if gamma.kind == "arc" and delta.kind == "arc":
         return True
@@ -868,8 +853,6 @@ def _curve_key(T, A, gamma):
 
 def eta(T, L, algebra=None):
     """The generically tau-reduced decorated component of a lamination."""
-    from .schemes import Component, DecoratedComponent, components, \
-        is_tau_reduced
     A = algebra or build_QT(T)
     n = A.n
     v = [0] * n

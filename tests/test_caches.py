@@ -1,7 +1,7 @@
 """Objects built once and kept on the object they describe."""
 
-from gentlelam import (Quiver, build_QT, components, generic_point,
-                       rho_blocks, validate_gentle)
+from gentlelam import (Quiver, Triangulation, build_QT, components,
+                       generic_point, rho_blocks, validate_gentle)
 from gentlelam.homological import projective_rep
 
 
@@ -31,23 +31,14 @@ def test_blocks_kept_on_algebra(pants_algebra):
     assert rho_blocks(A) is not rho_blocks(B)
 
 
-def test_generic_points_kept_on_algebra(pants_algebra):
-    A = pants_algebra
-    Z = components(A, (1, 1, 1, 1, 1, 1))[0]
-    M = generic_point(A, Z, 4)
-    assert generic_point(A, Z, 4) is M
-    assert generic_point(A, Z, 5) is not M
-    assert generic_point(A, Z, 5) is generic_point(A, Z, 5)
-
-
-def test_fresh_algebra_starts_with_empty_generic_point_memo():
-    q = Quiver(3, (("a", 2, 1), ("b", 3, 2)))
-    A, B = (validate_gentle(q, [("a", "b")]) for _ in range(2))
-    assert not A.__dict__.get("_generic_points")
-    Z = components(A, (1, 1, 1))[0]
-    M = generic_point(A, Z, 0)
-    assert len(A.__dict__["_generic_points"]) == 1
-    # an equal algebra is a distinct object with its own memo
-    assert not B.__dict__.get("_generic_points")
-    assert generic_point(B, Z, 0) is not M
-    assert generic_point(B, Z, 0) == M
+def test_generic_point_is_determined_by_component_and_seed(pants):
+    A = build_QT(pants)
+    B = build_QT(Triangulation(pants.internal_arcs, pants.boundary_segments,
+                               pants.triangles))
+    assert A == B and A is not B
+    for Z in components(A, (1, 1, 1, 1, 1, 1)):
+        for seed in (4, 5):
+            M = generic_point(A, Z, seed)
+            assert generic_point(A, Z, seed) == M
+            # an equal fresh algebra gives an equal point
+            assert generic_point(B, Z, seed) == M

@@ -1,6 +1,6 @@
 import pytest
 
-from gentlelam import (BandWord, CurveSeq, InconsistentSequence,
+from gentlelam import (BandWord, CurveSeq, InconsistentSequence, InternalError,
                        InvalidLamination, InvalidTriangulation, StringWord,
                        Triangulation, band_module, band_to_curve, build_QT,
                        canonical_band, canonical_string, coefficient_quiver,
@@ -126,6 +126,38 @@ def test_rotation_realizes_tau(pants, hexagon):
                     canonical_string(A, t_comb), str(C)
 
 
+def test_backward_rotation_undoes_forward(pants, hexagon, annulus):
+    # both endpoints of open curves, moved each way: only arcs were
+    # rotated backward elsewhere
+    seen = 0
+    for T in (pants, hexagon, annulus):
+        A = build_QT(T)
+        for C in enumerate_strings(A, 10):
+            g = string_to_curve(T, A, C)
+            r = rotate_tau(T, g, "forward")
+            if r.kind == "arc":
+                continue  # a projective module
+            back = rotate_tau(T, r, "backward")
+            assert curve_to_module(T, back) == curve_to_module(T, g), str(C)
+            seen += 1
+    assert seen == 704 + 3 + 20
+
+
+def test_rotation_checks_its_transitions(hexagon):
+    from gentlelam.surface import _mk_open
+    g = CurveSeq("arc", arc=1)
+    r = rotate_tau(hexagon, g, "forward")
+    P, Q = (hexagon.marked_of_marker(e) for e in r.endpoints)
+    assert _mk_open(hexagon, r.crossings, r.transitions, P, Q) == r
+    # a transition triangle that misses its crossing
+    wrong = next(t for t in range(len(hexagon.triangles))
+                 if r.crossings[0] not in hexagon.triangles[t])
+    with pytest.raises(InternalError):
+        _mk_open(hexagon, r.crossings, (wrong,) + r.transitions[1:], P, Q)
+    with pytest.raises(InternalError):
+        _mk_open(hexagon, r.crossings, r.transitions[1:], P, Q)
+
+
 def test_projective_curve_lands_on_arc(hexagon):
     A = build_QT(hexagon)
     # tau-inverse of each arc is the curve of a projective
@@ -155,14 +187,20 @@ def test_shear_linearity(pants, pants_algebra):
     assert shear_of_lamination(pants, L) == want
 
 
-def test_shear_matches_g_vector_of_strings(pants, pants_algebra):
+def test_shear_matches_g_vector_of_strings(pants, hexagon, annulus):
     from gentlelam import DecoratedModule, g_vector
-    A = pants_algebra
-    for C in enumerate_strings(A, 5)[::11]:
-        g = string_to_curve(pants, A, C)
-        s = shear_coordinates(pants, g)
-        gv = g_vector(A, DecoratedModule(string_module(A, C), (0,) * 6))
-        assert s == gv, str(C)
+    seen = 0
+    for T in (pants, hexagon, annulus):
+        A = build_QT(T)
+        curves = [(string_to_curve(T, A, C), string_module(A, C))
+                  for C in enumerate_strings(A, 10)]
+        curves += [(band_to_curve(T, A, B), band_module(A, B, 2))
+                   for B in enumerate_bands(A, 10)]
+        for g, M in curves:
+            gv = g_vector(A, DecoratedModule(M, (0,) * A.n))
+            assert shear_coordinates(T, g) == gv, str(g)
+        seen += len(curves)
+    assert seen == 746
 
 
 def test_int_zero_cases(pants, pants_algebra):
