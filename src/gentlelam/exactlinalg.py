@@ -19,8 +19,8 @@ inverse of a unimodular integer matrix is an integer matrix); `rref`
 and `solve` carry Fraction entries.
 """
 
+import itertools
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
 
@@ -28,7 +28,10 @@ def _int_row(row):
     """A dense or {col: value} row as {col: int}, denominators cleared."""
     out = {c: v for c, v in
            (row.items() if isinstance(row, dict) else enumerate(row)) if v}
-    if all(type(v) is int for v in out.values()):
+    for v in out.values():
+        if type(v) is not int:
+            break
+    else:
         return out
     den = _denominator(out.values())
     return {c: int(v * den) for c, v in out.items()}
@@ -47,15 +50,24 @@ def _primitive(row):
     g = 0
     for v in row.values():
         g = gcd(g, v)
+        if g == 1:
+            return row
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _clear(row, piv, c):
-    """An integer multiple of row minus one of piv, zero in column c."""
+    """b row - a piv divided by gcd(a, b), for a = row[c] and b = piv[c]:
+    an integer multiple of row minus one of piv, zero in column c.  On a
+    pivot entry b = +-1 the row is copied or negated, not rescaled."""
     a, b = row[c], piv[c]
-    g = gcd(a, b)
-    ma, mb = b // g, a // g
-    new = {cc: vv * ma for cc, vv in row.items()}
+    if b == 1:
+        new, mb = dict(row), a
+    elif b == -1:
+        new, mb = {cc: -vv for cc, vv in row.items()}, a
+    else:
+        g = gcd(a, b)
+        ma, mb = b // g, a // g
+        new = {cc: vv * ma for cc, vv in row.items()}
     for cc, vv in piv.items():
         w = new.get(cc, 0) - vv * mb
         if w:
@@ -202,11 +214,16 @@ def rational_roots(coeffs):
     given from the leading coefficient down, as Fractions: the zero
     roots first, then the others in increasing order.
 
-    The coefficients are scaled to integers.  After the zero roots are
-    stripped, a root p/q in lowest terms has p dividing the constant and
-    q the leading coefficient.  Each candidate is tested by the
-    homogeneous value sum_i a_i p^(n-i) q^i and divided out as the
-    factor q x - p, which leaves an integer quotient (Gauss's lemma)."""
+    The coefficients are scaled to integers a_0 x^n + ... + a_n.  After
+    the zero roots are stripped, y = a_0 x turns the polynomial into the
+    monic integer one h(y) = sum_i a_i a_0^(i-1) y^(n-i), whose rational
+    roots are integers (`_integer_roots`); each root y / a_0 = p/q is
+    divided out as the factor q x - p as often as the homogeneous value
+    sum_i a_i p^(n-i) q^i is zero, which leaves an integer quotient
+    (Gauss's lemma).  No divisor of a coefficient is enumerated: in a
+    characteristic polynomial the constant is a power of a repeated
+    eigenvalue, and trial division up to its square root can take
+    hours."""
     row = _int_row(coeffs)
     if not row:
         return []
@@ -215,30 +232,86 @@ def rational_roots(coeffs):
     ic = [row.get(i, 0) for i in range(lo, hi + 1)]
     if len(ic) <= 1:
         return roots
-    cands = set()
-    for p in _divisors(ic[-1]):
-        for q in _divisors(ic[0]):
-            g = gcd(p, q)
-            cands.add((p // g, q // g))
-            cands.add((-p // g, q // g))
-    for p, q in sorted(cands, key=cmp_to_key(
-            lambda x, y: x[0] * y[1] - y[0] * x[1])):
+    a = ic[0]
+    h = [1] + [c * a ** i for i, c in enumerate(ic[1:])]
+    for r in sorted(Fraction(y, a) for y in _integer_roots(h)):
+        p, q = r.numerator, r.denominator
         while len(ic) > 1 and _homogeneous_value(ic, p, q) == 0:
-            roots.append(Fraction(p, q))
+            roots.append(r)
             ic = _divide_linear(ic, p, q)
     return roots
 
 
-def _divisors(k):
-    k = abs(k)
-    out = set()
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            out.add(d)
-            out.add(k // d)
-        d += 1
+def _integer_roots(h):
+    """The distinct integer roots of a monic integer polynomial h (from
+    the leading coefficient down) with h(0) != 0.
+
+    They are the roots of its squarefree part g = h / gcd(h, h'), which is
+    monic and integral (Gauss's lemma) and has only simple roots.  For the
+    first prime l at which every root of g modulo l is simple, each root
+    modulo l lifts (Hensel, quadratically) to a unique root modulo some
+    m > 2 (1 + max |g_i|), twice Cauchy's bound on the roots; the
+    symmetric residue is kept when it is an exact root.  Every integer
+    root reduces to one of the roots modulo l, so none is missed, and the
+    work grows with the number of digits of the roots, not their size."""
+    g = _squarefree(h)
+    dg = [c * (len(g) - 1 - i) for i, c in enumerate(g[:-1])]
+    bound = 2 * (1 + max(abs(c) for c in g[1:]))
+    ell = 2
+    while True:
+        rs = [r for r in range(ell) if _homogeneous_value(g, r, 1) % ell == 0]
+        if all(_homogeneous_value(dg, r, 1) % ell for r in rs):
+            break
+        ell = next(k for k in itertools.count(ell + 1)
+                   if all(k % j for j in range(2, k)))
+    out = []
+    for r in rs:
+        m = ell
+        while m <= bound:
+            m *= m
+            r = (r - _homogeneous_value(g, r, 1)
+                 * pow(_homogeneous_value(dg, r, 1), -1, m)) % m
+        r = r - m if 2 * r > m else r
+        if _homogeneous_value(g, r, 1) == 0:
+            out.append(r)
     return out
+
+
+def _squarefree(h):
+    """h / gcd(h, h') for a monic integer polynomial h (from the leading
+    coefficient down), as a monic integer polynomial.  The gcd comes from
+    Euclid's algorithm over Z[x] with primitive pseudo-remainders; it is
+    an associate of a monic integer polynomial (Gauss's lemma), so made
+    primitive its leading coefficient is +-1, and the division by it stays
+    in the integers."""
+    n = len(h) - 1
+    a, b = h, [c * (n - i) for i, c in enumerate(h[:-1])]
+    while len(b) > 1:
+        a, b = b, _pseudo_remainder(a, b)
+    if b:
+        return h  # a constant remainder: h and h' are coprime
+    a = list(_primitive(dict(enumerate(a))).values())
+    a = [x * a[0] for x in a]  # monic, as a[0] = +-1
+    quo, rem = [], list(h)
+    while len(rem) >= len(a):
+        c = rem[0]
+        quo.append(c)
+        rem = [x - c * y for x, y in zip(rem[1:], a[1:])] + rem[len(a):]
+    return quo
+
+
+def _pseudo_remainder(a, b):
+    """The primitive part of the remainder of b[0]^k a by b (k = one more
+    than the difference of the degrees), over Z[x], with no leading
+    zeros; [] when b divides a."""
+    rem = list(a)
+    while len(rem) >= len(b):
+        c = rem[0]
+        rem = [x * b[0] - c * y for x, y in zip(rem[1:], b[1:])] + \
+            [x * b[0] for x in rem[len(b):]]
+    while rem and not rem[0]:
+        rem.pop(0)
+    return list(_primitive(dict(enumerate(rem))).values())
 
 
 def _homogeneous_value(ic, p, q):

@@ -24,10 +24,9 @@ from .homological import (DecoratedModule, _ext1_of_presentation,
                           ext1_complex_dim, g_vector, hom_dim_oracle,
                           min_proj_presentation)
 from .quiver import is_jacobian, rho_blocks, transport_dimvec
-from .strings import (BandWord, InvalidString, band_module, band_parameters,
-                      conjugate, decompose, enumerate_bands,
-                      enumerate_strings, random_glpoint, rank_function_of,
-                      string_module, word_shape, word_sum)
+from .strings import (BandWord, InvalidString, _algebra_memo, _word_rep,
+                      _word_table, band_parameters, conjugate, decompose,
+                      random_glpoint, rank_function_of, word_sum)
 
 
 class NotJacobian(InputError):
@@ -334,16 +333,6 @@ def is_tau_reduced(A, Z):
     return not block_critical_summands(A, Z)
 
 
-def _algebra_memo(A, name):
-    """The dict named `name` kept on the algebra object (empty at first
-    use), so a memo lives and dies with the algebra it describes."""
-    memo = A.__dict__.get(name)
-    if memo is None:
-        memo = {}
-        object.__setattr__(A, name, memo)
-    return memo
-
-
 def _pack(values, width):
     return sum(v << (k * width) for k, v in enumerate(values))
 
@@ -360,25 +349,23 @@ def _candidates(A, d, bound):
     the dims fields.  For a state s (a remainder packed, with the guards
     set) and a shape c, every field of s - c is >= 0 iff (s - c) & guards
     == guards: a field that goes negative clears its own guard and
-    borrows nothing from the next one.  The list depends on (d, bound)
-    only and is kept on the algebra, as are the word shapes, each with
-    the first object of its word, which every later list then holds in
-    place of its own copy."""
+    borrows nothing from the next one.  The words and their shapes are
+    read off the word table of the algebra (`strings._word_table`, which
+    `decompose` reads too): the bands of length <= min(bound, sum d) and
+    the strings one shorter, whose modules have at most that dimension.
+    The list depends on (d, bound) only and is kept on the algebra."""
     memo = _algebra_memo(A, "_candidates")
     key = (d, bound)
     if key not in memo:
-        shapes = _algebra_memo(A, "_word_shapes")
         width = sum(d).bit_length() + 1
         length = min(bound, sum(d))
         cand = []
-        for w in (enumerate_bands(A, length, d)
-                  + enumerate_strings(A, length - 1, d)):
-            if w not in shapes:
-                shapes[w] = (w,) + word_shape(A, w)
-            w, dims, ranks = shapes[w]
-            shape = (dims + tuple(ranks[a] for a in A.arrow_ids)
-                     + (int(not isinstance(w, BandWord)),))
-            cand.append((-sum(dims), str(w), w, _pack(shape, width)))
+        for shape, words in _word_table(A, d, length).items():
+            for w in words:
+                band = isinstance(w, BandWord)
+                if band or len(w) < length:
+                    cand.append((-sum(shape[:A.n]), str(w), w,
+                                 _pack(shape + (int(not band),), width)))
         cand.sort(key=lambda x: x[:2])
         slots = A.n + len(A.arrow_ids) + 1
         memo[key] = ([x[2:] for x in cand], width,
@@ -458,20 +445,20 @@ def _word_pairs(A, words, full=False):
     Ext^1 comes from the standard complex (`ext1_complex_dim`), and
     dim Hom(M_i, tau M_j) = dim Hom(M_j, M_i) + g(M_j) . dim M_i (the
     dual E-invariant formula), so no presentation and no tau is built.
-    Each small module and its g-vector are built once per (word,
-    parameter) and kept on the algebra too (`_word_modules`)."""
+    Each small module (`strings._word_rep`) and its g-vector are built
+    once per (word, parameter) and kept on the algebra too
+    (`_word_gvectors`)."""
     memo = _algebra_memo(A, "_word_pairs")
     lams = band_parameters()
     summands = [(w, next(lams)) if isinstance(w, BandWord) else (w, None)
                 for w in words]
-    built = _algebra_memo(A, "_word_modules")  # -> (M, g-vector of M)
+    gvecs = _algebra_memo(A, "_word_gvectors")
 
     def small(x):
-        if x not in built:
-            w, lam = x
-            M = string_module(A, w) if lam is None else band_module(A, w, lam)
-            built[x] = (M, g_vector(A, M))
-        return built[x]
+        M = _word_rep(A, *x)
+        if x not in gvecs:
+            gvecs[x] = g_vector(A, M)
+        return M, gvecs[x]
 
     def pair(x, y, same):
         key = (x[0], y[0], same)

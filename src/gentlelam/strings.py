@@ -41,6 +41,12 @@ class DictionaryExhausted(InternalError):
     pass
 
 
+class SubspaceNotInvariant(InternalError):
+    """`_subrep` was given per-vertex bases whose span an arrow leaves:
+    every caller passes kernels and images of endomorphisms, or
+    coordinate blocks of the support graph, which are invariant."""
+
+
 def letter(arrow_id, inv=False):
     return (arrow_id, bool(inv))
 
@@ -77,6 +83,16 @@ class _LetterTable:
     after: dict  # letter x -> the letters y with (x, y) in pairs
     source: dict  # letter -> letter_s
     target: dict  # letter -> letter_t
+
+
+def _algebra_memo(A, name):
+    """The dict named `name` kept on the algebra object (empty at first
+    use), so a memo lives and dies with the algebra it describes."""
+    memo = A.__dict__.get(name)
+    if memo is None:
+        memo = {}
+        object.__setattr__(A, name, memo)
+    return memo
 
 
 def _letter_table(A):
@@ -351,6 +367,48 @@ def word_shape(A, w):
     return tuple(dims), ranks
 
 
+def _word_table(A, dims, bound):
+    """The canonical strings and bands of length <= bound whose modules
+    fit dims, grouped by shape: {dims + ranks in arrow order (read off
+    `word_shape`): the words of that shape}, strings in the order of
+    `enumerate_strings`, then bands in that of `enumerate_bands`.
+
+    A shape fixes the string count (sum dims - sum ranks: 1 for a string,
+    0 for a band), so each group holds strings only or bands only.  The
+    table is kept on the algebra by (dims, min(bound, sum dims)), since no
+    longer word fits; each word's shape is read once per algebra
+    (`_word_shapes`, with the first object of the word, which every later
+    table then holds in place of its own copy).  The search of
+    `schemes.generic_multiset` and `decompose` both read it."""
+    dims = tuple(dims)
+    key = (dims, min(bound, sum(dims)))
+    tables = _algebra_memo(A, "_word_tables")
+    table = tables.get(key)
+    if table is None:
+        shapes = _algebra_memo(A, "_word_shapes")
+        table = tables[key] = {}
+        for w in (enumerate_strings(A, key[1], dims)
+                  + enumerate_bands(A, key[1], dims)):
+            if w not in shapes:
+                wdims, ranks = word_shape(A, w)
+                shapes[w] = (w, wdims + tuple(ranks[a] for a in A.arrow_ids))
+            w, shape = shapes[w]
+            table.setdefault(shape, []).append(w)
+    return table
+
+
+def _word_rep(A, w, lam=None):
+    """The module of a StringWord, or of a BandWord with parameter lam,
+    built once per (word, parameter) and kept on the algebra
+    (`_word_modules`)."""
+    memo = _algebra_memo(A, "_word_modules")
+    M = memo.get((w, lam))
+    if M is None:
+        M = memo[(w, lam)] = (string_module(A, w) if lam is None
+                              else band_module(A, w, lam))
+    return M
+
+
 def rank_function_of(A, rep):
     r = {}
     for aid in A.arrow_ids:
@@ -585,13 +643,24 @@ def hom_basis(A, M, N):
 
 
 def iso_test(A, M, N):
-    """Invariants first, then an explicit invertible intertwiner."""
+    """Whether M and N are isomorphic: dimension vectors and rank
+    functions first, then an explicit invertible intertwiner
+    (`_invertible_hom`), which certifies every True."""
     if M.dims != N.dims:
         return False
     if M.dim() == 0:
         return True
     if rank_function_of(A, M) != rank_function_of(A, N):
         return False
+    return _invertible_hom(A, M, N)
+
+
+def _invertible_hom(A, M, N):
+    """Whether an element of Hom(M, N) found in eight tries is invertible
+    at every vertex, for M and N of equal dimension vectors: the sum of
+    the basis of `hom_basis`, then seven seeded integer combinations.  A
+    True is a certificate of M = N; a False is not one of M != N, and
+    callers that read it so compare invariants first."""
     basis = hom_basis(A, M, N)
     if not basis:
         return False
@@ -614,9 +683,10 @@ def _subrep(A, rep, bases):
 
     Per arrow, one echelon form of [target basis | images of the source
     basis] gives every image's coordinates: a pivot at or beyond the
-    basis width is an image outside the span, and otherwise the image of
-    source vector j has coordinate row[k + j] / row[i] on target basis
-    vector i."""
+    basis width is an image outside the span (`SubspaceNotInvariant`,
+    an internal error: callers pass invariant bases), and otherwise the
+    image of source vector j has coordinate row[k + j] / row[i] on target
+    basis vector i."""
     dims = tuple(len(b) for b in bases)
     mats = {}
     for aid in A.arrow_ids:
@@ -634,7 +704,7 @@ def _subrep(A, rep, bases):
                     rows[i][k + j] = x
         ech = _echelon(rows)
         if any(p >= k for p in ech):
-            raise ValueError("subspace not invariant")
+            raise SubspaceNotInvariant("subspace not invariant")
         mat = [[0] * dims[sv] for _ in range(k)]
         for i, row in ech.items():
             for j in range(dims[sv]):
@@ -660,36 +730,46 @@ def _endo_powers(A, rep, phi, p, q, power):
 
 
 def _try_split(A, rep, phi):
-    """Fitting split along ker/im of (phi - r)^dim for eigenvalues r.
+    """Split rep along the endomorphism phi, or None.
 
-    phi is block diagonal, so its eigenvalues are those of its blocks."""
+    phi is block diagonal, so its eigenvalues are those of its blocks;
+    `rational_roots` of each block's `charpoly` gives the rational ones
+    with multiplicity.  When they fill every vertex (each characteristic
+    polynomial splits over Q), rep is the direct sum of the generalized
+    eigenspaces ker (phi - r)^dim, one block per distinct root r, each a
+    subrepresentation since phi commutes with the arrows; a single root
+    gives no split.  Otherwise the Fitting split rep = ker (phi - r)^dim
+    + im (phi - r)^dim is tried at one rational root r at a time, 0
+    included, in increasing order."""
     total = rep.dim()
-    roots = {Fraction(0)}
+    mult = {}
     for v in range(A.n):
         if rep.dims[v]:
-            roots.update(rational_roots(charpoly(phi[v])))
-    for r in sorted(roots):
+            for r in rational_roots(charpoly(phi[v])):
+                mult[r] = mult.get(r, 0) + 1
+
+    def kernels(r):
         powers = _endo_powers(A, rep, phi, r.numerator, r.denominator, total)
-        ker = [nullspace(p, d) for p, d in zip(powers, rep.dims)]
-        kdim = sum(len(b) for b in ker)
-        if 0 < kdim < total:
+        return powers, [nullspace(p, d) for p, d in zip(powers, rep.dims)]
+
+    if sum(mult.values()) == total:
+        if len(mult) == 1:
+            return None
+        return [_subrep(A, rep, kernels(r)[1]) for r in sorted(mult)]
+    for r in sorted(mult.keys() | {Fraction(0)}):
+        powers, ker = kernels(r)
+        if 0 < sum(map(len, ker)) < total:
             im = [rref(list(zip(*p)), d)[0] for p, d in zip(powers, rep.dims)]
-            try:
-                left = _subrep(A, rep, ker)
-                right = _subrep(A, rep, im)
-            except ValueError:
-                continue
-            if left.dim() + right.dim() == total:
-                return [left, right]
+            return [_subrep(A, rep, ker), _subrep(A, rep, im)]
     return None
 
 
-def _split_once(A, rep, rng):
-    """Try the Fitting split along each basis endomorphism, then along
-    six random combinations of them.  The six coefficient vectors are
-    drawn up front, so `rng` advances the same whichever candidate
-    splits; each combination is built only when the ones before it
-    failed."""
+def _split_once(A, rep, rng, table):
+    """Try `_try_split` along each basis endomorphism, then along six
+    random combinations of them, then along the endomorphisms of
+    `_through_words`.  The six coefficient vectors are drawn up front,
+    so `rng` advances the same whichever candidate splits; each candidate
+    is built only when the ones before it failed."""
     basis = hom_basis(A, rep, rep)
     if len(basis) == 1:
         return None
@@ -700,11 +780,38 @@ def _split_once(A, rep, rng):
                   for j in range(rep.dims[v])] for i in range(rep.dims[v])]
                 for v in range(A.n)]
 
-    for phi in itertools.chain(basis, map(combination, coefs)):
+    for phi in itertools.chain(basis, map(combination, coefs),
+                               _through_words(A, rep, table)):
         blocks = _try_split(A, rep, phi)
         if blocks:
             return blocks
     return None
+
+
+def _through_words(A, rep, table):
+    """Endomorphisms f g of rep, for the word modules W of `table` whose
+    dims and ranks fit under rep's and every f in the basis of
+    Hom(W, rep) and g in that of Hom(rep, W).  The nonzero eigenvalues of
+    f g are those of g f, which lies in End(W) = Q + rad and so has one
+    eigenvalue c, rational.  When W is a summand of rep some pair has
+    c != 0, and then f g has the rational eigenvalues c and 0, along which
+    `_try_split` splits.  They split repeated summands M + M, on which
+    every random endomorphism may act as X (x) id_M with X irreducible
+    over Q."""
+    rf = rank_function_of(A, rep)
+    top = rep.dims + tuple(rf[a] for a in A.arrow_ids)
+    for shape, words in table.items():
+        if any(x > y for x, y in zip(shape, top)):
+            continue
+        for w in words:
+            lams = ([None] if not isinstance(w, BandWord)
+                    else band_lambda_candidates(A, w, rep))
+            for lam in lams:
+                W = _word_rep(A, w, lam)
+                gs = hom_basis(A, rep, W)
+                for f in hom_basis(A, W, rep) if gs else ():
+                    for g in gs:
+                        yield [mat_mul(fv, gv) for fv, gv in zip(f, g)]
 
 
 def _poly(*coeffs):
@@ -852,63 +959,56 @@ def _support_split(A, rep):
 def decompose(A, rep, dictionary_bound, seed=0):
     """Krull-Schmidt decomposition into StringWords and (BandWord, lambda).
 
-    Splits along the support graph first, then with random
-    endomorphisms (Fitting), and identifies summands against the
-    dictionary of words of length <= dictionary_bound, certifying each
-    match with an explicit invertible intertwiner.  Only the words whose
-    dimension vector fits a summand's are enumerated, once per distinct
-    summand dimension vector.
+    Each piece, starting from rep, is first split along its support graph
+    if that falls apart.  A piece that does not is identified before it is
+    split: `_identify` looks its shape up in the words of length <=
+    dictionary_bound that fit rep (`_word_table`) and certifies a match
+    with an explicit invertible intertwiner, so an accepted piece is an
+    indecomposable word module.  Only a piece identification rejects
+    pays for its endomorphism algebra and a Fitting split
+    (`_split_once`); one that does not split either is not in the
+    dictionary (`DictionaryExhausted`).
     """
     rng = random.Random(seed)
+    table = _word_table(A, rep.dims, dictionary_bound)
     pieces = [rep]
-    done = []
+    out = []
     while pieces:
         p = pieces.pop()
         if p.dim() == 0:
             continue
         blocks = _support_split(A, p)
         if blocks is None:
-            blocks = _split_once(A, p, rng)
-        if blocks is None:
-            done.append(p)
-        else:
-            pieces.extend(blocks)
-    dictionary = {}  # summand dims -> the words of the bound that fit
-    out = []
-    for p in done:
-        if p.dims not in dictionary:
-            dictionary[p.dims] = (
-                enumerate_strings(A, dictionary_bound, p.dims),
-                enumerate_bands(A, dictionary_bound, p.dims))
-        label = _identify(A, p, *dictionary[p.dims])
-        if label is None:
-            raise DictionaryExhausted(
-                f"summand with dims {p.dims} not identified within bound")
-        out.append(label)
+            label = _identify(A, p, table)
+            if label is not None:
+                out.append(label)
+                continue
+            blocks = _split_once(A, p, rng, table)
+            if blocks is None:
+                raise DictionaryExhausted(
+                    f"summand with dims {p.dims} not identified within bound")
+        pieces.extend(blocks)
     return sorted(out, key=lambda x: (isinstance(x, tuple), str(x[0] if
                                       isinstance(x, tuple) else x)))
 
 
-def _identify(A, p, strings, bands):
-    """The word (a StringWord, or (BandWord, lambda)) of the
-    indecomposable p among the candidates, or None.  A candidate whose
-    dims and rank function (read off `word_shape`) differ from p's
-    cannot match and is skipped before its module is built; `iso_test`
-    certifies every match."""
-    total = p.dim()
+def _identify(A, p, table):
+    """The word (a StringWord, or (BandWord, lambda)) of p among the words
+    of `table` (a `_word_table`), or None.
+
+    Only the words with p's shape (dims and rank function) can match, so
+    a piece whose string count is not 0 or 1, or whose shape no word has,
+    is rejected before any module is built.  Each candidate module is
+    built once per algebra (`_word_rep`), a band's at each parameter of
+    `band_lambda_candidates`, and `_invertible_hom` certifies every match
+    by an explicit invertible intertwiner (p's shape was compared
+    already, so `iso_test` would only read it again)."""
     rf = rank_function_of(A, p)
-    n_str = total - sum(rf.values())
-    shape = (p.dims, rf)
-    if n_str == 1:
-        for C in strings:
-            if len(C) + 1 == total and word_shape(A, C) == shape and \
-                    iso_test(A, p, string_module(A, C)):
-                return C
-    elif n_str == 0:
-        for B in bands:
-            if len(B) != total or word_shape(A, B) != shape:
-                continue
-            for lam in band_lambda_candidates(A, B, p):
-                if lam and iso_test(A, p, band_module(A, B, lam)):
-                    return (B, lam)
+    for w in table.get(p.dims + tuple(rf[a] for a in A.arrow_ids), ()):
+        if isinstance(w, BandWord):
+            for lam in band_lambda_candidates(A, w, p):
+                if _invertible_hom(A, p, _word_rep(A, w, lam)):
+                    return (w, lam)
+        elif _invertible_hom(A, p, _word_rep(A, w)):
+            return w
     return None

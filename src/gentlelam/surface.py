@@ -644,11 +644,11 @@ def rotate_tau(T, gamma, direction="forward"):
     if gamma.kind != "open":
         raise NotOpenCurve("only arcs and open curves rotate")
 
-    def end(marker, seq, tr, limit):
+    def end(marker, seq, tr):
         """Move the endpoint `marker` at the start of the curve with
         crossings `seq` and transitions `tr`: (arcs swept in front of
         seq, the triangle before each, the number of crossings unhooked
-        from the front of seq, at most `limit`, the new endpoint)."""
+        from the front of seq, the new endpoint)."""
         P = T.marked_of_marker(marker)
         P2 = step(P)
         gap = _gap_index(T, P, tr[0], seq[0])
@@ -658,19 +658,18 @@ def rotate_tau(T, gamma, direction="forward"):
         # unhooking crossings while the corner between consecutive
         # crossings stays at P2
         n = 0
-        while n < limit and P2 in T.endpoints_of_edge(seq[n]):
+        while n < len(seq) and P2 in T.endpoints_of_edge(seq[n]):
             if n and _corner_between(T, tr[n], seq[n - 1], seq[n]) != P2:
                 break
             n += 1
         return [], [], n, P2
 
     seq, otr = gamma.crossings, gamma.transitions
-    m = len(seq)
-    pre, pre_tr, lo, pa2 = end(gamma.endpoints[0], seq, otr, m)
-    # the back end may unhook what the front end left, no more
-    post, post_tr, cut, pb2 = end(gamma.endpoints[1], seq[::-1], otr[::-1],
-                                  m - lo)
-    hi = m - cut
+    pre, pre_tr, lo, pa2 = end(gamma.endpoints[0], seq, otr)
+    post, post_tr, cut, pb2 = end(gamma.endpoints[1], seq[::-1], otr[::-1])
+    hi = len(seq) - cut
+    # an end that unhooks sweeps nothing, so when the two ends together
+    # unhook all of seq, nothing is kept (hi <= lo) and seq collapses
     kept = pre + list(seq[lo:hi]) + post[::-1]
     if not kept:
         # the last crossing unhooked; an open curve crosses at least once

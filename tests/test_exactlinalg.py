@@ -150,3 +150,36 @@ def test_block_diagonal_eigenvalues_are_the_blocks():
         for b in blocks:
             union.update(rational_roots(charpoly(b)))
         assert set(rational_roots(charpoly(block_diagonal(blocks)))) == union
+
+
+def poly_product(*factors):
+    out = [1]
+    for f in factors:
+        new = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                new[i + j] += a * b
+        out = new
+    return out
+
+
+def test_rational_roots_of_large_repeated_eigenvalues():
+    # the constant of (x - r)^k is r^k: trial division up to its square
+    # root would run for hours; the roots come from their digits instead
+    big = 10 ** 12 + 39
+    quad = [1, -1, -(10 ** 20 + 1)]  # discriminant 4 10^20 + 5
+    cases = [
+        (poly_product([1, -big], [1, -big], [1, -big], quad),
+         [big] * 3),
+        (poly_product([1, -17721], [1, -17721], quad, [1, 0]),
+         [0, 17721, 17721]),
+        (poly_product(quad, quad, [1, 0, 2]), []),
+        (poly_product([1, -21965883698, -56481312731163321320], [1, 9]),
+         [-2325188162, -9, 24291071860]),
+        (poly_product([3, 7], [3, 7], [1, big], [5, -2 * big]),
+         [-big, Fraction(-7, 3), Fraction(-7, 3), Fraction(2 * big, 5)]),
+        (quad, []),
+    ]
+    for poly, roots in cases:
+        assert rational_roots(poly) == roots
+        assert rational_roots([Fraction(c, 7) for c in poly]) == roots

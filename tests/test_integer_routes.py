@@ -8,14 +8,15 @@ from math import gcd
 
 import pytest
 
-from gentlelam import (BandWord, band_module, decompose, direct_sum,
-                       enumerate_bands, enumerate_strings,
+from gentlelam import (BandWord, InternalError, band_module, decompose,
+                       direct_sum, enumerate_bands, enumerate_strings,
                        min_proj_presentation, string_module, strings)
 from gentlelam.exactlinalg import (charpoly, identity, mat_mul,
                                    rational_roots, rref, solve)
 from gentlelam.homological import (_paths_ending_at, _right_basis,
                                    _tau_of_presentation, path_target)
-from gentlelam.strings import _subrep, conjugate, make_rep, random_glpoint
+from gentlelam.strings import (SubspaceNotInvariant, _subrep, conjugate,
+                               make_rep, random_glpoint)
 
 SEED = 1968
 
@@ -177,7 +178,7 @@ def checked_subrep(calls):
         try:
             want = reference_subrep(A, rep, bases)
         except ValueError:
-            with pytest.raises(ValueError, match="not invariant"):
+            with pytest.raises(SubspaceNotInvariant, match="not invariant"):
                 real(A, rep, bases)
             raise
         got = real(A, rep, bases)
@@ -232,19 +233,24 @@ def test_subrep_of_fitting_splits_matches_the_solve_route(request, name,
 
 
 def test_non_invariant_subspace_raises(a3_relation):
+    # the reference reads a bad basis as bad input; the library, whose
+    # callers all pass invariant bases, as an internal error (exit 3)
     A = a3_relation  # 1 <- 2 <- 3, a: 2 -> 1, b: 3 -> 2
     M = string_module(A, [("a", False)])  # dims (1, 1, 0)
     # the vertex-2 line alone: its image under a leaves the subspace
     bases = [[], [[1]], []]
-    for route in (_subrep, reference_subrep):
-        with pytest.raises(ValueError, match="not invariant"):
-            route(A, M, bases)
+    with pytest.raises(InternalError, match="not invariant"):
+        _subrep(A, M, bases)
+    with pytest.raises(ValueError, match="not invariant"):
+        reference_subrep(A, M, bases)
     # and in a larger space: a line at 2 whose image misses the line at 1
     N = direct_sum(A, [M, M])
     bases = [[[1, 1]], [[1, 0]], []]
-    for route in (_subrep, reference_subrep):
-        with pytest.raises(ValueError, match="not invariant"):
-            route(A, N, bases)
+    with pytest.raises(SubspaceNotInvariant, match="not invariant"):
+        _subrep(A, N, bases)
+    with pytest.raises(ValueError, match="not invariant"):
+        reference_subrep(A, N, bases)
+    assert not issubclass(SubspaceNotInvariant, ValueError)
 
 
 # ---------------------------------------------------------------------------

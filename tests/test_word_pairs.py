@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gentlelam import (BandWord, Quiver, ceh_by_words, ceh_values,
-                       components, schemes, validate_gentle)
+                       components, schemes, strings, validate_gentle)
 from gentlelam.schemes import _candidates, _pack, generic_multiset
 from gentlelam.strings import word_shape
 
@@ -69,14 +69,15 @@ def test_pair_route_builds_no_generic_point(monkeypatch):
 
 
 def test_candidates_are_built_once_per_dimension_vector(monkeypatch):
+    # the candidates read the word table, which enumerates the words
     calls = []
-    enumerate_bands = schemes.enumerate_bands
+    enumerate_bands = strings.enumerate_bands
 
     def counted(*args, **kwargs):
         calls.append(args)
         return enumerate_bands(*args, **kwargs)
 
-    monkeypatch.setattr(schemes, "enumerate_bands", counted)
+    monkeypatch.setattr(strings, "enumerate_bands", counted)
     A = fresh_torus_algebra()
     d = (1, 2, 2, 1)
     comps = components(A, d)
