@@ -732,36 +732,40 @@ def _endo_powers(A, rep, phi, p, q, power):
 def _try_split(A, rep, phi):
     """Split rep along the endomorphism phi, or None.
 
-    phi is block diagonal, so its eigenvalues are those of its blocks;
-    `rational_roots` of each block's `charpoly` gives the rational ones
-    with multiplicity.  When they fill every vertex (each characteristic
-    polynomial splits over Q), rep is the direct sum of the generalized
-    eigenspaces ker (phi - r)^dim, one block per distinct root r, each a
-    subrepresentation since phi commutes with the arrows; a single root
-    gives no split.  Otherwise the Fitting split rep = ker (phi - r)^dim
-    + im (phi - r)^dim is tried at one rational root r at a time, 0
-    included, in increasing order."""
+    phi is block diagonal, so its eigenvalues are those of its blocks,
+    and `rational_roots` of each block's `charpoly` gives the rational
+    ones (0 among them when phi is singular).  rep is the direct sum of
+    the generalized eigenspaces ker (phi - r)^dim at the rational roots r
+    and of the image of the product of these (phi - r)^dim, on which phi
+    has no rational eigenvalue; all are subrepresentations, since phi
+    commutes with the arrows.  One block per eigenspace, in increasing r,
+    then the image when the eigenspaces do not fill rep (with one
+    rational root, the Fitting split ker + im); a single eigenvalue, or
+    none rational, gives no split."""
     total = rep.dim()
-    mult = {}
+    roots = set()
     for v in range(A.n):
         if rep.dims[v]:
-            for r in rational_roots(charpoly(phi[v])):
-                mult[r] = mult.get(r, 0) + 1
-
-    def kernels(r):
-        powers = _endo_powers(A, rep, phi, r.numerator, r.denominator, total)
-        return powers, [nullspace(p, d) for p, d in zip(powers, rep.dims)]
-
-    if sum(mult.values()) == total:
-        if len(mult) == 1:
+            roots.update(rational_roots(charpoly(phi[v])))
+    bases, powers = [], []
+    for r in sorted(roots):
+        pw = _endo_powers(A, rep, phi, r.numerator, r.denominator, total)
+        ker = [nullspace(p, d) for p, d in zip(pw, rep.dims)]
+        size = sum(map(len, ker))
+        if size == total:
             return None
-        return [_subrep(A, rep, kernels(r)[1]) for r in sorted(mult)]
-    for r in sorted(mult.keys() | {Fraction(0)}):
-        powers, ker = kernels(r)
-        if 0 < sum(map(len, ker)) < total:
-            im = [rref(list(zip(*p)), d)[0] for p, d in zip(powers, rep.dims)]
-            return [_subrep(A, rep, ker), _subrep(A, rep, im)]
-    return None
+        if size:
+            bases.append(ker)
+            powers.append(pw)
+    if not bases:
+        return None
+    if sum(len(b) for ker in bases for b in ker) < total:
+        rest = powers[0]
+        for pw in powers[1:]:
+            rest = [mat_mul(p, q) for p, q in zip(pw, rest)]
+        bases.append([rref(list(zip(*p)), d)[0]
+                      for p, d in zip(rest, rep.dims)])
+    return [_subrep(A, rep, b) for b in bases]
 
 
 def _split_once(A, rep, rng, table):
@@ -811,7 +815,10 @@ def _through_words(A, rep, table):
                 gs = hom_basis(A, rep, W)
                 for f in hom_basis(A, W, rep) if gs else ():
                     for g in gs:
-                        yield [mat_mul(fv, gv) for fv, gv in zip(f, g)]
+                        # f_v g_v is zero where W_v = 0
+                        yield [mat_mul(fv, gv) if gv else
+                               [[0] * d for _ in range(d)]
+                               for fv, gv, d in zip(f, g, rep.dims)]
 
 
 def _poly(*coeffs):
@@ -962,32 +969,38 @@ def decompose(A, rep, dictionary_bound, seed=0):
     Each piece, starting from rep, is first split along its support graph
     if that falls apart.  A piece that does not is identified before it is
     split: `_identify` looks its shape up in the words of length <=
-    dictionary_bound that fit rep (`_word_table`) and certifies a match
+    dictionary_bound that fit it (`_word_table`) and certifies a match
     with an explicit invertible intertwiner, so an accepted piece is an
     indecomposable word module.  Only a piece identification rejects
     pays for its endomorphism algebra and a Fitting split
     (`_split_once`); one that does not split either is not in the
-    dictionary (`DictionaryExhausted`).
+    dictionary (`DictionaryExhausted`).  The pieces of a Fitting split
+    read the table of the piece they came from, which holds every word
+    that fits them; the pieces of a support split, small word modules
+    when rep is a `word_sum`, look up the table of their own dims.
     """
     rng = random.Random(seed)
-    table = _word_table(A, rep.dims, dictionary_bound)
-    pieces = [rep]
+    pieces = [(rep, None)]
     out = []
     while pieces:
-        p = pieces.pop()
+        p, table = pieces.pop()
         if p.dim() == 0:
             continue
         blocks = _support_split(A, p)
+        if blocks is not None:
+            pieces.extend((b, None) for b in blocks)
+            continue
+        if table is None:
+            table = _word_table(A, p.dims, dictionary_bound)
+        label = _identify(A, p, table)
+        if label is not None:
+            out.append(label)
+            continue
+        blocks = _split_once(A, p, rng, table)
         if blocks is None:
-            label = _identify(A, p, table)
-            if label is not None:
-                out.append(label)
-                continue
-            blocks = _split_once(A, p, rng, table)
-            if blocks is None:
-                raise DictionaryExhausted(
-                    f"summand with dims {p.dims} not identified within bound")
-        pieces.extend(blocks)
+            raise DictionaryExhausted(
+                f"summand with dims {p.dims} not identified within bound")
+        pieces.extend((b, table) for b in blocks)
     return sorted(out, key=lambda x: (isinstance(x, tuple), str(x[0] if
                                       isinstance(x, tuple) else x)))
 

@@ -1,6 +1,6 @@
 """`decompose` identifies a piece before it splits it, splits along all
-rational generalized eigenspaces of an endomorphism at once, falls back
-to the Fitting split at one root when some eigenvalue is irrational, and
+rational generalized eigenspaces of an endomorphism at once, with what
+is left (where the eigenvalues are irrational) in one image block, and
 splits repeated summands at endomorphisms that factor through a word
 module; the word table it reads lives on the algebra."""
 
@@ -19,7 +19,8 @@ from gentlelam import (BandWord, band_module, build_QT, canonical_string,
 from gentlelam.fileio import load_algebra
 from gentlelam.schemes import components, generic_multiset
 from gentlelam.strings import (_algebra_memo, _try_split, _word_table,
-                               conjugate, parse_word, random_glpoint)
+                               conjugate, parse_word, random_glpoint,
+                               word_shape, word_sum)
 
 SEED = 14
 
@@ -70,10 +71,9 @@ def module(A, w, lam):
 @pytest.fixture
 def traced(monkeypatch):
     """Pieces accepted by `_identify`, pieces whose End was computed
-    (hom_basis(p, p)), calls of the one-root fallback of `_try_split`
-    (its image is the one `rref` of strings), and endomorphisms drawn
-    from `_through_words`."""
-    seen = {"accepted": [], "endo": [], "fallback": 0, "through_words": 0}
+    (hom_basis(p, p)), image blocks of `_try_split` (each is the one
+    `rref` of strings), and endomorphisms drawn from `_through_words`."""
+    seen = {"accepted": [], "endo": [], "image": 0, "through_words": 0}
     identify, hom_basis, rref = strings._identify, strings.hom_basis, \
         strings.rref
     through_words = strings._through_words
@@ -95,7 +95,7 @@ def traced(monkeypatch):
         return hom_basis(A, M, N)
 
     def counted_rref(*args):
-        seen["fallback"] += 1
+        seen["image"] += 1
         return rref(*args)
 
     monkeypatch.setattr(strings, "_identify", counted_identify)
@@ -123,16 +123,16 @@ def test_conjugated_sums_on_the_golden_algebras(request, traced):
     assert count >= 75
 
 
-@pytest.mark.parametrize("surface,words,seed,fallback", [
+@pytest.mark.parametrize("surface,words,seed,image", [
     # M + M + N: the endomorphisms tried first act on M + M as X (x) id
-    # with X irreducible over Q, so the one-root fallback splits off N
+    # with X irreducible over Q, so N splits off with M + M as the image
     (None, ("a1,b1-", "a1,b1-", "b3,c"), 7, True),
     # C + C with C of dims (2, 3): no vector is c (x) w for a single copy
     ("annulus", ("t0:1>2,t1:1>2-,t0:1>2,t1:1>2-",) * 2, 0, False),
 ])
 def test_repeated_summands_split_through_a_word(request, torus_algebra,
                                                 traced, surface, words,
-                                                seed, fallback):
+                                                seed, image):
     # M + M splits only at an endomorphism f g through the word module M
     A = build_QT(request.getfixturevalue(surface)) if surface \
         else torus_algebra
@@ -141,7 +141,7 @@ def test_repeated_summands_split_through_a_word(request, torus_algebra,
     M = conjugate(A, M, random_glpoint(random.Random(seed), M.dims, 3))
     assert labels(decompose(A, M, 6, seed=seed)) == labels(parts)
     assert traced["through_words"]
-    assert bool(traced["fallback"]) == fallback, traced
+    assert bool(traced["image"]) == image, traced
 
 
 def eigen_endo(A, M, rep, X, tail):
@@ -179,7 +179,7 @@ def test_rational_eigenvalues_split_at_once(a3_relation):
         is None
 
 
-def test_irrational_eigenvalues_fall_back_to_one_root(a3_relation):
+def test_irrational_eigenvalues_stay_in_one_image_block(a3_relation):
     A = a3_relation
     M, N = a3_pair(A)
     golden = [[1, 1], [1, 0]]  # x^2 - x - 1
@@ -188,6 +188,14 @@ def test_irrational_eigenvalues_fall_back_to_one_root(a3_relation):
     ker, im = _try_split(A, rep, eigen_endo(A, M, rep, golden, 0))
     assert iso_test(A, ker, N)
     assert iso_test(A, im, direct_sum(A, [M, M]))
+    # two rational roots beside the irrational pair: an eigenspace each,
+    # in increasing order, then the image
+    rep = direct_sum(A, [M, M, M, N])
+    X = [[1, 1, 0], [1, 0, 0], [0, 0, 2]]
+    blocks = _try_split(A, rep, eigen_endo(A, M, rep, X, 0))
+    want = (N, M, direct_sum(A, [M, M]))
+    assert [B.dims for B in blocks] == [W.dims for W in want]
+    assert all(iso_test(A, B, W) for B, W in zip(blocks, want))
     # no rational eigenvalue at all: nothing to split along
     rep = direct_sum(A, [M, M])
     assert _try_split(A, rep, eigen_endo(A, M, rep, golden, 0)) is None
@@ -241,3 +249,17 @@ def test_word_table_is_the_dictionary_of_decompose(torus_algebra):
         assert count in (0, 1)
     # the key caps the length at sum d, since no longer word fits
     assert _word_table(A, d, 50) is _word_table(A, d, sum(d))
+
+
+def test_support_pieces_read_the_tables_of_their_own_dims():
+    # a word_sum falls apart along its support graph at once, so no
+    # table is built for its whole dims, only one per summand's dims
+    A = load_algebra(os.path.join(GOLDEN, "torus_quiver.json"))
+    words = [C for C in enumerate_strings(A, 3) if len(C) == 2][:2] \
+        + enumerate_bands(A, 4)[:1]
+    M = word_sum(A, words)
+    got = decompose(A, M, 12)
+    assert sorted(str(x[0] if isinstance(x, tuple) else x) for x in got) \
+        == sorted(map(str, words))
+    assert set(A.__dict__["_word_tables"]) == {
+        (d, sum(d)) for d in (word_shape(A, w)[0] for w in words)}
