@@ -23,6 +23,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+from .errors import InternalError
+
 
 def _int_row(row):
     """A dense or {col: value} row as {col: int}, denominators cleared."""
@@ -102,9 +104,16 @@ def sparse_rank(rows):
 
 
 def mat_mul(a, b):
-    """Product of dense matrices (lists of rows)."""
-    if not a or not b:
-        return [[] for _ in a]
+    """Product of dense matrices (lists of rows).
+
+    A b with no rows does not tell the product's column count, so a
+    nonempty a times such a b raises `InternalError`; an empty a gives
+    the empty product."""
+    if not a:
+        return []
+    if not b:
+        raise InternalError(
+            f"mat_mul: {len(a)} rows times a matrix with no rows")
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 

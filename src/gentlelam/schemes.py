@@ -223,15 +223,20 @@ def _block_end_dim(block, p, q):
 
 
 def component_dim(A, Z):
-    """dim Z as a sum of block orbit dimensions."""
-    d = Z.d
-    r = Z.rank()
-    total = 0
-    for block in rho_blocks(A):
-        dd = transport_dimvec(block, d)
-        p, q = _model_multiplicities(block, d, r)
-        total += sum(x * x for x in dd) - _block_end_dim(block, p, q)
-    return total
+    """dim Z as a sum of block orbit dimensions, computed once per
+    component and kept on the algebra (`_component_dims`, keyed by the
+    `Component`): a `components` request reads it for the output, the
+    search's certificate and c."""
+    memo = _algebra_memo(A, "_component_dims")
+    if Z not in memo:
+        d, r = Z.d, Z.rank()
+        total = 0
+        for block in rho_blocks(A):
+            dd = transport_dimvec(block, d)
+            p, q = _model_multiplicities(block, d, r)
+            total += sum(x * x for x in dd) - _block_end_dim(block, p, q)
+        memo[Z] = total
+    return memo[Z]
 
 
 def dim_gl(d):

@@ -43,8 +43,8 @@ class DictionaryExhausted(InternalError):
 
 class SubspaceNotInvariant(InternalError):
     """`_subrep` was given per-vertex bases whose span an arrow leaves:
-    every caller passes kernels and images of endomorphisms, or
-    coordinate blocks of the support graph, which are invariant."""
+    every caller passes kernels and images of module maps (of
+    endomorphisms, and Omega inside P0), which are invariant."""
 
 
 def letter(arrow_id, inv=False):
@@ -97,19 +97,24 @@ def _algebra_memo(A, name):
 
 def _letter_table(A):
     """The letter table of A, built from `_pair_rule` on first use and
-    kept on the algebra object."""
+    kept on the algebra object.
+
+    A pair (x, y) can hold only if y ends where x starts, so the letters
+    are grouped by `letter_t`, and `_pair_rule` is applied only to x and
+    the letters ending at `letter_s(x)`."""
     tab = A.__dict__.get("_letter_table")
     if tab is None:
         letters = tuple(letter(a, inv) for a in A.arrow_ids
                         for inv in (False, True))
-        pairs = frozenset((x, y) for x in letters for y in letters
-                          if _pair_rule(A, x, y))
-        tab = _LetterTable(
-            letters, pairs,
-            {x: tuple(y for y in letters if (x, y) in pairs)
-             for x in letters},
-            {x: letter_s(A, x) for x in letters},
-            {x: letter_t(A, x) for x in letters})
+        source = {x: letter_s(A, x) for x in letters}
+        target = {x: letter_t(A, x) for x in letters}
+        ending = {}
+        for y in letters:
+            ending.setdefault(target[y], []).append(y)
+        after = {x: tuple(y for y in ending.get(source[x], ())
+                          if _pair_rule(A, x, y)) for x in letters}
+        pairs = frozenset((x, y) for x in letters for y in after[x])
+        tab = _LetterTable(letters, pairs, after, source, target)
         object.__setattr__(A, "_letter_table", tab)
     return tab
 
@@ -557,10 +562,13 @@ def band_parameters(rng=None):
 
 def word_sum(A, words, lams=None):
     """Direct sum of the modules of string and band words, each band
-    taking the next parameter from `lams` (default: band_parameters())."""
+    taking the next parameter from `lams` (default: band_parameters()).
+    The summands come from `_word_rep`, so a module that the algebra
+    already holds (the small modules of `schemes._word_pairs`, say) is
+    not built again."""
     lams = band_parameters() if lams is None else lams
-    return direct_sum(A, [band_module(A, w, next(lams))
-                          if isinstance(w, BandWord) else string_module(A, w)
+    return direct_sum(A, [_word_rep(A, w, next(lams)
+                                    if isinstance(w, BandWord) else None)
                           for w in words])
 
 
@@ -572,7 +580,10 @@ def conjugate(A, rep, gs):
     mats = {}
     for aid in A.arrow_ids:
         sv, tv = A.s(aid) - 1, A.t(aid) - 1
-        mats[aid] = mat_mul(mat_mul(gs[tv], rep.mat(aid)), inv[sv])
+        # an arrow at a zero space keeps make_rep's zero matrix: its
+        # product would go through an empty factor, which mat_mul rejects
+        if rep.dims[sv] and rep.dims[tv]:
+            mats[aid] = mat_mul(mat_mul(gs[tv], rep.mat(aid)), inv[sv])
     return make_rep(A, rep.dims, mats)
 
 
@@ -769,11 +780,18 @@ def _try_split(A, rep, phi):
 
 
 def _split_once(A, rep, rng, table):
-    """Try `_try_split` along each basis endomorphism, then along six
-    random combinations of them, then along the endomorphisms of
-    `_through_words`.  The six coefficient vectors are drawn up front,
-    so `rng` advances the same whichever candidate splits; each candidate
-    is built only when the ones before it failed."""
+    """Try `_try_split` along six random combinations of the basis
+    endomorphisms, then along each basis endomorphism, then along the
+    endomorphisms of `_through_words`.
+
+    The random ones come first because they split furthest: modulo the
+    radical of End(rep), a random phi acts on each word summand by a
+    rational scalar, and non-isomorphic summands almost always get
+    different ones, so one `_try_split` cuts rep into a block per class
+    of isomorphic summands (a basis endomorphism mostly cuts off one).
+    The six coefficient vectors are drawn up front, so `rng` advances the
+    same whichever candidate splits; each candidate is built only when
+    the ones before it failed."""
     basis = hom_basis(A, rep, rep)
     if len(basis) == 1:
         return None
@@ -784,7 +802,7 @@ def _split_once(A, rep, rng, table):
                   for j in range(rep.dims[v])] for i in range(rep.dims[v])]
                 for v in range(A.n)]
 
-    for phi in itertools.chain(basis, map(combination, coefs),
+    for phi in itertools.chain(map(combination, coefs), basis,
                                _through_words(A, rep, table)):
         blocks = _try_split(A, rep, phi)
         if blocks:
@@ -926,7 +944,11 @@ def _support_split(A, rep):
     """Split along connected components of the coordinate support graph.
 
     Exactly block-diagonal representations (untwisted direct sums) fall
-    apart here without any linear algebra.
+    apart here without any linear algebra: the basis of a block is a set
+    of unit vectors, so its matrices are the rows and columns of rep's
+    at those indices (in increasing order per vertex), and `make_rep`
+    checks the relations on them as on every construction.  `_subrep` on
+    the unit vectors gives the same blocks and is the oracle.
     """
     nodes = [(v, i) for v in range(A.n) for i in range(rep.dims[v])]
     if not nodes:
@@ -954,12 +976,15 @@ def _support_split(A, rep):
         return None
     blocks = []
     for root in sorted(comps):
-        bases = [[] for _ in range(A.n)]
+        idx = [[] for _ in range(A.n)]
         for (v, i) in comps[root]:
-            vec = [0] * rep.dims[v]
-            vec[i] = 1
-            bases[v].append(vec)
-        blocks.append(_subrep(A, rep, bases))
+            idx[v].append(i)
+        mats = {}
+        for aid in A.arrow_ids:
+            rows, cols = idx[A.t(aid) - 1], idx[A.s(aid) - 1]
+            m = rep.mats[aid]
+            mats[aid] = [[m[i][j] for j in cols] for i in rows]
+        blocks.append(make_rep(A, [len(x) for x in idx], mats))
     return blocks
 
 

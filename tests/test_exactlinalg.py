@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from gentlelam.errors import InternalError
 from gentlelam.exactlinalg import (charpoly, identity, is_invertible,
                                    mat_inverse, mat_mul, nullspace,
                                    rational_roots, rref, solve, sparse_rank)
@@ -29,9 +30,11 @@ def random_matrix(rng, m, n):
     through a smaller inner dimension), with some zero rows."""
     if rng.random() < 1 / 3:
         k = rng.randint(0, max(0, min(m, n) - 1))
-        mat = mat_mul([[entry(rng) for _ in range(k)] for _ in range(m)],
-                      [[entry(rng) for _ in range(n)] for _ in range(k)])
-        if not k:
+        if k:
+            mat = mat_mul([[entry(rng) for _ in range(k)] for _ in range(m)],
+                          [[entry(rng) for _ in range(n)] for _ in range(k)])
+        else:
+            # the zero inner dimension: mat_mul cannot tell n from b
             mat = [[0] * n for _ in range(m)]
     else:
         mat = [[entry(rng) for _ in range(n)] for _ in range(m)]
@@ -120,6 +123,20 @@ def test_inverse_and_invertibility():
     assert singular > 10
     assert not is_invertible([[1, 0]])
     assert mat_inverse([]) == [] and is_invertible([])
+
+
+def test_mat_mul_through_empty_dimensions():
+    # a with no rows: the empty product, whatever b is
+    assert mat_mul([], []) == []
+    assert mat_mul([], [[1, 2], [3, 4]]) == []
+    # a zero column count is read off b's rows: (2 x 3)(3 x 0) is 2 x 0
+    assert mat_mul([[1, 2, 3], [4, 5, 6]], [[], [], []]) == [[], []]
+    # b with no rows says nothing of the product's column count
+    for a in ([[], []], [[1, 2]]):
+        with pytest.raises(InternalError):
+            mat_mul(a, [])
+    assert issubclass(InternalError, RuntimeError)
+    assert not issubclass(InternalError, ValueError)  # not an input error
 
 
 def block_diagonal(blocks):
