@@ -21,7 +21,7 @@ and `solve` carry Fraction entries.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import InternalError
 
@@ -202,9 +202,14 @@ def charpoly(mat):
     exactly, since each c_k is a coefficient of det(xI - B).  A rational
     matrix is written B / D with B integral, and det(xI - B / D) has the
     coefficients c_k / D^k.  Coefficients are int when integral, else
-    Fraction.
+    Fraction.  A 2 x 2 matrix gets x^2 - tr x + det directly.
     """
     n = len(mat)
+    if n == 2:
+        (a, b), (c, d) = mat
+        return [1] + [x if type(x) is int else _ratio(x.numerator,
+                                                      x.denominator)
+                      for x in (-(a + d), a * d - b * c)]
     den = _denominator(v for row in mat for v in row)
     b = [[int(v * den) for v in row] for row in mat]
     coeffs = [1]
@@ -232,7 +237,9 @@ def rational_roots(coeffs):
     (Gauss's lemma).  No divisor of a coefficient is enumerated: in a
     characteristic polynomial the constant is a power of a repeated
     eigenvalue, and trial division up to its square root can take
-    hours."""
+    hours.  A linear a x + b has the root -b/a, and a quadratic
+    a x^2 + b x + c the roots (-b +- s) / 2a when its discriminant is a
+    square s^2 (`math.isqrt`); only from degree 3 on is h lifted."""
     row = _int_row(coeffs)
     if not row:
         return []
@@ -241,6 +248,16 @@ def rational_roots(coeffs):
     ic = [row.get(i, 0) for i in range(lo, hi + 1)]
     if len(ic) <= 1:
         return roots
+    if len(ic) == 2:
+        return roots + [Fraction(-ic[1], ic[0])]
+    if len(ic) == 3:
+        a, b, c = ic
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return roots
+        return roots + sorted((Fraction(-b - s, 2 * a),
+                               Fraction(-b + s, 2 * a)))
     a = ic[0]
     h = [1] + [c * a ** i for i, c in enumerate(ic[1:])]
     for r in sorted(Fraction(y, a) for y in _integer_roots(h)):

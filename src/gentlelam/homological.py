@@ -637,17 +637,17 @@ def _e_inverse(E):
     return tuple(letter_inv(c) for c in reversed(E))
 
 
-def _match(E1, E2):
-    """None, or (oriented: bool) when E1 equals E2 or its inverse."""
-    if E1[0] == "triv" or E2[0] == "triv":
-        if E1[0] == "triv" and E2[0] == "triv" and E1[1] == E2[1]:
-            return True  # orientation immaterial for trivial pieces
-        return None
-    if E1 == E2:
-        return True
-    if E1 == _e_inverse(E2):
-        return False
-    return None
+def _matches(E1, occurrences):
+    """(k, oriented) in increasing k for the sub-factors k equal to E1
+    (oriented) or to its inverse (not oriented), read from
+    `occurrences`, a dict from each sub-factor to its indices.  A trivial
+    factor and a palindrome are their own inverses and match oriented."""
+    out = [(k, True) for k in occurrences.get(E1, ())]
+    inv = _e_inverse(E1)
+    if inv != E1:
+        out += [(k, False) for k in occurrences.get(inv, ())]
+        out.sort()
+    return out
 
 
 def standard_homs(A, X, Y):
@@ -670,15 +670,16 @@ def standard_homs(A, X, Y):
         subs = list(_band_occurrences(A, Y, "sub", max_s))
     else:
         subs = list(_string_splits(A, Y, "sub"))
+    occurrences = {}  # sub-factor E -> indices into subs
+    for k, (_, _, E2) in enumerate(subs):
+        occurrences.setdefault(E2, []).append(k)
     for qa, qb, E1 in quots:
-        for sa, sb, E2 in subs:
-            oriented = _match(E1, E2)
-            if oriented is None:
-                continue
+        for k, oriented in _matches(E1, occurrences):
+            sa, sb, _ = subs[k]
             two_sided = _two_sided(A, X, Y, (qa, qb), (sa, sb), oriented,
                                    x_band, y_band)
             out.append(StandardHom(X, Y, (qa, qb), (sa, sb),
-                                   bool(oriented), two_sided))
+                                   oriented, two_sided))
     if x_band and y_band and canonical_band(A, X) == canonical_band(A, Y):
         out.append(StandardHom(X, Y, None, None, True, False,
                                is_identity=True))

@@ -178,7 +178,17 @@ def _finite_dimensional(quiver, rel):
 
 
 def is_jacobian(algebra):
-    """Connected, loop-free, and every relation closes up to a 3-cycle."""
+    """Connected, loop-free, and every relation closes up to a 3-cycle.
+
+    Decided once and kept on the algebra object, like `rho_blocks`."""
+    jac = algebra.__dict__.get("_is_jacobian")
+    if jac is None:
+        jac = _is_jacobian(algebra)
+        object.__setattr__(algebra, "_is_jacobian", jac)
+    return jac
+
+
+def _is_jacobian(algebra):
     q = algebra.quiver
     if not q.is_connected():
         return False

@@ -8,6 +8,7 @@ modules draw their band parameters from `band_parameters`.
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,6 +125,23 @@ def pair_ok(A, x, y):
     return (x, y) in _letter_table(A).pairs
 
 
+def _keep_hash(word, fields):
+    """Hash a word's field tuple (the value the dataclass hash gives) and
+    keep it on the word: the memos on the algebra hash word keys on every
+    lookup, and the word's `__hash__` then reads the kept value."""
+    h = hash(fields)
+    object.__setattr__(word, "_hash", h)
+    return h
+
+
+def _state_without_hash(word):
+    """Pickled and copied state without the cached hash, since string
+    hashes differ from process to process."""
+    state = dict(word.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 @dataclass(frozen=True, order=True)
 class StringWord:
     letters: tuple = ()
@@ -133,6 +151,14 @@ class StringWord:
     def __post_init__(self):
         if not self.letters and self.vertex is None:
             raise InvalidString("trivial string needs a vertex")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return _keep_hash(self, (self.letters, self.vertex, self.sign))
+
+    __getstate__ = _state_without_hash
 
     @property
     def is_trivial(self):
@@ -155,6 +181,14 @@ class StringWord:
 @dataclass(frozen=True, order=True)
 class BandWord:
     letters: tuple
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return _keep_hash(self, (self.letters,))
+
+    __getstate__ = _state_without_hash
 
     def __len__(self):
         return len(self.letters)
@@ -697,20 +731,33 @@ def _subrep(A, rep, bases):
     basis width is an image outside the span (`SubspaceNotInvariant`,
     an internal error: callers pass invariant bases), and otherwise the
     image of source vector j has coordinate row[k + j] / row[i] on target
-    basis vector i."""
+    basis vector i.  Three cases need no elimination: an empty source
+    basis (the matrix is k x 0), an empty target basis (every image must
+    be zero) and the unit basis of the whole target space (the images
+    are their own coordinates)."""
     dims = tuple(len(b) for b in bases)
     mats = {}
     for aid in A.arrow_ids:
         sv, tv = A.s(aid) - 1, A.t(aid) - 1
         k = dims[tv]
+        if not dims[sv]:
+            continue  # make_rep's k x 0 matrix
+        images = [[sum(y * z for y, z in zip(row, vec) if y)
+                   for row in rep.mats[aid]] for vec in bases[sv]]
+        if not k:
+            if any(map(any, images)):
+                raise SubspaceNotInvariant("subspace not invariant")
+            continue
+        if k == rep.dims[tv] and bases[tv] == identity(k):
+            mats[aid] = [list(row) for row in zip(*images)]
+            continue
         rows = [{} for _ in range(rep.dims[tv])]
         for c, vec in enumerate(bases[tv]):
             for i, x in enumerate(vec):
                 if x:
                     rows[i][c] = x
-        for j, vec in enumerate(bases[sv]):
-            for i, row in enumerate(rep.mats[aid]):
-                x = sum(y * z for y, z in zip(row, vec) if y)
+        for j, image in enumerate(images):
+            for i, x in enumerate(image):
                 if x:
                     rows[i][k + j] = x
         ech = _echelon(rows)
@@ -725,57 +772,63 @@ def _subrep(A, rep, bases):
     return make_rep(A, dims, mats)
 
 
-def _endo_powers(A, rep, phi, p, q, power):
-    """Per vertex: (q phi_v - p)^min(power, dim_v), which has the kernel
-    and image of (phi_v - p/q)^min(power, dim_v) and integer entries."""
-    powers = []
-    for v in range(A.n):
-        d = rep.dims[v]
-        m = [[q * phi[v][i][j] - (p if i == j else 0) for j in range(d)]
-             for i in range(d)]
-        pw = identity(d)
-        for _ in range(min(power, d)):
-            pw = mat_mul(m, pw)
-        powers.append(pw)
-    return powers
+def _shifted_power(phi_v, r, m):
+    """(q phi_v - p)^m for r = p/q, which has the kernel and image of
+    (phi_v - r)^m and integer entries when phi_v has."""
+    p, q = r.numerator, r.denominator
+    b = [[q * x - (p if i == j else 0) for j, x in enumerate(row)]
+         for i, row in enumerate(phi_v)]
+    pw = b
+    for _ in range(m - 1):
+        pw = mat_mul(b, pw)
+    return pw
 
 
 def _try_split(A, rep, phi):
     """Split rep along the endomorphism phi, or None.
 
-    phi is block diagonal, so its eigenvalues are those of its blocks,
-    and `rational_roots` of each block's `charpoly` gives the rational
-    ones (0 among them when phi is singular).  rep is the direct sum of
-    the generalized eigenspaces ker (phi - r)^dim at the rational roots r
-    and of the image of the product of these (phi - r)^dim, on which phi
-    has no rational eigenvalue; all are subrepresentations, since phi
-    commutes with the arrows.  One block per eigenspace, in increasing r,
-    then the image when the eigenspaces do not fill rep (with one
-    rational root, the Fitting split ker + im); a single eigenvalue, or
-    none rational, gives no split."""
+    phi is block diagonal, so its eigenvalues are those of its vertex
+    blocks phi_v; their rational ones, with multiplicities, are read once
+    per block: a 1x1 block is its own eigenvalue, a larger one gives
+    `rational_roots` of its `charpoly` (0 among them when phi_v is
+    singular).  rep is the direct sum of the generalized eigenspaces at
+    the rational roots r and of the image of the product of the
+    (phi - r)^m, on which phi has no rational eigenvalue; all are
+    subrepresentations, since phi commutes with the arrows.  At a vertex
+    the eigenspace of r is built only where r is an eigenvalue of phi_v:
+    the unit basis where it is the only one, else ker (phi_v - r)^m with
+    m its multiplicity there; the image is built only at the vertices
+    the eigenspaces leave unfilled.  One block per eigenspace, in
+    increasing r, then the image when the eigenspaces do not fill rep
+    (with one rational root, the Fitting split ker + im); a single
+    eigenvalue, or none rational, gives no split."""
+    mult = [{} if not d else {Fraction(phi[v][0][0]): 1} if d == 1 else
+            Counter(rational_roots(charpoly(phi[v])))
+            for v, d in enumerate(rep.dims)]
+    roots = sorted(set().union(*mult))
+    index = {r: k for k, r in enumerate(roots)}
+    sizes = [0] * len(roots)
+    for m in mult:
+        for r, e in m.items():
+            sizes[index[r]] += e
     total = rep.dim()
-    roots = set()
-    for v in range(A.n):
-        if rep.dims[v]:
-            roots.update(rational_roots(charpoly(phi[v])))
-    bases, powers = [], []
-    for r in sorted(roots):
-        pw = _endo_powers(A, rep, phi, r.numerator, r.denominator, total)
-        ker = [nullspace(p, d) for p, d in zip(pw, rep.dims)]
-        size = sum(map(len, ker))
-        if size == total:
-            return None
-        if size:
-            bases.append(ker)
-            powers.append(pw)
-    if not bases:
+    if not roots or total in sizes:
         return None
-    if sum(len(b) for ker in bases for b in ker) < total:
-        rest = powers[0]
-        for pw in powers[1:]:
-            rest = [mat_mul(p, q) for p, q in zip(pw, rest)]
-        bases.append([rref(list(zip(*p)), d)[0]
-                      for p, d in zip(rest, rep.dims)])
+    bases = [[[] for _ in rep.dims] for _ in roots]
+    image = []
+    for v, (m, d) in enumerate(zip(mult, rep.dims)):
+        rest = identity(d) if sum(m.values()) < d else None
+        for r, e in m.items():
+            if e == d:
+                bases[index[r]][v] = identity(d)
+                continue
+            pw = _shifted_power(phi[v], r, e)
+            bases[index[r]][v] = nullspace(pw, d)
+            if rest is not None:
+                rest = mat_mul(pw, rest)
+        image.append([] if rest is None else rref(list(zip(*rest)), d)[0])
+    if sum(sizes) < total:
+        bases.append(image)
     return [_subrep(A, rep, b) for b in bases]
 
 
@@ -992,28 +1045,29 @@ def decompose(A, rep, dictionary_bound, seed=0):
     """Krull-Schmidt decomposition into StringWords and (BandWord, lambda).
 
     Each piece, starting from rep, is first split along its support graph
-    if that falls apart.  A piece that does not is identified before it is
-    split: `_identify` looks its shape up in the words of length <=
-    dictionary_bound that fit it (`_word_table`) and certifies a match
-    with an explicit invertible intertwiner, so an accepted piece is an
-    indecomposable word module.  Only a piece identification rejects
-    pays for its endomorphism algebra and a Fitting split
-    (`_split_once`); one that does not split either is not in the
-    dictionary (`DictionaryExhausted`).  The pieces of a Fitting split
+    if that falls apart (a block of that split is connected by
+    construction and skips the test).  A piece that does not is
+    identified before it is split: `_identify` looks its shape up in the
+    words of length <= dictionary_bound that fit it (`_word_table`) and
+    certifies a match with an explicit invertible intertwiner, so an
+    accepted piece is an indecomposable word module.  Only a piece
+    identification rejects pays for its endomorphism algebra and a
+    Fitting split (`_split_once`); one that does not split either is not
+    in the dictionary (`DictionaryExhausted`).  The pieces of a Fitting split
     read the table of the piece they came from, which holds every word
     that fits them; the pieces of a support split, small word modules
     when rep is a `word_sum`, look up the table of their own dims.
     """
     rng = random.Random(seed)
-    pieces = [(rep, None)]
+    pieces = [(rep, None, False)]
     out = []
     while pieces:
-        p, table = pieces.pop()
+        p, table, connected = pieces.pop()
         if p.dim() == 0:
             continue
-        blocks = _support_split(A, p)
+        blocks = None if connected else _support_split(A, p)
         if blocks is not None:
-            pieces.extend((b, None) for b in blocks)
+            pieces.extend((b, None, True) for b in blocks)
             continue
         if table is None:
             table = _word_table(A, p.dims, dictionary_bound)
@@ -1025,7 +1079,7 @@ def decompose(A, rep, dictionary_bound, seed=0):
         if blocks is None:
             raise DictionaryExhausted(
                 f"summand with dims {p.dims} not identified within bound")
-        pieces.extend((b, table) for b in blocks)
+        pieces.extend((b, table, False) for b in blocks)
     return sorted(out, key=lambda x: (isinstance(x, tuple), str(x[0] if
                                       isinstance(x, tuple) else x)))
 

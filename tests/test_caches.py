@@ -1,7 +1,14 @@
 """Objects built once and kept on the object they describe."""
 
+import json
+import os
+
+from conftest import GOLDEN
 from gentlelam import (Quiver, Triangulation, build_QT, components,
-                       generic_point, rho_blocks, validate_gentle)
+                       generic_point, is_jacobian, quiver, rho_blocks,
+                       validate_gentle)
+from gentlelam.cli import main
+from gentlelam.fileio import load_algebra
 from gentlelam.homological import projective_rep
 
 
@@ -42,3 +49,20 @@ def test_generic_point_is_determined_by_component_and_seed(pants):
             assert generic_point(A, Z, seed) == M
             # an equal fresh algebra gives an equal point
             assert generic_point(B, Z, seed) == M
+
+
+
+def test_jacobian_verdict_kept_on_algebra(capsys, monkeypatch):
+    # a `components` request decides it once, not again per component
+    calls = []
+    decide = quiver._is_jacobian
+    monkeypatch.setattr(quiver, "_is_jacobian",
+                        lambda A: calls.append(A) or decide(A))
+    path = os.path.join(GOLDEN, "torus_quiver.json")
+    assert main(["components", "--input", path, "--dims", "2,1,1,0",
+                 "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["components"]) > 1
+    assert len(calls) == 1
+    A = load_algebra(path)
+    assert is_jacobian(A) is True and is_jacobian(A) is True
+    assert len(calls) == 2 and calls[1] is A
