@@ -2,7 +2,7 @@
 
 Exit codes (see `errors`): 0 for success and mathematically "true"
 verdicts, 1 for mathematically "false" verdicts, 2 for input errors,
-3 for internal errors (a bound exhausted, an oracle disagreement).
+3 for internal errors (an internal bound exhausted, an oracle disagreement).
 """
 
 import argparse
@@ -18,7 +18,7 @@ from .schemes import block_critical_summands, canonical_decomposition, \
     ceh_by_words, component_dim, components, critical_relation_pairs, \
     decorated_g_vector, dim_gl, is_generically_reduced, is_smooth_point, \
     is_tau_reduced, tangent_dim
-from .strings import DictionaryExhausted, rank_function_of
+from .strings import rank_function_of
 from .surface import build_QT, eta, shear_of_lamination
 
 
@@ -96,13 +96,9 @@ def cmd_components(args):
         }
         if jac:
             entry["tau_reduced"] = is_tau_reduced(A, Z)
-        try:
-            entry["decomposition"] = [
-                {"type": k, "word": str(w)}
-                for k, w in canonical_decomposition(A, Z, args.max_len,
-                                                    seed=args.seed)]
-        except DictionaryExhausted as exc:  # --max-len too small
-            entry["decomposition"] = f"unavailable: {exc}"
+        entry["decomposition"] = [
+            {"type": k, "word": str(w)}
+            for k, w in canonical_decomposition(A, Z, seed=args.seed)]
         out.append(entry)
         lines.append(f"  r={dict(Z.r)} dim={dz} ceh=({c},{e},{h})"
                      + (f" tau_reduced={entry['tau_reduced']}" if jac else "")
@@ -149,7 +145,7 @@ def cmd_eta(args):
     A = build_QT(T)
     L = fileio.lamination_from_file(T, args.lamination, algebra=A)
     DZ = eta(T, L, algebra=A)
-    g = decorated_g_vector(A, DZ, seed=args.seed)
+    g = decorated_g_vector(A, DZ)
     crit = block_critical_summands(A, DZ.component)
     payload = {
         "d": list(DZ.component.d),
@@ -169,8 +165,7 @@ def cmd_verify(args):
     T = fileio.load_triangulation(args.input)
     A = build_QT(T)
     L = fileio.lamination_from_file(T, args.lamination, algebra=A)
-    equal, lhs, rhs, diff = verify_bangle_equals_generic(
-        T, L, bound=args.max_len, algebra=A)
+    equal, lhs, rhs, diff = verify_bangle_equals_generic(T, L, algebra=A)
     payload = {"equal": equal, "bangle": lhs.to_json(),
                "generic_cc": rhs.to_json()}
     lines = ["EQUAL" if equal else "UNEQUAL"]
@@ -199,9 +194,6 @@ def _parser():
                        default="human")
         p.add_argument("--output", help="write the report to a file")
 
-    max_len = dict(type=int, default=12,
-                   help="dictionary bound for decompositions")
-
     p = sub.add_parser("check", help="gentle/Jacobian verdict and blocks")
     common(p)
     p.set_defaults(func=cmd_check)
@@ -210,7 +202,6 @@ def _parser():
     common(p)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the generic point the decomposition splits")
-    p.add_argument("--max-len", **max_len)
     p.add_argument("--dims", required=True, help="comma-separated d")
     p.set_defaults(func=cmd_components)
 
@@ -232,15 +223,12 @@ def _parser():
 
     p = sub.add_parser("eta", help="tau-reduced component of a lamination")
     common(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the generic point of the g-vector")
     p.add_argument("--lamination", required=True)
     p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("verify",
                        help="bangle vs generic dual CC function")
     common(p)
-    p.add_argument("--max-len", **max_len)
     p.add_argument("--lamination", required=True)
     p.set_defaults(func=cmd_verify)
     return ap

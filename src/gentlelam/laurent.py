@@ -361,12 +361,13 @@ def bangle_lamination(T, L, B=None):
     return out
 
 
-def cc_prime(T, dec, bound=10, B=None, algebra=None):
+def cc_prime(T, dec, B=None, algebra=None):
     """Dual Caldero-Chapoton function of a decorated module.
 
     x^g times the generating function of coideal counts (the Euler
     characteristics of the factor-module Grassmannians), multiplicative
-    over direct summands.
+    over direct summands.  A module that `decompose` cannot write as a
+    sum of word modules with rational parameters is `UnsupportedModule`.
     """
     A = algebra or build_QT(T)
     if B is None:
@@ -377,7 +378,7 @@ def cc_prime(T, dec, bound=10, B=None, algebra=None):
     if dec.module.dim() == 0:
         return out
     try:
-        parts = decompose(A, dec.module, bound)
+        parts = decompose(A, dec.module)
     except DictionaryExhausted as exc:
         raise UnsupportedModule(str(exc)) from exc
     for w in parts:
@@ -401,7 +402,7 @@ def generic_decorated_module(T, L, algebra=None):
     return DecoratedModule(word_sum(A, words), tuple(v))
 
 
-def verify_bangle_equals_generic(T, L, bound=12, algebra=None):
+def verify_bangle_equals_generic(T, L, algebra=None):
     """Compare the lamination bangle with the generic dual CC function.
 
     Returns (equal, lhs, rhs, first_diff)."""
@@ -409,7 +410,7 @@ def verify_bangle_equals_generic(T, L, bound=12, algebra=None):
     B = signed_adjacency(T)
     lhs = bangle_lamination(T, L, B)
     dec = generic_decorated_module(T, L, algebra=A)
-    rhs = cc_prime(T, dec, bound=bound, B=B, algebra=A)
+    rhs = cc_prime(T, dec, B=B, algebra=A)
     if lhs == rhs:
         return True, lhs, rhs, None
     lt = dict(lhs.terms)

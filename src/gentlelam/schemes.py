@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 from .errors import FalseVerdict, InputError, InternalError
 from .exactlinalg import sparse_rank
-from .homological import (DecoratedModule, _ext1_of_presentation,
-                          _relation_rows, _tau_of_presentation,
-                          ext1_complex_dim, g_vector, hom_dim_oracle,
-                          min_proj_presentation)
+from .homological import (_ext1_of_presentation, _relation_rows,
+                          _tau_of_presentation, ext1_complex_dim, g_vector,
+                          hom_dim_oracle, min_proj_presentation)
 from .quiver import is_jacobian, rho_blocks, transport_dimvec
 from .strings import (BandWord, InvalidString, _algebra_memo, _word_rep,
                       _word_table, band_parameters, conjugate, decompose,
@@ -342,7 +341,7 @@ def _pack(values, width):
     return sum(v << (k * width) for k, v in enumerate(values))
 
 
-def _candidates(A, d, bound):
+def _candidates(A, d):
     """The words the search of `generic_multiset` may use for the
     dimension vector d, as (word, packed shape) in search order, with the
     packing: (list, width, guards, dims_mask).
@@ -355,54 +354,49 @@ def _candidates(A, d, bound):
     set) and a shape c, every field of s - c is >= 0 iff (s - c) & guards
     == guards: a field that goes negative clears its own guard and
     borrows nothing from the next one.  The words and their shapes are
-    read off the word table of the algebra (`strings._word_table`, which
-    `decompose` reads too): the bands of length <= min(bound, sum d) and
-    the strings one shorter, whose modules have at most that dimension.
-    The list depends on (d, bound) only and is kept on the algebra."""
+    read off the word table of d (`strings._word_table`, which
+    `decompose` reads too), which holds every word whose module fits d.
+    The list depends on d only and is kept on the algebra."""
     memo = _algebra_memo(A, "_candidates")
-    key = (d, bound)
-    if key not in memo:
+    if d not in memo:
         width = sum(d).bit_length() + 1
-        length = min(bound, sum(d))
         cand = []
-        for shape, words in _word_table(A, d, length).items():
+        for shape, words in _word_table(A, d).items():
             for w in words:
                 band = isinstance(w, BandWord)
-                if band or len(w) < length:
-                    cand.append((-sum(shape[:A.n]), str(w), w,
-                                 _pack(shape + (int(not band),), width)))
+                cand.append((-sum(shape[:A.n]), str(w), w,
+                             _pack(shape + (int(not band),), width)))
         cand.sort(key=lambda x: x[:2])
         slots = A.n + len(A.arrow_ids) + 1
-        memo[key] = ([x[2:] for x in cand], width,
-                     _pack([1 << (width - 1)] * slots, width),
-                     _pack([(1 << (width - 1)) - 1] * A.n, width))
-    return memo[key]
+        memo[d] = ([x[2:] for x in cand], width,
+                   _pack([1 << (width - 1)] * slots, width),
+                   _pack([(1 << (width - 1)) - 1] * A.n, width))
+    return memo[d]
 
 
-def generic_multiset(A, Z, bound=None):
+def generic_multiset(A, Z):
     """The canonical decomposition of the component as a word multiset.
 
     Searches, depth first in the order of `_candidates`, for strings and
     bands whose dimension vectors, rank functions (read off the words by
     `word_shape`) and string counts add up to (d, r, sum d - sum r); each
     search state is one packed integer, and a child keeps only the
-    candidates that still fit it.  A multiset that adds up is certified
-    generic by the exact dimension count dim Z = dim GL - dim End + #bands,
-    with dim End summed over the pairs of its summands (`_word_pairs`).
-    Results are memoized on the algebra object.
+    candidates that still fit it; they are every word that fits d.  A
+    multiset that adds up is certified generic by the exact dimension
+    count dim Z = dim GL - dim End + #bands, with dim End summed over the
+    pairs of its summands (`_word_pairs`).  Results are memoized on the
+    algebra object.
     """
     d, r = Z.d, Z.rank()
     total = sum(d)
-    if bound is None:
-        bound = total
     memo = _algebra_memo(A, "_multisets")
-    key = (d, Z.r, bound)
+    key = (d, Z.r)
     if key in memo:
         return list(memo[key])
     if total == 0:
         memo[key] = []
         return []
-    cand, width, guards, dims_mask = _candidates(A, d, bound)
+    cand, width, guards, dims_mask = _candidates(A, d)
     start = guards | _pack(d + tuple(r[a] for a in A.arrow_ids)
                            + (total - sum(r.values()),), width)
     dz = component_dim(A, Z)
@@ -430,10 +424,27 @@ def generic_multiset(A, Z, bound=None):
         return dz == gl - end + q
 
     if not rec(start, fitting(start, cand)):
-        raise SamplingFailure(
-            f"no generic decomposition within bound {bound} for {Z.r}")
+        raise SamplingFailure(f"no generic decomposition for {Z.r}")
     memo[key] = list(sol)
     return list(sol)
+
+
+def _summands(words):
+    """(word, parameter) per summand of the generic direct sum `word_sum`
+    of `words`: a string has None, a band the next `band_parameters()`."""
+    lams = band_parameters()
+    return [(w, next(lams)) if isinstance(w, BandWord) else (w, None)
+            for w in words]
+
+
+def _small(A, x):
+    """(module, g-vector) of the summand x = (word, parameter), each built
+    once and kept on the algebra (`_word_rep`, `_word_gvectors`)."""
+    M = _word_rep(A, *x)
+    gvecs = _algebra_memo(A, "_word_gvectors")
+    if x not in gvecs:
+        gvecs[x] = g_vector(A, M)
+    return M, gvecs[x]
 
 
 def _word_pairs(A, words, full=False):
@@ -441,34 +452,23 @@ def _word_pairs(A, words, full=False):
     `words`, (dim Hom(M_i, M_j),), or with `full` (dim Hom(M_i, M_j),
     dim Ext^1(M_i, M_j), dim Hom(M_i, tau M_j)), in row-major order.
 
-    Each band summand takes the next parameter of `band_parameters()`, as
-    in `word_sum`.  These dimensions are read off small word modules and
-    kept on the algebra (`_word_pairs`) by (w_i, w_j, i == j and w_i a
-    band): the values do not depend on the parameters as long as two
-    distinct band summands have distinct ones, but a band's pair with
-    itself differs from its pair with another summand of the same word.
+    The summands are those of `_summands`.  These dimensions are read off
+    small word modules (`_small`) and kept on the algebra (`_word_pairs`)
+    by (w_i, w_j, i == j and w_i a band): the values do not depend on the
+    parameters as long as two distinct band summands have distinct ones,
+    but a band's pair with itself differs from its pair with another
+    summand of the same word.
     Ext^1 comes from the standard complex (`ext1_complex_dim`), and
     dim Hom(M_i, tau M_j) = dim Hom(M_j, M_i) + g(M_j) . dim M_i (the
-    dual E-invariant formula), so no presentation and no tau is built.
-    Each small module (`strings._word_rep`) and its g-vector are built
-    once per (word, parameter) and kept on the algebra too
-    (`_word_gvectors`)."""
+    dual E-invariant formula), so no presentation and no tau is built."""
     memo = _algebra_memo(A, "_word_pairs")
-    lams = band_parameters()
-    summands = [(w, next(lams)) if isinstance(w, BandWord) else (w, None)
-                for w in words]
-    gvecs = _algebra_memo(A, "_word_gvectors")
-
-    def small(x):
-        M = _word_rep(A, *x)
-        if x not in gvecs:
-            gvecs[x] = g_vector(A, M)
-        return M, gvecs[x]
+    summands = _summands(words)
 
     def pair(x, y, same):
         key = (x[0], y[0], same)
         if key not in memo:
-            memo[key] = (hom_dim_oracle(A, small(x)[0], small(y)[0]),)
+            memo[key] = (hom_dim_oracle(A, _word_rep(A, *x),
+                                        _word_rep(A, *y)),)
         return memo[key]
 
     out = []
@@ -477,7 +477,7 @@ def _word_pairs(A, words, full=False):
             same = i == j and x[1] is not None
             got = pair(x, y, same)
             if full and len(got) < 3:
-                (Mi, _), (Mj, gj) = small(x), small(y)
+                (Mi, _), (Mj, gj) = _small(A, x), _small(A, y)
                 back = pair(y, x, same)[0]  # dim Hom(M_j, M_i)
                 got = memo[(x[0], y[0], same)] = got + (
                     ext1_complex_dim(A, Mi, Mj, got[0]),
@@ -535,12 +535,12 @@ def ceh_by_words(A, Z):
     return component_dim(A, Z) - dim_gl(Z.d) + end, e, h
 
 
-def canonical_decomposition(A, Z, bound, seed=0):
+def canonical_decomposition(A, Z, seed=0):
     """Generic decomposition of the component into string and band
     labels, found by `decompose` at the generic point of `seed` and
     checked against the certified multiset of `generic_multiset`."""
     M = generic_point(A, Z, seed)
-    parts = decompose(A, M, bound, seed=seed)
+    parts = decompose(A, M, seed=seed)
     labels = [("band", x[0]) if isinstance(x, tuple) else ("string", x)
               for x in parts]
     want = sorted(("band" if isinstance(w, BandWord) else "string", str(w))
@@ -588,7 +588,11 @@ class DecoratedComponent:
         return (self.component.d, self.v)
 
 
-def decorated_g_vector(A, DZ, seed=0):
-    """Generic g-vector of a decorated component."""
-    M = generic_point(A, DZ.component, seed)
-    return g_vector(A, DecoratedModule(M, DZ.v))
+def decorated_g_vector(A, DZ):
+    """Generic g-vector of a decorated component: g is additive over
+    direct sums, so it is the decoration plus the word g-vectors of the
+    certified multiset (`_small`).  It builds no generic point; the
+    g-vector of a `generic_point` is its oracle."""
+    words = generic_multiset(A, DZ.component)
+    return tuple(map(sum, zip(DZ.v, *(_small(A, x)[1]
+                                      for x in _summands(words)))))

@@ -406,28 +406,27 @@ def word_shape(A, w):
     return tuple(dims), ranks
 
 
-def _word_table(A, dims, bound):
-    """The canonical strings and bands of length <= bound whose modules
-    fit dims, grouped by shape: {dims + ranks in arrow order (read off
-    `word_shape`): the words of that shape}, strings in the order of
-    `enumerate_strings`, then bands in that of `enumerate_bands`.
+def _word_table(A, dims):
+    """All canonical strings and bands whose modules fit dims (no word
+    longer than sum dims does), grouped by shape: {dims + ranks in arrow
+    order (read off `word_shape`): the words of that shape}, strings in
+    the order of `enumerate_strings`, then bands in that of
+    `enumerate_bands`.
 
     A shape fixes the string count (sum dims - sum ranks: 1 for a string,
     0 for a band), so each group holds strings only or bands only.  The
-    table is kept on the algebra by (dims, min(bound, sum dims)), since no
-    longer word fits; each word's shape is read once per algebra
-    (`_word_shapes`, with the first object of the word, which every later
-    table then holds in place of its own copy).  The search of
+    table is kept on the algebra by dims; each word's shape is read once
+    per algebra (`_word_shapes`, with the first object of the word, which
+    every later table then holds in place of its own copy).  The search of
     `schemes.generic_multiset` and `decompose` both read it."""
     dims = tuple(dims)
-    key = (dims, min(bound, sum(dims)))
     tables = _algebra_memo(A, "_word_tables")
-    table = tables.get(key)
+    table = tables.get(dims)
     if table is None:
         shapes = _algebra_memo(A, "_word_shapes")
-        table = tables[key] = {}
-        for w in (enumerate_strings(A, key[1], dims)
-                  + enumerate_bands(A, key[1], dims)):
+        table = tables[dims] = {}
+        for w in (enumerate_strings(A, sum(dims), dims)
+                  + enumerate_bands(A, sum(dims), dims)):
             if w not in shapes:
                 wdims, ranks = word_shape(A, w)
                 shapes[w] = (w, wdims + tuple(ranks[a] for a in A.arrow_ids))
@@ -1041,19 +1040,19 @@ def _support_split(A, rep):
     return blocks
 
 
-def decompose(A, rep, dictionary_bound, seed=0):
+def decompose(A, rep, seed=0):
     """Krull-Schmidt decomposition into StringWords and (BandWord, lambda).
 
     Each piece, starting from rep, is first split along its support graph
     if that falls apart (a block of that split is connected by
     construction and skips the test).  A piece that does not is
     identified before it is split: `_identify` looks its shape up in the
-    words of length <= dictionary_bound that fit it (`_word_table`) and
-    certifies a match with an explicit invertible intertwiner, so an
-    accepted piece is an indecomposable word module.  Only a piece
-    identification rejects pays for its endomorphism algebra and a
-    Fitting split (`_split_once`); one that does not split either is not
-    in the dictionary (`DictionaryExhausted`).  The pieces of a Fitting split
+    words that fit it (`_word_table`) and certifies a match with an
+    explicit invertible intertwiner, so an accepted piece is an
+    indecomposable word module.  Only a piece identification rejects pays
+    for its endomorphism algebra and a Fitting split (`_split_once`); one
+    that does not split either is no word module with a rational
+    parameter (`DictionaryExhausted`).  The pieces of a Fitting split
     read the table of the piece they came from, which holds every word
     that fits them; the pieces of a support split, small word modules
     when rep is a `word_sum`, look up the table of their own dims.
@@ -1070,7 +1069,7 @@ def decompose(A, rep, dictionary_bound, seed=0):
             pieces.extend((b, None, True) for b in blocks)
             continue
         if table is None:
-            table = _word_table(A, p.dims, dictionary_bound)
+            table = _word_table(A, p.dims)
         label = _identify(A, p, table)
         if label is not None:
             out.append(label)
@@ -1078,7 +1077,7 @@ def decompose(A, rep, dictionary_bound, seed=0):
         blocks = _split_once(A, p, rng, table)
         if blocks is None:
             raise DictionaryExhausted(
-                f"summand with dims {p.dims} not identified within bound")
+                f"summand with dims {p.dims} neither splits nor is a word")
         pieces.extend((b, table, False) for b in blocks)
     return sorted(out, key=lambda x: (isinstance(x, tuple), str(x[0] if
                                       isinstance(x, tuple) else x)))

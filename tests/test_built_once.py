@@ -107,7 +107,7 @@ def test_one_random_endomorphism_splits_every_summand_class(surface,
     full = 0
     for parts, M in connected_sums(A, random.Random(SEED), sizes):
         splits["blocks"].clear()
-        got = decompose(A, M, 6, seed=len(parts))
+        got = decompose(A, M, seed=len(parts))
         assert sorted(map(label, got)) == sorted(str(w) for w, _ in parts)
         assert splits["blocks"][0] >= 2
         full += splits["blocks"] == [len(parts)]
@@ -124,14 +124,14 @@ def test_repeated_summands_split_through_a_word_module(surface):
     C = [C for C in enumerate_strings(A, 3) if len(C) == 2][0]
     M = direct_sum(A, [string_module(A, C)] * 2)
     M = conjugate(A, M, random_glpoint(random.Random(SEED), M.dims, 3))
-    table = _word_table(A, M.dims, 6)
+    table = _word_table(A, M.dims)
     for phi in strings._through_words(A, M, table):
         blocks = _try_split(A, M, phi)
         if blocks:
             break
     assert len(blocks) == 2
     assert all(iso_test(A, B, string_module(A, C)) for B in blocks)
-    assert decompose(A, M, 6, seed=SEED) == [C, C]
+    assert decompose(A, M, seed=SEED) == [C, C]
 
 
 @pytest.mark.parametrize("seed", [3, 7])
@@ -141,7 +141,7 @@ def test_repeated_torus_summand_reaches_the_word_path(seed, splits):
     C = canonical_string(A, parse_word("b2,a2-,c-"))
     M = direct_sum(A, [string_module(A, C)] * 2)
     M = conjugate(A, M, random_glpoint(random.Random(seed), M.dims, 3))
-    assert decompose(A, M, 6, seed=seed) == [C, C]
+    assert decompose(A, M, seed=seed) == [C, C]
     assert splits["through_words"]
     assert splits["blocks"] == [2]
 
@@ -248,7 +248,7 @@ def test_component_dims_live_on_the_algebra():
     comps = components(A, d)
     dims = [component_dim(A, Z) for Z in comps]
     for Z in comps:
-        canonical_decomposition(A, Z, 12)
+        canonical_decomposition(A, Z)
     memo = A.__dict__["_component_dims"]
     assert memo == dict(zip(comps, dims))
     assert _algebra_memo(A, "_component_dims") is memo

@@ -47,7 +47,7 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 def test_components_double_loop(capsys):
     code, out, _ = run(capsys, "components", "--input",
                        g("double_loop.json"), "--dims", "2,2,2,2",
-                       "--format", "json", "--max-len", "8")
+                       "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert len(data["components"]) == 3
@@ -108,9 +108,20 @@ def test_shear_eta_verify_pants(capsys):
     assert data["g_vector"] == [0, -1, 1, -1, 1, 0]
     assert data["tau_reduced"] is True
     code, out, _ = run(capsys, "verify", "--input", g("pants.json"),
-                       "--lamination", g("pants_petals.json"),
-                       "--max-len", "8")
+                       "--lamination", g("pants_petals.json"))
     assert code == 0 and "EQUAL" in out
+
+
+def test_verify_twice_a_long_string_curve(tmp_path, capsys):
+    # the generic point holds a 13-letter string twice; with a dictionary
+    # bound of 12 this valid input once exited 2
+    curve = {"kind": "open", "crossings": [1, 2, 3, 4, 5] * 2 + [1, 2, 3, 4],
+             "endpoints": [["bA", 0], ["bC", 0]]}
+    lam = tmp_path / "long.json"
+    lam.write_text(json.dumps([{"curve": curve, "mult": 2}]))
+    code, out, err = run(capsys, "verify", "--input", g("pants.json"),
+                         "--lamination", str(lam))
+    assert (code, out, err) == (0, "EQUAL\n", "")
 
 
 def test_fixed_seed_reproducible(capsys):

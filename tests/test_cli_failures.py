@@ -1,13 +1,12 @@
-"""`components` reports a dictionary bound that is too small, and lets
-every other failure of the decomposition reach the exit code."""
+"""`components` lets every failure of the decomposition reach the exit
+code."""
 
-import json
 import os
 
 from conftest import GOLDEN
 from gentlelam import cli, schemes, strings
 from gentlelam.schemes import ConsistencyFailure
-from gentlelam.strings import SubspaceNotInvariant
+from gentlelam.strings import DictionaryExhausted, SubspaceNotInvariant
 
 TORUS = os.path.join(GOLDEN, "torus_quiver.json")
 
@@ -19,16 +18,17 @@ def components(capsys, *extra):
     return code, out.out, out.err
 
 
-def test_small_dictionary_bound_is_unavailable(capsys):
-    code, out, _ = components(capsys, "--max-len", "1")
-    assert code == 0
-    comps = json.loads(out)["components"]
-    assert comps and all(c["decomposition"].startswith("unavailable: ")
-                         for c in comps)
-    code, out, _ = components(capsys)
-    assert code == 0
-    assert all(isinstance(c["decomposition"], list)
-               for c in json.loads(out)["components"])
+def test_dictionary_exhausted_exits_3(capsys, monkeypatch):
+    # a generic point is a sum of word modules, so a summand that no word
+    # matches is an internal failure, not an unavailable decomposition
+    def exhausted(*args, **kwargs):
+        raise DictionaryExhausted("summand with dims (1, 1, 0, 0)")
+
+    monkeypatch.setattr(schemes, "decompose", exhausted)
+    code, out, err = components(capsys)
+    assert code == 3 and not out
+    assert err.startswith("internal error (DictionaryExhausted): ")
+    assert "Traceback" not in err
 
 
 def test_consistency_failure_is_not_hidden(capsys, monkeypatch):

@@ -6,16 +6,35 @@ import pytest
 from conftest import GOLDEN
 from gentlelam.cli import main
 
+TORUS = os.path.join(GOLDEN, "torus_quiver.json")
+
 
 def test_seed_only_where_it_is_read(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "--input", os.path.join(GOLDEN, "torus_quiver.json"),
-              "--seed", "1"])
-    assert exc.value.code == 2
-    assert main(["eta", "--input", os.path.join(GOLDEN, "pants.json"),
-                 "--lamination", os.path.join(GOLDEN, "pants_petals.json"),
-                 "--seed", "1"]) == 0
+    # parses on every subcommand; only `components` reads a seed, and no
+    # subcommand takes a dictionary bound
+    pants = ["--input", os.path.join(GOLDEN, "pants.json")]
+    lamination = [*pants, "--lamination",
+                  os.path.join(GOLDEN, "pants_petals.json")]
+    argvs = {
+        "check": ["--input", TORUS],
+        "components": ["--input", TORUS, "--dims", "1,1,0,0"],
+        "smooth": ["--input", TORUS, "--module", "module.json"],
+        "bangle": [*pants, "--curve", "loop:1,2"],
+        "shear": lamination,
+        "eta": lamination,
+        "verify": lamination,
+    }
+    for name, argv in argvs.items():
+        extras = [["--max-len", "8"]]
+        if name != "components":
+            extras.append(["--seed", "1"])
+        for extra in extras:
+            with pytest.raises(SystemExit) as exc:
+                main([name, *argv, *extra])
+            assert exc.value.code == 2, (name, extra)
+    assert main(["eta", *lamination]) == 0
     assert "component d=[1, 1, 1, 1, 1, 2]" in capsys.readouterr().out
+    assert main(["components", *argvs["components"], "--seed", "1"]) == 0
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

@@ -113,7 +113,7 @@ def test_conjugated_sums_on_the_golden_algebras(request, traced):
             M = direct_sum(A, [module(A, w, lam) for w, lam in parts])
             # conjugated, so the support graph does not split it
             M = conjugate(A, M, random_glpoint(rng, M.dims, 3))
-            got = decompose(A, M, 6, seed=count)
+            got = decompose(A, M, seed=count)
             assert labels(got) == labels(parts), (name, parts)
             count += 1
     accepted = {id(p) for p in traced["accepted"]}
@@ -139,7 +139,7 @@ def test_repeated_summands_split_through_a_word(request, torus_algebra,
     parts = [(canonical_string(A, parse_word(w)), None) for w in words]
     M = direct_sum(A, [module(A, w, lam) for w, lam in parts])
     M = conjugate(A, M, random_glpoint(random.Random(seed), M.dims, 3))
-    assert labels(decompose(A, M, 6, seed=seed)) == labels(parts)
+    assert labels(decompose(A, M, seed=seed)) == labels(parts)
     assert traced["through_words"]
     assert bool(traced["image"]) == image, traced
 
@@ -211,18 +211,18 @@ def test_word_table_lives_on_the_algebra():
     assert A == B and A is not B
     d = (2, 1, 1, 0)
     for Z in components(A, d):
-        schemes.canonical_decomposition(A, Z, 12)
-    table = _word_table(A, d, 12)
-    assert A.__dict__["_word_tables"] == {(d, sum(d)): table}
-    assert _algebra_memo(A, "_word_tables")[(d, sum(d))] is table
+        schemes.canonical_decomposition(A, Z)
+    table = _word_table(A, d)
+    assert A.__dict__["_word_tables"] == {d: table}
+    assert _algebra_memo(A, "_word_tables")[d] is table
     assert schemes._algebra_memo is _algebra_memo
     # the generic search and decompose read the same table
     words = {w for ws in table.values() for w in ws}
     for Z in components(A, d):
         assert set(generic_multiset(A, Z)) <= words
     assert not B.__dict__.get("_word_tables")
-    assert _word_table(B, d, 12) == table
-    assert _word_table(B, d, 12) is not table
+    assert _word_table(B, d) == table
+    assert _word_table(B, d) is not table
     # no module global holds a table or a memo
     for mod in (strings, schemes):
         assert not [k for k, v in vars(mod).items()
@@ -237,18 +237,20 @@ def test_word_table_lives_on_the_algebra():
 def test_word_table_is_the_dictionary_of_decompose(torus_algebra):
     A = torus_algebra
     d = (2, 2, 1, 1)
-    table = _word_table(A, d, 5)
+    table = _word_table(A, d)
     words = [w for ws in table.values() for w in ws]
     assert len(words) == len(set(words))
-    assert set(words) == set(enumerate_strings(A, 5, d)
-                             + enumerate_bands(A, 5, d))
+    assert set(words) == set(enumerate_strings(A, sum(d), d)
+                             + enumerate_bands(A, sum(d), d))
     for shape, ws in table.items():
         # a shape fixes the string count: strings only or bands only
         count = sum(shape[:A.n]) - sum(shape[A.n:])
         assert {isinstance(w, BandWord) for w in ws} == {count == 0}
         assert count in (0, 1)
-    # the key caps the length at sum d, since no longer word fits
-    assert _word_table(A, d, 50) is _word_table(A, d, sum(d))
+    # the table is complete: no longer word fits d
+    assert set(words) == set(enumerate_strings(A, sum(d) + 3, d)
+                             + enumerate_bands(A, sum(d) + 3, d))
+    assert _word_table(A, d) is table
 
 
 def test_support_pieces_read_the_tables_of_their_own_dims():
@@ -258,8 +260,8 @@ def test_support_pieces_read_the_tables_of_their_own_dims():
     words = [C for C in enumerate_strings(A, 3) if len(C) == 2][:2] \
         + enumerate_bands(A, 4)[:1]
     M = word_sum(A, words)
-    got = decompose(A, M, 12)
+    got = decompose(A, M)
     assert sorted(str(x[0] if isinstance(x, tuple) else x) for x in got) \
         == sorted(map(str, words))
     assert set(A.__dict__["_word_tables"]) == {
-        (d, sum(d)) for d in (word_shape(A, w)[0] for w in words)}
+        word_shape(A, w)[0] for w in words}

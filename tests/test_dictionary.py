@@ -11,7 +11,9 @@ from gentlelam import (DictionaryExhausted, StringWord, band_module,
                        decompose, enumerate_bands, enumerate_strings,
                        string_module)
 from gentlelam.fileio import algebra_from_dict, triangulation_from_dict
-from gentlelam.strings import _letter_table, _pair_rule, letter, parse_word
+from gentlelam import strings
+from gentlelam.strings import (_letter_table, _pair_rule, _walk_matrices,
+                               letter, make_rep, parse_word)
 
 ALGEBRAS = ("a3_relation", "double_loop", "loop_algebra", "torus_quiver",
             "two_cycle")
@@ -73,15 +75,62 @@ def test_unrestricted_dictionary_unchanged_by_dims_none():
         enumerate_strings(A, 5, (1, 1))
 
 
-def test_decompose_exhausts_at_the_bound():
+def test_decompose_names_long_words_without_a_bound():
     A = golden_algebra("torus_quiver")
     C = canonical_string(A, StringWord(parse_word("a1-,b1,a3,c-,b2,a1,b1-")))
-    M = string_module(A, C)
-    assert decompose(A, M, len(C)) == [C]
-    with pytest.raises(DictionaryExhausted):
-        decompose(A, M, len(C) - 1)
+    assert decompose(A, string_module(A, C)) == [C]
     B = canonical_band(A, parse_word("c-,b3-,a1-,b1,a1-,b1,a3"))
-    M = band_module(A, B, 3)
-    assert decompose(A, M, len(B)) == [(B, 3)]
+    assert decompose(A, band_module(A, B, 3)) == [(B, 3)]
+
+
+def flat_band(A, B, lam):
+    """The module of the band B with the 2 x 2 matrix parameter lam: the
+    word walk with 2 x 2 identity and zero blocks, flattened."""
+    eye, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+    dims, mats = _walk_matrices(A, B, lam, eye, zero)
+    return make_rep(A, [2 * x for x in dims], {
+        aid: [[blk[i][j] for blk in row for j in range(2)]
+              for row in m for i in range(2)] for aid, m in mats.items()})
+
+
+# the quasi-length-2 parameter J_2(3), and the companion matrix of x^2 + 2
+NOT_WORDS = ([[3, 1], [0, 3]], [[0, -2], [1, 0]])
+
+
+@pytest.mark.parametrize("lam", NOT_WORDS, ids=["J2(3)", "x^2+2"])
+def test_decompose_exhausts_on_a_module_of_no_word(lam):
+    # indecomposable, but no word module with a rational parameter
+    A = golden_algebra("torus_quiver")
+    B = canonical_band(A, parse_word("a1,b1-,a2-,c-,b2"))
     with pytest.raises(DictionaryExhausted):
-        decompose(A, M, len(B) - 1)
+        decompose(A, flat_band(A, B, lam))
+
+
+def test_through_words_yields_zero_blocks_where_the_word_is_zero(
+        monkeypatch):
+    # f_v g_v through a word module W with W_v = 0 is the zero block of
+    # rep's size at v, not an empty one
+    A = golden_algebra("pants")
+    B = canonical_band(A, parse_word(
+        "t0:2>6,t2:2>3-,t1:6>3,t0:6>1-,t4:1>5-,t3:4>5,t1:4>6-"))
+    M = flat_band(A, B, NOT_WORDS[0])
+    built, zero_blocks = [], []
+    word_rep, through = strings._word_rep, strings._through_words
+
+    def recorded(*args):
+        built.append(word_rep(*args))
+        return built[-1]
+
+    def counted(A, rep, table):
+        for phi in through(A, rep, table):
+            W = built[-1]
+            zero_blocks.extend(
+                phi[v] == [[0] * d for _ in range(d)]
+                for v, d in enumerate(rep.dims) if d and not W.dims[v])
+            yield phi
+
+    monkeypatch.setattr(strings, "_word_rep", recorded)
+    monkeypatch.setattr(strings, "_through_words", counted)
+    with pytest.raises(DictionaryExhausted):
+        decompose(A, M)
+    assert zero_blocks and all(zero_blocks)

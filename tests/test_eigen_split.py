@@ -214,7 +214,7 @@ def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
         M = direct_sum(A, [string_module(A, w) for w in parts + parts[:1]])
         if k % 2:
             M = conjugate(A, M, random_glpoint(rng, M.dims, 2))
-        assert sorted(map(str, strings.decompose(A, M, 6, seed=k))) == \
+        assert sorted(map(str, strings.decompose(A, M, seed=k))) == \
             sorted(map(str, parts + parts[:1]))
     tested_ids = {id(p) for p in tested}
     assert support_blocks and split_blocks

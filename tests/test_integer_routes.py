@@ -227,7 +227,7 @@ def test_subrep_of_fitting_splits_matches_the_solve_route(request, name,
             continue
         # conjugated, so the support graph does not split it
         M = conjugate(A, M, random_glpoint(rng, M.dims, 3))
-        assert len(decompose(A, M, 6, seed=sums)) == len(parts)
+        assert len(decompose(A, M, seed=sums)) == len(parts)
         sums += 1
     assert sums >= 10 and calls
 

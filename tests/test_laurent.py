@@ -6,12 +6,16 @@ from gentlelam import (CurveSeq, DecoratedModule, LaurentPoly, bangle,
                        coefficient_quiver, curve_to_module, direct_sum,
                        enumerate_strings, make_lamination, order_coideals,
                        shear_coordinates, signed_adjacency, specialize,
-                       string_module, validate_curve,
+                       string_module, string_to_curve, validate_curve,
                        verify_bangle_equals_generic, yhat)
-from gentlelam.strings import zero_rep
+from gentlelam.strings import (conjugate, decompose, parse_word,
+                               random_glpoint, string_word, zero_rep)
 from gentlelam.surface import CoefficientQuiver
 
 SIGMA = (3, 6, 1, 5, 4, 6, 2)
+# a 13-letter string on the pants algebra, the module of an open curve
+LONG = ("t0:1>2-,t2:2>3-,t1:3>4-,t3:4>5-,t4:1>5,t0:1>2-,t2:2>3-,t1:3>4-,"
+        "t3:4>5-,t4:1>5,t0:1>2-,t2:2>3-,t1:3>4-")
 
 
 def test_poly_arithmetic():
@@ -197,8 +201,7 @@ def test_cc_prime_of_sigma_band_is_bangle(pants, pants_algebra):
     w = curve_to_module(pants, sigma)
     M = band_module(pants_algebra, w, 5)
     dec = DecoratedModule(M, (0,) * 6)
-    assert cc_prime(pants, dec, bound=8, algebra=pants_algebra) == \
-        bangle(pants, sigma)
+    assert cc_prime(pants, dec, algebra=pants_algebra) == bangle(pants, sigma)
 
 
 def test_cc_prime_multiplicative(pants, pants_algebra):
@@ -210,18 +213,30 @@ def test_cc_prime_multiplicative(pants, pants_algebra):
         M = string_module(A, rng.choice(words))
         N = string_module(A, rng.choice(words))
         lhs = cc_prime(pants, DecoratedModule(direct_sum(A, [M, N]), z),
-                       bound=6, algebra=A)
-        rhs = cc_prime(pants, DecoratedModule(M, z), bound=6, algebra=A) * \
-            cc_prime(pants, DecoratedModule(N, z), bound=6, algebra=A)
+                       algebra=A)
+        rhs = cc_prime(pants, DecoratedModule(M, z), algebra=A) * \
+            cc_prime(pants, DecoratedModule(N, z), algebra=A)
         assert lhs == rhs
+
+
+def test_cc_prime_names_a_long_conjugated_string(pants, pants_algebra):
+    # no dictionary bound: a string longer than any former default is
+    # named at a conjugated point, and its dual CC function is the bangle
+    A = pants_algebra
+    C = string_word(A, parse_word(LONG))
+    assert len(C) == 13
+    M = string_module(A, C)
+    M = conjugate(A, M, random_glpoint(random.Random(5), M.dims, 3))
+    assert decompose(A, M) == [C]
+    assert cc_prime(pants, DecoratedModule(M, (0,) * 6), algebra=A) == \
+        bangle(pants, string_to_curve(pants, A, C))
 
 
 def test_verify_single_arcs(pants, pants_algebra):
     for j in (1, 4):
         L = make_lamination(pants, [(CurveSeq("arc", arc=j), 1)],
                             algebra=pants_algebra)
-        eq, *_ = verify_bangle_equals_generic(pants, L, bound=6,
-                                              algebra=pants_algebra)
+        eq, *_ = verify_bangle_equals_generic(pants, L, algebra=pants_algebra)
         assert eq
 
 
@@ -229,8 +244,7 @@ def test_verify_petals(pants, pants_algebra):
     p1 = validate_curve(pants, "loop", (6, 2, 3))
     p2 = validate_curve(pants, "loop", (1, 6, 4, 5))
     L = make_lamination(pants, [(p1, 1), (p2, 1)], algebra=pants_algebra)
-    eq, *_ = verify_bangle_equals_generic(pants, L, bound=8,
-                                          algebra=pants_algebra)
+    eq, *_ = verify_bangle_equals_generic(pants, L, algebra=pants_algebra)
     assert eq
 
 

@@ -48,7 +48,7 @@ def test_double_loop_band_components(double_loop):
     d = (2, 2, 2, 2)
     for Z in components(double_loop, d):
         assert component_dim(double_loop, Z) == dim_gl(d) == 16
-        labels = canonical_decomposition(double_loop, Z, 8, seed=3)
+        labels = canonical_decomposition(double_loop, Z, seed=3)
         assert all(kind == "band" for kind, _ in labels)
 
 
@@ -181,7 +181,7 @@ def test_canonical_decomposition_counts(torus_algebra):
     A = torus_algebra
     d = (1, 1, 0, 0)
     for Z in components(A, d):
-        labels = canonical_decomposition(A, Z, 6, seed=2)
+        labels = canonical_decomposition(A, Z, seed=2)
         n_strings = sum(1 for k, _ in labels if k == "string")
         assert n_strings == sum(d) - sum(Z.rank().values())
 
@@ -194,7 +194,7 @@ def test_band_only_iff_dim_gl(double_loop):
         if sum(d) == 0:
             continue
         for Z in components(A, d)[:3]:
-            labels = canonical_decomposition(A, Z, 8, seed=3)
+            labels = canonical_decomposition(A, Z, seed=3)
             band_only = all(k == "band" for k, _ in labels) and labels
             assert bool(band_only) == \
                 (component_dim(A, Z) == dim_gl(d)), (d, Z.r)

@@ -141,7 +141,7 @@ def test_string_band_defect_fuzzed():
 def test_decompose_block_diagonal(torus_algebra):
     C = canonical_string(torus_algebra, StringWord(parse_word(SAMPLE)))
     M = direct_sum(torus_algebra, [string_module(torus_algebra, C)] * 2)
-    out = decompose(torus_algebra, M, 8)
+    out = decompose(torus_algebra, M)
     assert out == [C, C]
 
 
@@ -165,7 +165,7 @@ def test_decompose_conjugated_mixture(torus_algebra):
                 expected.append(canonical_string(A, C))
         M = conjugate(A, direct_sum(A, parts),
                       random_glpoint(rng, direct_sum(A, parts).dims, 3))
-        got = decompose(A, M, 8, seed=trial)
+        got = decompose(A, M, seed=trial)
         assert sorted(map(str, got)) == sorted(map(str, expected)) or \
             _same_multiset(got, expected)
 
@@ -194,5 +194,5 @@ def test_decompose_conjugated_on_surface_algebra(pants_algebra):
             M = string_module(A, w)
             want = [canonical_string(A, w)]
         M2 = conjugate(A, M, random_glpoint(rng, M.dims, 3))
-        got = decompose(A, M2, 8, seed=1)
+        got = decompose(A, M2, seed=1)
         assert _same_multiset(got, want), str(w)

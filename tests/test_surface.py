@@ -1,14 +1,17 @@
 import pytest
 
-from gentlelam import (BandWord, CurveSeq, InconsistentSequence, InternalError,
+from gentlelam import (BandWord, CurveSeq, DecoratedModule,
+                       InconsistentSequence, InternalError,
                        InvalidLamination, InvalidTriangulation, StringWord,
                        Triangulation, band_module, band_to_curve, build_QT,
                        canonical_band, canonical_string, coefficient_quiver,
                        curve_to_module, decorated_g_vector, enumerate_bands,
-                       enumerate_strings, eta, int_zero, is_jacobian,
+                       enumerate_strings, eta, g_vector, generic_point,
+                       int_zero, is_jacobian,
                        make_lamination, rotate_tau, shear_coordinates,
                        shear_of_lamination, string_module, string_to_curve,
                        tau_string, validate_curve)
+from lamgen import random_laminations
 
 SIGMA = (3, 6, 1, 5, 4, 6, 2)
 
@@ -240,6 +243,17 @@ def test_eta_of_petals(pants, pants_algebra):
     assert DZ.component.d == (1, 1, 1, 1, 1, 2)
     assert decorated_g_vector(pants_algebra, DZ) == \
         shear_of_lamination(pants, L) == (0, -1, 1, -1, 1, 0)
+
+
+def test_decorated_g_vector_is_that_of_a_generic_point(pants, pants_algebra):
+    # the word route against the g-vector of sampled generic points, on
+    # the laminations of acceptance criterion 5
+    A = pants_algebra
+    for k, L in enumerate(random_laminations(pants, A, 50, seed=123)):
+        DZ = eta(pants, L, algebra=A)
+        M = generic_point(A, DZ.component, k)
+        assert decorated_g_vector(A, DZ) == \
+            g_vector(A, DecoratedModule(M, DZ.v)), L
 
 
 def test_word_curve_roundtrips(pants, pants_algebra):
