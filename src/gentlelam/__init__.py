@@ -31,8 +31,9 @@ from .surface import (CoefficientQuiver, CurveSeq, InconsistentSequence,
                       rotate_tau, shear_coordinates, shear_of_lamination,
                       string_to_curve, validate_curve)
 from .laurent import (ExponentOutOfRange, LaurentPoly, NotPathOrCycle,
-                      UnsupportedModule, bangle, bangle_lamination, cc_prime,
-                      order_coideals, signed_adjacency, specialize,
+                      ShapeMismatch, UnsupportedModule, bangle,
+                      bangle_lamination, cc_prime, order_coideals,
+                      signed_adjacency, specialize,
                       verify_bangle_equals_generic, word_coefficient_quiver,
                       yhat)
 

@@ -17,15 +17,18 @@ one of the four pairs of neighbouring states (the snake-graph expansion
 of Musiker-Schiffler-Williams).  The sweep keeps each term as one
 integer key that packs the x- and then the y-exponents into digits of
 w bytes (x-digits biased by 2^(8w - 1), w the least of 1, 2, 4, 8 that
-no partial term outgrows), so a position adds one constant to a key,
-the integer order of the keys is the order of the terms, and each key
-is read back with `int.to_bytes` and `memoryview.cast`.
+no partial term outgrows), so a position adds one constant to every
+key, and the integer order of the keys is the order of the terms.  A
+state holds its keys less one lazy offset, so taking a position only
+adds to the offset, and a merge re-keys the smaller of two dicts.  The
+sorted keys are read back in one pass: joined as big-endian bytes and
+unpacked into digits by a single `struct.unpack`.
 `order_coideals` lists the coideals by a scan over all vertex subsets;
 it is kept as the independent oracle of the sweep and of the
 finite-field Grassmannian counts, and nothing in the library calls it.
 """
 
-import sys
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from operator import mul
@@ -44,6 +47,11 @@ class UnsupportedModule(InputError):
 class ExponentOutOfRange(InputError):
     """A power of a LaurentPoly that is negative or not an integer, or a
     coideal sum whose exponents may not fit 64-bit digits."""
+
+
+class ShapeMismatch(InputError):
+    """An x-exponent offset whose length is not n, or a position label
+    outside 1..n, for a coideal sum over an n x n exchange matrix."""
 
 
 class NotPathOrCycle(InputError):
@@ -215,7 +223,8 @@ def coideal_generating_function(Q, B, offset=None):
     (u out, v in); taking position k multiplies by yhat(label k).  A path
     adds up both end states.  A cycle sweeps once from each state of
     position 1 and keeps the end states that the closing arrow between
-    positions m and 1 admits.
+    positions m and 1 admits.  The labels must lie in 1..n and the
+    offset have length n (`ShapeMismatch`).
 
     A term is kept as one integer of 2n digits, each w bytes wide, most
     significant first: x_1 .. x_n, each plus the bias 2^(8w - 1), then
@@ -223,12 +232,21 @@ def coideal_generating_function(Q, B, offset=None):
     adds one constant to every key, column j of B in the x-digits and a
     unit in the y_j digit; the offset is in the start key.  No digit
     leaves its range, so none carries into the next, and the integer
-    order of the keys is the order of the LaurentPoly terms.  Each key is
-    read back as 2n signed w-byte integers once the bias bits are
-    flipped.
+    order of the keys is the order of the LaurentPoly terms.  A state
+    is a pair (dict, offset): each stored key plus the offset is a key,
+    so a position adds its constant to the offset alone (see `_sweep`).
+    The sorted keys, their bias bits flipped, are joined as big-endian
+    bytes and unpacked at once into signed w-byte digits, n of them to
+    an x- or a y-tuple.
     """
     n = len(B)
-    offset = (0,) * n if offset is None else offset
+    offset = (0,) * n if offset is None else tuple(offset)
+    if len(offset) != n:
+        raise ShapeMismatch(
+            f"offset {offset} has length {len(offset)}, not n = {n}")
+    for j in Q.labels:
+        if not 1 <= j <= n:
+            raise ShapeMismatch(f"label {j!r} is outside 1..{n}")
     forward = _arrow_directions(Q)
     w = _key_width(Q, B, offset)
     radix = 1 << 8 * w
@@ -238,27 +256,25 @@ def coideal_generating_function(Q, B, offset=None):
     shift = [sum(B[i][j - 1] * x_place[i] for i in range(n))
              + radix ** (n - j) for j in Q.labels]
     if Q.cyclic:
-        total = {}
+        total = ({}, 0)
         for first in (0, 1):
-            state = ({start: 1}, {}) if first == 0 else \
-                ({}, {start + shift[0]: 1})
+            state = (({0: 1}, start), ({}, 0)) if first == 0 else \
+                (({}, 0), ({0: 1}, start + shift[0]))
             ends = _sweep(state, forward[:-1], shift)
             for last in (0, 1):
                 if _admits(forward[-1], last, first):
-                    _add_into(total, ends[last])
+                    total = _union(total, ends[last])
     else:
-        out, into = _sweep(({start: 1}, {start + shift[0]: 1}), forward,
-                           shift)
-        total = _add_into(out, into)
+        total = _union(*_sweep((({0: 1}, start), ({0: 1}, start + shift[0])),
+                               forward, shift))
+    d, at = total
+    keys = sorted(d)
     nbytes, fmt = 2 * n * w, "bhiq"[w.bit_length() - 1]
-    # to_bytes in the native order puts x_1 last on a little-endian host
-    step = -1 if sys.byteorder == "little" else 1
-    terms = []
-    for key in sorted(total):
-        e = tuple(memoryview((key ^ bias).to_bytes(nbytes, sys.byteorder))
-                  .cast(fmt))[::step]
-        terms.append(((e[:n], e[n:]), total[key]))
-    return LaurentPoly(n, tuple(terms))
+    digits = struct.unpack(
+        f">{2 * n * len(keys)}{fmt}",
+        b"".join([((k + at) ^ bias).to_bytes(nbytes, "big") for k in keys]))
+    rows = zip(*[iter(digits)] * n)  # x_1 .. x_n, y_1 .. y_n, x_1 ..
+    return LaurentPoly(n, tuple(zip(zip(rows, rows), map(d.get, keys))))
 
 
 def _key_width(Q, B, offset):
@@ -305,25 +321,45 @@ def _admits(forward, here, there):
     return (here, there) != ((0, 1) if forward else (1, 0))
 
 
-def _add_into(d, other):
+def _merge(d, at, other, off):
+    """Add the terms of `other`, whose keys are stored less `off`, into
+    `d`, whose keys are stored less `at`; returns d."""
+    delta = off - at
+    get = d.get
     for k, c in other.items():
-        d[k] = d.get(k, 0) + c
+        k += delta
+        d[k] = get(k, 0) + c
     return d
 
 
+def _union(a, b):
+    """The sum of two sweep states (dict, offset) that neither survives:
+    the smaller dict re-keyed into the larger."""
+    if len(a[0]) < len(b[0]):
+        a, b = b, a
+    return _merge(*a, *b), a[1]
+
+
 def _sweep(state, forward, shift):
-    """Carry (out, in) across the arrows `forward` from position 1; arrow
-    k leads into position k+1, which multiplies by shift[k].  Updates the
-    dicts of `state` in place."""
-    out, into = state
+    """Carry ((out, o_at), (into, i_at)) across the arrows `forward` from
+    position 1; arrow k leads into position k+1, which adds shift[k] to
+    the offset of the in-state.  A merge adds the smaller dict into the
+    larger, which it copies first only when that state lives on (the
+    in-state at a forward arrow, the out-state at a backward one)."""
+    (out, o_at), (into, i_at) = state
     for k, fwd in enumerate(forward, 1):
-        s = shift[k]
-        if fwd:  # k -> k+1: k+1 in needs k in
-            shifted = {key + s: c for key, c in into.items()}
-            out, into = _add_into(out, into), shifted
-        else:  # k+1 -> k: k in needs k+1 in
-            into = {key + s: c for key, c in _add_into(into, out).items()}
-    return out, into
+        if fwd:  # k -> k+1: k+1 out takes both, k+1 in needs k in
+            if len(out) >= len(into):
+                _merge(out, o_at, into, i_at)
+            else:
+                out, o_at = _merge(dict(into), i_at, out, o_at), i_at
+        else:  # k+1 -> k: k+1 in takes both, k+1 out needs k out
+            if len(into) >= len(out):
+                _merge(into, i_at, out, o_at)
+            else:
+                into, i_at = _merge(dict(out), o_at, into, i_at), o_at
+        i_at += shift[k]
+    return (out, o_at), (into, i_at)
 
 
 def word_coefficient_quiver(A, w):

@@ -1044,10 +1044,11 @@ def decompose(A, rep, seed=0):
     """Krull-Schmidt decomposition into StringWords and (BandWord, lambda).
 
     Each piece, starting from rep, is first split along its support graph
-    if that falls apart (a block of that split is connected by
-    construction and skips the test).  A piece that does not is
-    identified before it is split: `_identify` looks its shape up in the
-    words that fit it (`_word_table`) and certifies a match with an
+    if that falls apart.  A block of that split is connected by
+    construction and skips the test; a block of a Fitting split takes it
+    only if identification rejects it.  A piece that does not fall apart
+    is identified before it is split: `_identify` looks its shape up in
+    the words that fit it (`_word_table`) and certifies a match with an
     explicit invertible intertwiner, so an accepted piece is an
     indecomposable word module.  Only a piece identification rejects pays
     for its endomorphism algebra and a Fitting split (`_split_once`); one
@@ -1064,13 +1065,17 @@ def decompose(A, rep, seed=0):
         p, table, connected = pieces.pop()
         if p.dim() == 0:
             continue
-        blocks = None if connected else _support_split(A, p)
-        if blocks is not None:
-            pieces.extend((b, None, True) for b in blocks)
-            continue
-        if table is None:
-            table = _word_table(A, p.dims)
-        label = _identify(A, p, table)
+        # a block of a Fitting split has its table at hand: identify it
+        # before its support is tested
+        label = None if table is None else _identify(A, p, table)
+        if label is None:
+            blocks = None if connected else _support_split(A, p)
+            if blocks is not None:
+                pieces.extend((b, None, True) for b in blocks)
+                continue
+            if table is None:
+                table = _word_table(A, p.dims)
+                label = _identify(A, p, table)
         if label is not None:
             out.append(label)
             continue

@@ -189,10 +189,12 @@ def test_two_by_two_charpoly_in_closed_form():
 
 def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
     # a block of a support split is connected by construction; a block of
-    # an eigenspace split is tested, and may fall apart
+    # an eigenspace split is identified first, and tested (it may fall
+    # apart) only if identification rejects it
     A = pants_algebra
-    tested, support_blocks, split_blocks = [], [], []
+    tested, support_blocks, split_blocks, rejected = [], [], [], []
     support_split, try_split = strings._support_split, strings._try_split
+    identify = strings._identify
 
     def recording_support_split(A, rep):
         tested.append(rep)
@@ -205,8 +207,15 @@ def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
         split_blocks.extend(blocks or ())
         return blocks
 
+    def recording_identify(A, p, table):
+        label = identify(A, p, table)
+        if label is None:
+            rejected.append(p)
+        return label
+
     monkeypatch.setattr(strings, "_support_split", recording_support_split)
     monkeypatch.setattr(strings, "_try_split", recording_try_split)
+    monkeypatch.setattr(strings, "_identify", recording_identify)
     rng = random.Random(SEED)
     words = [w for w in enumerate_strings(A, 3) if len(w)]
     for k in range(6):
@@ -219,4 +228,6 @@ def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
     tested_ids = {id(p) for p in tested}
     assert support_blocks and split_blocks
     assert not tested_ids & {id(b) for b in support_blocks}
-    assert {id(b) for b in split_blocks if b.dim()} <= tested_ids
+    # a split block is support-tested only if identification rejected it
+    assert {id(b) for b in split_blocks if b.dim()} & tested_ids <= \
+        {id(p) for p in rejected}
