@@ -16,13 +16,14 @@ from .homological import (DecoratedModule, FormulaMismatch, StandardHom,
                           hom_dim_oracle, is_tau_rigid, min_proj_presentation,
                           standard_homs, tau_dtr, tau_string)
 from .schemes import (Component, ConsistencyFailure, DecoratedComponent,
-                      NotJacobian, SamplingFailure, UniquenessViolation,
-                      block_critical_summands, canonical_decomposition,
-                      ceh_by_words, ceh_values, component_dim, components,
-                      critical_relation_pairs, decorated_g_vector, dim_gl,
-                      generic_point, is_generically_reduced, is_smooth_point,
-                      is_tau_reduced, rank_functions, tangent_dim,
-                      tau_reduced_components_census)
+                      InvalidDimensionVector, NotJacobian, SamplingFailure,
+                      UniquenessViolation, block_critical_summands,
+                      canonical_decomposition, ceh_by_words, ceh_values,
+                      component_dim, components, critical_relation_pairs,
+                      decorated_g_vector, dim_gl, generic_point,
+                      is_generically_reduced, is_smooth_point,
+                      is_tau_reduced, maximal_rank_functions, rank_functions,
+                      tangent_dim, tau_reduced_components_census)
 from .surface import (CoefficientQuiver, CurveSeq, InconsistentSequence,
                       InvalidLamination, InvalidTriangulation, Lamination,
                       NotLocallyMinimal, NotOpenCurve, Triangulation,

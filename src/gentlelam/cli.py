@@ -133,8 +133,7 @@ def cmd_bangle(args):
 
 def cmd_shear(args):
     T = fileio.load_triangulation(args.input)
-    A = build_QT(T)
-    L = fileio.lamination_from_file(T, args.lamination, algebra=A)
+    L = fileio.lamination_from_file(T, args.lamination)
     s = shear_of_lamination(T, L)
     _emit(args, {"shear": list(s)}, [str(list(s))])
     return 0
@@ -143,8 +142,8 @@ def cmd_shear(args):
 def cmd_eta(args):
     T = fileio.load_triangulation(args.input)
     A = build_QT(T)
-    L = fileio.lamination_from_file(T, args.lamination, algebra=A)
-    DZ = eta(T, L, algebra=A)
+    L = fileio.lamination_from_file(T, args.lamination)
+    DZ = eta(T, L)
     g = decorated_g_vector(A, DZ)
     crit = block_critical_summands(A, DZ.component)
     payload = {
@@ -163,9 +162,8 @@ def cmd_eta(args):
 
 def cmd_verify(args):
     T = fileio.load_triangulation(args.input)
-    A = build_QT(T)
-    L = fileio.lamination_from_file(T, args.lamination, algebra=A)
-    equal, lhs, rhs, diff = verify_bangle_equals_generic(T, L, algebra=A)
+    L = fileio.lamination_from_file(T, args.lamination)
+    equal, lhs, rhs, diff = verify_bangle_equals_generic(T, L)
     payload = {"equal": equal, "bangle": lhs.to_json(),
                "generic_cc": rhs.to_json()}
     lines = ["EQUAL" if equal else "UNEQUAL"]

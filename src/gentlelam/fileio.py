@@ -14,9 +14,35 @@ class ParseError(InputError):
 
 
 def _need(obj, key, where):
-    if key not in obj:
+    if key not in _object(obj, where):
         raise ParseError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {value!r}")
+    return value
+
+
+def _list(value, where):
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a JSON list, got {value!r}")
+    return value
+
+
+def _sized(value, size, where):
+    if len(_list(value, where)) != size:
+        raise ParseError(f"{where}: expected {size} entries, got {value!r}")
+    return value
+
+
+def _int(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(
+            f"{where}: expected an integer, got {value!r}") from None
 
 
 def load_json(path):
@@ -30,14 +56,15 @@ def load_json(path):
 
 
 def algebra_from_dict(data):
-    n = _need(data, "vertices", "algebra")
+    n = _int(_need(data, "vertices", "algebra"), "algebra vertices")
     arrows = []
-    for a in _need(data, "arrows", "algebra"):
+    for a in _list(_need(data, "arrows", "algebra"), "algebra arrows"):
         arrows.append((str(_need(a, "id", "arrow")),
-                       int(_need(a, "from", "arrow")),
-                       int(_need(a, "to", "arrow"))))
-    rels = [(str(a), str(b)) for a, b in data.get("relations", [])]
-    return validate_gentle(Quiver(int(n), tuple(arrows)), rels)
+                       _int(_need(a, "from", "arrow"), "arrow from"),
+                       _int(_need(a, "to", "arrow"), "arrow to")))
+    rels = [tuple(map(str, _sized(r, 2, "relation")))
+            for r in _list(data.get("relations", []), "algebra relations")]
+    return validate_gentle(Quiver(n, tuple(arrows)), rels)
 
 
 def algebra_to_dict(A):
@@ -54,16 +81,22 @@ def load_algebra(path):
 
 
 def module_from_dict(A, data):
-    dims = [int(x) for x in _need(data, "dims", "module")]
+    dims = [_int(x, "module dims") for x in _sized(
+        _need(data, "dims", "module"), A.n, "module dims")]
+    if any(x < 0 for x in dims):
+        raise ParseError(f"module dims: negative entry in {dims}")
     mats = {}
-    for aid, rows in _need(data, "matrices", "module").items():
+    for aid, rows in _object(_need(data, "matrices", "module"),
+                             "module matrices").items():
         if aid not in set(A.arrow_ids):
             raise ParseError(f"module: unknown arrow {aid!r}")
         ds, dt = dims[A.s(aid) - 1], dims[A.t(aid) - 1]
         if ds == 0 or dt == 0:
             mats[aid] = [[0] * ds for _ in range(dt)]
             continue
-        mats[aid] = [[Fraction(str(x)) for x in row] for row in rows]
+        where = f"module: matrix of {aid!r}"
+        mats[aid] = [[Fraction(str(x)) for x in _list(row, where)]
+                     for row in _list(rows, where)]
     return make_rep(A, dims, mats)
 
 
@@ -77,11 +110,10 @@ def _edge_id(x):
 
 
 def triangulation_from_dict(data):
-    arcs = tuple(_edge_id(x) for x in _need(data, "internal_arcs", "surface"))
-    bnds = tuple(_edge_id(x) for x in _need(data, "boundary_segments",
-                                            "surface"))
-    tris = tuple(tuple(_edge_id(e) for e in t)
-                 for t in _need(data, "triangles", "surface"))
+    arcs, bnds = (tuple(map(_edge_id, _list(_need(data, k, "surface"), k)))
+                  for k in ("internal_arcs", "boundary_segments"))
+    tris = tuple(tuple(map(_edge_id, _list(t, "triangle"))) for t in _list(
+        _need(data, "triangles", "surface"), "triangles"))
     return Triangulation(arcs, bnds, tris)
 
 
@@ -94,12 +126,14 @@ def curve_from_dict(T, data):
     if kind == "arc":
         return validate_curve(T, "arc", arc=_edge_id(_need(data, "arc",
                                                            "curve")))
-    crossings = tuple(_edge_id(x) for x in _need(data, "crossings", "curve"))
+    crossings = tuple(_edge_id(x) for x in _list(
+        _need(data, "crossings", "curve"), "curve crossings"))
     if kind == "loop":
         return validate_curve(T, "loop", crossings)
     if kind == "open":
-        eps = _need(data, "endpoints", "curve")
-        endpoints = tuple((_edge_id(b), int(e)) for b, e in eps)
+        eps = _list(_need(data, "endpoints", "curve"), "curve endpoints")
+        endpoints = tuple((_edge_id(b), _int(e, "endpoint end"))
+                          for b, e in (_sized(x, 2, "endpoint") for x in eps))
         return validate_curve(T, "open", crossings, endpoints)
     raise ParseError(f"unknown curve kind {kind!r}")
 
@@ -127,10 +161,9 @@ def parse_curve_text(T, text):
     raise ParseError("curve text must be 'arc:J', 'loop:j1,j2,...' or JSON")
 
 
-def lamination_from_file(T, path, algebra=None):
-    data = load_json(path)
+def lamination_from_file(T, path):
     entries = []
-    for item in data:
+    for item in _list(load_json(path), "lamination"):
         gamma = curve_from_dict(T, _need(item, "curve", "lamination entry"))
-        entries.append((gamma, int(item.get("mult", 1))))
-    return make_lamination(T, entries, algebra=algebra)
+        entries.append((gamma, _int(item.get("mult", 1), "lamination mult")))
+    return make_lamination(T, entries)

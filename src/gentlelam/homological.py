@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError
 from .exactlinalg import _echelon, _ratio, nullspace, sparse_rank
+from .quiver import _algebra_memo
 from .strings import (BandWord, StringWord, _subrep, _sum_offsets,
                       canonical_band, canonical_string, direct_sum,
                       hom_dim, letter_inv, letter_s, letter_t,
@@ -61,24 +62,6 @@ class StandardHom:
 # projectives, covers, presentations
 
 
-def permitted_paths_from(A, i):
-    """Paths p = (a_1, ..., a_k) with s(p) = i avoiding the relations,
-    including the lazy path ()."""
-    out = [()]
-    stack = [()]
-    while stack:
-        p = stack.pop()
-        head = p[0] if p else None
-        v = A.t(head) if head else i
-        for b in A.quiver.arrows_from(v):
-            if head is not None and (b, head) in A.relations:
-                continue
-            q = (b,) + p
-            out.append(q)
-            stack.append(q)
-    return sorted(out, key=lambda p: (len(p), p))
-
-
 def path_target(A, p, start):
     return A.t(p[0]) if p else start
 
@@ -87,17 +70,25 @@ def projective_rep(A, i):
     """The indecomposable projective at vertex i with its path basis:
     (rep, paths, index).  Built once per vertex and kept on the algebra
     object, so every caller shares it; none may change it."""
-    memo = A.__dict__.get("_projectives")
-    if memo is None:
-        memo = {}
-        object.__setattr__(A, "_projectives", memo)
+    memo = _algebra_memo(A, "_projectives")
     if i not in memo:
         memo[i] = _projective_rep(A, i)
     return memo[i]
 
 
 def _projective_rep(A, i):
-    paths = tuple(permitted_paths_from(A, i))
+    """The paths p = (a_k, ..., a_1) with s(a_1) = i that avoid the
+    relations, the lazy path () included, sorted by (length, p), are the
+    basis; each arrow b sends p to (b,) + p when that path avoids them.
+    The relations make the algebra finite-dimensional, so the walk, which
+    extends `found` while it reads it, ends."""
+    found, steps = [()], []
+    for p in found:
+        for b in A.quiver.arrows_from(path_target(A, p, i)):
+            if not p or (b, p[0]) not in A.relations:
+                found.append((b,) + p)
+                steps.append((b, p))
+    paths = tuple(sorted(found, key=lambda p: (len(p), p)))
     by_vertex = {v: [] for v in range(1, A.n + 1)}
     for p in paths:
         by_vertex[path_target(A, p, i)].append(p)
@@ -109,15 +100,9 @@ def _projective_rep(A, i):
         dims[v - 1] = len(by_vertex[v])
     mats = {aid: [[0] * dims[A.s(aid) - 1] for _ in range(dims[A.t(aid) - 1])]
             for aid in A.arrow_ids}
-    for p in paths:
-        v = path_target(A, p, i)
-        for b in A.quiver.arrows_from(v):
-            if p and (b, p[0]) in A.relations:
-                continue
-            q = (b,) + p
-            mats[b][index[q][1]][index[p][1]] = 1
-    rep = make_rep(A, dims, mats)
-    return rep, paths, index
+    for b, p in steps:
+        mats[b][index[(b,) + p][1]][index[p][1]] = 1
+    return make_rep(A, dims, mats), paths, index
 
 
 def _image_rows(mat, vecs):
@@ -189,10 +174,7 @@ def _p0(A, n_vec):
     multiplicities n_vec: n_vec[v - 1] copies of P_v in vertex order.
     Built once per n_vec and kept on the algebra object, so every
     presentation with these tops shares it; none may change it."""
-    memo = A.__dict__.get("_p0s")
-    if memo is None:
-        memo = {}
-        object.__setattr__(A, "_p0s", memo)
+    memo = _algebra_memo(A, "_p0s")
     if n_vec not in memo:
         paths = tuple(projective_rep(A, v) for v in range(1, A.n + 1)
                       for _ in range(n_vec[v - 1]))
@@ -293,20 +275,11 @@ def _rank_side_by_side(mats):
 
 
 def _paths_ending_at(A, i):
-    """Paths p with t(p) = i avoiding relations, including ()."""
-    out = [()]
-    stack = [()]
-    while stack:
-        p = stack.pop()
-        tail = p[-1] if p else None
-        v = A.s(tail) if tail else i
-        for b in A.quiver.arrows_into(v):
-            if tail is not None and (tail, b) in A.relations:
-                continue
-            q = p + (b,)
-            out.append(q)
-            stack.append(q)
-    return sorted(out, key=lambda p: (len(p), p))
+    """Paths p with t(p) = i avoiding relations, including (), read off
+    the path bases of the projectives kept on the algebra."""
+    return sorted((p for v in range(1, A.n + 1)
+                   for p, (u, _) in projective_rep(A, v)[2].items()
+                   if u == i), key=lambda p: (len(p), p))
 
 
 def tau_dtr(A, M):

@@ -388,16 +388,15 @@ def bangle(T, gamma, B=None):
     return coideal_generating_function(Q, B, shear_coordinates(T, gamma))
 
 
-def bangle_lamination(T, L, B=None):
-    if B is None:
-        B = signed_adjacency(T)
+def bangle_lamination(T, L):
+    B = signed_adjacency(T)
     out = LaurentPoly.one(len(B))
     for gamma, mult in L.entries:
         out = out * bangle(T, gamma, B) ** mult
     return out
 
 
-def cc_prime(T, dec, B=None, algebra=None):
+def cc_prime(T, dec):
     """Dual Caldero-Chapoton function of a decorated module.
 
     x^g times the generating function of coideal counts (the Euler
@@ -405,9 +404,8 @@ def cc_prime(T, dec, B=None, algebra=None):
     over direct summands.  A module that `decompose` cannot write as a
     sum of word modules with rational parameters is `UnsupportedModule`.
     """
-    A = algebra or build_QT(T)
-    if B is None:
-        B = signed_adjacency(T)
+    A = build_QT(T)
+    B = signed_adjacency(T)
     n = A.n
     g = g_vector(A, dec)
     out = LaurentPoly.monomial(n, g, (0,) * n)
@@ -424,10 +422,10 @@ def cc_prime(T, dec, B=None, algebra=None):
     return out
 
 
-def generic_decorated_module(T, L, algebra=None):
+def generic_decorated_module(T, L):
     """A generic point of eta(L): summands with pairwise distinct band
     parameters, plus the decoration from the arcs."""
-    A = algebra or build_QT(T)
+    A = build_QT(T)
     v = [0] * A.n
     words = []
     for gamma, mult in L.entries:
@@ -438,15 +436,12 @@ def generic_decorated_module(T, L, algebra=None):
     return DecoratedModule(word_sum(A, words), tuple(v))
 
 
-def verify_bangle_equals_generic(T, L, algebra=None):
+def verify_bangle_equals_generic(T, L):
     """Compare the lamination bangle with the generic dual CC function.
 
     Returns (equal, lhs, rhs, first_diff)."""
-    A = algebra or build_QT(T)
-    B = signed_adjacency(T)
-    lhs = bangle_lamination(T, L, B)
-    dec = generic_decorated_module(T, L, algebra=A)
-    rhs = cc_prime(T, dec, B=B, algebra=A)
+    lhs = bangle_lamination(T, L)
+    rhs = cc_prime(T, generic_decorated_module(T, L))
     if lhs == rhs:
         return True, lhs, rhs, None
     lt = dict(lhs.terms)

@@ -29,6 +29,24 @@ class UnclassifiableBlock(InternalError):
     pass
 
 
+def _kept(obj, name, build):
+    """The value of `build()` kept on the frozen object `obj` under
+    `name`, built on first use, so derived data lives and dies with the
+    object it describes and is never shared with an equal one."""
+    try:
+        return obj.__dict__[name]
+    except KeyError:
+        value = build()
+        object.__setattr__(obj, name, value)
+        return value
+
+
+def _algebra_memo(A, name):
+    """The dict named `name` kept on the algebra object (empty at first
+    use), so a memo lives and dies with the algebra it describes."""
+    return _kept(A, name, dict)
+
+
 @dataclass(frozen=True)
 class Quiver:
     n_vertices: int
@@ -54,11 +72,8 @@ class Quiver:
         return self._lookup()[aid][1]
 
     def _lookup(self):
-        d = self.__dict__.get("_lk")
-        if d is None:
-            d = {aid: (s, t) for aid, s, t in self.arrows}
-            object.__setattr__(self, "_lk", d)
-        return d
+        return _kept(self, "_lk", lambda: {aid: (s, t) for aid, s, t
+                                           in self.arrows})
 
     def arrows_from(self, v):
         return [aid for aid, s, t in self.arrows if s == v]
@@ -181,11 +196,7 @@ def is_jacobian(algebra):
     """Connected, loop-free, and every relation closes up to a 3-cycle.
 
     Decided once and kept on the algebra object, like `rho_blocks`."""
-    jac = algebra.__dict__.get("_is_jacobian")
-    if jac is None:
-        jac = _is_jacobian(algebra)
-        object.__setattr__(algebra, "_is_jacobian", jac)
-    return jac
+    return _kept(algebra, "_is_jacobian", lambda: _is_jacobian(algebra))
 
 
 def _is_jacobian(algebra):
@@ -288,11 +299,8 @@ def rho_blocks(algebra):
     1-blocks (type C_1).  The blocks are built once and kept on the
     algebra object as a tuple.
     """
-    blocks = algebra.__dict__.get("_rho_blocks")
-    if blocks is None:
-        blocks = tuple(_rho_blocks(algebra))
-        object.__setattr__(algebra, "_rho_blocks", blocks)
-    return blocks
+    return _kept(algebra, "_rho_blocks",
+                 lambda: tuple(_rho_blocks(algebra)))
 
 
 def _rho_blocks(algebra):

@@ -4,13 +4,13 @@ Components of mod(A, d) are indexed by maximal rank functions.  Each
 rank constraint couples the two arrows of one relation, so it never
 leaves a rho-block, and the maximal rank functions are the product over
 the blocks of each block's maximal assignments, found by a walk along
-the block's relation chain (`rank_functions`, checked in the tests
-against the full enumeration filtered by single-arrow increments).  All
-dimension counts run block by block through the C_m / C~_m models: the
-generic module of a block component is P/S-multiset M_{d,r}, its
-endomorphism dimension comes from the finite Hom table of the model
-algebras, and generic points are produced by conjugating the model
-module with random invertible matrices.
+the block's relation chain (`maximal_rank_functions`, checked in the
+tests against the full enumeration `rank_functions` filtered by
+single-arrow increments).  All dimension counts run block by block
+through the C_m / C~_m models: the generic module of a block component
+is P/S-multiset M_{d,r}, its endomorphism dimension comes from the
+finite Hom table of the model algebras, and generic points are produced
+by conjugating the model module with random invertible matrices.
 """
 
 import itertools
@@ -44,31 +44,47 @@ class ConsistencyFailure(InternalError):
     pass
 
 
-def rank_functions(A, d, maximal_only=False):
-    """All rank functions for (A, d), or only the maximal ones, as dicts
-    in arrow order, sorted lexicographically along `A.arrow_ids`.
+class InvalidDimensionVector(InputError):
+    pass
 
-    The full enumeration walks every assignment 0 <= r_a <= min(d_s(a),
-    d_t(a)) with r_a + r_b <= d_s(a) for each relation (a, b).  The
-    maximal ones are not taken from it: every constraint couples two
-    arrows of one rho-block, so a single-arrow increment stays inside a
-    block and r is maximal iff its restriction to every block is.  They
-    are the product over `rho_blocks(A)` of each block's maximal
-    assignments (see `_block_maximal`).  The oracle for this route is
-    the full enumeration filtered by the single-increment test, which
-    the tests keep and the library never calls.
-    """
+
+def _dimension_vector(A, d):
+    """d as a tuple, checked to hold one nonnegative integer per vertex."""
+    d = tuple(d)
+    if len(d) != A.n or any(not isinstance(x, int) or x < 0 for x in d):
+        raise InvalidDimensionVector(
+            f"{d} is not a dimension vector of an algebra with {A.n} "
+            f"vertices (one nonnegative integer per vertex)")
+    return d
+
+
+def maximal_rank_functions(A, d):
+    """The maximal rank functions for (A, d), ordered as `rank_functions`.
+
+    Every rank constraint couples two arrows of one rho-block, so a
+    single-arrow increment stays inside a block and r is maximal iff its
+    restriction to every block is: the maximal ones are the product over
+    `rho_blocks(A)` of each block's maximal assignments (see
+    `_block_maximal`).  The tests filter `rank_functions` by the
+    single-increment test as its oracle."""
+    d = _dimension_vector(A, d)
     arrows = A.arrow_ids
-    if maximal_only:
-        blocks = [b for b in rho_blocks(A) if b.arrows]
-        where = {a: i for i, a in enumerate(
-            a for b in blocks for a in b.arrows)}
-        rows = []
-        for parts in itertools.product(*[_block_maximal(b, d)
-                                         for b in blocks]):
-            flat = sum(parts, ())
-            rows.append(tuple(flat[where[a]] for a in arrows))
-        return [dict(zip(arrows, row)) for row in sorted(rows)]
+    blocks = [b for b in rho_blocks(A) if b.arrows]
+    where = {a: i for i, a in enumerate(a for b in blocks for a in b.arrows)}
+    rows = []
+    for parts in itertools.product(*[_block_maximal(b, d) for b in blocks]):
+        flat = sum(parts, ())
+        rows.append(tuple(flat[where[a]] for a in arrows))
+    return [dict(zip(arrows, row)) for row in sorted(rows)]
+
+
+def rank_functions(A, d):
+    """All rank functions for (A, d), as dicts in arrow order, sorted
+    lexicographically along `A.arrow_ids`: every assignment
+    0 <= r_a <= min(d_s(a), d_t(a)) with r_a + r_b <= d_s(a) for each
+    relation (a, b).  Only the tests call it, as an oracle."""
+    d = _dimension_vector(A, d)
+    arrows = A.arrow_ids
     caps = {a: min(d[A.s(a) - 1], d[A.t(a) - 1]) for a in arrows}
     rel_of = {}
     for a, b in A.relations:
@@ -164,7 +180,7 @@ class Component:
 def components(A, d):
     d = tuple(d)
     out = [Component(d, tuple(sorted(r.items())))
-           for r in rank_functions(A, d, maximal_only=True)]
+           for r in maximal_rank_functions(A, d)]
     out.sort(key=lambda z: z.r)
     return out
 
@@ -583,9 +599,6 @@ def tau_reduced_components_census(A, d_bound):
 class DecoratedComponent:
     component: Component
     v: tuple
-
-    def dim_pair(self):
-        return (self.component.d, self.v)
 
 
 def decorated_g_vector(A, DZ):

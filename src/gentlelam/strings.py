@@ -16,6 +16,7 @@ from .errors import InputError, InternalError
 from .exactlinalg import (_echelon, _ratio, charpoly, identity,
                           is_invertible, mat_inverse, mat_mul, nullspace,
                           rational_roots, rref, sparse_rank)
+from .quiver import _algebra_memo, _kept
 
 
 class InvalidString(InputError):
@@ -31,10 +32,6 @@ class NotPrimitive(InvalidBand):
 
 
 class ZeroLambda(InputError):
-    pass
-
-
-class UnsupportedQuasiLength(InputError):
     pass
 
 
@@ -86,16 +83,6 @@ class _LetterTable:
     target: dict  # letter -> letter_t
 
 
-def _algebra_memo(A, name):
-    """The dict named `name` kept on the algebra object (empty at first
-    use), so a memo lives and dies with the algebra it describes."""
-    memo = A.__dict__.get(name)
-    if memo is None:
-        memo = {}
-        object.__setattr__(A, name, memo)
-    return memo
-
-
 def _letter_table(A):
     """The letter table of A, built from `_pair_rule` on first use and
     kept on the algebra object.
@@ -103,21 +90,21 @@ def _letter_table(A):
     A pair (x, y) can hold only if y ends where x starts, so the letters
     are grouped by `letter_t`, and `_pair_rule` is applied only to x and
     the letters ending at `letter_s(x)`."""
-    tab = A.__dict__.get("_letter_table")
-    if tab is None:
-        letters = tuple(letter(a, inv) for a in A.arrow_ids
-                        for inv in (False, True))
-        source = {x: letter_s(A, x) for x in letters}
-        target = {x: letter_t(A, x) for x in letters}
-        ending = {}
-        for y in letters:
-            ending.setdefault(target[y], []).append(y)
-        after = {x: tuple(y for y in ending.get(source[x], ())
-                          if _pair_rule(A, x, y)) for x in letters}
-        pairs = frozenset((x, y) for x in letters for y in after[x])
-        tab = _LetterTable(letters, pairs, after, source, target)
-        object.__setattr__(A, "_letter_table", tab)
-    return tab
+    return _kept(A, "_letter_table", lambda: _build_letter_table(A))
+
+
+def _build_letter_table(A):
+    letters = tuple(letter(a, inv) for a in A.arrow_ids
+                    for inv in (False, True))
+    source = {x: letter_s(A, x) for x in letters}
+    target = {x: letter_t(A, x) for x in letters}
+    ending = {}
+    for y in letters:
+        ending.setdefault(target[y], []).append(y)
+    after = {x: tuple(y for y in ending.get(source[x], ())
+                      if _pair_rule(A, x, y)) for x in letters}
+    pairs = frozenset((x, y) for x in letters for y in after[x])
+    return _LetterTable(letters, pairs, after, source, target)
 
 
 def pair_ok(A, x, y):
@@ -379,13 +366,11 @@ def string_module(A, C):
     return make_rep(A, *_walk_matrices(A, C, 1))
 
 
-def band_module(A, B, lam, q=1):
+def band_module(A, B, lam):
     B = band_word(A, B)
     lam = Fraction(lam)
     if lam == 0:
         raise ZeroLambda("band parameter must be nonzero")
-    if q != 1:
-        raise UnsupportedQuasiLength("only quasi-length 1 is implemented")
     return make_rep(A, *_walk_matrices(A, B, lam))
 
 

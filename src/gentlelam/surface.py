@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError
 from .homological import hom_dim_oracle, tau_dtr
-from .quiver import Quiver, is_jacobian, validate_gentle
+from .quiver import Quiver, _kept, is_jacobian, validate_gentle
 from .schemes import DecoratedComponent, components, is_tau_reduced
 from .strings import BandWord, StringWord, band_module, canonical_band, \
     canonical_string, string_module, word_shape, word_walk
@@ -195,10 +195,6 @@ class Triangulation:
 
     # -- public helpers -----------------------------------------------------
 
-    @property
-    def arcs(self):
-        return self.internal_arcs
-
     def marked_points(self):
         return list(self._cache["marked"])
 
@@ -268,11 +264,8 @@ class Triangulation:
 
 def build_QT(T):
     """The gentle Jacobian algebra of the triangulation, built on first
-    use and kept in the triangulation's cache."""
-    A = T._cache.get("algebra")
-    if A is None:
-        A = T._cache["algebra"] = _jacobian_algebra(T)
-    return A
+    use and kept on the triangulation object."""
+    return _kept(T, "_algebra", lambda: _jacobian_algebra(T))
 
 
 def _jacobian_algebra(T):
@@ -498,11 +491,9 @@ def curve_to_module(T, gamma):
             return StringWord((), _vnum(T)[gamma.crossings[0]])
         letters = _letters_of(T, gamma.crossings,
                               gamma.transitions[1:], cyclic=False)
-        A = build_QT(T)
-        return canonical_string(A, StringWord(tuple(letters)))
+        return canonical_string(build_QT(T), StringWord(tuple(letters)))
     letters = _letters_of(T, gamma.crossings, gamma.transitions, cyclic=True)
-    A = build_QT(T)
-    return canonical_band(A, BandWord(tuple(letters)))
+    return canonical_band(build_QT(T), BandWord(tuple(letters)))
 
 
 @dataclass(frozen=True)
@@ -513,23 +504,20 @@ class CoefficientQuiver:
 
 
 def coefficient_quiver(T, gamma):
-    """Positions of the crossing sequence with the triangle arrows."""
+    """Positions of the crossing sequence with the triangle arrows: the
+    arrow of the letter between crossings i and i+1 (`_letters_of`) runs
+    from i to i+1 when the letter is inverse, and back when it is direct."""
     if gamma.kind == "arc":
         raise NotOpenCurve("arcs of the triangulation have no crossings")
     vnum = _vnum(T)
     crossings = gamma.crossings
     m = len(crossings)
     cyclic = gamma.kind == "loop"
-    arrows = []
-    upto = m if cyclic else m - 1
     trans = gamma.transitions if cyclic else gamma.transitions[1:]
-    for i in range(upto):
-        x, y = crossings[i], crossings[(i + 1) % m]
-        aid, src, tgt = T.arrow_between(trans[i], x, y)
-        if src == x:
-            arrows.append((i + 1, (i + 1) % m + 1, aid))
-        else:
-            arrows.append(((i + 1) % m + 1, i + 1, aid))
+    arrows = []
+    for i, (aid, inv) in enumerate(_letters_of(T, crossings, trans, cyclic)):
+        here, there = i + 1, (i + 1) % m + 1
+        arrows.append((here, there, aid) if inv else (there, here, aid))
     return CoefficientQuiver(tuple(vnum[c] for c in crossings),
                              tuple(arrows), cyclic)
 
@@ -772,32 +760,32 @@ def shear_of_lamination(T, L):
 # intersection-zero test, laminations, eta
 
 
-def curve_module_rep(T, A, gamma, lam=2):
+def curve_module_rep(T, gamma, lam=2):
     w = curve_to_module(T, gamma)
     if isinstance(w, tuple) and w[0] == "neg":
         return None
     if isinstance(w, BandWord):
-        return band_module(A, w, lam)
-    return string_module(A, w)
+        return band_module(build_QT(T), w, lam)
+    return string_module(build_QT(T), w)
 
 
-def int_zero(T, gamma, delta, algebra=None):
+def int_zero(T, gamma, delta):
     """Whether the two curves can be made disjoint.
 
     Negative-simple cases reduce to dimension vanishing; everything
     else goes through the vanishing of Hom(M, tau N) in both orders,
     with distinct band parameters for equal loops.
     """
-    A = algebra or build_QT(T)
     if gamma.kind == "arc" and delta.kind == "arc":
         return True
     if gamma.kind == "arc" or delta.kind == "arc":
         arc, other = (gamma, delta) if gamma.kind == "arc" else (delta, gamma)
         return arc.arc not in set(other.crossings)
-    M = curve_module_rep(T, A, gamma, lam=2)
+    A = build_QT(T)
+    M = curve_module_rep(T, gamma, lam=2)
     same_loop = (gamma.kind == "loop" and delta.kind == "loop" and
                  _same_loop(T, A, gamma, delta))
-    N = curve_module_rep(T, A, delta, lam=3 if same_loop else 2)
+    N = curve_module_rep(T, delta, lam=3 if same_loop else 2)
     if gamma.kind == "open" and delta.kind == "open" and \
             gamma.crossings == delta.crossings and \
             gamma.endpoints == delta.endpoints:
@@ -818,9 +806,9 @@ class Lamination:
     entries: tuple  # of (CurveSeq, multiplicity)
 
 
-def make_lamination(T, entries, algebra=None):
+def make_lamination(T, entries):
     """Canonicalize, merge duplicates and check pairwise disjointness."""
-    A = algebra or build_QT(T)
+    A = build_QT(T)
     merged = {}
     for gamma, mult in entries:
         if mult < 1:
@@ -833,7 +821,7 @@ def make_lamination(T, entries, algebra=None):
     curves = [g for g, _ in merged.values()]
     for i, g in enumerate(curves):
         for h in curves[i:]:
-            if not int_zero(T, g, h, algebra=A):
+            if not int_zero(T, g, h):
                 raise InvalidLamination(
                     f"curves {g} and {h} intersect")
     entries = tuple(sorted(merged.values(), key=lambda e: str(e[0])))
@@ -850,9 +838,9 @@ def _curve_key(T, A, gamma):
         (T.marked_of_marker(e) for e in gamma.endpoints), key=str)))
 
 
-def eta(T, L, algebra=None):
+def eta(T, L):
     """The generically tau-reduced decorated component of a lamination."""
-    A = algebra or build_QT(T)
+    A = build_QT(T)
     n = A.n
     v = [0] * n
     d = [0] * n

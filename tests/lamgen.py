@@ -31,7 +31,7 @@ def curve_pool(T, A, max_crossings=8, depth=4):
         frontier = nxt
     for B in enumerate_bands(A, max_crossings):
         g = band_to_curve(T, A, B)
-        if int_zero(T, g, g, algebra=A):
+        if int_zero(T, g, g):
             pool.append(g)
     # drop duplicates up to the module dictionary
     out = {}
@@ -44,7 +44,7 @@ def compatibility(T, A, pool):
     ok = {}
     for i, g in enumerate(pool):
         for j in range(i, len(pool)):
-            ok[(i, j)] = ok[(j, i)] = int_zero(T, g, pool[j], algebra=A)
+            ok[(i, j)] = ok[(j, i)] = int_zero(T, g, pool[j])
     return ok
 
 
@@ -74,7 +74,7 @@ def random_laminations(T, A, count, seed=0, max_mult=2, max_entries=3):
         if key in seen:
             continue
         seen.add(key)
-        out.append(make_lamination(T, entries, algebra=A))
+        out.append(make_lamination(T, entries))
     if len(out) < count:
         raise InvalidLamination(f"only generated {len(out)} laminations")
     return out

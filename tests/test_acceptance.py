@@ -91,8 +91,7 @@ def test_criterion_2_golden_example(pants, pants_algebra):
     # bangle equals the dual CC function of the band module, exactly
     w = __import__("gentlelam").curve_to_module(pants, sigma)
     M = band_module(pants_algebra, w, 7)
-    assert bg == cc_prime(pants, DecoratedModule(M, (0,) * 6),
-                          algebra=pants_algebra)
+    assert bg == cc_prime(pants, DecoratedModule(M, (0,) * 6))
     assert time.time() - t0 < 10
     _report("2", "matrix, shear, displayed terms, coideal count 26 "
             "(prose said 27; discrepancy recorded in the golden file), "
@@ -226,14 +225,13 @@ def test_criterion_5_lamination_correspondence(pants, pants_algebra):
     lams = random_laminations(pants, A, 50, seed=123)
     shears = {}
     for L in lams:
-        DZ = eta(pants, L, algebra=A)
+        DZ = eta(pants, L)
         s = shear_of_lamination(pants, L)
         assert decorated_g_vector(A, DZ) == s, L
         # distinct laminations carry distinct shear vectors
         assert s not in shears, (L, shears[s])
         shears[s] = L
-        equal, lhs, rhs, diff = verify_bangle_equals_generic(pants, L,
-                                                             algebra=A)
+        equal, lhs, rhs, diff = verify_bangle_equals_generic(pants, L)
         assert equal, (L, diff)
     _report("5", f"{len(lams)} random laminations: g == shear (all "
             f"distinct) and bangle == generic dual CC "

@@ -56,6 +56,29 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "components", "--input", str(bad),
                        "--dims", "1,1,1,1")
     assert code == 2 and "axiom (i)" in err
+    # a negative dimension of the right length
+    code, _, err = components(capsys, "--dims=-1,0,0,0")
+    assert code == 2 and "dimension vector" in err
+    # malformed files: a module of the wrong length, a non-list matrix,
+    # an arrow that is not an object
+    a3 = os.path.join(GOLDEN, "a3_relation.json")
+    for module in ({"dims": [1, 1], "matrices": {}},
+                   {"dims": [1, 1, 1, 5], "matrices": {}},
+                   {"dims": [1, 1, 1], "matrices": {"a": 5}}):
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(module))
+        code, out, err = run(capsys, "smooth", "--input", a3,
+                             "--module", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: module"), \
+            module
+    bad.write_text(json.dumps({"vertices": 2, "arrows": [5]}))
+    code, _, err = run(capsys, "check", "--input", str(bad))
+    assert code == 2 and "expected a JSON object" in err
+    # an open curve whose endpoint is not a (segment, end) pair
+    code, _, err = run(capsys, "bangle", "--input",
+                       os.path.join(GOLDEN, "pants.json"), "--curve",
+                       '{"kind":"open","crossings":[1],"endpoints":[1]}')
+    assert code == 2 and "endpoint" in err
 
 
 def test_false_verdict_exits_1(capsys, monkeypatch):

@@ -158,8 +158,7 @@ def test_bangle_homogeneity(pants):
 
 def test_bangle_lamination_arcs_only(pants, pants_algebra):
     L = make_lamination(pants, [(CurveSeq("arc", arc=1), 2),
-                                (CurveSeq("arc", arc=6), 1)],
-                        algebra=pants_algebra)
+                                (CurveSeq("arc", arc=6), 1)])
     p = bangle_lamination(pants, L)
     ((xe, ye), c), = p.terms
     assert c == 1 and xe == (2, 0, 0, 0, 0, 1) and ye == (0,) * 6
@@ -167,14 +166,14 @@ def test_bangle_lamination_arcs_only(pants, pants_algebra):
 
 def test_bangle_lamination_square(pants, pants_algebra):
     p1 = validate_curve(pants, "loop", (6, 2, 3))
-    L = make_lamination(pants, [(p1, 2)], algebra=pants_algebra)
+    L = make_lamination(pants, [(p1, 2)])
     assert bangle_lamination(pants, L) == bangle(pants, p1) ** 2
 
 
 def test_naive_product_oracle(pants, pants_algebra):
     p1 = validate_curve(pants, "loop", (6, 2, 3))
     arc = CurveSeq("arc", arc=4)
-    L = make_lamination(pants, [(p1, 1), (arc, 1)], algebra=pants_algebra)
+    L = make_lamination(pants, [(p1, 1), (arc, 1)])
     got = bangle_lamination(pants, L)
     # expand the product naively term by term
     a, b = bangle(pants, p1), bangle(pants, arc)
@@ -189,11 +188,11 @@ def test_naive_product_oracle(pants, pants_algebra):
 
 def test_cc_prime_negative_simple(pants, pants_algebra):
     dec = DecoratedModule(zero_rep(pants_algebra), (0, 0, 1, 0, 0, 0))
-    p = cc_prime(pants, dec, algebra=pants_algebra)
+    p = cc_prime(pants, dec)
     ((xe, ye), c), = p.terms
     assert c == 1 and xe == (0, 0, 1, 0, 0, 0)
     dec0 = DecoratedModule(zero_rep(pants_algebra), (0,) * 6)
-    assert cc_prime(pants, dec0, algebra=pants_algebra) == LaurentPoly.one(6)
+    assert cc_prime(pants, dec0) == LaurentPoly.one(6)
 
 
 def test_cc_prime_of_sigma_band_is_bangle(pants, pants_algebra):
@@ -201,7 +200,7 @@ def test_cc_prime_of_sigma_band_is_bangle(pants, pants_algebra):
     w = curve_to_module(pants, sigma)
     M = band_module(pants_algebra, w, 5)
     dec = DecoratedModule(M, (0,) * 6)
-    assert cc_prime(pants, dec, algebra=pants_algebra) == bangle(pants, sigma)
+    assert cc_prime(pants, dec) == bangle(pants, sigma)
 
 
 def test_cc_prime_multiplicative(pants, pants_algebra):
@@ -212,10 +211,9 @@ def test_cc_prime_multiplicative(pants, pants_algebra):
     for _ in range(4):
         M = string_module(A, rng.choice(words))
         N = string_module(A, rng.choice(words))
-        lhs = cc_prime(pants, DecoratedModule(direct_sum(A, [M, N]), z),
-                       algebra=A)
-        rhs = cc_prime(pants, DecoratedModule(M, z), algebra=A) * \
-            cc_prime(pants, DecoratedModule(N, z), algebra=A)
+        lhs = cc_prime(pants, DecoratedModule(direct_sum(A, [M, N]), z))
+        rhs = cc_prime(pants, DecoratedModule(M, z)) * \
+            cc_prime(pants, DecoratedModule(N, z))
         assert lhs == rhs
 
 
@@ -228,23 +226,22 @@ def test_cc_prime_names_a_long_conjugated_string(pants, pants_algebra):
     M = string_module(A, C)
     M = conjugate(A, M, random_glpoint(random.Random(5), M.dims, 3))
     assert decompose(A, M) == [C]
-    assert cc_prime(pants, DecoratedModule(M, (0,) * 6), algebra=A) == \
+    assert cc_prime(pants, DecoratedModule(M, (0,) * 6)) == \
         bangle(pants, string_to_curve(pants, A, C))
 
 
 def test_verify_single_arcs(pants, pants_algebra):
     for j in (1, 4):
-        L = make_lamination(pants, [(CurveSeq("arc", arc=j), 1)],
-                            algebra=pants_algebra)
-        eq, *_ = verify_bangle_equals_generic(pants, L, algebra=pants_algebra)
+        L = make_lamination(pants, [(CurveSeq("arc", arc=j), 1)])
+        eq, *_ = verify_bangle_equals_generic(pants, L)
         assert eq
 
 
 def test_verify_petals(pants, pants_algebra):
     p1 = validate_curve(pants, "loop", (6, 2, 3))
     p2 = validate_curve(pants, "loop", (1, 6, 4, 5))
-    L = make_lamination(pants, [(p1, 1), (p2, 1)], algebra=pants_algebra)
-    eq, *_ = verify_bangle_equals_generic(pants, L, algebra=pants_algebra)
+    L = make_lamination(pants, [(p1, 1), (p2, 1)])
+    eq, *_ = verify_bangle_equals_generic(pants, L)
     assert eq
 
 

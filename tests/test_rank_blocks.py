@@ -10,8 +10,8 @@ import pytest
 
 from conftest import golden
 from fuzz import random_gentle
-from gentlelam import (Quiver, build_QT, components, rank_functions,
-                       rho_blocks, validate_gentle)
+from gentlelam import (Quiver, build_QT, components, maximal_rank_functions,
+                       rank_functions, rho_blocks, validate_gentle)
 from gentlelam.fileio import algebra_from_dict, triangulation_from_dict
 from gentlelam.schemes import Component
 
@@ -56,7 +56,7 @@ def box(A):
 def test_golden_algebras_match_the_oracle(name):
     A = golden_algebra(name)
     for d in box(A):
-        same(A, d, rank_functions(A, d, maximal_only=True), oracle(A, d))
+        same(A, d, maximal_rank_functions(A, d), oracle(A, d))
 
 
 def test_fuzzed_algebras_match_the_oracle():
@@ -65,7 +65,7 @@ def test_fuzzed_algebras_match_the_oracle():
         A = random_gentle(random.Random(seed), 4, 8)
         types |= {b.type_name for b in rho_blocks(A)}
         for d in itertools.product(range(3), repeat=A.n):
-            got = rank_functions(A, d, maximal_only=True)
+            got = maximal_rank_functions(A, d)
             assert got == oracle(A, d), f"seed {seed}, d {d}"
     # loops with a^2 = 0 and 2-cycles with both composites zero
     assert {"C~1", "C~2"} <= types, sorted(types)
@@ -88,7 +88,7 @@ def test_long_relation_chain():
     assert [b.type_name for b in rho_blocks(A)] == ["C13"]
     d = (4,) * n
     t0 = time.perf_counter()
-    out = rank_functions(A, d, maximal_only=True)
+    out = maximal_rank_functions(A, d)
     elapsed = time.perf_counter() - t0
     assert out
     assert len({tuple(r.items()) for r in out}) == len(out)

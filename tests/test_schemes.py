@@ -2,27 +2,37 @@ import random
 
 import pytest
 
-from gentlelam import (NotJacobian, StringWord, band_module,
+from gentlelam import (InputError, InvalidDimensionVector, NotJacobian,
+                       StringWord, band_module,
                        block_critical_summands, canonical_decomposition,
                        ceh_by_words, ceh_values, component_dim, components,
                        dim_gl, direct_sum, enumerate_bands, enumerate_strings,
                        generic_point, hom_dim_oracle, is_generically_reduced,
-                       is_smooth_point, is_tau_reduced, rank_function_of,
+                       is_smooth_point, is_tau_reduced,
+                       maximal_rank_functions, rank_function_of,
                        rank_functions, string_module, tangent_dim,
                        tau_reduced_components_census)
 from gentlelam.schemes import components_through, max_component_dim_through
 
 
 def test_rank_functions_a3(a3_relation):
-    maxi = rank_functions(a3_relation, (1, 1, 1), maximal_only=True)
+    maxi = maximal_rank_functions(a3_relation, (1, 1, 1))
     as_sets = {tuple(sorted(r.items())) for r in maxi}
     assert as_sets == {(("a", 1), ("b", 0)), (("a", 0), ("b", 1))}
-    maxi2 = rank_functions(a3_relation, (1, 2, 1), maximal_only=True)
+    maxi2 = maximal_rank_functions(a3_relation, (1, 2, 1))
     assert [dict(m) for m in maxi2] == [{"a": 1, "b": 1}]
 
 
 def test_rank_functions_loop(loop_algebra):
     assert rank_functions(loop_algebra, (1,)) == [{"a": 0}]
+
+
+def test_bad_dimension_vectors_are_input_errors(a3_relation):
+    assert issubclass(InvalidDimensionVector, InputError)
+    for d in ((-1, 0, 0), (1, 1, 1, 1), (1, 1), (1, 0.5, 1)):
+        for f in (components, maximal_rank_functions, rank_functions):
+            with pytest.raises(InvalidDimensionVector):
+                f(a3_relation, d)
 
 
 def test_component_counts(a3_relation, double_loop, loop_algebra):

@@ -9,8 +9,8 @@ from gentlelam import (BandWord, NotPrimitive, StringWord, ZeroLambda,
                        canonical_string, decompose, direct_sum,
                        enumerate_bands, enumerate_strings, rank_function_of,
                        string_module, string_word)
-from gentlelam.strings import (UnsupportedQuasiLength, conjugate, letter,
-                               parse_word, random_glpoint)
+from gentlelam.strings import (conjugate, letter, parse_word,
+                               random_glpoint)
 
 SAMPLE = "a1-,b1,a3,c-,b2,a1,b1-"
 BAND = "c-,b3-,a1-,b1,a1-,b1,a3"
@@ -85,11 +85,6 @@ def test_band_module_lambda_entry(torus_algebra):
 def test_band_module_rejects_zero_lambda(torus_algebra):
     with pytest.raises(ZeroLambda):
         band_module(torus_algebra, parse_word(BAND), 0)
-
-
-def test_band_module_rejects_higher_quasilength(torus_algebra):
-    with pytest.raises(UnsupportedQuasiLength):
-        band_module(torus_algebra, parse_word(BAND), 1, q=2)
 
 
 def test_enumerate_strings_single_arrow():

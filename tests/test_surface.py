@@ -182,8 +182,7 @@ def test_shear_of_sigma(pants):
 
 def test_shear_linearity(pants, pants_algebra):
     p1 = validate_curve(pants, "loop", (6, 2, 3))
-    L = make_lamination(pants, [(p1, 2), (CurveSeq("arc", arc=4), 1)],
-                        algebra=pants_algebra)
+    L = make_lamination(pants, [(p1, 2), (CurveSeq("arc", arc=4), 1)])
     s1 = shear_coordinates(pants, p1)
     want = tuple(2 * a for a in s1)
     want = tuple(w + (1 if i == 3 else 0) for i, w in enumerate(want))
@@ -211,25 +210,24 @@ def test_int_zero_cases(pants, pants_algebra):
     arc4 = CurveSeq("arc", arc=4)
     sigma = validate_curve(pants, "loop", SIGMA)
     petal = validate_curve(pants, "loop", (6, 2, 3))
-    assert int_zero(pants, arc3, arc4, algebra=pants_algebra)
-    assert int_zero(pants, petal, petal, algebra=pants_algebra)
-    assert not int_zero(pants, arc3, sigma, algebra=pants_algebra)
-    assert not int_zero(pants, sigma, sigma, algebra=pants_algebra)
+    assert int_zero(pants, arc3, arc4)
+    assert int_zero(pants, petal, petal)
+    assert not int_zero(pants, arc3, sigma)
+    assert not int_zero(pants, sigma, sigma)
     # symmetry
-    assert int_zero(pants, petal, arc4, algebra=pants_algebra) == \
-        int_zero(pants, arc4, petal, algebra=pants_algebra)
+    assert int_zero(pants, petal, arc4) == \
+        int_zero(pants, arc4, petal)
 
 
 def test_lamination_rejects_crossing(pants, pants_algebra):
     sigma = validate_curve(pants, "loop", SIGMA)
     with pytest.raises(InvalidLamination):
-        make_lamination(pants, [(sigma, 1)], algebra=pants_algebra)
+        make_lamination(pants, [(sigma, 1)])
 
 
 def test_eta_of_arc_lamination(pants, pants_algebra):
-    L = make_lamination(pants, [(CurveSeq("arc", arc=2), 1)],
-                        algebra=pants_algebra)
-    DZ = eta(pants, L, algebra=pants_algebra)
+    L = make_lamination(pants, [(CurveSeq("arc", arc=2), 1)])
+    DZ = eta(pants, L)
     assert DZ.component.d == (0, 0, 0, 0, 0, 0)
     assert DZ.v == (0, 1, 0, 0, 0, 0)
     assert decorated_g_vector(pants_algebra, DZ) == (0, 1, 0, 0, 0, 0)
@@ -238,8 +236,8 @@ def test_eta_of_arc_lamination(pants, pants_algebra):
 def test_eta_of_petals(pants, pants_algebra):
     p1 = validate_curve(pants, "loop", (6, 2, 3))
     p2 = validate_curve(pants, "loop", (1, 6, 4, 5))
-    L = make_lamination(pants, [(p1, 1), (p2, 1)], algebra=pants_algebra)
-    DZ = eta(pants, L, algebra=pants_algebra)
+    L = make_lamination(pants, [(p1, 1), (p2, 1)])
+    DZ = eta(pants, L)
     assert DZ.component.d == (1, 1, 1, 1, 1, 2)
     assert decorated_g_vector(pants_algebra, DZ) == \
         shear_of_lamination(pants, L) == (0, -1, 1, -1, 1, 0)
@@ -250,7 +248,7 @@ def test_decorated_g_vector_is_that_of_a_generic_point(pants, pants_algebra):
     # the laminations of acceptance criterion 5
     A = pants_algebra
     for k, L in enumerate(random_laminations(pants, A, 50, seed=123)):
-        DZ = eta(pants, L, algebra=A)
+        DZ = eta(pants, L)
         M = generic_point(A, DZ.component, k)
         assert decorated_g_vector(A, DZ) == \
             g_vector(A, DecoratedModule(M, DZ.v)), L
@@ -290,7 +288,6 @@ def test_torus_with_boundary_gives_two_cycle_algebra(torus_algebra):
 
 def test_lamination_merges_duplicates(pants, pants_algebra):
     arc = CurveSeq("arc", arc=5)
-    L = make_lamination(pants, [(arc, 1), (CurveSeq("arc", arc=5), 2)],
-                        algebra=pants_algebra)
+    L = make_lamination(pants, [(arc, 1), (CurveSeq("arc", arc=5), 2)])
     assert len(L.entries) == 1
     assert L.entries[0][1] == 3
