@@ -28,9 +28,9 @@ from .surface import (CoefficientQuiver, CurveSeq, InconsistentSequence,
                       InvalidLamination, InvalidTriangulation, Lamination,
                       NotLocallyMinimal, NotOpenCurve, Triangulation,
                       band_to_curve, build_QT, coefficient_quiver,
-                      curve_to_module, eta, int_zero, make_lamination,
-                      rotate_tau, shear_coordinates, shear_of_lamination,
-                      string_to_curve, validate_curve)
+                      curve_to_module, eta, int_zero, lamination_g_vector,
+                      make_lamination, rotate_tau, shear_coordinates,
+                      shear_of_lamination, string_to_curve, validate_curve)
 from .laurent import (ExponentOutOfRange, LaurentPoly, NotPathOrCycle,
                       ShapeMismatch, UnsupportedModule, bangle,
                       bangle_lamination, cc_prime, order_coideals,

@@ -1,17 +1,24 @@
 """Exact linear algebra over the rationals.
 
-All elimination goes through one kernel, `_echelon`: sparse
-Gauss-Jordan elimination, fraction-free in the sense of Bareiss (1968):
-rows stay integral, are combined by cross-multiplying with the cofactors
-of the gcd of the two entries, and each pivot row is divided by its
-content.  It takes rows as dense lists or as {col: value} dicts,
-with int or Fraction entries, and clears denominators row by row, so the
-elimination itself runs on Python ints.  It returns {pivot column:
-primitive integer row}, every row zero in every other pivot column:
-the reduced row echelon form up to one scale per row.  That form is
-unique, so the result does not depend on the order rows are eliminated
-in, and `rref` (each row divided by its pivot entry), `sparse_rank`,
-`nullspace`, `solve`, `is_invertible` and `mat_inverse` are views of it.
+All elimination goes through one kernel: sparse elimination on integer
+rows, fraction-free in the sense of Bareiss (1968): rows are combined by
+cross-multiplying with the cofactors of the gcd of the two entries, and
+a kept row is divided by its content.  It takes rows as dense lists or
+as {col: value} dicts, with int or Fraction entries, and clears
+denominators row by row, so the elimination itself runs on Python ints.
+
+It runs in two steps.  The forward pass (`_forward`) reduces each row by
+the pivot row of its leading column until the row leads in a new
+column, and keeps it primitive with a positive leading entry; the number
+of rows it keeps is the rank, which is all `sparse_rank` and
+`is_invertible` read.  One back-substitution (`_echelon`), largest pivot
+first, then clears every pivot column from the other rows.  `_echelon`
+returns {pivot column: primitive integer row}, every row zero in every
+other pivot column and positive at its own pivot: the reduced row
+echelon form up to one positive scale per row.  That form is unique, so
+the result does not depend on the order of the rows, and `rref` (each
+row divided by its pivot entry), `nullspace`, `solve` and `mat_inverse`
+are views of it.
 
 Dense matrices are lists of row-lists.  `nullspace` returns primitive
 integer vectors; `mat_inverse` gives integral entries as int (so the
@@ -48,24 +55,30 @@ def _denominator(values):
     return den
 
 
-def _primitive(row):
+def _normal(row, c):
+    """row divided by its content, signed so that row[c] > 0."""
+    if row[c] == 1:
+        return row
+    if row[c] == -1:
+        return {cc: -v for cc, v in row.items()}
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return row
-    return {c: v // g for c, v in row.items()} if g > 1 else row
+            break
+    if row[c] < 0:
+        g = -g
+    return {cc: v // g for cc, v in row.items()} if g != 1 else row
 
 
 def _clear(row, piv, c):
-    """b row - a piv divided by gcd(a, b), for a = row[c] and b = piv[c]:
-    an integer multiple of row minus one of piv, zero in column c.  On a
-    pivot entry b = +-1 the row is copied or negated, not rescaled."""
+    """b row - a piv divided by gcd(a, b), for a = row[c] and the
+    positive pivot entry b = piv[c]: a positive multiple of row minus one
+    of piv, zero in column c.  On b = 1 the row is copied, not
+    rescaled."""
     a, b = row[c], piv[c]
     if b == 1:
         new, mb = dict(row), a
-    elif b == -1:
-        new, mb = {cc: -vv for cc, vv in row.items()}, a
     else:
         g = gcd(a, b)
         ma, mb = b // g, a // g
@@ -79,28 +92,46 @@ def _clear(row, piv, c):
     return new
 
 
-def _echelon(rows):
-    """{pivot column: primitive integer row} of the reduced echelon form."""
+def _forward(rows):
+    """{leading column: row} of an echelon form of the rows: each row is
+    reduced by the pivot row of its leading column until it leads in a
+    column no pivot row leads in, and is then kept, primitive with a
+    positive leading entry.  Its size is the rank."""
     pivots = {}
     for row in map(_int_row, rows):
-        # a pivot row is zero in the other pivot columns, so clearing one
-        # column leaves the row's entries in the others nonzero
-        for c in [c for c in row if c in pivots]:
-            row = _clear(row, pivots[c], c)
-        if not row:
-            continue
-        c = min(row)
-        row = _primitive(row)
-        for p, other in pivots.items():
-            if c in other:
-                pivots[p] = _primitive(_clear(other, row, c))
-        pivots[c] = row
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = _normal(row, c)
+                break
+            row = _clear(row, piv, c)
     return pivots
 
 
+def _echelon(rows):
+    """{pivot column: primitive integer row} of the reduced echelon form,
+    each pivot entry positive: the forward pass, then one
+    back-substitution, largest pivot first.  A row reduced there leads in
+    its pivot and is zero in every larger pivot column, so clearing it
+    from a smaller pivot row brings no other pivot column back."""
+    pivots = _forward(rows)
+    if len(pivots) < 2:
+        return pivots
+    done = {}
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        hits = [c for c in row if c in done]
+        for c in hits:
+            row = _clear(row, done[c], c)
+        done[p] = _normal(row, p) if hits else row
+    return done
+
+
 def sparse_rank(rows):
-    """Rank of a matrix given as dense or {col: value} rows."""
-    return len(_echelon(rows))
+    """Rank of a matrix given as dense or {col: value} rows, read off
+    the forward pass."""
+    return len(_forward(rows))
 
 
 def mat_mul(a, b):
@@ -148,7 +179,7 @@ def nullspace(mat, ncols):
         hits = [(p, row) for p, row in ech.items() if f in row]
         scale = 1
         for p, row in hits:
-            scale = scale * abs(row[p]) // gcd(scale, row[p])
+            scale = scale * row[p] // gcd(scale, row[p])
         v = [0] * ncols
         v[f] = scale
         for p, row in hits:
@@ -176,7 +207,7 @@ def is_invertible(mat):
     n = len(mat)
     if any(len(row) != n for row in mat):
         return False
-    return len(_echelon(mat)) == n
+    return len(_forward(mat)) == n
 
 
 def mat_inverse(mat):
@@ -308,16 +339,15 @@ def _squarefree(h):
     coefficient down), as a monic integer polynomial.  The gcd comes from
     Euclid's algorithm over Z[x] with primitive pseudo-remainders; it is
     an associate of a monic integer polynomial (Gauss's lemma), so made
-    primitive its leading coefficient is +-1, and the division by it stays
-    in the integers."""
+    primitive with a positive leading coefficient it is monic, and the
+    division by it stays in the integers."""
     n = len(h) - 1
     a, b = h, [c * (n - i) for i, c in enumerate(h[:-1])]
     while len(b) > 1:
         a, b = b, _pseudo_remainder(a, b)
     if b:
         return h  # a constant remainder: h and h' are coprime
-    a = list(_primitive(dict(enumerate(a))).values())
-    a = [x * a[0] for x in a]  # monic, as a[0] = +-1
+    a = list(_normal(dict(enumerate(a)), 0).values())
     quo, rem = [], list(h)
     while len(rem) >= len(a):
         c = rem[0]
@@ -327,9 +357,9 @@ def _squarefree(h):
 
 
 def _pseudo_remainder(a, b):
-    """The primitive part of the remainder of b[0]^k a by b (k = one more
-    than the difference of the degrees), over Z[x], with no leading
-    zeros; [] when b divides a."""
+    """The primitive part, with a positive leading coefficient, of the
+    remainder of b[0]^k a by b (k = one more than the difference of the
+    degrees), over Z[x], with no leading zeros; [] when b divides a."""
     rem = list(a)
     while len(rem) >= len(b):
         c = rem[0]
@@ -337,7 +367,7 @@ def _pseudo_remainder(a, b):
             [x * b[0] for x in rem[len(b):]]
     while rem and not rem[0]:
         rem.pop(0)
-    return list(_primitive(dict(enumerate(rem))).values())
+    return list(_normal(dict(enumerate(rem)), 0).values()) if rem else []
 
 
 def _homogeneous_value(ic, p, q):

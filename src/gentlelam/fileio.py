@@ -38,11 +38,11 @@ def _sized(value, size, where):
 
 
 def _int(value, where):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(
-            f"{where}: expected an integer, got {value!r}") from None
+    """A JSON integer as it is: a float (1.0 included), a string or a
+    boolean is no integer."""
+    if type(value) is not int:
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 def load_json(path):

@@ -24,7 +24,8 @@ relations, with no presentation; the presentation routes
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .exactlinalg import _echelon, _ratio, nullspace, sparse_rank
+from .exactlinalg import (_echelon, _forward, _ratio, nullspace,
+                          sparse_rank)
 from .quiver import _algebra_memo
 from .strings import (BandWord, StringWord, _subrep, _sum_offsets,
                       canonical_band, canonical_string, direct_sum,
@@ -126,9 +127,10 @@ def _tops(A, mats, ech, dims):
 
     rad(X)_v is spanned by the images of X_u under the arrows u -> v.
     The tops at v are the rows of the echelon form of X_v at the pivot
-    columns that the echelon form of rad(X)_v lacks.  The leading
-    columns of a subspace are among those of the whole space, so these
-    rows meet rad(X)_v only in 0 and complete it to a basis of X_v.  For
+    columns that the echelon form of rad(X)_v lacks; those leading
+    columns are read off the forward pass alone.  The leading columns of
+    a subspace are among those of the whole space, so these rows meet
+    rad(X)_v only in 0 and complete it to a basis of X_v.  For
     a module in its own coordinates (unit vector rows) they are the unit
     vectors at the non-pivot columns."""
     tops = []
@@ -138,7 +140,7 @@ def _tops(A, mats, ech, dims):
         rad = []
         for aid in A.quiver.arrows_into(v + 1):
             rad += _image_rows(mats[aid], ech[A.s(aid) - 1].values())
-        lead = _echelon(rad)
+        lead = _forward(rad)
         tops += [(v + 1, [row.get(j, 0) for j in range(dims[v])])
                  for c, row in sorted(ech[v].items()) if c not in lead]
     return tops
@@ -276,10 +278,15 @@ def _rank_side_by_side(mats):
 
 def _paths_ending_at(A, i):
     """Paths p with t(p) = i avoiding relations, including (), read off
-    the path bases of the projectives kept on the algebra."""
-    return sorted((p for v in range(1, A.n + 1)
-                   for p, (u, _) in projective_rep(A, v)[2].items()
-                   if u == i), key=lambda p: (len(p), p))
+    the path bases of the projectives kept on the algebra; built once
+    per vertex and kept on the algebra object, as a tuple."""
+    memo = _algebra_memo(A, "_paths_ending_at")
+    if i not in memo:
+        memo[i] = tuple(sorted(
+            (p for v in range(1, A.n + 1)
+             for p, (u, _) in projective_rep(A, v)[2].items() if u == i),
+            key=lambda p: (len(p), p)))
+    return memo[i]
 
 
 def tau_dtr(A, M):

@@ -11,6 +11,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError, InternalError
 from .exactlinalg import (_echelon, _ratio, charpoly, identity,
@@ -273,11 +274,18 @@ class Representation:
 
 
 def make_rep(A, dims, mats):
-    """Build a representation, checking shapes and the relations.
+    """Build a representation, checking dims (one entry per vertex), the
+    shapes and the relations.
 
-    Entries are stored as int when integral, else as Fraction."""
+    Entries are stored as int when integral, else as Fraction; a matrix
+    of ints is stored as it is.  A relation whose two matrices are both
+    nonzero has its product computed."""
     dims = tuple(int(x) for x in dims)
+    if len(dims) != A.n:
+        raise ValueError(f"dims {dims} has {len(dims)} entries for "
+                         f"{A.n} vertices")
     store = {}
+    nonzero = set()
     for aid in A.arrow_ids:
         ds, dt = dims[A.s(aid) - 1], dims[A.t(aid) - 1]
         m = mats.get(aid)
@@ -285,9 +293,15 @@ def make_rep(A, dims, mats):
             m = [[0] * ds for _ in range(dt)]
         if len(m) != dt or any(len(r) != ds for r in m):
             raise ValueError(f"matrix for {aid!r} has wrong shape")
-        store[aid] = tuple(tuple(map(_entry, r)) for r in m)
+        if all(type(x) is int for r in m for x in r):
+            store[aid] = tuple(map(tuple, m))
+        else:
+            store[aid] = tuple(tuple(map(_entry, r)) for r in m)
+        if any(map(any, store[aid])):
+            nonzero.add(aid)
     for a, b in A.relations:
-        if _product_nonzero(store[a], store[b]):
+        if a in nonzero and b in nonzero and \
+                _product_nonzero(store[a], store[b]):
             raise ValueError(f"relation ({a},{b}) not annihilated")
     return Representation(dims, store)
 
@@ -681,30 +695,53 @@ def iso_test(A, M, N):
         return True
     if rank_function_of(A, M) != rank_function_of(A, N):
         return False
-    return _invertible_hom(A, M, N)
+    return _invertible_hom(A, M, N) is not None
 
 
 def _invertible_hom(A, M, N):
-    """Whether an element of Hom(M, N) found in eight tries is invertible
-    at every vertex, for M and N of equal dimension vectors: the sum of
-    the basis of `hom_basis`, then seven seeded integer combinations.  A
-    True is a certificate of M = N; a False is not one of M != N, and
-    callers that read it so compare invariants first."""
-    basis = hom_basis(A, M, N)
-    if not basis:
-        return False
+    """A map in Hom(M, N), as per-vertex matrices, that is invertible at
+    every vertex, found in eight tries, or None; M and N have equal
+    dimension vectors.
+
+    The intertwiner rows are reduced once (`_echelon`).  Each candidate
+    gives its values t_f to the free unknowns, all ones first, then seven
+    seeded draws from [-7, 7], and the pivot unknowns follow over the
+    integers: x_f = L t_f and x_p = -sum_f row[f] t_f L / row[p], with L
+    the lcm of the pivot entries.  Only the candidate under test is cut
+    into per-vertex matrices.  A map is a certificate of M = N, since it
+    solves every intertwiner equation and is invertible at every vertex;
+    None is not one of M != N, and callers that read it so compare
+    invariants first."""
+    rows, offs, nvars = _intertwiner_rows(A, M, N)
+    ech = _echelon(rows)
+    free = [f for f in range(nvars) if f not in ech]
+    if not free:
+        return None
+    lcm = 1
+    for p, row in ech.items():
+        lcm = lcm * row[p] // gcd(lcm, row[p])
+    # per pivot unknown: L / row[p] and its row's other entries, which
+    # are all in free columns, as the row is reduced
+    back = [(p, lcm // row[p], [(c, v) for c, v in row.items() if c != p])
+            for p, row in ech.items()]
     rng = random.Random(1729)
     for attempt in range(8):
-        if attempt == 0:
-            coef = [1] * len(basis)
+        x = [0] * nvars
+        for f in free:
+            x[f] = 1 if attempt == 0 else rng.randint(-7, 7)
+        for p, m, terms in back:
+            x[p] = -m * sum(v * x[c] for c, v in terms)
+        for f in free:
+            x[f] *= lcm
+        blocks = []
+        for o, d in zip(offs, M.dims):
+            block = [x[o + i * d:o + (i + 1) * d] for i in range(d)]
+            if not is_invertible(block):
+                break
+            blocks.append(block)
         else:
-            coef = [rng.randint(-7, 7) for _ in basis]
-        if all(is_invertible(
-                [[sum(c * basis[k][v][i][j] for k, c in enumerate(coef))
-                  for j in range(M.dims[v])] for i in range(M.dims[v])])
-               for v in range(A.n)):
-            return True
-    return False
+            return blocks
+    return None
 
 
 def _subrep(A, rep, bases):
@@ -1088,8 +1125,8 @@ def _identify(A, p, table):
     for w in table.get(p.dims + tuple(rf[a] for a in A.arrow_ids), ()):
         if isinstance(w, BandWord):
             for lam in band_lambda_candidates(A, w, p):
-                if _invertible_hom(A, p, _word_rep(A, w, lam)):
+                if _invertible_hom(A, p, _word_rep(A, w, lam)) is not None:
                     return (w, lam)
-        elif _invertible_hom(A, p, _word_rep(A, w)):
+        elif _invertible_hom(A, p, _word_rep(A, w)) is not None:
             return w
     return None

@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 from .errors import InputError, InternalError
 from .homological import hom_dim_oracle, tau_dtr
 from .quiver import Quiver, _kept, is_jacobian, validate_gentle
-from .schemes import DecoratedComponent, components, is_tau_reduced
-from .strings import BandWord, StringWord, band_module, canonical_band, \
-    canonical_string, string_module, word_shape, word_walk
+from .schemes import (DecoratedComponent, _small, components,
+                      is_tau_reduced)
+from .strings import (BAND_PARAMETERS, BandWord, StringWord, band_module,
+                      canonical_band, canonical_string, string_module,
+                      word_shape, word_walk)
 
 
 class InvalidTriangulation(InputError):
@@ -865,6 +867,28 @@ def eta(T, L):
                     "lamination produced a non-tau-reduced component")
             return DecoratedComponent(Z, tuple(v))
     raise InvalidLamination("summed rank function is not maximal")
+
+
+def lamination_g_vector(T, L):
+    """The generic g-vector of eta(T, L), read off the curves of L.  The
+    generic module of eta(T, L) is the sum of the curves' modules, and g
+    is additive, so g is the decoration (each arc's multiplicity at its
+    vertex) plus, per string or band curve, its multiplicity times the
+    g-vector of its word module (`schemes._small`).  That g-vector reads
+    ranks, which do not depend on a band's parameter, so a band takes
+    the first of `BAND_PARAMETERS`.  No component is searched;
+    `decorated_g_vector` of eta(T, L) is the oracle (tests)."""
+    A = build_QT(T)
+    g = [0] * A.n
+    for gamma, mult in L.entries:
+        w = curve_to_module(T, gamma)
+        if gamma.kind == "arc":
+            g[w[1] - 1] += mult
+            continue
+        lam = BAND_PARAMETERS[0] if isinstance(w, BandWord) else None
+        for i, x in enumerate(_small(A, (w, lam))[1]):
+            g[i] += mult * x
+    return tuple(g)
 
 
 # ---------------------------------------------------------------------------

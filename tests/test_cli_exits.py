@@ -81,6 +81,42 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "endpoint" in err
 
 
+def test_json_numbers_that_are_no_integers_exit_2(tmp_path, capsys):
+    """A float (even 1.0), a numeric string or a boolean where the file
+    formats want an integer is a parse error, not truncated or coerced;
+    a few milliseconds."""
+    a3 = os.path.join(GOLDEN, "a3_relation.json")
+    pants = os.path.join(GOLDEN, "pants.json")
+    path = tmp_path / "input.json"
+    for dims in ([1.7, 1, 0], [1.0, 1, 0], ["1", 1, 0], [True, 1, 0]):
+        path.write_text(json.dumps({"dims": dims, "matrices": {}}))
+        code, out, err = run(capsys, "smooth", "--input", a3,
+                             "--module", str(path))
+        assert (code, out) == (2, "") and \
+            err.startswith("error: module dims: expected an integer"), dims
+    algebra = json.loads(open(a3).read())
+    for field, value in (("vertices", 3.0), ("vertices", "3")):
+        path.write_text(json.dumps(dict(algebra, **{field: value})))
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (2, "") and "expected an integer" in err
+    algebra["arrows"][0]["from"] = "2"
+    path.write_text(json.dumps(algebra))
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert (code, out) == (2, "") and "arrow from" in err
+    petals = json.loads(open(os.path.join(GOLDEN, "pants_petals.json"))
+                        .read())
+    for mult in (1.5, "1", True):
+        petals[0]["mult"] = mult
+        path.write_text(json.dumps(petals))
+        code, out, err = run(capsys, "shear", "--input", pants,
+                             "--lamination", str(path))
+        assert (code, out) == (2, "") and "lamination mult" in err, mult
+    code, out, err = run(capsys, "bangle", "--input", pants, "--curve",
+                         '{"kind":"open","crossings":[1],'
+                         '"endpoints":[[1,0.5],[2,1]]}')
+    assert (code, out) == (2, "") and "endpoint end" in err
+
+
 def test_false_verdict_exits_1(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise UniquenessViolation("2 tau-reduced components at (1, 1, 0, 0)")

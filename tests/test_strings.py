@@ -9,7 +9,7 @@ from gentlelam import (BandWord, NotPrimitive, StringWord, ZeroLambda,
                        canonical_string, decompose, direct_sum,
                        enumerate_bands, enumerate_strings, rank_function_of,
                        string_module, string_word)
-from gentlelam.strings import (conjugate, letter, parse_word,
+from gentlelam.strings import (conjugate, letter, make_rep, parse_word,
                                random_glpoint)
 
 SAMPLE = "a1-,b1,a3,c-,b2,a1,b1-"
@@ -109,6 +109,12 @@ def test_rank_function_counts_letters(torus_algebra):
         for aid in torus_algebra.arrow_ids:
             want = sum(1 for c in C.letters if c[0] == aid)
             assert r[aid] == want
+
+
+def test_make_rep_rejects_dims_of_the_wrong_length(a3_relation):
+    for dims in ([1, 1, 1, 5], [1, 1]):
+        with pytest.raises(ValueError, match="for 3 vertices"):
+            make_rep(a3_relation, dims, {})
 
 
 def test_relations_annihilate_fuzzed():
