@@ -7,8 +7,8 @@ The repository is the one holding this script.  The parent side is a
 `git archive` of --parent, unpacked into a fresh temporary directory;
 the change side is the working tree.  Pair k runs `perfbench/run.py
 --workload W --seed (first_seed + k) --seconds S --trace 0` on both
-sides, the parent first when k is even and the change first when it is
-odd, one run at a time.
+sides, with S the `run_seconds` of BENCHMARK.json, the parent first
+when k is even and the change first when it is odd, one run at a time.
 
 Each run contributes the JSON summary line run.py prints last (correct,
 attempted, failed, metrics) and the payload digest from its first line.
@@ -103,10 +103,20 @@ def unpack(rev, into):
             tar.extractall(into)
 
 
-def end_to_end_directions():
+NOTE = ("each run is the summary line (last stdout line) of run.py, on the "
+        "files of the parent (a git archive) and of the change (the working "
+        "tree), each in its own directory; pairs alternate which side runs "
+        "first (order); IQR is the distance between the inclusive quartiles; "
+        "digest is the payload digest run.py prints")
+
+
+def benchmark_spec():
+    """The run length and {metric: better} of the end-to-end metrics of
+    BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return spec["run_seconds"], {m["name"]: m["better"]
+                                 for m in spec["end_to_end"]}
 
 
 def main(argv=None):
@@ -115,9 +125,7 @@ def main(argv=None):
     ap.add_argument("--workload", required=True, action="append")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--note", default="")
     args = ap.parse_args(argv)
     short = subprocess.run(["git", "rev-parse", "--short", args.parent],
                            cwd=ROOT, check=True, capture_output=True,
@@ -130,22 +138,15 @@ def main(argv=None):
             print(f"error: {args.out} holds pairs against "
                   f"{doc.get('parent')}, not {short}", file=sys.stderr)
             return 2
-    seconds = f"{args.seconds:g}"
+    seconds, better = benchmark_spec()
     doc.update({
         "command": "python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {seconds} --trace 0",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
                 f"{platform.python_version()}",
         "parent": short,
-        "note": args.note or doc.get("note") or (
-            "each run is the summary line (last stdout line) of run.py, on "
-            "the files of the parent (a git archive) and of the change (the "
-            "working tree), each in its own directory; pairs alternate "
-            "which side runs first (order); IQR is the distance between "
-            "the inclusive quartiles; digest is the payload digest run.py "
-            "prints"),
+        "note": NOTE,
     })
-    better = end_to_end_directions()
     with tempfile.TemporaryDirectory() as tmp:
         unpack(args.parent, tmp)
         trees = {"parent": tmp, "change": ROOT}

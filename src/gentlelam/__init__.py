@@ -28,7 +28,7 @@ from .surface import (CoefficientQuiver, CurveSeq, InconsistentSequence,
                       InvalidLamination, InvalidTriangulation, Lamination,
                       NotLocallyMinimal, NotOpenCurve, Triangulation,
                       band_to_curve, build_QT, coefficient_quiver,
-                      curve_to_module, eta, int_zero, lamination_g_vector,
+                      curve_to_module, eta, int_zero, lamination_words,
                       make_lamination, rotate_tau, shear_coordinates,
                       shear_of_lamination, string_to_curve, validate_curve)
 from .laurent import (ExponentOutOfRange, LaurentPoly, NotPathOrCycle,

@@ -16,10 +16,10 @@ from .laurent import bangle, verify_bangle_equals_generic
 from .quiver import NotGentle, is_jacobian, rho_blocks
 from .schemes import block_critical_summands, canonical_decomposition, \
     ceh_by_words, component_dim, components, critical_relation_pairs, \
-    dim_gl, is_generically_reduced, is_smooth_point, is_tau_reduced, \
-    tangent_dim
+    decorated_g_vector, dim_gl, is_generically_reduced, is_smooth_point, \
+    is_tau_reduced, tangent_dim
 from .strings import rank_function_of
-from .surface import build_QT, eta, lamination_g_vector, shear_of_lamination
+from .surface import build_QT, eta, lamination_words, shear_of_lamination
 
 
 def _emit(args, payload, human_lines):
@@ -144,7 +144,7 @@ def cmd_eta(args):
     A = build_QT(T)
     L = fileio.lamination_from_file(T, args.lamination)
     DZ = eta(T, L)
-    g = lamination_g_vector(T, L)
+    g = decorated_g_vector(A, DZ, lamination_words(T, L))
     crit = block_critical_summands(A, DZ.component)
     payload = {
         "d": list(DZ.component.d),

@@ -18,7 +18,9 @@ other pivot column and positive at its own pivot: the reduced row
 echelon form up to one positive scale per row.  That form is unique, so
 the result does not depend on the order of the rows, and `rref` (each
 row divided by its pivot entry), `nullspace`, `solve` and `mat_inverse`
-are views of it.
+are views of it.  `_kernel_point` reads one integer kernel vector off
+it for given values of the free unknowns; `nullspace` and the
+isomorphism certificates of `strings` both build their vectors with it.
 
 Dense matrices are lists of row-lists.  `nullspace` returns primitive
 integer vectors; `mat_inverse` gives integral entries as int (so the
@@ -165,25 +167,40 @@ def rref(mat, ncols=None):
             for p in pivots], pivots
 
 
+def _kernel_point(ech, ncols, values):
+    """The integer vector x with ech x = 0 that is L t_f at each free
+    column f of values = {f: t_f} and 0 at the other free columns, ech
+    being a reduced echelon form (`_echelon`) and L the lcm of the pivot
+    entries of the rows that meet values.  Each pivot unknown follows by
+    back-substitution over the integers: x_p = -(L / row[p]) sum_f
+    row[f] t_f."""
+    keys = values.keys()
+    hits = [(p, row) for p, row in ech.items()
+            if not keys.isdisjoint(row)]
+    lcm = 1
+    for p, row in hits:
+        lcm = lcm * row[p] // gcd(lcm, row[p])
+    x = [0] * ncols
+    for f, t in values.items():
+        x[f] = lcm * t
+    for p, row in hits:
+        x[p] = -(lcm // row[p]) * sum([row.get(f, 0) * t
+                                       for f, t in values.items()])
+    return x
+
+
 def nullspace(mat, ncols):
     """Basis of the right kernel of a matrix given as dense or
     {col: value} rows, as column vectors: one per free column f, the
-    rational kernel vector that is 1 at f and 0 at the other free
-    columns, scaled by the lcm of the pivots it meets and then made
-    primitive (integer entries with gcd 1, positive at f)."""
+    kernel vector that is 1 at f and 0 at the other free columns
+    (`_kernel_point`), made primitive (integer entries with gcd 1,
+    positive at f)."""
     ech = _echelon(mat)
     basis = []
     for f in range(ncols):
         if f in ech:
             continue
-        hits = [(p, row) for p, row in ech.items() if f in row]
-        scale = 1
-        for p, row in hits:
-            scale = scale * row[p] // gcd(scale, row[p])
-        v = [0] * ncols
-        v[f] = scale
-        for p, row in hits:
-            v[p] = -row[f] * scale // row[p]
+        v = _kernel_point(ech, ncols, {f: 1})
         g = 0
         for x in v:
             g = gcd(g, x)

@@ -601,11 +601,14 @@ class DecoratedComponent:
     v: tuple
 
 
-def decorated_g_vector(A, DZ):
+def decorated_g_vector(A, DZ, words=None):
     """Generic g-vector of a decorated component: g is additive over
-    direct sums, so it is the decoration plus the word g-vectors of the
-    certified multiset (`_small`).  It builds no generic point; the
-    g-vector of a `generic_point` is its oracle."""
-    words = generic_multiset(A, DZ.component)
+    direct sums, so it is the decoration plus the word g-vectors (`_small`)
+    of the generic module's word multiset: `words` when the caller knows
+    it (a lamination names it, `surface.lamination_words`), else the
+    certified multiset.  It builds no generic point; the g-vector of a
+    `generic_point` is its oracle."""
+    if words is None:
+        words = generic_multiset(A, DZ.component)
     return tuple(map(sum, zip(DZ.v, *(_small(A, x)[1]
                                       for x in _summands(words)))))

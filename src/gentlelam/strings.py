@@ -11,12 +11,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import InputError, InternalError
-from .exactlinalg import (_echelon, _ratio, charpoly, identity,
-                          is_invertible, mat_inverse, mat_mul, nullspace,
-                          rational_roots, rref, sparse_rank)
+from .exactlinalg import (_echelon, _kernel_point, _ratio, charpoly,
+                          identity, is_invertible, mat_inverse, mat_mul,
+                          nullspace, rational_roots, rref, sparse_rank)
 from .quiver import _algebra_memo, _kept
 
 
@@ -704,35 +703,22 @@ def _invertible_hom(A, M, N):
     dimension vectors.
 
     The intertwiner rows are reduced once (`_echelon`).  Each candidate
-    gives its values t_f to the free unknowns, all ones first, then seven
-    seeded draws from [-7, 7], and the pivot unknowns follow over the
-    integers: x_f = L t_f and x_p = -sum_f row[f] t_f L / row[p], with L
-    the lcm of the pivot entries.  Only the candidate under test is cut
-    into per-vertex matrices.  A map is a certificate of M = N, since it
-    solves every intertwiner equation and is invertible at every vertex;
-    None is not one of M != N, and callers that read it so compare
-    invariants first."""
+    gives its values to the free unknowns, all ones first, then seven
+    seeded draws from [-7, 7], and the pivot unknowns follow by integer
+    back-substitution (`_kernel_point`).  Only the candidate under test
+    is cut into per-vertex matrices.  A map is a certificate of M = N,
+    since it solves every intertwiner equation and is invertible at
+    every vertex; None is not one of M != N, and callers that read it so
+    compare invariants first."""
     rows, offs, nvars = _intertwiner_rows(A, M, N)
     ech = _echelon(rows)
     free = [f for f in range(nvars) if f not in ech]
     if not free:
         return None
-    lcm = 1
-    for p, row in ech.items():
-        lcm = lcm * row[p] // gcd(lcm, row[p])
-    # per pivot unknown: L / row[p] and its row's other entries, which
-    # are all in free columns, as the row is reduced
-    back = [(p, lcm // row[p], [(c, v) for c, v in row.items() if c != p])
-            for p, row in ech.items()]
     rng = random.Random(1729)
     for attempt in range(8):
-        x = [0] * nvars
-        for f in free:
-            x[f] = 1 if attempt == 0 else rng.randint(-7, 7)
-        for p, m, terms in back:
-            x[p] = -m * sum(v * x[c] for c, v in terms)
-        for f in free:
-            x[f] *= lcm
+        x = _kernel_point(ech, nvars, {
+            f: 1 if attempt == 0 else rng.randint(-7, 7) for f in free})
         blocks = []
         for o, d in zip(offs, M.dims):
             block = [x[o + i * d:o + (i + 1) * d] for i in range(d)]

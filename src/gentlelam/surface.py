@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 from .errors import InputError, InternalError
 from .homological import hom_dim_oracle, tau_dtr
 from .quiver import Quiver, _kept, is_jacobian, validate_gentle
-from .schemes import (DecoratedComponent, _small, components,
-                      is_tau_reduced)
-from .strings import (BAND_PARAMETERS, BandWord, StringWord, band_module,
-                      canonical_band, canonical_string, string_module,
-                      word_shape, word_walk)
+from .schemes import DecoratedComponent, components, is_tau_reduced
+from .strings import BandWord, StringWord, band_module, canonical_band, \
+    canonical_string, string_module, word_shape, word_walk
 
 
 class InvalidTriangulation(InputError):
@@ -840,6 +838,14 @@ def _curve_key(T, A, gamma):
         (T.marked_of_marker(e) for e in gamma.endpoints), key=str)))
 
 
+def lamination_words(T, L):
+    """The words of the string and band curves of a lamination, each as
+    often as its multiplicity: the word multiset of the generic module of
+    eta(T, L), whose decoration holds the arcs."""
+    return [w for gamma, mult in L.entries if gamma.kind != "arc"
+            for w in [curve_to_module(T, gamma)] * mult]
+
+
 def eta(T, L):
     """The generically tau-reduced decorated component of a lamination."""
     A = build_QT(T)
@@ -850,12 +856,12 @@ def eta(T, L):
     for gamma, mult in L.entries:
         if gamma.kind == "arc":
             v[_vnum(T)[gamma.arc] - 1] += mult
-            continue
-        dims, ranks = word_shape(A, curve_to_module(T, gamma))
+    for w in lamination_words(T, L):
+        dims, ranks = word_shape(A, w)
         for i in range(n):
-            d[i] += mult * dims[i]
+            d[i] += dims[i]
         for aid in A.arrow_ids:
-            r[aid] += mult * ranks[aid]
+            r[aid] += ranks[aid]
     if sum(d[i] * v[i] for i in range(n)):
         raise InvalidLamination(
             "decoration and dimension vector are not orthogonal")
@@ -867,28 +873,6 @@ def eta(T, L):
                     "lamination produced a non-tau-reduced component")
             return DecoratedComponent(Z, tuple(v))
     raise InvalidLamination("summed rank function is not maximal")
-
-
-def lamination_g_vector(T, L):
-    """The generic g-vector of eta(T, L), read off the curves of L.  The
-    generic module of eta(T, L) is the sum of the curves' modules, and g
-    is additive, so g is the decoration (each arc's multiplicity at its
-    vertex) plus, per string or band curve, its multiplicity times the
-    g-vector of its word module (`schemes._small`).  That g-vector reads
-    ranks, which do not depend on a band's parameter, so a band takes
-    the first of `BAND_PARAMETERS`.  No component is searched;
-    `decorated_g_vector` of eta(T, L) is the oracle (tests)."""
-    A = build_QT(T)
-    g = [0] * A.n
-    for gamma, mult in L.entries:
-        w = curve_to_module(T, gamma)
-        if gamma.kind == "arc":
-            g[w[1] - 1] += mult
-            continue
-        lam = BAND_PARAMETERS[0] if isinstance(w, BandWord) else None
-        for i, x in enumerate(_small(A, (w, lam))[1]):
-            g[i] += mult * x
-    return tuple(g)
 
 
 # ---------------------------------------------------------------------------

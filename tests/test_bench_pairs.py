@@ -2,10 +2,11 @@
 benchmark runs here (a few milliseconds)."""
 
 import importlib.util
+import json
 import os
 
-SCRIPT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "scripts", "bench_pairs.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "scripts", "bench_pairs.py")
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
@@ -50,3 +51,11 @@ def test_parse_run_reads_the_summary_line_and_the_digest():
     assert bench_pairs.parse_run(out) == {
         "correct": True, "attempted": 306, "failed": 0, "metrics": {},
         "digest": "ab" * 32}
+
+
+def test_run_length_and_directions_come_from_the_benchmark():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    seconds, better = bench_pairs.benchmark_spec()
+    assert seconds == spec["run_seconds"]
+    assert better == {m["name"]: m["better"] for m in spec["end_to_end"]}

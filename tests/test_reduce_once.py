@@ -14,8 +14,8 @@ from math import lcm
 
 from gentlelam import (band_module, enumerate_bands, enumerate_strings,
                        fileio, iso_test, string_module, tau_dtr, tau_string)
-from gentlelam.exactlinalg import (_echelon, is_invertible, nullspace,
-                                   sparse_rank)
+from gentlelam.exactlinalg import (_echelon, _kernel_point, is_invertible,
+                                   nullspace, sparse_rank)
 from gentlelam.homological import _paths_ending_at
 from gentlelam.strings import (_invertible_hom, conjugate, hom_basis,
                                random_glpoint)
@@ -95,6 +95,21 @@ def test_rank_and_invertibility_read_the_forward_pass():
         assert sparse_rank(mat) == sparse_rank(as_dicts(mat)) == rank
         square = all(len(row) == len(mat) for row in mat)
         assert is_invertible(mat) == (square and rank == len(mat)), mat
+
+
+def test_kernel_points_solve_the_system():
+    """Seeded values of the free unknowns, zeros among them: each point
+    is in the kernel and is L t_f at every free column f."""
+    rng = random.Random(SEED)
+    for mat, n in matrices():
+        ech = _echelon(mat)
+        free = [f for f in range(n) if f not in ech]
+        values = {f: rng.randint(-3, 3) for f in free}
+        x = _kernel_point(ech, n, values)
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in mat)
+        scale = {x[f] // t for f, t in values.items() if t}
+        assert len(scale) <= 1 and all(s > 0 for s in scale), mat
+        assert all(x[f] == 0 for f, t in values.items() if not t)
 
 
 def digest(value):

@@ -7,7 +7,7 @@ from gentlelam import (BandWord, CurveSeq, DecoratedModule,
                        canonical_band, canonical_string, coefficient_quiver,
                        curve_to_module, decorated_g_vector, enumerate_bands,
                        enumerate_strings, eta, g_vector, generic_point,
-                       int_zero, is_jacobian, lamination_g_vector,
+                       int_zero, is_jacobian, lamination_words,
                        make_lamination, rotate_tau, shear_coordinates,
                        shear_of_lamination, string_module, string_to_curve,
                        tau_string, validate_curve)
@@ -254,14 +254,15 @@ def test_decorated_g_vector_is_that_of_a_generic_point(pants, pants_algebra):
             g_vector(A, DecoratedModule(M, DZ.v)), L
 
 
-def test_lamination_g_vector_is_the_decorated_g_vector(pants,
-                                                       pants_algebra):
-    # the curve route against the generic-multiset route, on the
+def test_lamination_words_give_the_decorated_g_vector(pants,
+                                                      pants_algebra):
+    # the lamination's words against the generic-multiset search, on the
     # laminations of acceptance criterion 5 (~1.5 s on a fresh algebra)
     A = pants_algebra
     for L in random_laminations(pants, A, 50, seed=123):
-        assert lamination_g_vector(pants, L) == \
-            decorated_g_vector(A, eta(pants, L)), L
+        DZ = eta(pants, L)
+        assert decorated_g_vector(A, DZ, lamination_words(pants, L)) == \
+            decorated_g_vector(A, DZ), L
 
 
 def test_word_curve_roundtrips(pants, pants_algebra):
