@@ -15,9 +15,19 @@ attempted, failed, metrics) and the payload digest from its first line.
 Per workload the file holds `<W>_pairs` (seed, order, both runs) and
 `<W>_summary`: per end-to-end metric of BENCHMARK.json the medians and
 interquartile ranges (distance between the inclusive quartiles) of both
-sides, and in how many pairs the change was better in that metric's
-direction; then the number of pairs with equal digests and the failed op
-executions per side.  An existing --out file of the same parent keeps
+sides, in how many pairs the change was better in that metric's
+direction, and two verdicts:
+
+- `gain`: the change is better in at least 9 of 10 pairs, and its
+  median is better than the parent's by more than the parent's IQR;
+- `regression`: "unresolved" when the parent's IQR is wider than the
+  metric's bound (a fraction of the parent's median) and some run of
+  the change is no better than some run of the parent, else "yes" when
+  the change's median is worse than the parent's by more than the
+  bound, else "no".
+
+Then the number of pairs with equal digests and the failed op executions
+per side.  An existing --out file of the same parent keeps
 its other workloads, so one file can collect several invocations.
 Stdlib only; a run that fails, or an --out file of another parent,
 stops the script with exit 2.
@@ -47,22 +57,32 @@ def iqr(values):
     return q3 - q1
 
 
-def summarize(pairs, better):
-    """The `<W>_summary` of a list of pairs; `better` maps each metric
-    name to "higher" or "lower"."""
+def summarize(pairs, metrics):
+    """The `<W>_summary` of a list of pairs; `metrics` maps each metric
+    name to (better, bound): better is "higher" or "lower", bound the
+    largest tolerated worsening as a fraction of the parent's median."""
     out = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         par = [p["parent"]["metrics"][name]["value"] for p in pairs]
         chg = [p["change"]["metrics"][name]["value"] for p in pairs]
         sign = 1 if direction == "higher" else -1
+        p_med, c_med, spread = statistics.median(par), \
+            statistics.median(chg), iqr(par)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
+        step = sign * (c_med - p_med)  # > 0 when the change is better
+        allowed = bound * abs(p_med)
+        # every run of the change better than every run of the parent
+        apart = min(sign * c for c in chg) > max(sign * p for p in par)
         out[name] = {
-            "parent_median": round(statistics.median(par), 4),
-            "change_median": round(statistics.median(chg), 4),
-            "parent_iqr": round(iqr(par), 4),
+            "parent_median": round(p_med, 4),
+            "change_median": round(c_med, 4),
+            "parent_iqr": round(spread, 4),
             "change_iqr": round(iqr(chg), 4),
-            "change_better_pairs": sum(sign * (c - p) > 0
-                                       for p, c in zip(par, chg)),
+            "change_better_pairs": wins,
             "pairs": len(pairs),
+            "gain": wins >= 0.9 * len(pairs) and step > spread,
+            "regression": ("unresolved" if spread > allowed and not apart
+                           else "yes" if -step > allowed else "no"),
         }
     out["digests_equal_pairs"] = sum(
         p["parent"]["digest"] == p["change"]["digest"] for p in pairs)
@@ -111,11 +131,11 @@ NOTE = ("each run is the summary line (last stdout line) of run.py, on the "
 
 
 def benchmark_spec():
-    """The run length and {metric: better} of the end-to-end metrics of
-    BENCHMARK.json."""
+    """The run length and {metric: (better, bound)} of the end-to-end
+    metrics of BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    return spec["run_seconds"], {m["name"]: m["better"]
+    return spec["run_seconds"], {m["name"]: (m["better"], m["bound"])
                                  for m in spec["end_to_end"]}
 
 
@@ -138,7 +158,7 @@ def main(argv=None):
             print(f"error: {args.out} holds pairs against "
                   f"{doc.get('parent')}, not {short}", file=sys.stderr)
             return 2
-    seconds, better = benchmark_spec()
+    seconds, metrics = benchmark_spec()
     doc.update({
         "command": "python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {seconds} --trace 0",
@@ -165,7 +185,7 @@ def main(argv=None):
                 print(f"{workload} seed {seed}: parent {ops['parent']:.1f}"
                       f", change {ops['change']:.1f} ops/s", flush=True)
             doc[f"{workload}_pairs"] = pairs
-            doc[f"{workload}_summary"] = summarize(pairs, better)
+            doc[f"{workload}_summary"] = summarize(pairs, metrics)
             with open(args.out, "w") as fh:
                 json.dump(doc, fh, indent=1)
                 fh.write("\n")

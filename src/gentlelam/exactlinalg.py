@@ -19,8 +19,9 @@ echelon form up to one positive scale per row.  That form is unique, so
 the result does not depend on the order of the rows, and `rref` (each
 row divided by its pivot entry), `nullspace`, `solve` and `mat_inverse`
 are views of it.  `_kernel_point` reads one integer kernel vector off
-it for given values of the free unknowns; `nullspace` and the
-isomorphism certificates of `strings` both build their vectors with it.
+it for given values of the free unknowns; `nullspace` builds its basis
+with it, and `strings._hom_space` every module map of `strings`
+(isomorphism certificates, endomorphisms that `decompose` splits along).
 
 Dense matrices are lists of row-lists.  `nullspace` returns primitive
 integer vectors; `mat_inverse` gives integral entries as int (so the

@@ -273,16 +273,18 @@ class Representation:
 
 
 def make_rep(A, dims, mats):
-    """Build a representation, checking dims (one entry per vertex), the
-    shapes and the relations.
+    """Build a representation, checking dims (one int per vertex, as in
+    `fileio._int`), the shapes and the relations.
 
     Entries are stored as int when integral, else as Fraction; a matrix
     of ints is stored as it is.  A relation whose two matrices are both
     nonzero has its product computed."""
-    dims = tuple(int(x) for x in dims)
+    dims = tuple(dims)
     if len(dims) != A.n:
         raise ValueError(f"dims {dims} has {len(dims)} entries for "
                          f"{A.n} vertices")
+    if any(type(x) is not int for x in dims):
+        raise ValueError(f"dims {dims} holds a non-integer")
     store = {}
     nonzero = set()
     for aid in A.arrow_ids:
@@ -669,19 +671,22 @@ def hom_dim(A, M, N):
     return nvars - sparse_rank(rows)
 
 
-def hom_basis(A, M, N):
-    """Basis of Hom(M, N), each element a list of per-vertex matrices."""
+def _hom_space(A, M, N):
+    """Hom(M, N) from one reduction of its intertwiner rows (`_echelon`):
+    the free unknowns, in increasing order, and a function that takes
+    values {free unknown: integer} to the map, as per-vertex N_v x M_v
+    matrices, that has those values times a positive integer and is 0 at
+    the other free unknowns (`_kernel_point`).  Every module map of
+    `decompose` is such a point; no Hom basis is built."""
     rows, offs, nvars = _intertwiner_rows(A, M, N)
-    vecs = nullspace(rows, nvars)
-    out = []
-    for vec in vecs:
-        f = []
-        for v in range(A.n):
-            dM, dN = M.dims[v], N.dims[v]
-            f.append([[vec[offs[v] + u * dM + w] for w in range(dM)]
-                      for u in range(dN)])
-        out.append(f)
-    return out
+    ech = _echelon(rows)
+    free = [f for f in range(nvars) if f not in ech]
+
+    def point(values):
+        x = _kernel_point(ech, nvars, values)
+        return [[x[o + i * dM:o + (i + 1) * dM] for i in range(dN)]
+                for o, dM, dN in zip(offs, M.dims, N.dims)]
+    return free, point
 
 
 def iso_test(A, M, N):
@@ -702,31 +707,20 @@ def _invertible_hom(A, M, N):
     every vertex, found in eight tries, or None; M and N have equal
     dimension vectors.
 
-    The intertwiner rows are reduced once (`_echelon`).  Each candidate
-    gives its values to the free unknowns, all ones first, then seven
-    seeded draws from [-7, 7], and the pivot unknowns follow by integer
-    back-substitution (`_kernel_point`).  Only the candidate under test
-    is cut into per-vertex matrices.  A map is a certificate of M = N,
-    since it solves every intertwiner equation and is invertible at
-    every vertex; None is not one of M != N, and callers that read it so
-    compare invariants first."""
-    rows, offs, nvars = _intertwiner_rows(A, M, N)
-    ech = _echelon(rows)
-    free = [f for f in range(nvars) if f not in ech]
+    Each candidate is a point of `_hom_space`: its free unknowns take
+    all ones first, then seven seeded draws from [-7, 7].  A map is a
+    certificate of M = N, since it solves every intertwiner equation and
+    is invertible at every vertex; None is not one of M != N, and callers
+    that read it so compare invariants first."""
+    free, point = _hom_space(A, M, N)
     if not free:
         return None
     rng = random.Random(1729)
     for attempt in range(8):
-        x = _kernel_point(ech, nvars, {
-            f: 1 if attempt == 0 else rng.randint(-7, 7) for f in free})
-        blocks = []
-        for o, d in zip(offs, M.dims):
-            block = [x[o + i * d:o + (i + 1) * d] for i in range(d)]
-            if not is_invertible(block):
-                break
-            blocks.append(block)
-        else:
-            return blocks
+        f = point({k: 1 if attempt == 0 else rng.randint(-7, 7)
+                   for k in free})
+        if all(map(is_invertible, f)):
+            return f
     return None
 
 
@@ -840,48 +834,46 @@ def _try_split(A, rep, phi):
 
 
 def _split_once(A, rep, rng, table):
-    """Try `_try_split` along six random combinations of the basis
-    endomorphisms, then along each basis endomorphism, then along the
-    endomorphisms of `_through_words`.
+    """Try `_try_split` along six random endomorphisms, then along those
+    of `_through_words`; each is a point of a `_hom_space`.
 
-    The random ones come first because they split furthest: modulo the
-    radical of End(rep), a random phi acts on each word summand by a
+    Modulo rad End(rep), a random phi acts on each word summand by a
     rational scalar, and non-isomorphic summands almost always get
     different ones, so one `_try_split` cuts rep into a block per class
-    of isomorphic summands (a basis endomorphism mostly cuts off one).
-    The six coefficient vectors are drawn up front, so `rng` advances the
-    same whichever candidate splits; each candidate is built only when
-    the ones before it failed."""
-    basis = hom_basis(A, rep, rep)
-    if len(basis) == 1:
+    of isomorphic summands.  The free unknowns take seeded draws from
+    [-9, 9], all six drawn up front.  End(rep) = Q (one free unknown)
+    means rep is indecomposable."""
+    free, point = _hom_space(A, rep, rep)
+    if len(free) == 1:
         return None
-    coefs = [[rng.randint(-9, 9) for _ in basis] for _ in range(6)]
-
-    def combination(coef):
-        return [[[sum(c * basis[k][v][i][j] for k, c in enumerate(coef))
-                  for j in range(rep.dims[v])] for i in range(rep.dims[v])]
-                for v in range(A.n)]
-
-    for phi in itertools.chain(map(combination, coefs), basis,
-                               _through_words(A, rep, table)):
+    draws = [{f: rng.randint(-9, 9) for f in free} for _ in range(6)]
+    for phi in itertools.chain(map(point, draws),
+                               _through_words(A, rep, table, rng)):
         blocks = _try_split(A, rep, phi)
         if blocks:
             return blocks
     return None
 
 
-def _through_words(A, rep, table):
-    """Endomorphisms f g of rep, for the word modules W of `table` whose
-    dims and ranks fit under rep's and every f in the basis of
-    Hom(W, rep) and g in that of Hom(rep, W).  The nonzero eigenvalues of
-    f g are those of g f, which lies in End(W) = Q + rad and so has one
-    eigenvalue c, rational.  When W is a summand of rep some pair has
-    c != 0, and then f g has the rational eigenvalues c and 0, along which
-    `_try_split` splits.  They split repeated summands M + M, on which
-    every random endomorphism may act as X (x) id_M with X irreducible
-    over Q."""
+def _through_words(A, rep, table, rng):
+    """Endomorphisms f g of rep through the word modules W of `table`
+    whose dims and ranks fit under rep's: two per (word, parameter),
+    f in Hom(W, rep) and g in Hom(rep, W) points of their `_hom_space`
+    at values drawn from `rng` in [-2^15, 2^15].
+
+    g f lies in End(W) = Q + rad (Crawley-Boevey 1989), so f g has one
+    nonzero eigenvalue c at most, rational, and splits along c and 0.
+    When W is a summand of rep, c is a nonzero bilinear form in the
+    drawn values, so a draw misses (c = 0) with probability at most
+    2/65,537 (Schwartz-Zippel).  These maps split repeated summands
+    M + M, on which every random endomorphism may act as X (x) id_M with
+    X irreducible over Q."""
     rf = rank_function_of(A, rep)
     top = rep.dims + tuple(rf[a] for a in A.arrow_ids)
+
+    def draw(free):
+        return {k: rng.randint(-2 ** 15, 2 ** 15) for k in free}
+
     for shape, words in table.items():
         if any(x > y for x, y in zip(shape, top)):
             continue
@@ -890,13 +882,16 @@ def _through_words(A, rep, table):
                     else band_lambda_candidates(A, w, rep))
             for lam in lams:
                 W = _word_rep(A, w, lam)
-                gs = hom_basis(A, rep, W)
-                for f in hom_basis(A, W, rep) if gs else ():
-                    for g in gs:
-                        # f_v g_v is zero where W_v = 0
-                        yield [mat_mul(fv, gv) if gv else
-                               [[0] * d for _ in range(d)]
-                               for fv, gv, d in zip(f, g, rep.dims)]
+                g_free, g_at = _hom_space(A, rep, W)
+                if not g_free:
+                    continue
+                f_free, f_at = _hom_space(A, W, rep)
+                for _ in range(2) if f_free else ():
+                    g, f = g_at(draw(g_free)), f_at(draw(f_free))
+                    # f_v g_v is zero where W_v = 0
+                    yield [mat_mul(fv, gv) if gv else
+                           [[0] * d for _ in range(d)]
+                           for fv, gv, d in zip(f, g, rep.dims)]
 
 
 def _poly(*coeffs):
@@ -1058,14 +1053,16 @@ def decompose(A, rep, seed=0):
     is identified before it is split: `_identify` looks its shape up in
     the words that fit it (`_word_table`) and certifies a match with an
     explicit invertible intertwiner, so an accepted piece is an
-    indecomposable word module.  Only a piece identification rejects pays
-    for its endomorphism algebra and a Fitting split (`_split_once`); one
-    that does not split either is no word module with a rational
-    parameter (`DictionaryExhausted`).  The pieces of a Fitting split
-    read the table of the piece they came from, which holds every word
-    that fits them; the pieces of a support split, small word modules
-    when rep is a `word_sum`, look up the table of their own dims.
-    """
+    indecomposable word module.  A piece identification rejects is split
+    along maps drawn from `random.Random(seed)` (`_split_once`), each
+    read off one reduced intertwiner system (`_hom_space`); one that does
+    not split either is taken for no word module with a rational
+    parameter (`DictionaryExhausted`), wrongly only if every draw
+    through its summands' words misses (at most 2/65,537 each).  The
+    pieces of a Fitting split read the table of the piece they came
+    from, which holds every word that fits them; the pieces of a support
+    split, small word modules when rep is a `word_sum`, look up the table
+    of their own dims."""
     rng = random.Random(seed)
     pieces = [(rep, None, False)]
     out = []

@@ -7,6 +7,8 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from gentlelam import Quiver, Triangulation, build_QT, validate_gentle
+from gentlelam.exactlinalg import nullspace
+from gentlelam.strings import _intertwiner_rows
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -14,6 +16,16 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 def golden(name):
     with open(os.path.join(GOLDEN, name)) as fh:
         return json.load(fh)
+
+
+def hom_basis(A, M, N):
+    """Basis of Hom(M, N), each element a list of per-vertex N_v x M_v
+    matrices: the `nullspace` of the intertwiner rows, reshaped.  A
+    reference for tests; the library reads maps off `_hom_space`."""
+    rows, offs, nvars = _intertwiner_rows(A, M, N)
+    return [[[vec[o + u * dM:o + (u + 1) * dM] for u in range(dN)]
+             for o, dM, dN in zip(offs, M.dims, N.dims)]
+            for vec in nullspace(rows, nvars)]
 
 
 @pytest.fixture(scope="session")

@@ -26,16 +26,49 @@ def test_summary_of_fixed_pairs():
               "parent": side(*p), "change": side(*c, digest="d" if k else "e",
                                                  failed=k == 4)}
              for k, (p, c) in enumerate(zip(par, chg))]
-    got = bench_pairs.summarize(pairs, {"ops_per_s": "higher",
-                                        "op_p50_ms": "lower"})
+    got = bench_pairs.summarize(pairs, {"ops_per_s": ("higher", 0.2),
+                                        "op_p50_ms": ("lower", 0.2)})
+    # 4 of 5 wins is short of 9 in 10: no gain
     assert got["ops_per_s"] == {
         "parent_median": 490, "change_median": 560, "parent_iqr": 20,
-        "change_iqr": 35, "change_better_pairs": 4, "pairs": 5}
+        "change_iqr": 35, "change_better_pairs": 4, "pairs": 5,
+        "gain": False, "regression": "no"}
     assert got["op_p50_ms"] == {
         "parent_median": 2.0, "change_median": 1.8, "parent_iqr": 0.1,
-        "change_iqr": 0.05, "change_better_pairs": 4, "pairs": 5}
+        "change_iqr": 0.05, "change_better_pairs": 4, "pairs": 5,
+        "gain": False, "regression": "no"}
     assert got["digests_equal_pairs"] == 4
     assert got["failed_executions"] == {"parent": 0, "change": 1}
+
+
+def verdict(par, chg, better="higher", bound=0.2):
+    pairs = [{"parent": side(p, 1.0), "change": side(c, 1.0)}
+             for p, c in zip(par, chg)]
+    got = bench_pairs.summarize(pairs, {"ops_per_s": (better, bound)})
+    return got["ops_per_s"]["gain"], got["ops_per_s"]["regression"]
+
+
+def test_gain_and_regression_verdicts_of_fixed_pairs():
+    par = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]  # IQR 1.75
+    # 9 of 10 wins and a median step of 5 > IQR: a gain
+    chg = [105, 107, 103, 106, 104, 105, 108, 102, 105, 90]
+    assert verdict(par, chg) == (True, "no")
+    # 10 of 10 wins by 1, inside the parent's IQR: no gain
+    assert verdict(par, [x + 1 for x in par]) == (False, "no")
+    # 8 of 10 wins: no gain, however large the step
+    chg = [150] * 8 + [50, 50]
+    assert verdict(par, chg) == (False, "no")
+    # ops/s 25% below the parent's median, bound 20%: a regression;
+    # the same numbers where lower is better: a gain
+    worse = [x - 25 for x in par]
+    assert verdict(par, worse) == (False, "yes")
+    assert verdict(par, worse, "lower") == (True, "no")
+    assert verdict(par, worse, bound=0.3) == (False, "no")
+    # a parent IQR of 1.75 against a bound of 1%: unresolved, unless
+    # every run of the change is better than every run of the parent
+    assert verdict(par, worse, bound=0.01) == (False, "unresolved")
+    assert verdict(par, chg, bound=0.01)[1] == "unresolved"
+    assert verdict(par, [x + 10 for x in par], bound=0.01) == (True, "no")
 
 
 def test_iqr_is_the_distance_between_inclusive_quartiles():
@@ -56,6 +89,7 @@ def test_parse_run_reads_the_summary_line_and_the_digest():
 def test_run_length_and_directions_come_from_the_benchmark():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds, better = bench_pairs.benchmark_spec()
+    seconds, metrics = bench_pairs.benchmark_spec()
     assert seconds == spec["run_seconds"]
-    assert better == {m["name"]: m["better"] for m in spec["end_to_end"]}
+    assert metrics == {m["name"]: (m["better"], m["bound"])
+                      for m in spec["end_to_end"]}

@@ -118,14 +118,14 @@ def test_one_random_endomorphism_splits_every_summand_class(surface,
 @pytest.mark.parametrize("surface", ["pants", "torus_quiver"])
 def test_repeated_summands_split_through_a_word_module(surface):
     # on M + M every endomorphism acts as X (x) id_M modulo the radical:
-    # when X has irrational or equal eigenvalues for every random and
-    # basis endomorphism, `_through_words` is what splits it
+    # when X has irrational or equal eigenvalues for every random
+    # endomorphism, `_through_words` is what splits it
     A = golden_algebra(surface)
     C = [C for C in enumerate_strings(A, 3) if len(C) == 2][0]
     M = direct_sum(A, [string_module(A, C)] * 2)
     M = conjugate(A, M, random_glpoint(random.Random(SEED), M.dims, 3))
     table = _word_table(A, M.dims)
-    for phi in strings._through_words(A, M, table):
+    for phi in strings._through_words(A, M, table, random.Random(SEED)):
         blocks = _try_split(A, M, phi)
         if blocks:
             break
@@ -136,7 +136,7 @@ def test_repeated_summands_split_through_a_word_module(surface):
 
 @pytest.mark.parametrize("seed", [3, 7])
 def test_repeated_torus_summand_reaches_the_word_path(seed, splits):
-    # here the six random endomorphisms and the basis all fail
+    # here the six random endomorphisms all fail
     A = golden_algebra("torus_quiver")
     C = canonical_string(A, parse_word("b2,a2-,c-"))
     M = direct_sum(A, [string_module(A, C)] * 2)

@@ -70,11 +70,12 @@ def module(A, w, lam):
 
 @pytest.fixture
 def traced(monkeypatch):
-    """Pieces accepted by `_identify`, pieces whose End was computed
-    (hom_basis(p, p)), image blocks of `_try_split` (each is the one
-    `rref` of strings), and endomorphisms drawn from `_through_words`."""
+    """Pieces accepted by `_identify`, pieces whose End system was
+    reduced (`_hom_space(p, p)`), image blocks of `_try_split` (each is
+    the one `rref` of strings), and endomorphisms drawn from
+    `_through_words`."""
     seen = {"accepted": [], "endo": [], "image": 0, "through_words": 0}
-    identify, hom_basis, rref = strings._identify, strings.hom_basis, \
+    identify, hom_space, rref = strings._identify, strings._hom_space, \
         strings.rref
     through_words = strings._through_words
 
@@ -89,17 +90,17 @@ def traced(monkeypatch):
             seen["accepted"].append(p)
         return got
 
-    def counted_hom_basis(A, M, N):
+    def counted_hom_space(A, M, N):
         if M is N:
             seen["endo"].append(M)
-        return hom_basis(A, M, N)
+        return hom_space(A, M, N)
 
     def counted_rref(*args):
         seen["image"] += 1
         return rref(*args)
 
     monkeypatch.setattr(strings, "_identify", counted_identify)
-    monkeypatch.setattr(strings, "hom_basis", counted_hom_basis)
+    monkeypatch.setattr(strings, "_hom_space", counted_hom_space)
     monkeypatch.setattr(strings, "rref", counted_rref)
     monkeypatch.setattr(strings, "_through_words", counted_through_words)
     return seen

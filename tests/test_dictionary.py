@@ -106,13 +106,52 @@ def test_decompose_exhausts_on_a_module_of_no_word(lam):
         decompose(A, flat_band(A, B, lam))
 
 
+PANTS_BAND = "t0:2>6,t2:2>3-,t1:6>3,t0:6>1-,t4:1>5-,t3:4>5,t1:4>6-"
+
+
+@pytest.mark.parametrize("lam", NOT_WORDS, ids=["J2(3)", "x^2+2"])
+def test_exhausted_path_draws_two_maps_per_word(lam, monkeypatch):
+    # a module of no word walks the whole table before it is rejected;
+    # each (word, parameter) W with Hom(rep, W) != 0 costs at most two
+    # random f g, where a loop over Hom bases took 1,921 and 1,912
+    A = golden_algebra("pants")
+    M = flat_band(A, canonical_band(A, parse_word(PANTS_BAND)), lam)
+    seen = {"rep": None, "nonzero": 0, "yielded": 0}
+    through, hom_space = strings._through_words, strings._hom_space
+
+    def counted(A, rep, table, rng):
+        walk = through(A, rep, table, rng)
+        while True:
+            seen["rep"] = rep
+            try:
+                phi = next(walk)
+            except StopIteration:
+                return
+            finally:
+                seen["rep"] = None
+            seen["yielded"] += 1
+            yield phi
+
+    def counted_hom_space(A, M, N):
+        free, point = hom_space(A, M, N)
+        if M is seen["rep"] and free:
+            seen["nonzero"] += 1  # Hom(rep, W) != 0 for a W of the table
+        return free, point
+
+    monkeypatch.setattr(strings, "_through_words", counted)
+    monkeypatch.setattr(strings, "_hom_space", counted_hom_space)
+    with pytest.raises(DictionaryExhausted):
+        decompose(A, M)
+    assert seen["nonzero"]
+    assert 0 < seen["yielded"] <= 2 * seen["nonzero"], seen
+
+
 def test_through_words_yields_zero_blocks_where_the_word_is_zero(
         monkeypatch):
     # f_v g_v through a word module W with W_v = 0 is the zero block of
     # rep's size at v, not an empty one
     A = golden_algebra("pants")
-    B = canonical_band(A, parse_word(
-        "t0:2>6,t2:2>3-,t1:6>3,t0:6>1-,t4:1>5-,t3:4>5,t1:4>6-"))
+    B = canonical_band(A, parse_word(PANTS_BAND))
     M = flat_band(A, B, NOT_WORDS[0])
     built, zero_blocks = [], []
     word_rep, through = strings._word_rep, strings._through_words
@@ -121,8 +160,8 @@ def test_through_words_yields_zero_blocks_where_the_word_is_zero(
         built.append(word_rep(*args))
         return built[-1]
 
-    def counted(A, rep, table):
-        for phi in through(A, rep, table):
+    def counted(A, rep, table, rng):
+        for phi in through(A, rep, table, rng):
             W = built[-1]
             zero_blocks.extend(
                 phi[v] == [[0] * d for _ in range(d)]

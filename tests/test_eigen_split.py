@@ -17,6 +17,7 @@ from gentlelam.exactlinalg import (charpoly, identity, mat_inverse, mat_mul,
                                    nullspace, rational_roots, rref)
 from gentlelam.strings import (_subrep, _try_split, conjugate,
                                random_glpoint)
+from conftest import hom_basis
 from test_decompose_paths import eigen_endo, golden_algebras
 from test_integer_routes import reference_rational_roots, reference_subrep
 
@@ -67,7 +68,7 @@ def endomorphisms(A, M, parts, rng):
     small random combinations of the basis of End(M) (repeated and zero
     eigenvalues), X (x) id on the two copies with X irreducible over Q
     (x^2 - x - 1), with a repeated root or nilpotent, a scalar and 0."""
-    basis = strings.hom_basis(A, M, M)
+    basis = hom_basis(A, M, M)
     for _ in range(4):
         coef = [rng.randint(-2, 2) for _ in basis]
         yield [[[sum(c * basis[k][v][i][j] for k, c in enumerate(coef))

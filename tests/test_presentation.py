@@ -15,7 +15,9 @@ from gentlelam import (BandWord, DecoratedModule, band_module, direct_sum,
                        min_proj_presentation, string_module, tau_dtr)
 from gentlelam.exactlinalg import sparse_rank
 from gentlelam.homological import _g_of_presentation, projective_rep
-from gentlelam.strings import _subrep, hom_basis, hom_dim
+from gentlelam.strings import _subrep, hom_dim
+
+from conftest import hom_basis
 
 ALGEBRAS = ("torus_algebra", "pants_algebra", "double_loop", "a3_relation")
 # the Hom corpora of criteria 3a and 3d: algebra and word length cap

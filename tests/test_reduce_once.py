@@ -17,10 +17,9 @@ from gentlelam import (band_module, enumerate_bands, enumerate_strings,
 from gentlelam.exactlinalg import (_echelon, _kernel_point, is_invertible,
                                    nullspace, sparse_rank)
 from gentlelam.homological import _paths_ending_at
-from gentlelam.strings import (_invertible_hom, conjugate, hom_basis,
-                               random_glpoint)
+from gentlelam.strings import _invertible_hom, conjugate, random_glpoint
 
-from conftest import GOLDEN
+from conftest import GOLDEN, hom_basis
 
 SEED = 20
 

@@ -117,6 +117,15 @@ def test_make_rep_rejects_dims_of_the_wrong_length(a3_relation):
             make_rep(a3_relation, dims, {})
 
 
+def test_make_rep_accepts_integer_dims_only(a3_relation):
+    # a float was truncated (1.7 gave dims (1, 1, 0)); a string, a bool
+    # and an integral float are no integers either, as in `fileio._int`
+    for dims in ([1.7, 1, 0], ["1", 1, 0], [1.0, 1, 0], [True, 1, 0]):
+        with pytest.raises(ValueError, match="non-integer"):
+            make_rep(a3_relation, dims, {})
+    assert make_rep(a3_relation, (1, 1, 0), {}).dims == (1, 1, 0)
+
+
 def test_relations_annihilate_fuzzed():
     rng = random.Random(3)
     for _ in range(25):
