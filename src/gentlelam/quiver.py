@@ -60,10 +60,13 @@ class Quiver:
             seen.add(aid)
             if not (1 <= s <= self.n_vertices and 1 <= t <= self.n_vertices):
                 raise ValueError(f"arrow {aid!r} endpoints out of range")
+        object.__setattr__(self, "_arrow_ids", tuple(a[0] for a in self.arrows))
 
     @property
     def arrow_ids(self):
-        return [a[0] for a in self.arrows]
+        """The arrow ids in the order of `arrows`, as one tuple built at
+        construction."""
+        return self._arrow_ids
 
     def source(self, aid):
         return self._lookup()[aid][0]
@@ -365,6 +368,6 @@ def _rho_blocks(algebra):
 
 def transport_dimvec(block, d):
     """Pull a dimension vector of the parent algebra back to the model."""
-    if len(d) < max(block.relabel):
+    if len(d) < block.vertices[-1]:  # the largest vertex of relabel
         raise ValueError("dimension vector too short for this algebra")
-    return tuple(d[v - 1] for v in block.relabel)
+    return tuple([d[v - 1] for v in block.relabel])

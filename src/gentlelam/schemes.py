@@ -11,11 +11,25 @@ through the C_m / C~_m models: the generic module of a block component
 is P/S-multiset M_{d,r}, its endomorphism dimension comes from the
 finite Hom table of the model algebras, and generic points are produced
 by conjugating the model module with random invertible matrices.
+
+Everything a component's block contributes depends on the block's local
+dims and local ranks alone, so it is solved once per algebra and kept
+on it (`_algebra_memo`): the maximal local rank assignments per (block,
+local dims) (`_block_maximals`), and the orbit dimension and critical
+summands per (block, local dims, local ranks) (`_block_record`).  The
+rank functions, dim Z and the block criterion of a component are a
+product, a sum and a union over these records.  A box sweep over
+d in {0, ..., N}^n keeps at most (N + 1)^(vertices of the block) lists
+per block and one record per local component, so these memos are
+bounded by the local boxes, not by the box of d: on the pants algebra
+{0, 1, 2}^6 leaves 81 lists for its 3,645 (block, d) pairs, and
+{0, ..., 3}^6 176 for 20,480.
 """
 
 import itertools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FalseVerdict, InputError, InternalError
 from .exactlinalg import sparse_rank
@@ -49,9 +63,10 @@ class InvalidDimensionVector(InputError):
 
 
 def _dimension_vector(A, d):
-    """d as a tuple, checked to hold one nonnegative integer per vertex."""
+    """d as a tuple, checked to hold one nonnegative integer per vertex
+    (a bool is no integer, as in `make_rep` and `fileio._int`)."""
     d = tuple(d)
-    if len(d) != A.n or any(not isinstance(x, int) or x < 0 for x in d):
+    if len(d) != A.n or any(type(x) is not int or x < 0 for x in d):
         raise InvalidDimensionVector(
             f"{d} is not a dimension vector of an algebra with {A.n} "
             f"vertices (one nonnegative integer per vertex)")
@@ -64,15 +79,19 @@ def maximal_rank_functions(A, d):
     Every rank constraint couples two arrows of one rho-block, so a
     single-arrow increment stays inside a block and r is maximal iff its
     restriction to every block is: the maximal ones are the product over
-    `rho_blocks(A)` of each block's maximal assignments (see
-    `_block_maximal`).  The tests filter `rank_functions` by the
-    single-increment test as its oracle."""
+    `rho_blocks(A)` of each block's maximal assignments.  Those depend on
+    the block's local dims only, so each is walked once (`_block_maximal`)
+    and kept on the algebra per (block, local dims) (`_block_maximals`):
+    a sweep over a box of d solves each block once per point of its own
+    local box.  The tests filter `rank_functions` by the single-increment
+    test as its oracle."""
     d = _dimension_vector(A, d)
     arrows = A.arrow_ids
     blocks = [b for b in rho_blocks(A) if b.arrows]
     where = {a: i for i, a in enumerate(a for b in blocks for a in b.arrows)}
     rows = []
-    for parts in itertools.product(*[_block_maximal(b, d) for b in blocks]):
+    for parts in itertools.product(*[
+            _block_maximals(A, b, transport_dimvec(b, d)) for b in blocks]):
         flat = sum(parts, ())
         rows.append(tuple(flat[where[a]] for a in arrows))
     return [dict(zip(arrows, row)) for row in sorted(rows)]
@@ -116,9 +135,20 @@ def rank_functions(A, d):
     return out
 
 
-def _block_maximal(block, d):
+def _block_maximals(A, block, dd):
+    """`_block_maximal(block, dd)` as a tuple, walked once per (block,
+    local dims) and kept on the algebra."""
+    memo = _algebra_memo(A, "_block_maximals")
+    key = (block.block_id, dd)
+    if key not in memo:
+        memo[key] = tuple(_block_maximal(block, dd))
+    return memo[key]
+
+
+def _block_maximal(block, dd):
     """The maximal rank assignments on the arrows a_1, ..., a_k of one
-    block, as tuples in chain order.
+    block with local dims dd (`transport_dimvec`), as tuples in chain
+    order.
 
     The constraints are r_i <= min(d_s(a_i), d_t(a_i)) and, at the vertex
     a_i and a_{i+1} share, r_i + r_{i+1} <= d there; for C~ the chain
@@ -131,7 +161,6 @@ def _block_maximal(block, d):
     last arrow), so the walk's work follows its output, not the box
     prod(cap + 1) of all assignments.
     """
-    dd = transport_dimvec(block, d)
     k = len(block.arrows)
     m = block.model_size
     caps = [min(dd[i], dd[(i + 1) % m]) for i in range(k)]
@@ -185,16 +214,16 @@ def components(A, d):
     return out
 
 
-def _model_multiplicities(block, d, r):
+def _model_multiplicities(block, dd, rr):
     """Multiplicities (p, q) of the projectives P_i and simples S_i in
-    the generic module of the block component."""
+    the generic module of the block component with local dims dd and
+    local ranks rr (in chain order)."""
     m = block.model_size
-    dd = transport_dimvec(block, d)
     cyclic = block.block_type == "Ct"
     n_arrows = m if cyclic else m - 1
     p = [0] * (m + 1)  # p[i] = multiplicity of P_i, arrow a_i starting at i
     for i in range(1, n_arrows + 1):
-        p[i] = r[block.arrows[i - 1]]
+        p[i] = rr[i - 1]
     q = [0] * (m + 1)
     for i in range(1, m + 1):
         ri = 0
@@ -237,20 +266,58 @@ def _block_end_dim(block, p, q):
     return total
 
 
+class BlockRecord(NamedTuple):
+    """What one component of a rho-block's module scheme contributes to
+    a component of mod(A, d) that restricts to it."""
+    orbit_dim: int  # sum dd_i^2 - dim End of the generic block module
+    type1: tuple  # arrows with a type I critical summand, in chain order
+    type2: tuple  # arrows with a type II critical summand
+
+
+def _block_record(A, block, dd, rr):
+    """The `BlockRecord` of the block component with local dims dd and
+    local ranks rr (chain order), built from `_model_multiplicities` once
+    per (block, dd, rr) and kept on the algebra (`_block_records`).
+
+    Type I at arrow a: both S_{s(a)} and S_{t(a)} occur; type II: the
+    projective cover of S_{t(a)} and the simple S_{s(a)} occur."""
+    memo = _algebra_memo(A, "_block_records")
+    key = (block.block_id, dd, rr)
+    if key not in memo:
+        p, q = _model_multiplicities(block, dd, rr)
+        m = block.model_size
+        cyclic = block.block_type == "Ct"
+        n_arrows = len(block.arrows)
+        type1, type2 = [], []
+        for i, arrow in enumerate(block.arrows, 1):
+            ti = i % m + 1 if cyclic else i + 1
+            if q[i] >= 1 and q[ti] >= 1:
+                type1.append(arrow)
+            if ti <= n_arrows and q[i] >= 1 and p[ti] >= 1:
+                type2.append(arrow)
+        memo[key] = BlockRecord(
+            sum(x * x for x in dd) - _block_end_dim(block, p, q),
+            tuple(type1), tuple(type2))
+    return memo[key]
+
+
+def _block_records(A, Z):
+    """(block, `BlockRecord`) for every rho-block of A, read off the
+    local dims and local ranks of the component Z."""
+    r = Z.rank()
+    return [(b, _block_record(A, b, transport_dimvec(b, Z.d),
+                              tuple([r[a] for a in b.arrows])))
+            for b in rho_blocks(A)]
+
+
 def component_dim(A, Z):
-    """dim Z as a sum of block orbit dimensions, computed once per
-    component and kept on the algebra (`_component_dims`, keyed by the
-    `Component`): a `components` request reads it for the output, the
-    search's certificate and c."""
+    """dim Z as the sum of the kept block orbit dimensions
+    (`_block_record`), kept on the algebra per component as well
+    (`_component_dims`, keyed by the `Component`): a `components` request
+    reads it for the output, the search's certificate and c."""
     memo = _algebra_memo(A, "_component_dims")
     if Z not in memo:
-        d, r = Z.d, Z.rank()
-        total = 0
-        for block in rho_blocks(A):
-            dd = transport_dimvec(block, d)
-            p, q = _model_multiplicities(block, d, r)
-            total += sum(x * x for x in dd) - _block_end_dim(block, p, q)
-        memo[Z] = total
+        memo[Z] = sum(rec.orbit_dim for _, rec in _block_records(A, Z))
     return memo[Z]
 
 
@@ -319,31 +386,11 @@ def is_generically_reduced(A, Z):
 
 
 def block_critical_summands(A, Z):
-    """Type I and type II critical summands of the generic block modules.
-
-    Type I at arrow a: both S_{s(a)} and S_{t(a)} occur; type II: the
-    projective cover of S_{t(a)} and the simple S_{s(a)} occur.
-    """
-    d, r = Z.d, Z.rank()
-    report = []
-    for block in rho_blocks(A):
-        if block.model_size == 1 and block.block_type == "C":
-            continue
-        p, q = _model_multiplicities(block, d, r)
-        m = block.model_size
-        cyclic = block.block_type == "Ct"
-        n_arrows = m if cyclic else m - 1
-        type1, type2 = [], []
-        for i in range(1, n_arrows + 1):
-            ti = i % m + 1 if cyclic else i + 1
-            arrow = block.arrows[i - 1]
-            if q[i] >= 1 and q[ti] >= 1:
-                type1.append(arrow)
-            if ti <= n_arrows and q[i] >= 1 and p[ti] >= 1:
-                type2.append(arrow)
-        if type1 or type2:
-            report.append((block, tuple(type1), tuple(type2)))
-    return report
+    """Type I and type II critical summands of the generic block modules,
+    as (block, type I arrows, type II arrows) for each block that has
+    one, read off the kept block records (`_block_record`)."""
+    return [(b, rec.type1, rec.type2) for b, rec in _block_records(A, Z)
+            if rec.type1 or rec.type2]
 
 
 def is_tau_reduced(A, Z):

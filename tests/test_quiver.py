@@ -180,3 +180,10 @@ def test_jacobian_relations_sit_in_three_blocks():
             assert bx is by_arrow[y]
             assert bx.type_name == "C~3"
     assert hits >= 3  # the fuzzer does hit Jacobian algebras
+
+
+def test_arrow_ids_are_one_tuple_kept_on_the_quiver(torus_algebra):
+    A = torus_algebra
+    ids = A.arrow_ids
+    assert ids == tuple(aid for aid, _, _ in A.quiver.arrows)
+    assert A.arrow_ids is ids and A.quiver.arrow_ids is ids

@@ -45,7 +45,7 @@ def oracle(A, d):
 def same(A, d, got, want):
     """Equal lists, order and the arrow order of each dict included."""
     assert got == want, d
-    assert [list(r) for r in got] == [A.arrow_ids] * len(got), d
+    assert [list(r) for r in got] == [list(A.arrow_ids)] * len(got), d
 
 
 def box(A):
