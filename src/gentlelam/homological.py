@@ -27,10 +27,10 @@ from .errors import InternalError
 from .exactlinalg import (_echelon, _forward, _ratio, nullspace,
                           sparse_rank)
 from .quiver import _algebra_memo
-from .strings import (BandWord, StringWord, _subrep, _sum_offsets,
-                      canonical_band, canonical_string, direct_sum,
-                      hom_dim, letter_inv, letter_s, letter_t,
-                      make_rep, pair_ok, string_word, zero_rep)
+from .strings import (BandWord, StringWord, _letter_table, _subrep,
+                      _sum_offsets, canonical_band, canonical_string,
+                      direct_sum, hom_dim, letter_inv, letter_s, letter_t,
+                      make_rep, string_word, zero_rep)
 
 hom_dim_oracle = hom_dim
 
@@ -485,28 +485,21 @@ def _cohook(A, first, vertex=None, sign=None):
     letter may come first.  The word starts with the letter `first` or,
     when `first` is None, is the trivial word at `vertex` with `sign`.
     The far end of a word is the start of its inverse, so callers pass
-    the inverse of the last letter, or the flipped sign, for it."""
-    b = None
+    the inverse of the last letter, or the flipped sign, for it.  Each
+    letter after the first is the inverse predecessor of the one before,
+    read off the letter table."""
+    before = _letter_table(A).before
     if first is None:
-        for a in A.quiver.arrows_from(vertex):
-            if A.sigma[a] == -sign:
-                b = a
-                break
+        b = next(((a, False) for a in A.quiver.arrows_from(vertex)
+                  if A.sigma[a] == -sign), None)
     else:
-        for a in A.quiver.arrows_from(letter_t(A, first)):
-            if pair_ok(A, (a, False), first):
-                b = a
-                break
+        b = before[first][0]
     if b is None:
         return None
-    run = [(b, False)]
-    while True:
-        for f in A.arrow_ids:
-            if pair_ok(A, (f, True), run[-1]):
-                run.append((f, True))
-                break
-        else:
-            return run
+    run = [b]
+    while (f := before[run[-1]][1]) is not None:
+        run.append(f)
+    return run
 
 
 def _hook(inverse_flags):
@@ -617,19 +610,6 @@ def _e_inverse(E):
     return tuple(letter_inv(c) for c in reversed(E))
 
 
-def _matches(E1, occurrences):
-    """(k, oriented) in increasing k for the sub-factors k equal to E1
-    (oriented) or to its inverse (not oriented), read from
-    `occurrences`, a dict from each sub-factor to its indices.  A trivial
-    factor and a palindrome are their own inverses and match oriented."""
-    out = [(k, True) for k in occurrences.get(E1, ())]
-    inv = _e_inverse(E1)
-    if inv != E1:
-        out += [(k, False) for k in occurrences.get(inv, ())]
-        out.sort()
-    return out
-
-
 def standard_homs(A, X, Y):
     """Complete basis of standard homomorphisms M(X) -> M(Y).
 
@@ -650,11 +630,18 @@ def standard_homs(A, X, Y):
         subs = list(_band_occurrences(A, Y, "sub", max_s))
     else:
         subs = list(_string_splits(A, Y, "sub"))
-    occurrences = {}  # sub-factor E -> indices into subs
+    # a quotient factor E1 matches sub-factor k when E1 equals it
+    # (oriented) or its inverse (not oriented); a trivial factor is its
+    # own inverse and matches oriented.  Indexing each sub-factor under
+    # both keys in increasing k gives each E1 its matches in one lookup.
+    matches = {}  # factor -> [(k, oriented)] in increasing k
     for k, (_, _, E2) in enumerate(subs):
-        occurrences.setdefault(E2, []).append(k)
+        matches.setdefault(E2, []).append((k, True))
+        inv = _e_inverse(E2)
+        if inv != E2:
+            matches.setdefault(inv, []).append((k, False))
     for qa, qb, E1 in quots:
-        for k, oriented in _matches(E1, occurrences):
+        for k, oriented in matches.get(E1, ()):
             sa, sb, _ = subs[k]
             two_sided = _two_sided(A, X, Y, (qa, qb), (sa, sb), oriented,
                                    x_band, y_band)

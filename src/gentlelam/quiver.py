@@ -47,6 +47,20 @@ def _algebra_memo(A, name):
     return _kept(A, name, dict)
 
 
+def _check_arrow_id(aid):
+    """Word text (`strings.parse_word`) writes an inverse letter as `id-`,
+    joins letters with `,`, strips each one and writes a trivial string
+    as `1@v`; so that each text names one word, an arrow id is a
+    non-empty str that holds no `,`, does not end in `-`, does not start
+    with `1@` and has no surrounding whitespace."""
+    if not isinstance(aid, str) or not aid:
+        raise ValueError(f"arrow id {aid!r} is not a non-empty string")
+    if "," in aid or aid.endswith("-") or aid.startswith("1@") or \
+            aid != aid.strip():
+        raise ValueError(f"arrow id {aid!r} holds ',', ends in '-', starts "
+                         f"with '1@' or has surrounding whitespace")
+
+
 @dataclass(frozen=True)
 class Quiver:
     n_vertices: int
@@ -55,6 +69,7 @@ class Quiver:
     def __post_init__(self):
         seen = set()
         for aid, s, t in self.arrows:
+            _check_arrow_id(aid)
             if aid in seen:
                 raise ValueError(f"duplicate arrow id {aid!r}")
             seen.add(aid)

@@ -1,9 +1,15 @@
 """Strings, bands and their explicit matrix representations.
 
 A letter is a pair (arrow_id, inv).  Words compose right-to-left like
-paths: in a word (c_1, ..., c_m) we need s(c_i) = t(c_{i+1}).  The basis
-of a word module is laid out by `word_walk`; generic direct sums of word
-modules draw their band parameters from `band_parameters`.
+paths: in a word (c_1, ..., c_m) we need s(c_i) = t(c_{i+1}).  Every
+word question reads the letter table of the algebra (`_letter_table`,
+kept on it): each letter's ends, the letters that may follow it, and
+its one direct and one inverse predecessor.  The canonical orientation
+of a string is decided by `_before_inverse` at the first letter where
+the word and its inverse differ, and that of a band by `_least_rotation`
+over the letter tuples of the band and its inverse.  The basis of a word
+module is laid out by `word_walk`; generic direct sums of word modules
+draw their band parameters from `band_parameters`.
 """
 
 import itertools
@@ -79,6 +85,7 @@ class _LetterTable:
     letters: tuple  # every letter, in arrow order, direct before inverse
     pairs: frozenset  # (x, y) such that y may follow x in a word
     after: dict  # letter x -> the letters y with (x, y) in pairs
+    before: dict  # letter y -> (direct x, inverse x) with (x, y) in pairs
     source: dict  # letter -> letter_s
     target: dict  # letter -> letter_t
 
@@ -89,7 +96,9 @@ def _letter_table(A):
 
     A pair (x, y) can hold only if y ends where x starts, so the letters
     are grouped by `letter_t`, and `_pair_rule` is applied only to x and
-    the letters ending at `letter_s(x)`."""
+    the letters ending at `letter_s(x)`.  In a gentle algebra a letter
+    has at most one direct and at most one inverse predecessor, so
+    `before` holds one letter or None for each flag."""
     return _kept(A, "_letter_table", lambda: _build_letter_table(A))
 
 
@@ -104,7 +113,11 @@ def _build_letter_table(A):
     after = {x: tuple(y for y in ending.get(source[x], ())
                       if _pair_rule(A, x, y)) for x in letters}
     pairs = frozenset((x, y) for x in letters for y in after[x])
-    return _LetterTable(letters, pairs, after, source, target)
+    before = {y: [None, None] for y in letters}
+    for x, y in pairs:
+        before[y][x[1]] = x
+    before = {y: tuple(xs) for y, xs in before.items()}
+    return _LetterTable(letters, pairs, after, before, source, target)
 
 
 def pair_ok(A, x, y):
@@ -207,12 +220,13 @@ def parse_word(text):
 
 
 def check_string(A, letters):
-    ids = set(A.arrow_ids)
+    tab = _letter_table(A)
     for c in letters:
-        if c[0] not in ids:
-            raise InvalidString(f"unknown arrow {c[0]!r}")
+        if c not in tab.source:
+            raise InvalidString(f"unknown letter {c!r}")
+    pairs = tab.pairs
     for x, y in zip(letters, letters[1:]):
-        if not pair_ok(A, x, y):
+        if (x, y) not in pairs:
             raise InvalidString(f"letters {x} and {y} do not compose")
 
 
@@ -231,10 +245,37 @@ def band_word(A, letters):
     check_string(A, ls)
     if not pair_ok(A, ls[-1], ls[0]):
         raise InvalidBand("word does not close up cyclically")
-    for p in range(1, len(ls)):
-        if len(ls) % p == 0 and ls == ls[p:] + ls[:p]:
-            raise NotPrimitive("band is a proper power")
+    if _is_proper_power(ls):
+        raise NotPrimitive("band is a proper power")
     return BandWord(ls)
+
+
+def _is_proper_power(ls):
+    """Whether the cyclic word ls equals one of its proper rotations."""
+    m = len(ls)
+    return any(m % p == 0 and ls == ls[p:] + ls[:p] for p in range(1, m))
+
+
+def _before_inverse(ls):
+    """Whether the letter sequence ls sorts before its inverse, decided
+    at the first letter where the two differ.  The inverse's letter at i
+    is the inverse of ls[m-1-i], so the first half decides; a string
+    never equals its inverse (its middle letter, or middle pair, would
+    have to be inverse to itself)."""
+    m = len(ls)
+    for i in range((m + 1) // 2):
+        a, inv = ls[m - 1 - i]
+        mirror = (a, not inv)
+        if ls[i] != mirror:
+            return ls[i] < mirror
+    return False
+
+
+def _least_rotation(ls):
+    """The smallest letter tuple over all rotations of the cyclic word
+    ls and of its inverse."""
+    inv = tuple((a, not flag) for a, flag in reversed(ls))
+    return min(w[k:] + w[:k] for w in (ls, inv) for k in range(len(w)))
 
 
 def canonical_string(A, C):
@@ -242,18 +283,13 @@ def canonical_string(A, C):
     C = C if isinstance(C, StringWord) else string_word(A, C)
     if C.is_trivial:
         return StringWord((), C.vertex, 1)
-    D = C.inverse()
-    return min(C, D, key=lambda w: w.letters)
+    return C if _before_inverse(C.letters) else C.inverse()
 
 
 def canonical_band(A, B):
     """Smallest letter tuple over all rotations of B and of B^-."""
     B = B if isinstance(B, BandWord) else band_word(A, B)
-    cands = []
-    for w in (B, B.inverse()):
-        for k in range(len(w)):
-            cands.append(w.rotate(k).letters)
-    return BandWord(min(cands))
+    return BandWord(_least_rotation(B.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -480,33 +516,39 @@ def enumerate_strings(A, max_len, dims=None):
     only adds basis vectors.
     """
     tab = _letter_table(A)
+    after, source = tab.after, tab.source
     room = _room(A, max_len, dims)
-    found = set()
+    word, found = [], []
 
-    def extend(word):
-        # canonical representative of {C, C^-}: the smaller letter tuple
-        found.add(min(word, tuple((a, not inv) for a, inv in reversed(word))))
+    def extend():
+        # every string is walked in both orientations; keep the canonical
+        # one, the smaller letter tuple of {C, C^-}
+        if _before_inverse(word):
+            found.append(tuple(word))
         if len(word) >= max_len:
             return
-        for c in tab.after[word[-1]]:
-            v = tab.source[c]
+        for c in after[word[-1]]:
+            v = source[c]
             if room[v]:
                 room[v] -= 1
-                extend(word + (c,))
+                word.append(c)
+                extend()
+                word.pop()
                 room[v] += 1
 
     if max_len >= 1:
         for c in tab.letters:
-            s, t = tab.source[c], tab.target[c]
+            s, t = source[c], tab.target[c]
             room[s] -= 1
             room[t] -= 1
             if room[s] >= 0 and room[t] >= 0:
-                extend((c,))
+                word.append(c)
+                extend()
+                word.pop()
             room[s] += 1
             room[t] += 1
-    out = [StringWord((), v) for v in range(1, A.n + 1) if room[v]]
-    out += [StringWord(w) for w in found]
-    return sorted(out, key=lambda w: (len(w), w.vertex or 0, w.letters))
+    return [StringWord((), v) for v in range(1, A.n + 1) if room[v]] + \
+        [StringWord(w) for w in sorted(found, key=lambda w: (len(w), w))]
 
 
 def enumerate_bands(A, max_len, dims=None):
@@ -523,31 +565,37 @@ def enumerate_bands(A, max_len, dims=None):
     whenever it keeps any.
     """
     tab = _letter_table(A)
+    after, target, pairs = tab.after, tab.target, tab.pairs
     room = _room(A, max_len, dims)
-    found = set()
+    word, found = [], set()
 
-    def extend(word):
-        if len(word) >= 2 and (word[-1], word[0]) in tab.pairs:
-            try:
-                found.add(canonical_band(A, band_word(A, word)))
-            except InvalidBand:
-                pass
+    def extend():
+        # a closed walk that is no proper power is a band; each band is
+        # walked from several rotations, kept once as its least rotation
+        if len(word) >= 2 and (word[-1], word[0]) in pairs:
+            ls = tuple(word)
+            if not _is_proper_power(ls):
+                found.add(_least_rotation(ls))
         if len(word) >= max_len:
             return
-        for c in tab.after[word[-1]]:
-            v = tab.target[c]
+        for c in after[word[-1]]:
+            v = target[c]
             if room[v] and c[0] >= word[0][0]:
                 room[v] -= 1
-                extend(word + (c,))
+                word.append(c)
+                extend()
+                word.pop()
                 room[v] += 1
 
     for c in tab.letters:
-        v = tab.target[c]
+        v = target[c]
         if room[v] and not c[1]:
             room[v] -= 1
-            extend((c,))
+            word.append(c)
+            extend()
+            word.pop()
             room[v] += 1
-    return sorted(found, key=lambda w: (len(w), w.letters))
+    return [BandWord(w) for w in sorted(found, key=lambda w: (len(w), w))]
 
 
 def _sum_offsets(A, reps):

@@ -1,21 +1,40 @@
 import json
 import os
+import random
 import sys
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from fuzz import random_gentle
 from gentlelam import Quiver, Triangulation, build_QT, validate_gentle
 from gentlelam.exactlinalg import nullspace
+from gentlelam.fileio import algebra_from_dict, triangulation_from_dict
 from gentlelam.strings import _intertwiner_rows
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_ALGEBRAS = ("a3_relation", "double_loop", "loop_algebra",
+                   "torus_quiver", "two_cycle")
+GOLDEN_SURFACES = ("annulus", "hexagon", "pants")
+# the eight golden algebras and ten `tests/fuzz.py` algebras, by name
+CASES = GOLDEN_ALGEBRAS + GOLDEN_SURFACES + \
+    tuple(f"fuzz{seed}" for seed in range(10))
 
 
 def golden(name):
     with open(os.path.join(GOLDEN, name)) as fh:
         return json.load(fh)
+
+
+def case_algebra(name):
+    """A golden algebra (a surface's through `build_QT`), or the
+    `tests/fuzz.py` algebra of seed k for the name fuzz<k>."""
+    if name.startswith("fuzz"):
+        return random_gentle(random.Random(int(name[4:])))
+    if name in GOLDEN_SURFACES:
+        return build_QT(triangulation_from_dict(golden(f"{name}.json")))
+    return algebra_from_dict(golden(f"{name}.json"))
 
 
 def hom_basis(A, M, N):

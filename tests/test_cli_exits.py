@@ -117,6 +117,19 @@ def test_json_numbers_that_are_no_integers_exit_2(tmp_path, capsys):
     assert (code, out) == (2, "") and "endpoint end" in err
 
 
+def test_arrow_ids_that_word_text_misreads_exit_2(tmp_path, capsys):
+    """With arrows `a` and `a-`, the text `a-` would name two words."""
+    path = tmp_path / "algebra.json"
+    for aid in ("a-", "a,b", "1@2", " a", ""):
+        path.write_text(json.dumps({
+            "vertices": 2,
+            "arrows": [{"id": "a", "from": 1, "to": 2},
+                       {"id": aid, "from": 2, "to": 1}],
+            "relations": []}))
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (2, "") and "arrow id" in err, aid
+
+
 def test_false_verdict_exits_1(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise UniquenessViolation("2 tau-reduced components at (1, 1, 0, 0)")

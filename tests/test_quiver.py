@@ -21,6 +21,20 @@ def test_three_outgoing_arrows_rejected():
         validate_gentle(q, [])
 
 
+@pytest.mark.parametrize("aid", ["a-", "a,b", "1@2", "", " a", "a\n", 5,
+                                 None, ("a",)])
+def test_arrow_ids_that_word_text_misreads_are_rejected(aid):
+    with pytest.raises(ValueError, match="arrow id"):
+        Quiver(2, (("b", 1, 2), (aid, 2, 1)))
+
+
+def test_arrow_ids_of_the_word_text_are_kept():
+    # an inner '-', '@' or space and the ids build_QT writes all pass
+    q = Quiver(2, (("a-b", 1, 2), ("x@1", 2, 1), ("c d", 1, 1),
+                   ("t0:2>b3", 2, 2)))
+    assert q.arrow_ids == ("a-b", "x@1", "c d", "t0:2>b3")
+
+
 def test_noncomposable_relation_rejected():
     q = Quiver(3, (("a", 1, 2), ("b", 2, 3)))
     with pytest.raises(NonComposableRelation):
