@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import fileio
-from .errors import FalseVerdict, InternalError
+from .errors import FalseVerdict, InputError, InternalError
 from .laurent import bangle, verify_bangle_equals_generic
 from .quiver import NotGentle, is_jacobian, rho_blocks
 from .schemes import block_critical_summands, canonical_decomposition, \
@@ -28,8 +28,11 @@ def _emit(args, payload, human_lines):
     else:
         text = "\n".join(human_lines)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"--output: {exc}") from exc
     else:
         print(text)
 

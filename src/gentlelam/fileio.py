@@ -91,12 +91,14 @@ def module_from_dict(A, data):
         if aid not in set(A.arrow_ids):
             raise ParseError(f"module: unknown arrow {aid!r}")
         ds, dt = dims[A.s(aid) - 1], dims[A.t(aid) - 1]
-        if ds == 0 or dt == 0:
-            mats[aid] = [[0] * ds for _ in range(dt)]
-            continue
         where = f"module: matrix of {aid!r}"
-        mats[aid] = [[Fraction(str(x)) for x in _list(row, where)]
-                     for row in _list(rows, where)]
+        rows = [_list(row, where) for row in _list(rows, where)]
+        if ds == 0 or dt == 0:
+            if any(rows):
+                raise ParseError(f"{where}: a map at a zero space has no "
+                                 f"entries, got {rows!r}")
+            rows = [[] for _ in range(dt)]
+        mats[aid] = [[Fraction(str(x)) for x in row] for row in rows]
     return make_rep(A, dims, mats)
 
 
@@ -105,8 +107,14 @@ def load_module(A, path):
 
 
 def _edge_id(x):
-    return int(x) if isinstance(x, int) or (isinstance(x, str) and
-                                            x.lstrip("-").isdigit()) else str(x)
+    """An edge id: a JSON integer, or a string (read as the integer it
+    spells, if it spells one); a boolean or a float is neither."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, str):
+        raise ParseError(f"edge id: expected an integer or a string, "
+                         f"got {x!r}")
+    return int(x) if x.lstrip("-").isdigit() else x
 
 
 def triangulation_from_dict(data):

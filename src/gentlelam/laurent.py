@@ -32,12 +32,12 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from operator import mul
-from .errors import InputError, InternalError
+from .errors import InputError
 from .homological import DecoratedModule, g_vector
 from .strings import BandWord, DictionaryExhausted, decompose, word_sum, \
     word_walk
 from .surface import CoefficientQuiver, build_QT, \
-    coefficient_quiver, curve_to_module, shear_coordinates, _vnum
+    coefficient_quiver, lamination_words, shear_coordinates
 
 
 class UnsupportedModule(InputError):
@@ -167,10 +167,6 @@ def signed_adjacency(T):
     for aid, s, t in A.quiver.arrows:
         b[s - 1][t - 1] += 1
         b[t - 1][s - 1] -= 1
-    for i in range(n):
-        for j in range(n):
-            if b[i][j] + b[j][i] != 0:
-                raise InternalError("signed adjacency not skew-symmetric")
     return b
 
 
@@ -381,9 +377,9 @@ def bangle(T, gamma, B=None):
         B = signed_adjacency(T)
     n = len(B)
     if gamma.kind == "arc":
-        j = _vnum(T)[gamma.arc]
         return LaurentPoly.monomial(
-            n, tuple(1 if i == j - 1 else 0 for i in range(n)), (0,) * n)
+            n, tuple(1 if i == gamma.arc - 1 else 0 for i in range(n)),
+            (0,) * n)
     Q = coefficient_quiver(T, gamma)
     return coideal_generating_function(Q, B, shear_coordinates(T, gamma))
 
@@ -427,13 +423,10 @@ def generic_decorated_module(T, L):
     parameters, plus the decoration from the arcs."""
     A = build_QT(T)
     v = [0] * A.n
-    words = []
     for gamma, mult in L.entries:
         if gamma.kind == "arc":
-            v[_vnum(T)[gamma.arc] - 1] += mult
-        else:
-            words += [curve_to_module(T, gamma)] * mult
-    return DecoratedModule(word_sum(A, words), tuple(v))
+            v[gamma.arc - 1] += mult
+    return DecoratedModule(word_sum(A, lamination_words(T, L)), tuple(v))
 
 
 def verify_bangle_equals_generic(T, L):

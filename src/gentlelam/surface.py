@@ -61,6 +61,10 @@ class _UF:
 
 @dataclass(frozen=True)
 class Triangulation:
+    """Internal arcs 1..n (arc j is vertex j of `build_QT`), boundary
+    segments and counterclockwise triangles, checked when built: a gluing
+    with no triangle, in more than one piece, or with a marked point off
+    the boundary is `InvalidTriangulation`."""
     internal_arcs: tuple
     boundary_segments: tuple
     triangles: tuple  # triples of edge ids, counterclockwise
@@ -72,6 +76,12 @@ class Triangulation:
     # -- combinatorial structure ------------------------------------------
 
     def _validate(self):
+        n = len(self.internal_arcs)
+        if any(type(a) is not int for a in self.internal_arcs) or \
+                sorted(self.internal_arcs) != list(range(1, n + 1)):
+            raise InvalidTriangulation(
+                f"internal arcs must be the integers 1..{n}, got "
+                f"{self.internal_arcs!r}")
         arcs, bnds = set(self.internal_arcs), set(self.boundary_segments)
         if arcs & bnds:
             raise InvalidTriangulation("arc and boundary ids overlap")
@@ -92,6 +102,13 @@ class Triangulation:
                 raise InvalidTriangulation(
                     f"boundary segment {b!r} must lie in exactly one triangle")
         self._cache["occ"] = occ
+        pieces = _UF()
+        for a in arcs:
+            (t1, _), (t2, _) = occ[a]
+            pieces.union(t1, t2)
+        if len({pieces.find(t) for t in range(len(self.triangles))}) != 1:
+            raise InvalidTriangulation(
+                "the triangles must form one piece through the internal arcs")
         # glue corners: corner (t, i) sits between slot i and slot i+1
         uf = _UF()
         for a in arcs:
@@ -106,57 +123,39 @@ class Triangulation:
         self._cache["corner_class"] = {c: uf.find(c) for cl in classes.values()
                                        for c in cl}
         self._cache["marked"] = marked
-        V = len(marked)
-        E = len(arcs) + len(bnds)
-        F = len(self.triangles)
-        chi = V - E + F
-        bcomp = self._boundary_components()
+        self._fans(classes)
+        # the boundary cycles are the cycles of next_marked
+        bcomp, seen = 0, set()
+        for P in marked:
+            if P in seen:
+                continue
+            bcomp += 1
+            while P not in seen:
+                seen.add(P)
+                P = self.next_marked(P)
+        # one fan per marked point runs from a boundary segment to the
+        # next, so #segments = |M|; then 3F = 2n + |M| and
+        # chi = 2 - 2g - b give n = 6g + 3b + |M| - 6, which thus needs
+        # no check of its own
+        chi = len(marked) - len(arcs) - len(bnds) + len(self.triangles)
         g2 = 2 - chi - bcomp
         if g2 < 0 or g2 % 2:
             raise InvalidTriangulation("gluing is not an oriented surface")
-        g = g2 // 2
-        if len(arcs) != 6 * g + 3 * bcomp + V - 6:
-            raise InvalidTriangulation(
-                "arc count violates 6g + 3b + |M| - 6")
-        self._cache["genus"] = g
+        self._cache["genus"] = g2 // 2
         self._cache["boundary_count"] = bcomp
-        self._fans()
-
-    def _boundary_components(self):
-        """Count boundary cycles: segments chain via shared marked points."""
-        start_of = {}
-        for b in self.boundary_segments:
-            t, i = self._cache["occ"][b][0]
-            # induced orientation runs from corner (t, i-1) to corner (t, i)
-            start_of[self._corner((t, (i - 1) % 3))] = b
-        count = 0
-        seen = set()
-        for b in self.boundary_segments:
-            if b in seen:
-                continue
-            count += 1
-            cur = b
-            while cur not in seen:
-                seen.add(cur)
-                t, i = self._cache["occ"][cur][0]
-                cur = start_of[self._corner((t, i))]
-        return count
 
     def _corner(self, c):
         return self._cache["corner_class"][c]
 
-    def _fans(self):
+    def _fans(self, classes):
         """Per marked point, the clockwise fan of edge ends.
 
         The fan runs from the boundary segment behind the point to the
         boundary segment ahead of it (induced orientation); consecutive
         fan edges cobound a triangle corner.
         """
-        occ = self._cache["occ"]
         fans = {}
-        for P in self._cache["marked"]:
-            corners = [c for c, cls in self._cache["corner_class"].items()
-                       if cls == P]
+        for P, corners in classes.items():
             # transition at corner (t,i): edge at slot i -> edge at slot i+1
             # keyed by edge ends so arcs with both endpoints here stay apart
             out_of = {}
@@ -176,7 +175,7 @@ class Triangulation:
                 nxt, corner = out_of[chain[-1]]
                 tris.append(corner)
                 chain.append(nxt)
-            fans[P] = (chain, tris)
+            fans[P] = (tuple(c[0] for c in chain), tuple(tris))
         self._cache["fan"] = fans
 
     def _end_class(self, end):
@@ -212,18 +211,10 @@ class Triangulation:
 
     def forward_segment(self, P):
         """Boundary segment leaving P in the induced orientation."""
-        for b in self.boundary_segments:
-            t, i = self._cache["occ"][b][0]
-            if self._corner((t, (i - 1) % 3)) == P:
-                return b
-        raise InvalidTriangulation("no forward segment")
+        return self._cache["fan"][P][0][-1]
 
     def backward_segment(self, P):
-        for b in self.boundary_segments:
-            t, i = self._cache["occ"][b][0]
-            if self._corner((t, i)) == P:
-                return b
-        raise InvalidTriangulation("no backward segment")
+        return self._cache["fan"][P][0][0]
 
     def next_marked(self, P):
         b = self.forward_segment(P)
@@ -237,8 +228,7 @@ class Triangulation:
 
     def fan(self, P):
         """(edges cw from backward to forward segment, corner per gap)."""
-        chain, tris = self._cache["fan"][P]
-        return [c[0] for c in chain], list(tris)
+        return self._cache["fan"][P]
 
     def triangles_at_arc(self, a):
         return [t for t, _ in self._cache["occ"][a]]
@@ -269,28 +259,22 @@ def build_QT(T):
 
 
 def _jacobian_algebra(T):
-    arcs = T.internal_arcs
-    n = len(arcs)
-    vnum = {a: k + 1 for k, a in enumerate(sorted(arcs))}
-    if sorted(arcs) != list(range(1, n + 1)):
-        raise InvalidTriangulation("internal arcs must be labelled 1..n")
+    arcs = set(T.internal_arcs)
     arrows = []
     relations = []
     for ti, tri in enumerate(T.triangles):
-        internal = [e for e in tri if e in set(arcs)]
         tri_arrows = []
         for k in range(3):
             tgt, src = tri[k], tri[(k + 1) % 3]
-            if tgt in vnum and src in vnum:
-                aid = f"t{ti}:{src}>{tgt}"
-                arrows.append((aid, vnum[src], vnum[tgt]))
-                tri_arrows.append((aid, src, tgt))
-        if len(internal) == 3:
+            if tgt in arcs and src in arcs:
+                tri_arrows.append((f"t{ti}:{src}>{tgt}", src, tgt))
+        arrows += tri_arrows
+        if len(tri_arrows) == 3:  # an internal triangle
             for (a2, s2, t2) in tri_arrows:
                 for (a1, s1, t1) in tri_arrows:
                     if t1 == s2:
                         relations.append((a2, a1))
-    q = Quiver(n, tuple(arrows))
+    q = Quiver(len(arcs), tuple(arrows))
     A = validate_gentle(q, relations)
     if not is_jacobian(A):
         raise InvalidTriangulation("triangulation algebra failed Jacobian check")
@@ -420,20 +404,11 @@ def _assign_transitions(T, crossings, cyclic, pa=None, pb=None):
         # segment 0 runs from the start marked point across crossings[0]
         firsts = [t for t in T.triangles_at_arc(crossings[0])
                   if pa in _corners_of(T, t)]
-    results = []
+    # propagate keeps the next crossing in each transition triangle, so
+    # what it returns already meets every shared pair
     for choice in firsts:
         r = propagate(choice)
         if r is not None:
-            results.append(r)
-    if not results:
-        raise NotLocallyMinimal("no consistent triangle assignment")
-    for r in results:
-        ok = True
-        for i, cand in enumerate(shared):
-            idx = i if cyclic else i + 1
-            if r[idx] not in cand:
-                ok = False
-        if ok:
             return r
     raise NotLocallyMinimal("no consistent triangle assignment")
 
@@ -460,10 +435,6 @@ def _cancel_backtrack(T, crossings, cyclic):
 # curve -> module dictionary
 
 
-def _vnum(T):
-    return {a: k + 1 for k, a in enumerate(sorted(T.internal_arcs))}
-
-
 def _letters_of(T, crossings, transitions, cyclic):
     """Word letters from the transitions; the letter between crossings
     i and i+1 is direct iff the triangle arrow points backwards."""
@@ -485,10 +456,10 @@ def _letters_of(T, crossings, transitions, cyclic):
 def curve_to_module(T, gamma):
     """Negative-simple marker, StringWord, or BandWord of a curve."""
     if gamma.kind == "arc":
-        return ("neg", _vnum(T)[gamma.arc])
+        return ("neg", gamma.arc)
     if gamma.kind == "open":
         if len(gamma.crossings) == 1:
-            return StringWord((), _vnum(T)[gamma.crossings[0]])
+            return StringWord((), gamma.crossings[0])
         letters = _letters_of(T, gamma.crossings,
                               gamma.transitions[1:], cyclic=False)
         return canonical_string(build_QT(T), StringWord(tuple(letters)))
@@ -509,7 +480,6 @@ def coefficient_quiver(T, gamma):
     from i to i+1 when the letter is inverse, and back when it is direct."""
     if gamma.kind == "arc":
         raise NotOpenCurve("arcs of the triangulation have no crossings")
-    vnum = _vnum(T)
     crossings = gamma.crossings
     m = len(crossings)
     cyclic = gamma.kind == "loop"
@@ -518,8 +488,7 @@ def coefficient_quiver(T, gamma):
     for i, (aid, inv) in enumerate(_letters_of(T, crossings, trans, cyclic)):
         here, there = i + 1, (i + 1) % m + 1
         arrows.append((here, there, aid) if inv else (there, here, aid))
-    return CoefficientQuiver(tuple(vnum[c] for c in crossings),
-                             tuple(arrows), cyclic)
+    return CoefficientQuiver(crossings, tuple(arrows), cyclic)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +702,6 @@ def shear_coordinates(T, gamma):
     crossed arc counterclockwise in their triangles, -1 when both
     precede it, 0 otherwise.
     """
-    vnum = _vnum(T)
     n = len(T.internal_arcs)
     items, tri_before, tri_after, prev_e, next_e = _extended_data(T, gamma)
     s = [0] * n
@@ -741,9 +709,9 @@ def shear_coordinates(T, gamma):
         fp = _follows_ccw(T, tri_before[k], x, prev_e[k])
         fn = _follows_ccw(T, tri_after[k], x, next_e[k])
         if fp and fn:
-            s[vnum[x] - 1] += 1
+            s[x - 1] += 1
         elif not fp and not fn:
-            s[vnum[x] - 1] -= 1
+            s[x - 1] -= 1
     return tuple(s)
 
 
@@ -784,7 +752,7 @@ def int_zero(T, gamma, delta):
     A = build_QT(T)
     M = curve_module_rep(T, gamma, lam=2)
     same_loop = (gamma.kind == "loop" and delta.kind == "loop" and
-                 _same_loop(T, A, gamma, delta))
+                 curve_to_module(T, gamma) == curve_to_module(T, delta))
     N = curve_module_rep(T, delta, lam=3 if same_loop else 2)
     if gamma.kind == "open" and delta.kind == "open" and \
             gamma.crossings == delta.crossings and \
@@ -793,12 +761,6 @@ def int_zero(T, gamma, delta):
     tauM = tau_dtr(A, M)
     tauN = tau_dtr(A, N)
     return hom_dim_oracle(A, M, tauN) == 0 and hom_dim_oracle(A, N, tauM) == 0
-
-
-def _same_loop(T, A, gamma, delta):
-    wg = curve_to_module(T, gamma)
-    wd = curve_to_module(T, delta)
-    return canonical_band(A, wg) == canonical_band(A, wd)
 
 
 @dataclass(frozen=True)
@@ -855,7 +817,7 @@ def eta(T, L):
     r = {aid: 0 for aid in A.arrow_ids}
     for gamma, mult in L.entries:
         if gamma.kind == "arc":
-            v[_vnum(T)[gamma.arc] - 1] += mult
+            v[gamma.arc - 1] += mult
     for w in lamination_words(T, L):
         dims, ranks = word_shape(A, w)
         for i in range(n):
@@ -886,8 +848,7 @@ def arrow_triangle(aid):
 
 def string_to_curve(T, A, C):
     """The open curve of a string module, via the opposite-corner rule."""
-    arcs = sorted(T.internal_arcs)
-    crossings = [arcs[v - 1] for v in word_walk(A, C)[0]]
+    crossings = word_walk(A, C)[0]
     mids = [arrow_triangle(c[0]) for c in C.letters]
     if mids:
         t0 = _other_side(T, crossings[0], mids[0])
@@ -902,8 +863,7 @@ def string_to_curve(T, A, C):
 
 
 def band_to_curve(T, A, B):
-    arcs = sorted(T.internal_arcs)
-    crossings = [arcs[v - 1] for v in word_walk(A, B)[0]]
+    crossings = word_walk(A, B)[0]
     trans = [arrow_triangle(c[0]) for c in B.letters]
     return CurveSeq("loop", crossings=tuple(crossings),
                     transitions=tuple(trans))

@@ -60,11 +60,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = components(capsys, "--dims=-1,0,0,0")
     assert code == 2 and "dimension vector" in err
     # malformed files: a module of the wrong length, a non-list matrix,
-    # an arrow that is not an object
+    # a matrix with entries at a zero space, an arrow that is not an object
     a3 = os.path.join(GOLDEN, "a3_relation.json")
     for module in ({"dims": [1, 1], "matrices": {}},
                    {"dims": [1, 1, 1, 5], "matrices": {}},
-                   {"dims": [1, 1, 1], "matrices": {"a": 5}}):
+                   {"dims": [1, 1, 1], "matrices": {"a": 5}},
+                   {"dims": [1, 0, 0], "matrices": {"a": "xyz"}},
+                   {"dims": [1, 0, 0], "matrices": {"a": [[5]]}},
+                   {"dims": [1, 0, 0], "matrices": {"a": [[1, 2, 3]]}}):
         path = tmp_path / "module.json"
         path.write_text(json.dumps(module))
         code, out, err = run(capsys, "smooth", "--input", a3,
@@ -115,6 +118,61 @@ def test_json_numbers_that_are_no_integers_exit_2(tmp_path, capsys):
                          '{"kind":"open","crossings":[1],'
                          '"endpoints":[[1,0.5],[2,1]]}')
     assert (code, out) == (2, "") and "endpoint end" in err
+
+
+def test_edge_ids_that_are_no_integers_or_strings_exit_2(capsys):
+    """JSON `true` is no arc 1, and 1.5 no edge id; a few milliseconds."""
+    pants = os.path.join(GOLDEN, "pants.json")
+    for arc in ("true", "1.5"):
+        code, out, err = run(capsys, "bangle", "--input", pants, "--curve",
+                             '{"kind": "loop", "crossings": '
+                             f'[3, 6, {arc}, 5, 4, 6, 2]}}')
+        assert (code, out) == (2, "") and "edge id" in err, arc
+
+
+def test_bad_surface_files_exit_2(tmp_path, capsys):
+    """An empty gluing, and the pants with its arcs renamed."""
+    surface, lamination = tmp_path / "surface.json", tmp_path / "lam.json"
+    surface.write_text(json.dumps({"internal_arcs": [],
+                                   "boundary_segments": [],
+                                   "triangles": []}))
+    lamination.write_text("[]")
+    code, out, err = run(capsys, "eta", "--input", str(surface),
+                         "--lamination", str(lamination))
+    assert (code, out) == (2, "") and "one piece" in err
+    with open(os.path.join(GOLDEN, "pants.json")) as fh:
+        pants = json.load(fh)
+    # arcs 1..6 renamed 2..7
+    shift = {a: a + 1 for a in pants["internal_arcs"]}
+    surface.write_text(json.dumps({
+        "internal_arcs": [shift[a] for a in pants["internal_arcs"]],
+        "boundary_segments": pants["boundary_segments"],
+        "triangles": [[shift.get(e, e) for e in t]
+                      for t in pants["triangles"]]}))
+    code, out, err = run(capsys, "shear", "--input", str(surface),
+                         "--lamination",
+                         os.path.join(GOLDEN, "pants_petals.json"))
+    assert (code, out) == (2, "") and "integers 1..6" in err
+
+
+def test_unwritable_output_exits_2(capsys):
+    code, out, err = run(capsys, "check", "--input", TORUS,
+                         "--output", os.path.join(os.sep, "nonexistent",
+                                                  "x.txt"))
+    assert (code, out) == (2, "") and err.startswith("error: --output")
+
+
+def test_check_on_a_non_gentle_algebra_exits_1(tmp_path, capsys):
+    path = tmp_path / "three_arrows.json"
+    path.write_text(json.dumps({
+        "vertices": 2,
+        "arrows": [{"id": a, "from": 1, "to": 2} for a in "abc"],
+        "relations": []}))
+    code, out, _ = run(capsys, "check", "--input", str(path),
+                       "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["gentle"] is False
+    assert payload["reason"].startswith("axiom (i) fails: ")
 
 
 def test_arrow_ids_that_word_text_misreads_exit_2(tmp_path, capsys):
