@@ -11,7 +11,11 @@ markers (boundary_segment, end) naming the marked point it starts and
 ends at; a loop is a cyclic sequence.  Each consecutive pair of crossed
 arcs travels through a triangle containing both; those triangles are
 reconstructed by propagation (the two transitions at a crossing must
-use the two different sides of the crossed arc).
+use the two different sides of the crossed arc).  An open curve must be
+in minimal position: it leaves each endpoint through the side opposite
+it in its end triangle, so each endpoint is the corner opposite its end
+crossing, and any other endpoint is an input error (`NotLocallyMinimal`).
+Rotation and shear read each end of a curve off that corner.
 """
 
 from dataclasses import dataclass, field
@@ -233,10 +237,6 @@ class Triangulation:
     def triangles_at_arc(self, a):
         return [t for t, _ in self._cache["occ"][a]]
 
-    def endpoints_of_edge(self, e):
-        (t, i) = self._cache["occ"][e][0]
-        return {self._corner((t, i)), self._corner((t, (i - 1) % 3))}
-
     def arrow_between(self, ti, x, y):
         """Q_T arrow inside triangle ti between arcs x and y.
 
@@ -300,16 +300,17 @@ def validate_curve(T, kind, crossings=(), endpoints=(), arc=None):
     """Check local consistency and reconstruct the transition triangles.
 
     Cancels one immediate backtrack (tau, tau', tau crossing the same
-    triangle twice) before giving up.
+    triangle twice) before giving up.  Each endpoint of an open curve
+    must be the corner opposite its end crossing in its end triangle.
     """
+    n = len(T.internal_arcs)
     if kind == "arc":
-        if arc not in set(T.internal_arcs):
+        if type(arc) is not int or not 1 <= arc <= n:
             raise InconsistentSequence(f"unknown arc {arc!r}")
         return CurveSeq("arc", arc=arc)
     crossings = tuple(crossings)
-    arcset = set(T.internal_arcs)
     for c in crossings:
-        if c not in arcset:
+        if type(c) is not int or not 1 <= c <= n:
             raise InconsistentSequence(f"unknown arc {c!r} in sequence")
     m = len(crossings)
     if kind == "loop":
@@ -391,30 +392,27 @@ def _assign_transitions(T, crossings, cyclic, pa=None, pb=None):
             trans[i] = _other_side(T, crossings[i - 1], trans[i - 1])
             if i < m and crossings[i] not in T.triangles[trans[i]]:
                 return None
-        # endpoint triangles must have the right corners
-        if pa is not None and pa not in _corners_of(T, trans[0]):
-            return None
-        if pb is not None and pb not in _corners_of(T, trans[m]):
+        if T._corner(_end_corner(T, trans[m], crossings[m - 1])) != pb:
             return None
         return trans
 
     if cyclic:
         firsts = shared[0]
     else:
-        # segment 0 runs from the start marked point across crossings[0]
         firsts = [t for t in T.triangles_at_arc(crossings[0])
-                  if pa in _corners_of(T, t)]
+                  if T._corner(_end_corner(T, t, crossings[0])) == pa]
     # propagate keeps the next crossing in each transition triangle, so
     # what it returns already meets every shared pair
     for choice in firsts:
         r = propagate(choice)
         if r is not None:
             return r
-    raise NotLocallyMinimal("no consistent triangle assignment")
-
-
-def _corners_of(T, ti):
-    return {T._corner((ti, i)) for i in range(3)}
+    if cyclic:
+        raise NotLocallyMinimal("no consistent triangle assignment")
+    raise NotLocallyMinimal(
+        "no consistent triangle assignment: an open curve in minimal "
+        "position leaves each endpoint through the side opposite it in its "
+        "end triangle")
 
 
 def _cancel_backtrack(T, crossings, cyclic):
@@ -495,47 +493,30 @@ def coefficient_quiver(T, gamma):
 # rotation (the AR translation on curves)
 
 
-def _gap_index(T, P, tri, first_arc):
-    """Fan corner at P through which the curve leaves into triangle tri."""
-    edges, tris = T.fan(P)
-    hits = [k for k, c in enumerate(tris) if c[0] == tri]
-    if len(hits) == 1:
-        return hits[0]
-    for k in hits:
-        flank = {edges[k], edges[k + 1]}
-        if first_arc is not None and \
-                first_arc in set(T.triangles[tri]) - flank:
-            return k
-    if hits:
-        return hits[0]
-    raise InconsistentSequence("curve does not leave its endpoint's fan")
+def _end_corner(T, tri, edge):
+    """The corner of triangle tri opposite its side `edge`: where a curve
+    in minimal position that crosses `edge` out of tri ends."""
+    # corner (tri, k) sits between slots k and k+1
+    return (tri, (T.triangles[tri].index(edge) + 1) % 3)
+
+
+def _fan_place(T, corner):
+    """(marked point, index in its fan) of a triangle corner."""
+    P = T._corner(corner)
+    return P, T.fan(P)[1].index(corner)
 
 
 def _arc_fan_positions(T, arc):
-    """((P, fan index), (Q, fan index)) for the two ends of an arc."""
-    out = []
-    for P in sorted(T.endpoints_of_edge(arc), key=str):
-        edges, _ = T.fan(P)
-        for k in range(1, len(edges) - 1):
-            if edges[k] == arc:
-                out.append((P, k))
-    if len(out) != 2:
-        raise InconsistentSequence(f"arc {arc!r} has a broken fan")
-    return out[0], out[1]
-
-
-def _corner_between(T, tri, x, y):
-    """Marked point at the corner of the triangle between edges x, y."""
-    t = T.triangles[tri]
-    for i in range(3):
-        if {t[i], t[(i + 1) % 3]} == {x, y} and (t[i] == x or t[i] == y):
-            return T._corner((tri, i))
-    raise InconsistentSequence("edges are not adjacent in the triangle")
+    """((P, fan index), (Q, fan index)) for the two ends of an arc: the
+    fan corner after the arc at each end, one per occurrence of the arc
+    in a triangle, ordered by the marked point's `str`, then fan index."""
+    return sorted((_fan_place(T, c) for c in T._cache["occ"][arc]),
+                  key=lambda place: (str(place[0]), place[1]))
 
 
 def _mk_open(T, crossings, transitions, pa, pb):
     """Open CurveSeq with explicitly known transition triangles, one on
-    each side of every crossing."""
+    each side of every crossing, that ends at pa and pb."""
     if len(transitions) != len(crossings) + 1:
         raise InternalError(
             f"{len(transitions)} transitions for {len(crossings)} crossings")
@@ -545,6 +526,11 @@ def _mk_open(T, crossings, transitions, pa, pb):
             raise InternalError(
                 f"transitions {tuple(transitions)} miss crossing {x!r} of "
                 f"{tuple(crossings)}")
+    ends = (T._corner(_end_corner(T, transitions[0], crossings[0])),
+            T._corner(_end_corner(T, transitions[-1], crossings[-1])))
+    if ends != (pa, pb):
+        raise InternalError(
+            f"curve {tuple(crossings)} ends at {ends}, not at {(pa, pb)}")
     return CurveSeq("open", crossings=tuple(crossings),
                     endpoints=(T.marker_of_marked(pa), T.marker_of_marked(pb)),
                     transitions=tuple(transitions))
@@ -587,7 +573,8 @@ def rotate_tau(T, gamma, direction="forward"):
     fixed.  Arcs of the triangulation rotate to honest curves, and
     curves of projective modules collapse forward onto arcs.  Each
     endpoint of an open curve is moved as the start of the curve or of
-    the reversed curve, by one routine (`end`).
+    the reversed curve, by one routine (`end`), which reads the
+    endpoint's fan place off the corner opposite the end crossing.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -601,45 +588,39 @@ def rotate_tau(T, gamma, direction="forward"):
     if gamma.kind != "open":
         raise NotOpenCurve("only arcs and open curves rotate")
 
-    def end(marker, seq, tr):
-        """Move the endpoint `marker` at the start of the curve with
-        crossings `seq` and transitions `tr`: (arcs swept in front of
-        seq, the triangle before each, the number of crossings unhooked
-        from the front of seq, the new endpoint)."""
-        P = T.marked_of_marker(marker)
+    def end(seq, tr):
+        """Move the start of the curve with crossings `seq` and
+        transitions `tr`: (arcs swept in front of seq, the triangle
+        before each, the number of crossings unhooked from the front of
+        seq, the new endpoint)."""
+        P, gap = _fan_place(T, _end_corner(T, tr[0], seq[0]))
         P2 = step(P)
-        gap = _gap_index(T, P, tr[0], seq[0])
         if gap != (len(T.fan(P)[0]) - 2 if fwd else 0):
             return (*_fan_sweep(T, P, gap, fwd), 0, P2)
-        # the curve leaves P beside the segment to P2: slide around P2,
-        # unhooking crossings while the corner between consecutive
-        # crossings stays at P2
+        # the curve leaves P beside the segment to P2, which begins P2's
+        # fan read away from P: the curve crosses that fan's next edge
+        # first, and it unhooks crossings while the next fan edge is the
+        # next crossing (the fan ends at a boundary segment)
+        edges = T.fan(P2)[0] if fwd else T.fan(P2)[0][::-1]
         n = 0
-        while n < len(seq) and P2 in T.endpoints_of_edge(seq[n]):
-            if n and _corner_between(T, tr[n], seq[n - 1], seq[n]) != P2:
-                break
+        while n < len(seq) and edges[n + 1] == seq[n]:
             n += 1
         return [], [], n, P2
 
     seq, otr = gamma.crossings, gamma.transitions
-    pre, pre_tr, lo, pa2 = end(gamma.endpoints[0], seq, otr)
-    post, post_tr, cut, pb2 = end(gamma.endpoints[1], seq[::-1], otr[::-1])
-    hi = len(seq) - cut
+    m = len(seq)
+    pre, pre_tr, lo, pa2 = end(seq, otr)
+    post, post_tr, cut, pb2 = end(seq[::-1], otr[::-1])
+    hi = m - cut
     # an end that unhooks sweeps nothing, so when the two ends together
-    # unhook all of seq, nothing is kept (hi <= lo) and seq collapses
+    # unhook all of seq, nothing is kept and seq collapses onto the one
+    # crossing that both walks unhooked
     kept = pre + list(seq[lo:hi]) + post[::-1]
     if not kept:
-        # the last crossing unhooked; an open curve crosses at least once
-        cand = seq[lo - 1] if lo else seq[hi]
-        want = {pa2, pb2} if pa2 != pb2 else {pa2}
-        if T.endpoints_of_edge(cand) != want:
-            others = sorted(a for a in T.internal_arcs
-                            if T.endpoints_of_edge(a) == want)
-            if not others:
-                raise InconsistentSequence(
-                    "rotation collapsed onto the boundary")
-            cand = others[0]
-        return CurveSeq("arc", arc=cand)
+        if lo + cut != m + 1:
+            raise InternalError(
+                f"rotating {gamma} unhooked {lo} and {cut} of {m} crossings")
+        return CurveSeq("arc", arc=seq[lo - 1])
     # transitions of the kept middle: otr[lo..hi] inclusive
     trans = pre_tr + list(otr[lo:hi + 1]) + post_tr[::-1]
     return _mk_open(T, kept, trans, pa2, pb2)
@@ -671,10 +652,10 @@ def _extended_data(T, gamma):
     if gamma.kind == "arc":
         items, tri_between, pa, pb = _swept_arc(T, gamma.arc, True)
     else:
-        pa = T.marked_of_marker(gamma.endpoints[0])
-        pb = T.marked_of_marker(gamma.endpoints[1])
-        ga = _gap_index(T, pa, gamma.transitions[0], gamma.crossings[0])
-        gb = _gap_index(T, pb, gamma.transitions[-1], gamma.crossings[-1])
+        pa, ga = _fan_place(T, _end_corner(T, gamma.transitions[0],
+                                           gamma.crossings[0]))
+        pb, gb = _fan_place(T, _end_corner(T, gamma.transitions[-1],
+                                           gamma.crossings[-1]))
         arcs_a, before_a = _fan_sweep(T, pa, ga, True)
         arcs_b, before_b = _fan_sweep(T, pb, gb, True)
         items = arcs_a + list(gamma.crossings) + arcs_b[::-1]
@@ -855,8 +836,8 @@ def string_to_curve(T, A, C):
         tm = _other_side(T, crossings[-1], mids[-1])
     else:
         t0, tm = T.triangles_at_arc(crossings[0])
-    pa = _opposite_corner(T, t0, crossings[0])
-    pb = _opposite_corner(T, tm, crossings[-1])
+    pa = T._corner(_end_corner(T, t0, crossings[0]))
+    pb = T._corner(_end_corner(T, tm, crossings[-1]))
     return CurveSeq("open", crossings=tuple(crossings),
                     endpoints=(T.marker_of_marked(pa), T.marker_of_marked(pb)),
                     transitions=tuple([t0] + mids + [tm]))
@@ -867,10 +848,3 @@ def band_to_curve(T, A, B):
     trans = [arrow_triangle(c[0]) for c in B.letters]
     return CurveSeq("loop", crossings=tuple(crossings),
                     transitions=tuple(trans))
-
-
-def _opposite_corner(T, tri, edge):
-    t = T.triangles[tri]
-    i = t.index(edge)
-    # corner between slots i+1 and i+2 is not on the edge at slot i
-    return T._corner((tri, (i + 1) % 3))

@@ -2,9 +2,8 @@
 
 import random
 
-from gentlelam import (CurveSeq, InconsistentSequence, band_to_curve,
-                       enumerate_bands, int_zero, make_lamination,
-                       rotate_tau)
+from gentlelam import (CurveSeq, band_to_curve, enumerate_bands, int_zero,
+                       make_lamination, rotate_tau)
 from gentlelam.surface import InvalidLamination, _curve_key
 
 
@@ -17,10 +16,7 @@ def curve_pool(T, A, max_crossings=8, depth=4):
         nxt = []
         for g in frontier:
             for direction in ("forward", "backward"):
-                try:
-                    r = rotate_tau(T, g, direction)
-                except InconsistentSequence:
-                    continue
+                r = rotate_tau(T, g, direction)
                 if r.kind == "open" and len(r.crossings) > max_crossings:
                     continue
                 key = str(r) + str(getattr(r, "endpoints", ""))

@@ -130,6 +130,16 @@ def test_edge_ids_that_are_no_integers_or_strings_exit_2(capsys):
         assert (code, out) == (2, "") and "edge id" in err, arc
 
 
+def test_open_curve_off_its_opposite_corners_exits_2(capsys):
+    """A curve crossing arc 1 once cannot start and end at the one marked
+    point of bA in minimal position."""
+    code, out, err = run(capsys, "bangle", "--input",
+                         os.path.join(GOLDEN, "pants.json"), "--curve",
+                         '{"kind": "open", "crossings": [1], '
+                         '"endpoints": [["bA", 0], ["bA", 0]]}')
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 def test_bad_surface_files_exit_2(tmp_path, capsys):
     """An empty gluing, and the pants with its arcs renamed."""
     surface, lamination = tmp_path / "surface.json", tmp_path / "lam.json"

@@ -60,6 +60,14 @@ def test_validate_curve_rejects_equal_consecutive(pants):
         validate_curve(pants, "loop", (3, 3, 6))
 
 
+def test_validate_curve_rejects_bools(pants):
+    # True == 1 is in the set of arcs, but it is no arc
+    with pytest.raises(InconsistentSequence):
+        validate_curve(pants, "loop", (3, 6, True, 5, 4, 6, 2))
+    with pytest.raises(InconsistentSequence):
+        validate_curve(pants, "arc", arc=True)
+
+
 def test_validate_curve_rejects_strangers(hexagon):
     with pytest.raises(InconsistentSequence):
         validate_curve(hexagon, "loop", (1, 3))  # arcs share no triangle
@@ -281,8 +289,8 @@ def test_backtrack_cancellation(hexagon):
     # crossing 1 then 2 then 1 with both transitions in the one shared
     # triangle is not minimal; the pair cancels once
     g = validate_curve(hexagon, "open", (2, 1, 2, 3),
-                       ((("s3"), 0), (("s5"), 0)))
-    assert g.crossings in ((2, 3), (2, 1, 2, 3))
+                       ((("s3"), 0), (("s6"), 0)))
+    assert (g.crossings, g.transitions) == ((2, 3), (1, 2, 3))
 
 
 def test_torus_with_boundary_gives_two_cycle_algebra(torus_algebra):
