@@ -2,7 +2,8 @@
 
 Exit codes (see `errors`): 0 for success and mathematically "true"
 verdicts, 1 for mathematically "false" verdicts, 2 for input errors,
-3 for internal errors (an internal bound exhausted, an oracle disagreement).
+3 for internal errors (an internal bound exhausted, Python's recursion
+limit among them, or an oracle disagreement).
 """
 
 import argparse
@@ -245,7 +246,7 @@ def main(argv=None):
     except ValueError as exc:  # InputError, or a malformed value
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalError, AssertionError) as exc:
+    except (InternalError, AssertionError, RecursionError) as exc:
         print(f"internal error ({type(exc).__name__}): {exc}",
               file=sys.stderr)
         return 3

@@ -20,8 +20,9 @@ the result does not depend on the order of the rows, and `rref` (each
 row divided by its pivot entry), `nullspace`, `solve` and `mat_inverse`
 are views of it.  `_kernel_point` reads one integer kernel vector off
 it for given values of the free unknowns; `nullspace` builds its basis
-with it, and `strings._hom_space` every module map of `strings`
-(isomorphism certificates, endomorphisms that `decompose` splits along).
+with it, and `strings._hom_space` the module maps of `strings`
+(endomorphisms that `decompose` splits along, and the isomorphism
+certificates of modules that are not both in monomial bases).
 
 Dense matrices are lists of row-lists.  `nullspace` returns primitive
 integer vectors; `mat_inverse` gives integral entries as int (so the

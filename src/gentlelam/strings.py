@@ -624,11 +624,13 @@ def direct_sum(A, reps):
 
 
 # Band parameters for generic direct sums.  Each band summand takes a
-# different one, so that no two summands are isomorphic; M(B, lam) is
-# M(B^-, 1/lam), and no integer >= 2 is the reciprocal of another, so a
-# band and its inverse cannot name one module either.  0 gives no band
-# module, and 1 stays for the probe modules M(B, 1) that `standard_homs`
-# and `decompose` compare against.
+# different one, so that no two summands are isomorphic.  M(B, lam) is
+# M(B^-, lam), or M(B^-, 1/lam) when the first and last letters of B
+# point opposite ways (the last step of `word_walk` carries the
+# parameter); two different integers >= 2 are neither equal nor
+# reciprocal, so a band and its inverse cannot name one module either.
+# 0 gives no band module, and 1 stays for the probe modules M(B, 1) that
+# `standard_homs` and `decompose` compare against.
 BAND_PARAMETERS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
@@ -737,29 +739,145 @@ def _hom_space(A, M, N):
     return free, point
 
 
+def _monomial_steps(A, rep):
+    """The coefficient quiver of rep in its own basis, when every arrow
+    matrix has at most one nonzero entry in each row and each column (a
+    monomial basis, as word modules have): one (arrow, source, target,
+    entry) per nonzero entry, the basis vectors numbered through the
+    vertices in order.  None otherwise, returned at the first row or
+    column that holds a second nonzero entry."""
+    offs = list(itertools.accumulate(rep.dims, initial=0))
+    steps = []
+    for aid in A.arrow_ids:
+        so, to = offs[A.s(aid) - 1], offs[A.t(aid) - 1]
+        cols = set()
+        for i, row in enumerate(rep.mats[aid]):
+            hit = None
+            for j, x in enumerate(row):
+                if x:
+                    if hit is not None or j in cols:
+                        return None
+                    hit = j
+            if hit is not None:
+                cols.add(hit)
+                steps.append((aid, so + hit, to + i, row[hit]))
+    return steps
+
+
+def _arrow_edges(steps, n):
+    """The edges of each of the n basis vectors x in the coefficient
+    quiver `steps`: (a, True) -> (x', m) where a sends x to m x', and
+    (a, False) -> (x', m) where a sends x' to m x."""
+    edges = [{} for _ in range(n)]
+    for aid, j, i, x in steps:
+        edges[j][aid, True] = (i, x)
+        edges[i][aid, False] = (j, x)
+    return edges
+
+
+def _basis_matching(A, M, N):
+    """An isomorphism M -> N that sends each basis vector to a multiple
+    of one basis vector, as per-vertex N_v x M_v matrices, or None; M and
+    N have equal dimension vectors.
+
+    Both bases must be monomial (`_monomial_steps`), else None at once.
+    The basis vectors x of M are taken in order, each not yet matched
+    tried against the unused basis vectors y of N at its vertex with its
+    set of edge labels (bucketed by both).  From x -> y the map follows
+    the edges of the two coefficient quivers: where a sends x to m x' and
+    y to k y', x' -> (c k / m) y', and where a sends x' to m x and y' to
+    k y, x' -> (c m / k) y', for x -> c y.  Every matched pair has equal
+    edge-label sets, so N_a f = f M_a also where M_a x = 0; a pair that
+    clashes with an earlier one, or a y used twice, undoes the walk from
+    x and the next y is tried.  A walk that succeeds matches x's whole
+    component, and components are taken greedily.  The map is an
+    intertwiner and a bijection of bases, hence invertible; None does
+    not say M != N."""
+    steps_m = _monomial_steps(A, M)
+    steps_n = None if steps_m is None else _monomial_steps(A, N)
+    if steps_n is None:
+        return None
+    n = M.dim()
+    em, en = _arrow_edges(steps_m, n), _arrow_edges(steps_n, n)
+    offs = list(itertools.accumulate(M.dims, initial=0))
+    vertex = [v for v, d in enumerate(M.dims) for _ in range(d)]
+    bucket = {}
+    for y in range(n):
+        bucket.setdefault((vertex[y], frozenset(en[y])), []).append(y)
+    image = [None] * n  # x -> (y, c): x goes to c y
+    used = [False] * n
+
+    def walk(x0, y0):
+        image[x0], used[y0] = (y0, 1), True
+        done, stack = [x0], [x0]
+        while stack:
+            x = stack.pop()
+            y, c = image[x]
+            ey = en[y]
+            for label, (x2, m) in em[x].items():
+                y2, k = ey[label]
+                c2 = _ratio(c * k, m) if label[1] else _ratio(c * m, k)
+                if image[x2] is not None:
+                    if image[x2] == (y2, c2):
+                        continue
+                elif not used[y2] and em[x2].keys() == en[y2].keys():
+                    image[x2], used[y2] = (y2, c2), True
+                    done.append(x2)
+                    stack.append(x2)
+                    continue
+                for z in done:
+                    used[image[z][0]] = False
+                    image[z] = None
+                return False
+        return True
+
+    for x0 in range(n):
+        if image[x0] is None and not any(
+                walk(x0, y0) for y0 in bucket.get(
+                    (vertex[x0], frozenset(em[x0])), ()) if not used[y0]):
+            return None
+    f = [[[0] * d for _ in range(d)] for d in M.dims]
+    for x, (y, c) in enumerate(image):
+        v = vertex[x]
+        f[v][y - offs[v]][x - offs[v]] = c
+    return f
+
+
 def iso_test(A, M, N):
-    """Whether M and N are isomorphic: dimension vectors and rank
-    functions first, then an explicit invertible intertwiner
-    (`_invertible_hom`), which certifies every True."""
+    """Whether M and N are isomorphic: dimension vectors first, then a
+    map that follows the arrows when both bases are monomial
+    (`_basis_matching`), then rank functions and an invertible point of
+    the reduced Hom system (`_hom_certificate`).  Every True is certified
+    by an explicit invertible intertwiner."""
     if M.dims != N.dims:
         return False
     if M.dim() == 0:
         return True
+    if _basis_matching(A, M, N) is not None:
+        return True
     if rank_function_of(A, M) != rank_function_of(A, N):
         return False
-    return _invertible_hom(A, M, N) is not None
+    return _hom_certificate(A, M, N) is not None
 
 
 def _invertible_hom(A, M, N):
     """A map in Hom(M, N), as per-vertex matrices, that is invertible at
-    every vertex, found in eight tries, or None; M and N have equal
-    dimension vectors.
+    every vertex, or None; M and N have equal dimension vectors.
 
-    Each candidate is a point of `_hom_space`: its free unknowns take
-    all ones first, then seven seeded draws from [-7, 7].  A map is a
-    certificate of M = N, since it solves every intertwiner equation and
-    is invertible at every vertex; None is not one of M != N, and callers
-    that read it so compare invariants first."""
+    Between monomial modules the map is read by following arrows
+    (`_basis_matching`); for any other pair, or when that walk finds
+    none, it is a point of the reduced Hom system (`_hom_certificate`).
+    A map is a certificate of M = N, since it solves every intertwiner
+    equation and is invertible at every vertex; None is not one of
+    M != N, and callers that read it so compare invariants first."""
+    f = _basis_matching(A, M, N)
+    return f if f is not None else _hom_certificate(A, M, N)
+
+
+def _hom_certificate(A, M, N):
+    """An invertible point of `_hom_space(A, M, N)` found in eight tries,
+    or None: its free unknowns take all ones first, then seven seeded
+    draws from [-7, 7]."""
     free, point = _hom_space(A, M, N)
     if not free:
         return None
@@ -1151,7 +1269,10 @@ def _identify(A, p, table):
     built once per algebra (`_word_rep`), a band's at each parameter of
     `band_lambda_candidates`, and `_invertible_hom` certifies every match
     by an explicit invertible intertwiner (p's shape was compared
-    already, so `iso_test` would only read it again)."""
+    already, so `iso_test` would only read it again).  A piece in a
+    monomial basis (a support-split piece of a `word_sum`) is matched by
+    following arrows; any other piece, a conjugated generic point say,
+    by a point of the reduced Hom system."""
     rf = rank_function_of(A, p)
     for w in table.get(p.dims + tuple(rf[a] for a in A.arrow_ids), ()):
         if isinstance(w, BandWord):

@@ -2,6 +2,8 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -45,6 +47,50 @@ def hom_basis(A, M, N):
     return [[[vec[o + u * dM:o + (u + 1) * dM] for u in range(dN)]
              for o, dM, dN in zip(offs, M.dims, N.dims)]
             for vec in nullspace(rows, nvars)]
+
+
+def reference(rows, ncols):
+    """{pivot: row} of the reduced row echelon form by Fraction
+    Gauss-Jordan elimination, each row scaled to primitive integers with
+    its pivot entry positive."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        k = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        r = len(pivots)
+        m[r], m[k] = m[k], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    out = {}
+    for r, c in enumerate(pivots):
+        den = lcm(*(x.denominator for x in m[r]))
+        out[c] = {j: int(x * den) for j, x in enumerate(m[r]) if x}
+    return out
+
+
+def mul(a, b, rows, cols):
+    """a b for an r x k and a k x c matrix, k possibly 0."""
+    return [[sum(x * y for x, y in zip(a[i], col)) for col in zip(*b)]
+            if b else [0] * cols for i in range(rows)]
+
+
+def assert_certificate(A, M, N, f):
+    """f solves f_t M_a = N_a f_s for every arrow a and is invertible at
+    every vertex."""
+    assert f is not None
+    for v, d in enumerate(M.dims):
+        assert len(f[v]) == d and all(len(row) == d for row in f[v])
+        assert len(reference(f[v], d)) == d
+    for aid in A.arrow_ids:
+        s, t = A.s(aid) - 1, A.t(aid) - 1
+        ds, dt = M.dims[s], M.dims[t]
+        assert mul(f[t], M.mat(aid), dt, ds) == \
+            mul(N.mat(aid), f[s], dt, ds), aid
 
 
 @pytest.fixture(scope="session")

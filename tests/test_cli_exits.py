@@ -10,8 +10,8 @@ from conftest import GOLDEN
 from gentlelam import (ConsistencyFailure, DictionaryExhausted,
                        FalseVerdict, FormulaMismatch, InconsistentSigns,
                        InputError, InternalError, NotGentle, NotJacobian,
-                       SamplingFailure, UniquenessViolation, cli, quiver,
-                       schemes)
+                       SamplingFailure, UniquenessViolation, cli, fileio,
+                       quiver, schemes)
 from gentlelam.fileio import ParseError
 from gentlelam.quiver import UnclassifiableBlock
 
@@ -243,3 +243,17 @@ def test_failed_assertion_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ceh_by_words", fail)
     code, _, err = components(capsys)
     assert code == 3 and "an internal check failed" in err
+
+
+def test_search_deeper_than_the_recursion_limit_exits_3(tmp_path, capsys,
+                                                         pants_algebra):
+    """Python's recursion limit is an internal bound: on the pants algebra
+    at d = (1000, 0, 0, 0, 0, 0) the word search of `generic_multiset`
+    recurses once per summand and exhausts it."""
+    path = tmp_path / "pants_algebra.json"
+    path.write_text(json.dumps(fileio.algebra_to_dict(pants_algebra)))
+    code, out, err = run(capsys, "components", "--input", str(path),
+                         "--dims", "1000,0,0,0,0,0")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error (RecursionError): ")
+    assert err.count("\n") == 1

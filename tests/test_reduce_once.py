@@ -10,7 +10,6 @@ second."""
 import hashlib
 import random
 from fractions import Fraction
-from math import lcm
 
 from gentlelam import (band_module, enumerate_bands, enumerate_strings,
                        fileio, iso_test, string_module, tau_dtr, tau_string)
@@ -19,33 +18,9 @@ from gentlelam.exactlinalg import (_echelon, _kernel_point, is_invertible,
 from gentlelam.homological import _paths_ending_at
 from gentlelam.strings import _invertible_hom, conjugate, random_glpoint
 
-from conftest import GOLDEN, hom_basis
+from conftest import GOLDEN, assert_certificate, hom_basis, reference
 
 SEED = 20
-
-
-def reference(rows, ncols):
-    """{pivot: row} of the reduced row echelon form by Fraction
-    Gauss-Jordan elimination, each row scaled to primitive integers with
-    its pivot entry positive."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(ncols):
-        k = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
-        if k is None:
-            continue
-        r = len(pivots)
-        m[r], m[k] = m[k], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    out = {}
-    for r, c in enumerate(pivots):
-        den = lcm(*(x.denominator for x in m[r]))
-        out[c] = {j: int(x * den) for j, x in enumerate(m[r]) if x}
-    return out
 
 
 def entry(rng, density, fractions):
@@ -135,26 +110,6 @@ def test_nullspace_and_hom_basis_vectors_are_pinned(torus_algebra):
     mods += [conjugate(A, M, random_glpoint(rng, M.dims)) for M in mods[::5]]
     assert digest([hom_basis(A, M, N) for M in mods for N in mods]) == \
         "22879f632f86d7538cd90ffba146867bfb419df09da8fa576796569e91537977"
-
-
-def mul(a, b, rows, cols):
-    """a b for an r x k and a k x c matrix, k possibly 0."""
-    return [[sum(x * y for x, y in zip(a[i], col)) for col in zip(*b)]
-            if b else [0] * cols for i in range(rows)]
-
-
-def assert_certificate(A, M, N, f):
-    """f solves f_t M_a = N_a f_s for every arrow a and is invertible at
-    every vertex."""
-    assert f is not None
-    for v, d in enumerate(M.dims):
-        assert len(f[v]) == d and all(len(row) == d for row in f[v])
-        assert len(reference(f[v], d)) == d
-    for aid in A.arrow_ids:
-        s, t = A.s(aid) - 1, A.t(aid) - 1
-        ds, dt = M.dims[s], M.dims[t]
-        assert mul(f[t], M.mat(aid), dt, ds) == \
-            mul(N.mat(aid), f[s], dt, ds), aid
 
 
 def test_certificates_of_conjugated_word_modules(torus_algebra,
