@@ -14,7 +14,8 @@ import sys
 from . import fileio
 from .errors import FalseVerdict, InputError, InternalError
 from .laurent import bangle, verify_bangle_equals_generic
-from .quiver import NotGentle, is_jacobian, rho_blocks
+from .quiver import NotGentle, _jacobian_obstruction, is_jacobian, \
+    rho_blocks
 from .schemes import block_critical_summands, canonical_decomposition, \
     ceh_by_words, component_dim, components, critical_relation_pairs, \
     decorated_g_vector, dim_gl, is_generically_reduced, is_smooth_point, \
@@ -45,25 +46,18 @@ def cmd_check(args):
         _emit(args, {"gentle": False, "reason": str(exc)},
               [f"not gentle: {exc}"])
         return 1
-    jac = is_jacobian(A)
+    why = _jacobian_obstruction(A)
     blocks = rho_blocks(A)
     payload = {
         "gentle": True,
-        "jacobian": jac,
+        "jacobian": why is None,
         "blocks": [{"id": b.block_id, "type": b.type_name,
                     "arrows": list(b.arrows), "vertices": list(b.vertices)}
                    for b in blocks],
     }
     sizes = ",".join(str(len(b.vertices)) for b in blocks if b.arrows)
     verdict = "gentle Jacobian"
-    if not jac:
-        why = "relation without completing 3-cycle"
-        if not A.quiver.is_connected():
-            why = "disconnected"
-        for aid, s, t in A.quiver.arrows:
-            if s == t:
-                why = f"loop at {s}"
-                break
+    if why is not None:
         payload["not_jacobian_reason"] = why
         verdict = f"gentle; not Jacobian ({why})"
     _emit(args, payload, [f"{verdict}; blocks: {sizes}"] +

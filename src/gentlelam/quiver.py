@@ -67,15 +67,18 @@ class Quiver:
     arrows: tuple  # of (arrow_id, source, target)
 
     def __post_init__(self):
-        seen = set()
+        # (source, target) per arrow, so `source` and `target` are one
+        # dict lookup; the algebras over this quiver share it
+        ends = {}
         for aid, s, t in self.arrows:
             _check_arrow_id(aid)
-            if aid in seen:
+            if aid in ends:
                 raise ValueError(f"duplicate arrow id {aid!r}")
-            seen.add(aid)
             if not (1 <= s <= self.n_vertices and 1 <= t <= self.n_vertices):
                 raise ValueError(f"arrow {aid!r} endpoints out of range")
+            ends[aid] = (s, t)
         object.__setattr__(self, "_arrow_ids", tuple(a[0] for a in self.arrows))
+        object.__setattr__(self, "_ends", ends)
 
     @property
     def arrow_ids(self):
@@ -84,14 +87,10 @@ class Quiver:
         return self._arrow_ids
 
     def source(self, aid):
-        return self._lookup()[aid][0]
+        return self._ends[aid][0]
 
     def target(self, aid):
-        return self._lookup()[aid][1]
-
-    def _lookup(self):
-        return _kept(self, "_lk", lambda: {aid: (s, t) for aid, s, t
-                                           in self.arrows})
+        return self._ends[aid][1]
 
     def arrows_from(self, v):
         return [aid for aid, s, t in self.arrows if s == v]
@@ -125,9 +124,9 @@ class GentleAlgebra:
     epsilon: dict = field(compare=False)
 
     def __post_init__(self):
-        # (source, target) per arrow, so `s` and `t` are one dict lookup
-        object.__setattr__(self, "_ends", {aid: (s, t) for aid, s, t
-                                           in self.quiver.arrows})
+        # the quiver's (source, target) per arrow, so `s` and `t` are one
+        # dict lookup
+        object.__setattr__(self, "_ends", self.quiver._ends)
 
     @property
     def n(self):
@@ -218,21 +217,25 @@ def is_jacobian(algebra):
 
 
 def _is_jacobian(algebra):
+    return _jacobian_obstruction(algebra) is None
+
+
+def _jacobian_obstruction(algebra):
+    """Why the algebra is not Jacobian, or None when it is: "loop at v"
+    for the first loop in arrow order, else "disconnected", else
+    "relation without completing 3-cycle"."""
     q = algebra.quiver
+    rel = algebra.relations
+    for _, s, t in q.arrows:
+        if s == t:
+            return f"loop at {s}"
     if not q.is_connected():
-        return False
-    if any(s == t for _, s, t in q.arrows):
-        return False
-    for a, b in algebra.relations:
-        ok = False
-        for c in q.arrows_from(q.target(a)):
-            if q.target(c) == q.source(b) and (b, c) in algebra.relations \
-                    and (c, a) in algebra.relations:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+        return "disconnected"
+    for a, b in rel:
+        if not any(q.target(c) == q.source(b) and (b, c) in rel
+                   and (c, a) in rel for c in q.arrows_from(q.target(a))):
+            return "relation without completing 3-cycle"
+    return None
 
 
 def compute_sign_maps(quiver, relations):
@@ -332,52 +335,33 @@ def _rho_blocks(algebra):
         pred[b] = a
     blocks = []
     seen = set()
-    bid = 0
     for start in q.arrow_ids:
         if start in seen:
             continue
-        # rewind to the chain start, or detect a cycle
+        # succ and pred are injective (no chain branches, checked above),
+        # so the rewind ends at the chain start or comes back to `start`
         a = start
-        steps = 0
-        is_cycle = False
-        while a in pred:
+        while a in pred and pred[a] != start:
             a = pred[a]
-            steps += 1
-            if a == start:
-                is_cycle = True
-                break
-            if steps > len(q.arrows):
-                raise UnclassifiableBlock("relation chain is not a path or cycle")
-        if is_cycle:
-            cyc = [start]
-            b = succ[start]
-            while b != start:
-                cyc.append(b)
-                b = succ[b]
-            # canonical rotation for determinism
-            k = cyc.index(min(cyc))
-            chain = cyc[k:] + cyc[:k]
-            seen.update(chain)
-            m = len(chain)
-            relabel = [q.source(chain[i]) for i in range(m)]
-            bid += 1
-            blocks.append(RhoBlock(bid, tuple(chain), tuple(sorted(set(
-                relabel))), "Ct", m, tuple(relabel)))
-        else:
-            chain = [a]
-            while chain[-1] in succ:
-                chain.append(succ[chain[-1]])
-            seen.update(chain)
-            m = len(chain) + 1
-            relabel = [q.source(c) for c in chain] + [q.target(chain[-1])]
-            verts = tuple(sorted(set(relabel)))
-            bid += 1
-            blocks.append(RhoBlock(bid, tuple(chain), verts, "C", m, tuple(relabel)))
+        chain = [a]
+        while chain[-1] in succ and succ[chain[-1]] != a:
+            chain.append(succ[chain[-1]])
+        closed = chain[-1] in succ
+        if closed:  # canonical rotation for determinism
+            k = chain.index(min(chain))
+            chain = chain[k:] + chain[:k]
+        seen.update(chain)
+        relabel = [q.source(c) for c in chain]
+        if not closed:
+            relabel.append(q.target(chain[-1]))
+        blocks.append(RhoBlock(len(blocks) + 1, tuple(chain),
+                               tuple(sorted(set(relabel))),
+                               "Ct" if closed else "C", len(relabel),
+                               tuple(relabel)))
     used = {v for b in blocks for v in b.vertices}
     for v in range(1, q.n_vertices + 1):
         if v not in used:
-            bid += 1
-            blocks.append(RhoBlock(bid, (), (v,), "C", 1, (v,)))
+            blocks.append(RhoBlock(len(blocks) + 1, (), (v,), "C", 1, (v,)))
     return blocks
 
 

@@ -7,10 +7,12 @@ the blocks of each block's maximal assignments, found by a walk along
 the block's relation chain (`maximal_rank_functions`, checked in the
 tests against the full enumeration `rank_functions` filtered by
 single-arrow increments).  All dimension counts run block by block
-through the C_m / C~_m models: the generic module of a block component
-is P/S-multiset M_{d,r}, its endomorphism dimension comes from the
-finite Hom table of the model algebras, and generic points are produced
-by conjugating the model module with random invertible matrices.
+through the C_m / C~_m models, whose arrows a_i: i -> t_i are read in
+one place (`_model_arrows`): the generic module of a block component is
+(+) P_i^{p_i} (+) S_i^{q_i} with p_i the rank of a_i
+(`_model_multiplicities`), and its dim End is one sum over the model's
+Hom table (`_block_end_dim`).  Generic points are produced by
+conjugating the generic direct sum with random invertible matrices.
 
 Everything a component's block contributes depends on the block's local
 dims and local ranks alone, so it is solved once per algebra and kept
@@ -150,23 +152,22 @@ def _block_maximal(block, dd):
     block with local dims dd (`transport_dimvec`), as tuples in chain
     order.
 
-    The constraints are r_i <= min(d_s(a_i), d_t(a_i)) and, at the vertex
-    a_i and a_{i+1} share, r_i + r_{i+1} <= d there; for C~ the chain
-    closes, a_k with a_1 (a loop with a^2 = 0 is its own neighbour).  A
-    depth-first walk fixes r_1, r_2, ... in turn and checks each
-    constraint once both its arrows are fixed, and each arrow's
-    maximality (r_i + 1 breaks some constraint) once all its neighbours
-    are.  On an open chain a branch that cannot be completed dies one
-    arrow later (on a cycle, r_1 and the closing constraint wait for the
-    last arrow), so the walk's work follows its output, not the box
-    prod(cap + 1) of all assignments.
+    The constraints are r_i <= min(d_i, d_{t_i}) and, at the vertex t_i
+    where a_i meets a_{t_i}, r_i + r_{t_i} <= d_{t_i} (`_model_arrows`);
+    for C~ the chain closes, a_k with a_1 (a loop with a^2 = 0 is its
+    own neighbour).  A depth-first walk fixes r_1, r_2, ... in turn and
+    checks each constraint once both its arrows are fixed, and each
+    arrow's maximality (r_i + 1 breaks some constraint) once all its
+    neighbours are.  On an open chain a branch that cannot be completed
+    dies one arrow later (on a cycle, r_1 and the closing constraint wait
+    for the last arrow), so the walk's work follows its output, not the
+    box prod(cap + 1) of all assignments.
     """
     k = len(block.arrows)
-    m = block.model_size
-    caps = [min(dd[i], dd[(i + 1) % m]) for i in range(k)]
-    cons = [(i, i + 1, dd[i + 1]) for i in range(k - 1)]
-    if block.block_type == "Ct":
-        cons.append((k - 1, 0, dd[0]))
+    arrows = _model_arrows(block)
+    caps = [min(dd[i - 1], dd[t - 1]) for i, t in arrows]
+    # a_i meets the arrow a_t that starts where it ends, if there is one
+    cons = [(i - 1, t - 1, dd[t - 1]) for i, t in arrows if t <= k]
     touching = [[c for c in cons if x in c[:2]] for x in range(k)]
     # a constraint is checked at its later arrow, an arrow's maximality
     # at its last neighbour
@@ -214,56 +215,37 @@ def components(A, d):
     return out
 
 
+def _model_arrows(block):
+    """The arrows a_i: i -> t_i of the block's model as (i, t_i), in chain
+    order.  t_i = i % m + 1 on both models, since i < m on C_m."""
+    m = block.model_size
+    return [(i, i % m + 1) for i in range(1, len(block.arrows) + 1)]
+
+
 def _model_multiplicities(block, dd, rr):
     """Multiplicities (p, q) of the projectives P_i and simples S_i in
     the generic module of the block component with local dims dd and
-    local ranks rr (in chain order)."""
-    m = block.model_size
-    cyclic = block.block_type == "Ct"
-    n_arrows = m if cyclic else m - 1
-    p = [0] * (m + 1)  # p[i] = multiplicity of P_i, arrow a_i starting at i
-    for i in range(1, n_arrows + 1):
-        p[i] = rr[i - 1]
-    q = [0] * (m + 1)
-    for i in range(1, m + 1):
-        ri = 0
-        if i <= n_arrows:
-            ri += p[i]
-        prev = i - 1 if i > 1 else (m if cyclic else 0)
-        if 1 <= prev <= n_arrows:
-            ri += p[prev]
-        q[i] = dd[i - 1] - ri
-        if q[i] < 0:
-            raise ValueError("rank function invalid for this block")
+    local ranks rr (in chain order), as lists indexed 1..m: each arrow
+    a_i puts r_i copies of P_i (with top S_i and socle S_{t_i}), and the
+    simples fill what is left of dd; p_i = 0 past the last arrow."""
+    p = [0] * (block.model_size + 1)
+    q = [0, *dd]
+    for (i, t), r in zip(_model_arrows(block), rr):
+        p[i] = r
+        q[i] -= r
+        q[t] -= r
+    if min(q) < 0:
+        raise ValueError("rank function invalid for this block")
     return p, q
 
 
 def _block_end_dim(block, p, q):
-    """dim End of the generic block module from the model Hom table."""
-    m = block.model_size
-    cyclic = block.block_type == "Ct"
-    n_arrows = m if cyclic else m - 1
-    pairs = {}
-    for i in range(1, m + 1):
-        pairs[(("S", i), ("S", i))] = 1
-    for i in range(1, n_arrows + 1):
-        ti = i % m + 1 if cyclic else i + 1
-        pairs[(("P", i), ("P", i))] = 2 if (cyclic and m == 1) else 1
-        pairs[(("P", i), ("S", i))] = 1
-        pairs[(("S", ti), ("P", i))] = 1
-        if (cyclic and m >= 1) or ti <= n_arrows:
-            key = (("P", ti), ("P", i))
-            if key not in pairs:
-                pairs[key] = 1
-    def mult(label):
-        kind, i = label
-        return p[i] if kind == "P" else q[i]
-    total = 0
-    for (x, y), h in pairs.items():
-        if (x[0] == "P" and x[1] > n_arrows) or (y[0] == "P" and y[1] > n_arrows):
-            continue
-        total += mult(x) * mult(y) * h
-    return total
+    """dim End of the generic block module from the model Hom table:
+    End S_i, and per arrow a_i End P_i, Hom(P_i, S_i), Hom(S_{t_i}, P_i)
+    and Hom(P_{t_i}, P_i), each of dimension 1 (on C~_1, where t_1 = 1,
+    the last is the map a, so End P_1 = k[a]/(a^2) has dimension 2)."""
+    return sum(x * x for x in q) + sum(
+        p[i] * (p[i] + q[i] + q[t] + p[t]) for i, t in _model_arrows(block))
 
 
 class BlockRecord(NamedTuple):
@@ -285,15 +267,11 @@ def _block_record(A, block, dd, rr):
     key = (block.block_id, dd, rr)
     if key not in memo:
         p, q = _model_multiplicities(block, dd, rr)
-        m = block.model_size
-        cyclic = block.block_type == "Ct"
-        n_arrows = len(block.arrows)
         type1, type2 = [], []
-        for i, arrow in enumerate(block.arrows, 1):
-            ti = i % m + 1 if cyclic else i + 1
-            if q[i] >= 1 and q[ti] >= 1:
+        for (i, t), arrow in zip(_model_arrows(block), block.arrows):
+            if q[i] and q[t]:
                 type1.append(arrow)
-            if ti <= n_arrows and q[i] >= 1 and p[ti] >= 1:
+            if q[i] and p[t]:
                 type2.append(arrow)
         memo[key] = BlockRecord(
             sum(x * x for x in dd) - _block_end_dim(block, p, q),
@@ -358,24 +336,19 @@ def tangent_dim(A, M):
     return nvars - sparse_rank(rows)
 
 
-def max_component_dim_through(A, M):
-    """max dim(Z) over components Z containing M (r_M <= r_Z)."""
-    rM = rank_function_of(A, M)
-    best = None
-    for Z in components(A, M.dims):
-        rZ = Z.rank()
-        if all(rM[a] <= rZ[a] for a in A.arrow_ids):
-            dz = component_dim(A, Z)
-            best = dz if best is None else max(best, dz)
-    if best is None:
-        raise InvalidString("module lies in no component; invalid input")
-    return best
-
-
 def components_through(A, M):
+    """The components Z of (A, dim M) that contain M: r_M <= r_Z."""
     rM = rank_function_of(A, M)
     return [Z for Z in components(A, M.dims)
-            if all(rM[a] <= Z.rank()[a] for a in A.arrow_ids)]
+            if all(rM[a] <= r for a, r in Z.r)]
+
+
+def max_component_dim_through(A, M):
+    """max dim(Z) over the components Z containing M."""
+    dims = [component_dim(A, Z) for Z in components_through(A, M)]
+    if not dims:
+        raise InvalidString("module lies in no component; invalid input")
+    return max(dims)
 
 
 def is_generically_reduced(A, Z):

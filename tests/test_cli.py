@@ -28,6 +28,31 @@ def test_check_loop(capsys):
     assert "not Jacobian" in out and "loop at 1" in out
 
 
+def test_check_disconnected(tmp_path, capsys):
+    path = tmp_path / "two_points.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": []}))
+    code, out, _ = run(capsys, "check", "--input", str(path))
+    assert code == 0
+    assert out == "gentle; not Jacobian (disconnected); blocks: \n" \
+        "  block 1: C1 arrows=[]\n  block 2: C1 arrows=[]\n"
+    code, out, _ = run(capsys, "check", "--input", str(path),
+                       "--format", "json")
+    data = json.loads(out)
+    assert data["jacobian"] is False
+    assert data["not_jacobian_reason"] == "disconnected"
+
+
+def test_check_relation_without_completing_3_cycle(capsys):
+    code, out, _ = run(capsys, "check", "--input", g("a3_relation.json"))
+    assert code == 0
+    assert out.splitlines()[0] == "gentle; not Jacobian (relation without " \
+        "completing 3-cycle); blocks: 3"
+    code, out, _ = run(capsys, "check", "--input", g("a3_relation.json"),
+                       "--format", "json")
+    assert json.loads(out)["not_jacobian_reason"] == \
+        "relation without completing 3-cycle"
+
+
 def test_check_json_roundtrip(capsys):
     code, out, _ = run(capsys, "check", "--input", g("torus_quiver.json"),
                        "--format", "json")
