@@ -1,9 +1,8 @@
 """Gentle algebras: module schemes, surface laminations, bangle functions."""
 
 from .errors import FalseVerdict, InputError, InternalError
-from .quiver import (GentleAlgebra, InconsistentSigns, NonComposableRelation,
-                     NotGentle, Quiver, RhoBlock, compute_sign_maps,
-                     is_jacobian, rho_blocks, transport_dimvec,
+from .quiver import (GentleAlgebra, NonComposableRelation, NotGentle, Quiver,
+                     RhoBlock, is_jacobian, rho_blocks, transport_dimvec,
                      validate_gentle)
 from .strings import (BandWord, DictionaryExhausted, InvalidBand,
                       InvalidString, NotPrimitive, Representation, StringWord,

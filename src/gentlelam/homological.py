@@ -483,15 +483,16 @@ def _cohook(A, first, vertex=None, sign=None):
     word, the direct letter b that may come first, then the inverse
     letters f_1^-, f_2^-, ... as far as they go; None when no direct
     letter may come first.  The word starts with the letter `first` or,
-    when `first` is None, is the trivial word at `vertex` with `sign`.
-    The far end of a word is the start of its inverse, so callers pass
-    the inverse of the last letter, or the flipped sign, for it.  Each
-    letter after the first is the inverse predecessor of the one before,
-    read off the letter table."""
+    when `first` is None, is the trivial word at `vertex` with `sign`,
+    which faces the first arrow out of the vertex (+1) or a second one
+    (-1).  The far end of a word is the start of its inverse, so callers
+    pass the inverse of the last letter, or the flipped sign, for it.
+    Each letter after the first is the inverse predecessor of the one
+    before, read off the letter table."""
     before = _letter_table(A).before
     if first is None:
-        b = next(((a, False) for a in A.quiver.arrows_from(vertex)
-                  if A.sigma[a] == -sign), None)
+        b = next(((a, False) for a in
+                  A.quiver.arrows_from(vertex)[(1 - sign) // 2:]), None)
     else:
         b = before[first][0]
     if b is None:

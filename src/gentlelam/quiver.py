@@ -5,10 +5,11 @@ Vertices are 1..n.  A relation (a, b) stands for the length-2 path a∘b
 for gentle algebras each block is isomorphic, via a relabelling that is
 bijective on arrows, to one of the model algebras C_m (linear quiver,
 all length-2 paths zero) or C~_m (cyclic quiver, all length-2 paths
-zero).
+zero).  One union-find, `_UF`, answers every connectivity question: of
+a quiver, a triangulation and the support of a representation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 
@@ -21,12 +22,27 @@ class NonComposableRelation(NotGentle):
     pass
 
 
-class InconsistentSigns(InternalError):
-    pass
-
-
 class UnclassifiableBlock(InternalError):
     pass
+
+
+class _UF:
+    """Union-find over hashable items, each its own class until joined:
+    `find` returns the root of x's class with path halving, and
+    `union(x, y)` hangs the root of x's class under the root of y's."""
+
+    def __init__(self):
+        self.p = {}
+
+    def find(self, x):
+        self.p.setdefault(x, x)
+        while self.p[x] != x:
+            self.p[x] = self.p[self.p[x]]
+            x = self.p[x]
+        return x
+
+    def union(self, x, y):
+        self.p[self.find(x)] = self.find(y)
 
 
 def _kept(obj, name, build):
@@ -99,29 +115,18 @@ class Quiver:
         return [aid for aid, s, t in self.arrows if t == v]
 
     def is_connected(self):
-        if self.n_vertices <= 1:
-            return True
-        adj = {v: set() for v in range(1, self.n_vertices + 1)}
+        uf = _UF()
         for _, s, t in self.arrows:
-            adj[s].add(t)
-            adj[t].add(s)
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+            uf.union(s, t)
+        return len({uf.find(v) for v in range(1, self.n_vertices + 1)}) <= 1
 
 
 @dataclass(frozen=True)
 class GentleAlgebra:
+    """kQ/I: a quiver and the length-2 relations, checked against the
+    gentle axioms by `validate_gentle`, which builds it."""
     quiver: Quiver
     relations: frozenset  # of (a, b): path a∘b in the ideal
-    sigma: dict = field(compare=False)
-    epsilon: dict = field(compare=False)
 
     def __post_init__(self):
         # the quiver's (source, target) per arrow, so `s` and `t` are one
@@ -144,7 +149,7 @@ class GentleAlgebra:
 
 
 def validate_gentle(quiver, relations):
-    """Check the gentle axioms and return the algebra with sign maps.
+    """Check the gentle axioms and return the algebra.
 
     Raises NotGentle / NonComposableRelation with the failing axiom and
     location in the message.
@@ -182,8 +187,7 @@ def validate_gentle(quiver, relations):
                         f"axiom (iv) fails at vertex {v} for arrow {c!r}")
     if not _finite_dimensional(quiver, rel):
         raise NotGentle("the ideal is not admissible (a cycle avoids all relations)")
-    sigma, epsilon = compute_sign_maps(quiver, rel)
-    return GentleAlgebra(quiver=quiver, relations=rel, sigma=sigma, epsilon=epsilon)
+    return GentleAlgebra(quiver=quiver, relations=rel)
 
 
 def _finite_dimensional(quiver, rel):
@@ -236,65 +240,6 @@ def _jacobian_obstruction(algebra):
                    and (c, a) in rel for c in q.arrows_from(q.target(a))):
             return "relation without completing 3-cycle"
     return None
-
-
-def compute_sign_maps(quiver, relations):
-    """Maps sigma, epsilon: arrows -> {+1,-1} with the three string-algebra
-    compatibility properties.
-
-    Constraints form parity conditions between the variables sigma(a),
-    epsilon(a); free components default to +1 in arrow order.
-    """
-    arrows = quiver.arrow_ids
-    # variable indices: sigma(a) -> ('s', a), epsilon(a) -> ('e', a)
-    parent = {}
-    parity = {}  # sign relative to the component root
-
-    def find(x):
-        if parent[x] == x:
-            return x, 1
-        root, sgn = find(parent[x])
-        parent[x] = root
-        parity[x] *= sgn
-        return root, parity[x]
-
-    def union(x, y, sgn):
-        rx, px = find(x)
-        ry, py = find(y)
-        if rx == ry:
-            if px * py != sgn:
-                raise InconsistentSigns(f"sign constraints conflict near {x}/{y}")
-            return
-        parent[ry] = rx
-        parity[ry] = sgn * px * py
-
-    for a in arrows:
-        for kind in "se":
-            parent[(kind, a)] = (kind, a)
-            parity[(kind, a)] = 1
-
-    for v in range(1, quiver.n_vertices + 1):
-        outs = quiver.arrows_from(v)
-        ins = quiver.arrows_into(v)
-        if len(outs) == 2:
-            union(("s", outs[0]), ("s", outs[1]), -1)
-        if len(ins) == 2:
-            union(("e", ins[0]), ("e", ins[1]), -1)
-    for a in arrows:
-        for b in quiver.arrows_into(quiver.source(a)):
-            if (a, b) not in relations:
-                # word (a, b) is a string: sigma(a) = -epsilon(b)
-                union(("s", a), ("e", b), -1)
-
-    sigma, epsilon = {}, {}
-    root_sign = {}
-    for a in arrows:
-        for kind, table in (("s", sigma), ("e", epsilon)):
-            root, sgn = find((kind, a))
-            if root not in root_sign:
-                root_sign[root] = 1  # free choice
-            table[a] = root_sign[root] * sgn
-    return sigma, epsilon
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .errors import InputError, InternalError
 from .exactlinalg import (_echelon, _kernel_point, _ratio, charpoly,
                           identity, is_invertible, mat_inverse, mat_mul,
                           nullspace, rational_roots, rref, sparse_rank)
-from .quiver import _algebra_memo, _kept
+from .quiver import _UF, _algebra_memo, _kept
 
 
 class InvalidString(InputError):
@@ -146,6 +146,8 @@ def _state_without_hash(word):
 class StringWord:
     letters: tuple = ()
     vertex: int | None = None  # set for the trivial string only
+    # for the trivial string, the side of its vertex it faces: +1 the
+    # first arrow out of the vertex, -1 the second (`tau_string`)
     sign: int = 1
 
     def __post_init__(self):
@@ -791,8 +793,10 @@ def _basis_matching(A, M, N):
     clashes with an earlier one, or a y used twice, undoes the walk from
     x and the next y is tried.  A walk that succeeds matches x's whole
     component, and components are taken greedily.  The map is an
-    intertwiner and a bijection of bases, hence invertible; None does
-    not say M != N."""
+    intertwiner and a bijection of bases, hence invertible.  None says
+    M != N when N is a word module, as `_identify` reads it, but not in
+    general: M(B^2, mu^2) = M(B, mu) + M(B, -mu), yet no basis matching
+    joins the two."""
     steps_m = _monomial_steps(A, M)
     steps_n = None if steps_m is None else _monomial_steps(A, N)
     if steps_n is None:
@@ -1174,25 +1178,16 @@ def _support_split(A, rep):
     nodes = [(v, i) for v in range(A.n) for i in range(rep.dims[v])]
     if not nodes:
         return None
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UF()
     for aid in A.arrow_ids:
         sv, tv = A.s(aid) - 1, A.t(aid) - 1
         for i, row in enumerate(rep.mats[aid]):
             for j, x in enumerate(row):
                 if x:
-                    ri, rj = find((tv, i)), find((sv, j))
-                    if ri != rj:
-                        parent[ri] = rj
+                    uf.union((tv, i), (sv, j))
     comps = {}
     for x in nodes:
-        comps.setdefault(find(x), []).append(x)
+        comps.setdefault(uf.find(x), []).append(x)
     if len(comps) <= 1:
         return None
     blocks = []
@@ -1267,18 +1262,27 @@ def _identify(A, p, table):
     a piece whose string count is not 0 or 1, or whose shape no word has,
     is rejected before any module is built.  Each candidate module is
     built once per algebra (`_word_rep`), a band's at each parameter of
-    `band_lambda_candidates`, and `_invertible_hom` certifies every match
-    by an explicit invertible intertwiner (p's shape was compared
-    already, so `iso_test` would only read it again).  A piece in a
-    monomial basis (a support-split piece of a `word_sum`) is matched by
-    following arrows; any other piece, a conjugated generic point say,
-    by a point of the reduced Hom system."""
+    `band_lambda_candidates`, and an explicit invertible intertwiner
+    certifies every match: one that follows arrows (`_basis_matching`),
+    else, for a piece not in a monomial basis (a conjugated generic
+    point, say), a point of the reduced Hom system.  A monomial piece (a
+    support-split piece of a `word_sum`) is identified by the walk alone:
+    a word module is indecomposable, so its coefficient quiver in a
+    monomial basis is connected, hence one walk (the relations allow each
+    basis vector one continuation on each side), and walk modules are
+    isomorphic only when the walks agree up to reversal and rotation,
+    with matching scalars, as the walk finds.  Whether p is monomial is
+    read after the first walk that fails."""
     rf = rank_function_of(A, p)
+    monomial = None
     for w in table.get(p.dims + tuple(rf[a] for a in A.arrow_ids), ()):
-        if isinstance(w, BandWord):
-            for lam in band_lambda_candidates(A, w, p):
-                if _invertible_hom(A, p, _word_rep(A, w, lam)) is not None:
-                    return (w, lam)
-        elif _invertible_hom(A, p, _word_rep(A, w)) is not None:
-            return w
+        band = isinstance(w, BandWord)
+        for lam in band_lambda_candidates(A, w, p) if band else (None,):
+            N = _word_rep(A, w, lam)
+            if _basis_matching(A, p, N) is None:
+                if monomial is None:
+                    monomial = _monomial_steps(A, p) is not None
+                if monomial or _hom_certificate(A, p, N) is None:
+                    continue
+            return (w, lam) if band else w
     return None

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError
 from .homological import hom_dim_oracle, tau_dtr
-from .quiver import Quiver, _kept, is_jacobian, validate_gentle
+from .quiver import Quiver, _UF, _kept, is_jacobian, validate_gentle
 from .schemes import DecoratedComponent, components, is_tau_reduced
 from .strings import BandWord, StringWord, band_module, canonical_band, \
     canonical_string, string_module, word_shape, word_walk
@@ -46,21 +46,6 @@ class NotOpenCurve(InputError):
 
 class InvalidLamination(InputError):
     pass
-
-
-class _UF:
-    def __init__(self):
-        self.p = {}
-
-    def find(self, x):
-        self.p.setdefault(x, x)
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, x, y):
-        self.p[self.find(x)] = self.find(y)
 
 
 @dataclass(frozen=True)
@@ -129,14 +114,10 @@ class Triangulation:
         self._cache["marked"] = marked
         self._fans(classes)
         # the boundary cycles are the cycles of next_marked
-        bcomp, seen = 0, set()
+        cycles = _UF()
         for P in marked:
-            if P in seen:
-                continue
-            bcomp += 1
-            while P not in seen:
-                seen.add(P)
-                P = self.next_marked(P)
+            cycles.union(P, self.next_marked(P))
+        bcomp = len({cycles.find(P) for P in marked})
         # one fan per marked point runs from a boundary segment to the
         # next, so #segments = |M|; then 3F = 2n + |M| and
         # chi = 2 - 2g - b give n = 6g + 3b + |M| - 6, which thus needs

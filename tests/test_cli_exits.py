@@ -8,8 +8,7 @@ import pytest
 
 from conftest import GOLDEN
 from gentlelam import (ConsistencyFailure, DictionaryExhausted,
-                       FalseVerdict, FormulaMismatch, InconsistentSigns,
-                       InputError, InternalError, NotGentle, NotJacobian,
+                       FalseVerdict, FormulaMismatch, InputError, InternalError, NotGentle, NotJacobian,
                        SamplingFailure, UniquenessViolation, cli, fileio,
                        quiver, schemes)
 from gentlelam.fileio import ParseError
@@ -17,7 +16,7 @@ from gentlelam.quiver import UnclassifiableBlock
 
 TORUS = os.path.join(GOLDEN, "torus_quiver.json")
 INTERNAL = (SamplingFailure, DictionaryExhausted, FormulaMismatch,
-            InconsistentSigns, UnclassifiableBlock, ConsistencyFailure)
+            UnclassifiableBlock, ConsistencyFailure)
 
 
 def run(capsys, *argv):
@@ -230,10 +229,10 @@ def test_internal_errors_raised_inside_the_library_exit_3(capsys,
     monkeypatch.setattr(schemes, "generic_multiset", fail(SamplingFailure))
     code, _, err = components(capsys)
     assert code == 3 and "SamplingFailure" in err
-    # the sign maps of every algebra read from a file
-    monkeypatch.setattr(quiver, "compute_sign_maps", fail(InconsistentSigns))
+    # the rho-blocks of every algebra read from a file
+    monkeypatch.setattr(quiver, "_rho_blocks", fail(UnclassifiableBlock))
     code, _, err = run(capsys, "check", "--input", TORUS)
-    assert code == 3 and "InconsistentSigns" in err
+    assert code == 3 and "UnclassifiableBlock" in err
 
 
 def test_failed_assertion_exits_3(capsys, monkeypatch):

@@ -20,10 +20,10 @@ def scan_cohook(A, first, vertex=None, sign=None):
     held predecessors."""
     b = None
     if first is None:
-        for a in A.quiver.arrows_from(vertex):
-            if A.sigma[a] == -sign:
-                b = a
-                break
+        # sign +1 faces the first arrow out of the vertex, -1 the second
+        outs = A.quiver.arrows_from(vertex)
+        k = 0 if sign == 1 else 1
+        b = outs[k] if k < len(outs) else None
     else:
         for a in A.quiver.arrows_from(letter_t(A, first)):
             if strings.pair_ok(A, (a, False), first):

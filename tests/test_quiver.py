@@ -67,38 +67,6 @@ def test_disconnected_gentle_but_not_jacobian():
     assert not is_jacobian(A)
 
 
-def _check_sign_maps(A):
-    sigma, eps = A.sigma, A.epsilon
-    q = A.quiver
-    for v in range(1, q.n_vertices + 1):
-        outs = q.arrows_from(v)
-        ins = q.arrows_into(v)
-        if len(outs) == 2:
-            assert sigma[outs[0]] == -sigma[outs[1]]
-        if len(ins) == 2:
-            assert eps[ins[0]] == -eps[ins[1]]
-    for a in q.arrow_ids:
-        for b in q.arrows_into(q.source(a)):
-            if (a, b) not in A.relations:
-                assert sigma[a] == -eps[b], (a, b)
-
-
-def test_sign_maps_single_arrow():
-    A = validate_gentle(Quiver(2, (("a", 1, 2),)), [])
-    assert A.sigma["a"] == 1 and A.epsilon["a"] == 1
-
-
-def test_sign_maps_on_fixed_algebras(torus_algebra, a3_relation, double_loop):
-    for A in (torus_algebra, a3_relation, double_loop):
-        _check_sign_maps(A)
-
-
-def test_sign_maps_fuzzed():
-    rng = random.Random(7)
-    for _ in range(60):
-        _check_sign_maps(random_gentle(rng))
-
-
 def test_blocks_of_linear_path_algebra():
     n = 5
     q = Quiver(n, tuple((f"a{i}", i, i + 1) for i in range(1, n)))

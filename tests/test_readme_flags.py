@@ -1,11 +1,17 @@
 """The README's table of flags per subcommand names exactly the flags that
-each subparser of the CLI accepts."""
+each subparser of the CLI accepts, and its exit-3 row names exactly the
+internal errors the library defines."""
 
 import argparse
+import inspect
 import os
+import pkgutil
 import re
+from importlib import import_module
 
+import gentlelam
 from gentlelam.cli import _parser
+from gentlelam.errors import InternalError
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -37,3 +43,16 @@ def parser_flags():
 
 def test_readme_flag_table_matches_the_parser():
     assert readme_flags() == parser_flags()
+
+
+def test_readme_exit_3_row_names_every_internal_error():
+    with open(README, encoding="utf-8") as fh:
+        row, = (line for line in fh if line.startswith("| 3 |"))
+    named = set(re.findall(r"`(\w+)`", row)) - {"InternalError", "assert"}
+    defined = set()
+    for info in pkgutil.iter_modules(gentlelam.__path__):
+        module = import_module(f"gentlelam.{info.name}")
+        defined |= {name for name, cls in inspect.getmembers(
+            module, inspect.isclass) if cls.__module__ == module.__name__
+            and issubclass(cls, InternalError) and cls is not InternalError}
+    assert named == defined

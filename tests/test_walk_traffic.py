@@ -51,3 +51,16 @@ def test_lamination_pieces_are_identified_by_the_walk(pants, pants_algebra,
     found = [M for M, f in walks if f is not None]
     assert pieces == 79 and len(found) == pieces
     assert all(f is None for _, f in certificates)
+
+
+def test_lamination_pieces_reduce_no_hom_system(pants, pants_algebra,
+                                                monkeypatch):
+    """A piece in a monomial basis that no walk matches to a candidate
+    word is no word module (`strings._identify`): decomposing the same 50
+    laminations reduces no Hom system at all."""
+    A = pants_algebra
+    calls = []
+    counted(monkeypatch, "_hom_space", calls)
+    for L in random_laminations(pants, A, 50, seed=123):
+        decompose(A, generic_decorated_module(pants, L).module)
+    assert len(calls) == 0
