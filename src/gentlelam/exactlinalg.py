@@ -22,7 +22,10 @@ are views of it.  `_kernel_point` reads one integer kernel vector off
 it for given values of the free unknowns; `nullspace` builds its basis
 with it, and `strings._hom_space` the module maps of `strings`
 (endomorphisms that `decompose` splits along, and the isomorphism
-certificates of modules that are not both in monomial bases).
+certificates of modules that are not both in monomial bases).  Band
+parameters go through the same kernel: `strings.band_lambda_candidates`
+reads them off a `nullspace` of integer intertwiner rows and the
+`charpoly` of a small rational matrix, with no polynomial arithmetic.
 
 Dense matrices are lists of row-lists.  `nullspace` returns primitive
 integer vectors; `mat_inverse` gives integral entries as int (so the

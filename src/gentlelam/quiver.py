@@ -26,6 +26,23 @@ class UnclassifiableBlock(InternalError):
     pass
 
 
+class InvalidDimensionVector(InputError):
+    pass
+
+
+def _dimension_vector(A, d):
+    """d as a tuple, checked to hold one nonnegative integer per vertex of
+    A (a bool or an integral float is no integer, as in `fileio._int`):
+    the one check of `make_rep`, the word dictionary and the schemes."""
+    d = tuple(d)
+    if len(d) == A.n and all(type(x) is int and x >= 0 for x in d):
+        return d
+    bad = (f"has {len(d)} entries for {A.n} vertices" if len(d) != A.n
+           else "holds a non-integer" if any(type(x) is not int for x in d)
+           else "holds a negative entry")
+    raise InvalidDimensionVector(f"dimension vector {d} {bad}")
+
+
 class _UF:
     """Union-find over hashable items, each its own class until joined:
     `find` returns the root of x's class with path halving, and

@@ -38,7 +38,8 @@ from .exactlinalg import sparse_rank
 from .homological import (_ext1_of_presentation, _relation_rows,
                           _tau_of_presentation, ext1_complex_dim, g_vector,
                           hom_dim_oracle, min_proj_presentation)
-from .quiver import is_jacobian, rho_blocks, transport_dimvec
+from .quiver import (InvalidDimensionVector, _dimension_vector, is_jacobian,
+                     rho_blocks, transport_dimvec)
 from .strings import (BandWord, InvalidString, _algebra_memo, _word_rep,
                       _word_table, band_parameters, conjugate, decompose,
                       random_glpoint, rank_function_of, word_sum)
@@ -58,21 +59,6 @@ class UniquenessViolation(FalseVerdict):
 
 class ConsistencyFailure(InternalError):
     pass
-
-
-class InvalidDimensionVector(InputError):
-    pass
-
-
-def _dimension_vector(A, d):
-    """d as a tuple, checked to hold one nonnegative integer per vertex
-    (a bool is no integer, as in `make_rep` and `fileio._int`)."""
-    d = tuple(d)
-    if len(d) != A.n or any(type(x) is not int or x < 0 for x in d):
-        raise InvalidDimensionVector(
-            f"{d} is not a dimension vector of an algebra with {A.n} "
-            f"vertices (one nonnegative integer per vertex)")
-    return d
 
 
 def maximal_rank_functions(A, d):
@@ -439,29 +425,35 @@ def generic_multiset(A, Z):
                            + (total - sum(r.values()),), width)
     dz = component_dim(A, Z)
     gl = dim_gl(d)
-    sol = []
 
     def fitting(state, cands):
         return [c for c in cands if (state - c[1]) & guards == guards]
 
-    def rec(state, cands):
-        if not state & dims_mask:
-            # every basis vector placed: the ranks and strings must be too
-            return state == guards and certify()
-        for k, (w, shape) in enumerate(cands):
-            rest = state - shape
-            sol.append(w)
-            if rec(rest, fitting(rest, cands[k:])):
-                return True
-            sol.pop()
-        return False
-
-    def certify():
+    def certify(sol):
         end = sum(pair[0] for pair in _word_pairs(A, sol))
         q = sum(isinstance(w, BandWord) for w in sol)
         return dz == gl - end + q
 
-    if not rec(start, fitting(start, cand)):
+    # depth first on an explicit stack, as a multiset may hold thousands
+    # of words: a frame is [state, the candidates that fit it, the index
+    # of the next one to try], so the word it took last is at index - 1
+    stack = [[start, fitting(start, cand), 0]]
+    while stack:
+        frame = stack[-1]
+        state, cands, k = frame
+        if k == len(cands):
+            stack.pop()
+            continue
+        frame[2] = k + 1
+        rest = state - cands[k][1]
+        if rest & dims_mask:
+            stack.append([rest, fitting(rest, cands[k:]), 0])
+        elif rest == guards:
+            # every basis vector placed, and the ranks and strings too
+            sol = [cs[i - 1][0] for _, cs, i in stack]
+            if certify(sol):
+                break
+    else:
         raise SamplingFailure(f"no generic decomposition for {Z.r}")
     memo[key] = list(sol)
     return list(sol)

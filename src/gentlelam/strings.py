@@ -22,7 +22,7 @@ from .errors import InputError, InternalError
 from .exactlinalg import (_echelon, _kernel_point, _ratio, charpoly,
                           identity, is_invertible, mat_inverse, mat_mul,
                           nullspace, rational_roots, rref, sparse_rank)
-from .quiver import _UF, _algebra_memo, _kept
+from .quiver import _UF, _algebra_memo, _dimension_vector, _kept
 
 
 class InvalidString(InputError):
@@ -311,18 +311,13 @@ class Representation:
 
 
 def make_rep(A, dims, mats):
-    """Build a representation, checking dims (one int per vertex, as in
-    `fileio._int`), the shapes and the relations.
+    """Build a representation, checking dims (`_dimension_vector`), the
+    shapes and the relations.
 
     Entries are stored as int when integral, else as Fraction; a matrix
     of ints is stored as it is.  A relation whose two matrices are both
     nonzero has its product computed."""
-    dims = tuple(dims)
-    if len(dims) != A.n:
-        raise ValueError(f"dims {dims} has {len(dims)} entries for "
-                         f"{A.n} vertices")
-    if any(type(x) is not int for x in dims):
-        raise ValueError(f"dims {dims} holds a non-integer")
+    dims = _dimension_vector(A, dims)
     store = {}
     nonzero = set()
     for aid in A.arrow_ids:
@@ -398,19 +393,19 @@ def word_walk(A, w):
     return verts, steps
 
 
-def _walk_matrices(A, w, lam, one=1, zero=0):
+def _walk_matrices(A, w, lam):
     """(dims, per-arrow matrices) of the module of a word: each step of
-    `word_walk` puts `one` into its arrow's matrix, the last one `lam`."""
+    `word_walk` puts 1 into its arrow's matrix, the last one `lam`."""
     verts, steps = word_walk(A, w)
     dims = [0] * A.n
     idx = []
     for v in verts:
         idx.append(dims[v - 1])
         dims[v - 1] += 1
-    mats = {aid: [[zero] * dims[A.s(aid) - 1]
+    mats = {aid: [[0] * dims[A.s(aid) - 1]
                   for _ in range(dims[A.t(aid) - 1])] for aid in A.arrow_ids}
     for k, (aid, p, q) in enumerate(steps):
-        mats[aid][idx[q]][idx[p]] = lam if k == len(steps) - 1 else one
+        mats[aid][idx[q]][idx[p]] = lam if k == len(steps) - 1 else 1
     return dims, mats
 
 
@@ -499,13 +494,12 @@ def rank_function_of(A, rep):
 
 def _room(A, max_len, dims):
     """Basis vectors each vertex may still take (index = vertex, slot 0
-    unused).  Without dims nothing binds: a word of length <= max_len
-    has at most max_len + 1 basis vectors."""
+    unused), dims checked by `_dimension_vector`.  Without dims nothing
+    binds: a word of length <= max_len has at most max_len + 1 basis
+    vectors."""
     if dims is None:
         return [max_len + 1] * (A.n + 1)
-    if len(dims) != A.n:
-        raise ValueError("dimension vector length must match the vertex count")
-    return [0] + [int(x) for x in dims]
+    return [0, *_dimension_vector(A, dims)]
 
 
 def enumerate_strings(A, max_len, dims=None):
@@ -690,7 +684,13 @@ def random_glpoint(rng, dims, bound=5):
 # Hom spaces and Krull-Schmidt decomposition
 
 
-def _intertwiner_rows(A, M, N):
+def _intertwiner_rows(A, M, N, skip=None):
+    """The equations f_t M_a = N_a f_s of Hom(M, N) as sparse rows, one
+    per arrow a, basis vector w of M at s(a) and coordinate u of N at
+    t(a): f(M_a w) = N_a f(w) in coordinate u.  Returns (rows, offs,
+    unknowns); f_v is the N_v x M_v matrix of the unknowns
+    offs[v] + u dM_v + k.  skip = (a, w) leaves out the rows of that one
+    pair."""
     offs = []
     off = 0
     for v in range(A.n):
@@ -701,8 +701,11 @@ def _intertwiner_rows(A, M, N):
         sv, tv = A.s(aid) - 1, A.t(aid) - 1
         Ma, Na = M.mats[aid], N.mats[aid]
         dMs, dMt = M.dims[sv], M.dims[tv]
+        ws = range(dMs)
+        if skip is not None and skip[0] == aid:
+            ws = [w for w in ws if w != skip[1]]
         for u in range(N.dims[tv]):
-            for w in range(dMs):
+            for w in ws:
                 row = {}
                 for k in range(dMt):
                     if Ma[k][w]:
@@ -864,20 +867,6 @@ def iso_test(A, M, N):
     return _hom_certificate(A, M, N) is not None
 
 
-def _invertible_hom(A, M, N):
-    """A map in Hom(M, N), as per-vertex matrices, that is invertible at
-    every vertex, or None; M and N have equal dimension vectors.
-
-    Between monomial modules the map is read by following arrows
-    (`_basis_matching`); for any other pair, or when that walk finds
-    none, it is a point of the reduced Hom system (`_hom_certificate`).
-    A map is a certificate of M = N, since it solves every intertwiner
-    equation and is invertible at every vertex; None is not one of
-    M != N, and callers that read it so compare invariants first."""
-    f = _basis_matching(A, M, N)
-    return f if f is not None else _hom_certificate(A, M, N)
-
-
 def _hom_certificate(A, M, N):
     """An invertible point of `_hom_space(A, M, N)` found in eight tries,
     or None: its free unknowns take all ones first, then seven seeded
@@ -1029,7 +1018,9 @@ def _through_words(A, rep, table, rng):
     """Endomorphisms f g of rep through the word modules W of `table`
     whose dims and ranks fit under rep's: two per (word, parameter),
     f in Hom(W, rep) and g in Hom(rep, W) points of their `_hom_space`
-    at values drawn from `rng` in [-2^15, 2^15].
+    at values drawn from `rng` in [-2^15, 2^15].  A band is tried at
+    each parameter of `band_lambda_candidates` for rep, which lists the
+    parameter of every band summand of rep with that word.
 
     g f lies in End(W) = Q + rad (Crawley-Boevey 1989), so f g has one
     nonzero eigenvalue c at most, rational, and splits along c and 0.
@@ -1064,105 +1055,59 @@ def _through_words(A, rep, table, rng):
                            for fv, gv, d in zip(f, g, rep.dims)]
 
 
-def _poly(*coeffs):
-    """Polynomial in mu as a low-to-high Fraction tuple, trimmed."""
-    c = [Fraction(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return _poly(*[(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                   for i in range(n)])
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _poly(*out)
-
-
-def _poly_neg(p):
-    return tuple(-x for x in p)
-
-
-def _pencil_pivot_roots(rows):
-    """Rational mu at which the sparse Q[mu]-matrix can drop rank.
-
-    Division-free elimination; by specialization, every rank-dropping
-    value of mu is a root of some pivot polynomial, so the collected
-    root set is a sound superset of the rank-drop locus.
-    """
-    pivot_of_col = {}
-    cands = set()
-    queue = [dict(r) for r in rows]
-    while queue:
-        row = queue.pop()
-        while row:
-            c = min(row)
-            piv = pivot_of_col.get(c)
-            if piv is None:
-                pivot_of_col[c] = row
-                pv = row[c]
-                if len(pv) > 1:
-                    cands.update(rational_roots(list(reversed(pv))))
-                break
-            a, b = row[c], piv[c]
-            new = {}
-            for cc, vv in row.items():
-                new[cc] = _poly_mul(vv, b)
-            for cc, vv in piv.items():
-                w = _poly_add(new.get(cc, ()), _poly_neg(_poly_mul(vv, a)))
-                if w:
-                    new[cc] = w
-                elif cc in new:
-                    del new[cc]
-            row = new
-    return cands
-
-
 def band_lambda_candidates(A, B, rep):
-    """Possible band parameters mu with rep isomorphic to M(B, mu, 1).
+    """The nonzero rationals mu at which dim Hom(M(B, mu), rep) exceeds
+    its generic value, and 1, as a sorted list of Fractions: it holds
+    every mu at which M(B, mu) is a summand of rep.
 
-    Eliminates the intertwiner system for Hom(M(B, mu), rep) over
-    Q[mu]; a nonzero hom space at mu0 needs a rank drop there, hence
-    mu0 shows up among the pivot roots.
-    """
-    # band matrices over Q[mu]: the wrap-around step carries mu
-    dims, mats = _walk_matrices(A, B, _poly(0, 1), _poly(1), ())
-    offs = []
-    off = 0
-    for v in range(A.n):
-        offs.append(off)
-        off += dims[v] * rep.dims[v]
-    rows = []
-    for aid in A.arrow_ids:
-        sv, tv = A.s(aid) - 1, A.t(aid) - 1
-        Ba, Na = mats[aid], rep.mats[aid]
-        dMs, dMt = dims[sv], dims[tv]
-        for u in range(rep.dims[tv]):
-            for w in range(dMs):
-                row = {}
-                for k in range(dMt):
-                    if Ba[k][w]:
-                        key = offs[tv] + u * dMt + k
-                        row[key] = _poly_add(row.get(key, ()), Ba[k][w])
-                for k in range(rep.dims[sv]):
-                    if Na[u][k]:
-                        key = offs[sv] + k * dMs + w
-                        row[key] = _poly_add(row.get(key, ()),
-                                             _poly(-Na[u][k]))
-                if row:
-                    rows.append(row)
-    cands = _pencil_pivot_roots(rows)
-    cands.add(Fraction(1))
-    return sorted(c for c in cands if c != 0)
+    The last step of `word_walk` sends basis x to mu y under an arrow a,
+    and no other intertwiner equation involves mu.  So Hom(M(B, mu), rep)
+    = {f in H : X f = mu Y f}, where H (dim k) solves the integer system
+    of every other equation (`_intertwiner_rows` of M(B, 1) skipping
+    (a, x), one `nullspace`), X f = rep_a f(x) and Y f = f(y), both in
+    rep at t(a) (dim d).  The Hom dimension exceeds its generic value
+    where the pencil X - mu Y drops below its generic rank r, the largest
+    rank over mu = 0, ..., min(d, k) (a nonzero r x r minor has at most r
+    roots).  There an r x r compression P - mu Q = R (X - mu Y) S, R and
+    S seeded draws from [-7, 7], is singular; for a point c with P - c Q
+    invertible, det(P - mu Q) = det(P - c Q) det(I - (mu - c) T) with
+    T = (P - c Q)^-1 Q, so each such mu is c + 1/eta for a nonzero
+    rational root eta of `charpoly` T.  The draw is repeated up to eight
+    times until some c works (`InternalError` if none does).  R and S
+    may add roots where X - mu Y keeps rank r; one rank each drops
+    them."""
+    verts, steps = word_walk(A, B)
+    aid, x, y = steps[-1]
+    sv, tv = A.s(aid) - 1, A.t(aid) - 1
+    # local indices of x at s(a) and of y at t(a)
+    ix, iy = verts[:x].count(verts[x]), verts[:y].count(verts[y])
+    M = _word_rep(A, B, 1)
+    rows, offs, nvars = _intertwiner_rows(A, M, rep, skip=(aid, ix))
+    hs = nullspace(rows, nvars)
+    d, k = rep.dims[tv], len(hs)
+    ns, ms, mt = rep.dims[sv], M.dims[sv], M.dims[tv]
+    fx = [[h[offs[sv] + u * ms + ix] for u in range(ns)] for h in hs]
+    X = [[sum(z * f for z, f in zip(row, col) if z) for col in fx]
+         for row in rep.mats[aid]]
+    Y = [[h[offs[tv] + u * mt + iy] for h in hs] for u in range(d)]
+    pts = range(min(d, k) + 1)
+
+    def pencil(X, Y, c):
+        return [[p - c * q for p, q in zip(xr, yr)] for xr, yr in zip(X, Y)]
+
+    r = max(sparse_rank(pencil(X, Y, c)) for c in pts)
+    rng = random.Random(1729)
+    for _ in range(8):
+        R = [[rng.randint(-7, 7) for _ in range(d)] for _ in range(r)]
+        S = [[rng.randint(-7, 7) for _ in range(r)] for _ in range(k)]
+        P, Q = mat_mul(mat_mul(R, X), S), mat_mul(mat_mul(R, Y), S)
+        c = next((c for c in pts if is_invertible(pencil(P, Q, c))), None)
+        if c is not None:
+            T = mat_mul(mat_inverse(pencil(P, Q, c)), Q)
+            mus = {c + 1 / eta for eta in rational_roots(charpoly(T)) if eta}
+            return sorted({mu for mu in mus if mu and
+                           sparse_rank(pencil(X, Y, mu)) < r} | {Fraction(1)})
+    raise InternalError(f"no invertible compression of the pencil of {B}")
 
 
 def _support_split(A, rep):
@@ -1262,10 +1207,12 @@ def _identify(A, p, table):
     a piece whose string count is not 0 or 1, or whose shape no word has,
     is rejected before any module is built.  Each candidate module is
     built once per algebra (`_word_rep`), a band's at each parameter of
-    `band_lambda_candidates`, and an explicit invertible intertwiner
-    certifies every match: one that follows arrows (`_basis_matching`),
-    else, for a piece not in a monomial basis (a conjugated generic
-    point, say), a point of the reduced Hom system.  A monomial piece (a
+    `band_lambda_candidates` (read off the integer Hom system of M(B, 1)
+    and p, and holding p's parameter if p is a module of the band B),
+    and an explicit invertible intertwiner certifies every match: one
+    that follows arrows (`_basis_matching`), else, for a piece not in a
+    monomial basis (a conjugated generic point, say), a point of the
+    reduced Hom system (`_hom_certificate`).  A monomial piece (a
     support-split piece of a `word_sum`) is identified by the walk alone:
     a word module is indecomposable, so its coefficient quiver in a
     monomial basis is connected, hence one walk (the relations allow each

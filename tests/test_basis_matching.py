@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from gentlelam import (band_module, enumerate_bands, enumerate_strings,
                        iso_test, string_module, tau_dtr, tau_string)
-from gentlelam.strings import (_basis_matching, _invertible_hom,
-                               _monomial_steps, conjugate, random_glpoint)
+from gentlelam.strings import (_basis_matching, _monomial_steps, conjugate,
+                               random_glpoint)
 
-from conftest import assert_certificate, case_algebra
+from conftest import assert_certificate, case_algebra, invertible_hom
 
 ALGEBRAS = ("torus_quiver", "pants", "hexagon", "annulus")
 LAMS = (1, -2, Fraction(3, 2))
@@ -125,7 +125,7 @@ def test_dense_conjugates_fall_back_to_the_hom_system():
             continue  # a conjugate that stayed monomial
         assert _basis_matching(A, M, N) is None
         assert _basis_matching(A, N, M) is None
-        assert_certificate(A, M, N, _invertible_hom(A, M, N))
+        assert_certificate(A, M, N, invertible_hom(A, M, N))
         count += 1
     assert count == 80
 

@@ -9,8 +9,8 @@ import pytest
 from conftest import GOLDEN
 from gentlelam import (ConsistencyFailure, DictionaryExhausted,
                        FalseVerdict, FormulaMismatch, InputError, InternalError, NotGentle, NotJacobian,
-                       SamplingFailure, UniquenessViolation, cli, fileio,
-                       quiver, schemes)
+                       SamplingFailure, UniquenessViolation, cli, quiver,
+                       schemes)
 from gentlelam.fileio import ParseError
 from gentlelam.quiver import UnclassifiableBlock
 
@@ -244,15 +244,13 @@ def test_failed_assertion_exits_3(capsys, monkeypatch):
     assert code == 3 and "an internal check failed" in err
 
 
-def test_search_deeper_than_the_recursion_limit_exits_3(tmp_path, capsys,
-                                                         pants_algebra):
-    """Python's recursion limit is an internal bound: on the pants algebra
-    at d = (1000, 0, 0, 0, 0, 0) the word search of `generic_multiset`
-    recurses once per summand and exhausts it."""
-    path = tmp_path / "pants_algebra.json"
-    path.write_text(json.dumps(fileio.algebra_to_dict(pants_algebra)))
-    code, out, err = run(capsys, "components", "--input", str(path),
-                         "--dims", "1000,0,0,0,0,0")
+def test_recursion_error_exits_3(capsys, monkeypatch):
+    """Python's recursion limit is an internal bound."""
+    def fail(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "ceh_by_words", fail)
+    code, out, err = components(capsys)
     assert (code, out) == (3, "")
     assert err.startswith("internal error (RecursionError): ")
     assert err.count("\n") == 1

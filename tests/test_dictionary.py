@@ -12,8 +12,8 @@ from gentlelam import (DictionaryExhausted, StringWord, band_module,
                        string_module)
 from gentlelam.fileio import algebra_from_dict, triangulation_from_dict
 from gentlelam import strings
-from gentlelam.strings import (_letter_table, _pair_rule, _walk_matrices,
-                               letter, make_rep, parse_word)
+from gentlelam.strings import (_letter_table, _pair_rule, letter, make_rep,
+                               parse_word, word_walk)
 
 ALGEBRAS = ("a3_relation", "double_loop", "loop_algebra", "torus_quiver",
             "two_cycle")
@@ -85,12 +85,22 @@ def test_decompose_names_long_words_without_a_bound():
 
 def flat_band(A, B, lam):
     """The module of the band B with the 2 x 2 matrix parameter lam: the
-    word walk with 2 x 2 identity and zero blocks, flattened."""
-    eye, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
-    dims, mats = _walk_matrices(A, B, lam, eye, zero)
-    return make_rep(A, [2 * x for x in dims], {
-        aid: [[blk[i][j] for blk in row for j in range(2)]
-              for row in m for i in range(2)] for aid, m in mats.items()})
+    word walk with a 2 x 2 identity block on each step but the last, which
+    carries lam."""
+    verts, steps = word_walk(A, B)
+    dims, idx = [0] * A.n, []
+    for v in verts:
+        idx.append(dims[v - 1])
+        dims[v - 1] += 1
+    mats = {aid: [[0] * 2 * dims[A.s(aid) - 1]
+                  for _ in range(2 * dims[A.t(aid) - 1])]
+            for aid in A.arrow_ids}
+    for k, (aid, p, q) in enumerate(steps):
+        blk = lam if k == len(steps) - 1 else [[1, 0], [0, 1]]
+        for i in range(2):
+            for j in range(2):
+                mats[aid][2 * idx[q] + i][2 * idx[p] + j] = blk[i][j]
+    return make_rep(A, [2 * x for x in dims], mats)
 
 
 # the quasi-length-2 parameter J_2(3), and the companion matrix of x^2 + 2

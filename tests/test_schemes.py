@@ -12,7 +12,9 @@ from gentlelam import (InputError, InvalidDimensionVector, NotJacobian,
                        maximal_rank_functions, rank_function_of,
                        rank_functions, string_module, tangent_dim,
                        tau_reduced_components_census)
-from gentlelam.schemes import components_through, max_component_dim_through
+from gentlelam.schemes import (components_through, generic_multiset,
+                               max_component_dim_through)
+from gentlelam.strings import make_rep
 
 
 def test_rank_functions_a3(a3_relation):
@@ -33,6 +35,27 @@ def test_bad_dimension_vectors_are_input_errors(a3_relation):
         for f in (components, maximal_rank_functions, rank_functions):
             with pytest.raises(InvalidDimensionVector):
                 f(a3_relation, d)
+
+
+def test_a_dimension_vector_check_for_modules_and_words(pants_algebra):
+    # the word dictionary and make_rep reject what the schemes reject,
+    # before a vertex's room or a matrix shape is read off the entry
+    A = pants_algebra
+    for d in ((1.9, 1, 1, 1, 1, 1), (True, 1, 1, 1, 1, 1),
+              (-1, 1, 1, 1, 1, 1)):
+        for f in (enumerate_strings, enumerate_bands):
+            with pytest.raises(InvalidDimensionVector):
+                f(A, 4, d)
+    with pytest.raises(InvalidDimensionVector):
+        make_rep(A, (-1, 0, 0, 0, 0, 0), {})
+    assert issubclass(InvalidDimensionVector, ValueError)
+
+
+def test_the_word_search_takes_a_thousand_summands(pants_algebra):
+    # one frame per summand on an explicit stack: Python's recursion
+    # limit (1,000 by default) does not bound the number of summands
+    (Z,) = components(pants_algebra, (1000, 0, 0, 0, 0, 0))
+    assert generic_multiset(pants_algebra, Z) == [StringWord((), 1)] * 1000
 
 
 def test_component_counts(a3_relation, double_loop, loop_algebra):
