@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from operator import mul
 from .errors import InputError
 from .homological import DecoratedModule, g_vector
-from .strings import BandWord, DictionaryExhausted, decompose, word_sum, \
-    word_walk
-from .surface import CoefficientQuiver, build_QT, \
-    coefficient_quiver, lamination_words, shear_coordinates
+from .strings import DictionaryExhausted, decompose, word_sum
+from .surface import build_QT, coefficient_quiver, lamination_words, \
+    shear_coordinates, word_coefficient_quiver
 
 
 class UnsupportedModule(InputError):
@@ -356,15 +355,6 @@ def _sweep(state, forward, shift):
                 into, i_at = _merge(dict(out), o_at, into, i_at), o_at
         i_at += shift[k]
     return (out, o_at), (into, i_at)
-
-
-def word_coefficient_quiver(A, w):
-    """Coefficient quiver of a string or band module from its word: the
-    basis vectors of `word_walk` and an arrow per step, positions 1-based."""
-    verts, steps = word_walk(A, w)
-    return CoefficientQuiver(tuple(verts),
-                             tuple((p + 1, q + 1, aid) for aid, p, q in steps),
-                             isinstance(w, BandWord))
 
 
 # ---------------------------------------------------------------------------

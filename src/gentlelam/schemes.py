@@ -277,14 +277,8 @@ def _block_records(A, Z):
 def component_dim(A, Z):
     """dim Z as the sum of the kept block orbit dimensions
     (`_block_record`, one per block, local dims and local ranks, so their
-    number is bounded by the blocks' local boxes, not by the box of d),
-    kept on the algebra per component as well (`_component_dims`, keyed
-    by the `Component`): a `components` request reads it for the output,
-    the search's certificate and c."""
-    memo = _algebra_memo(A, "_component_dims")
-    if Z not in memo:
-        memo[Z] = sum(rec.orbit_dim for _, rec in _block_records(A, Z))
-    return memo[Z]
+    number is bounded by the blocks' local boxes, not by the box of d)."""
+    return sum(rec.orbit_dim for _, rec in _block_records(A, Z))
 
 
 def dim_gl(d):

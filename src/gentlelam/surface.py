@@ -3,8 +3,14 @@
 A triangulation is given combinatorially: edge ids for the internal
 arcs (1..n) and boundary segments, plus the triangles as triples of
 edge ids in counterclockwise order (the orientation of the surface).
-Corners of triangles are glued along shared internal arcs; the corner
-classes are the marked points, all of which must lie on the boundary.
+Triangle corners are the one surface primitive.  Corner (t, i) turns
+from the side at slot i of triangle t to the side at slot i+1; corners
+are glued along shared internal arcs, their classes are the marked
+points, all of which must lie on the boundary, and the fan of a marked
+point walks its corners from one boundary segment to the next.  The
+arrows of Q_T are the corners between two internal arcs, in one table
+(`_corner_arrows`) that names them, spells the word of each curve and
+gives each letter's triangle back.
 
 Curves are crossing sequences.  An open curve carries two endpoint
 markers (boundary_segment, end) naming the marked point it starts and
@@ -15,17 +21,18 @@ use the two different sides of the crossed arc).  An open curve must be
 in minimal position: it leaves each endpoint through the side opposite
 it in its end triangle, so each endpoint is the corner opposite its end
 crossing, and any other endpoint is an input error (`NotLocallyMinimal`).
-Rotation and shear read each end of a curve off that corner.
+Rotation and shear read each end of a curve off that corner.  Whether two
+curves can be made disjoint is read off the pair of their words.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError
-from .homological import hom_dim_oracle, tau_dtr
 from .quiver import Quiver, _UF, _kept, is_jacobian, validate_gentle
-from .schemes import DecoratedComponent, components, is_tau_reduced
-from .strings import BandWord, StringWord, band_module, canonical_band, \
-    canonical_string, string_module, word_shape, word_walk
+from .schemes import DecoratedComponent, _word_pairs, components, \
+    is_tau_reduced
+from .strings import BandWord, StringWord, canonical_band, \
+    canonical_string, word_shape, word_walk
 
 
 class InvalidTriangulation(InputError):
@@ -98,12 +105,16 @@ class Triangulation:
         if len({pieces.find(t) for t in range(len(self.triangles))}) != 1:
             raise InvalidTriangulation(
                 "the triangles must form one piece through the internal arcs")
-        # glue corners: corner (t, i) sits between slot i and slot i+1
-        uf = _UF()
+        # glue corners: corner (t, i) turns from the side at slot i to
+        # the side at slot i+1, and across an internal arc the next corner
+        # at its marked point is the one at the arc's other occurrence
+        uf, after = _UF(), {}
         for a in arcs:
             (t1, i1), (t2, i2) = occ[a]
             uf.union((t1, i1), (t2, (i2 - 1) % 3))
             uf.union((t1, (i1 - 1) % 3), (t2, i2))
+            after[(t1, (i1 - 1) % 3)] = (t2, i2)
+            after[(t2, (i2 - 1) % 3)] = (t1, i1)
         classes = {}
         for ti in range(len(self.triangles)):
             for i in range(3):
@@ -112,7 +123,7 @@ class Triangulation:
         self._cache["corner_class"] = {c: uf.find(c) for cl in classes.values()
                                        for c in cl}
         self._cache["marked"] = marked
-        self._fans(classes)
+        self._fans(classes, after)
         # the boundary cycles are the cycles of next_marked
         cycles = _UF()
         for P in marked:
@@ -132,50 +143,28 @@ class Triangulation:
     def _corner(self, c):
         return self._cache["corner_class"][c]
 
-    def _fans(self, classes):
-        """Per marked point, the clockwise fan of edge ends.
+    def _fans(self, classes, after):
+        """Per marked point, the clockwise fan: (the edges its corners
+        turn across, its corners in turn).
 
-        The fan runs from the boundary segment behind the point to the
-        boundary segment ahead of it (induced orientation); consecutive
-        fan edges cobound a triangle corner.
+        A fan walks corners: it starts at the one corner whose slot-i side
+        is a boundary segment (the segment behind the point in the
+        induced orientation), goes on to the next corner (`after`) while
+        there is one, and ends at the segment ahead of the point.
         """
         fans = {}
         for P, corners in classes.items():
-            # transition at corner (t,i): edge at slot i -> edge at slot i+1
-            # keyed by edge ends so arcs with both endpoints here stay apart
-            out_of = {}
-            for (t, i) in corners:
-                e_in = (t, i, "end")
-                e_out = (t, (i + 1) % 3, "start")
-                out_of[self._end_class(e_in)] = (
-                    self._end_class(e_out), (t, i))
-            in_deg = {v for v, _ in out_of.values()}
-            starts = [k for k in out_of if k not in in_deg]
-            if len(starts) != 1:
+            tris = [(t, i) for t, i in corners
+                    if self.triangles[t][i] in self.boundary_segments]
+            if len(tris) != 1:
                 raise InvalidTriangulation(
                     "marked point not on the boundary or fan is broken")
-            chain = [starts[0]]
-            tris = []
-            while chain[-1] in out_of:
-                nxt, corner = out_of[chain[-1]]
-                tris.append(corner)
-                chain.append(nxt)
-            fans[P] = (tuple(c[0] for c in chain), tuple(tris))
+            while tris[-1] in after:
+                tris.append(after[tris[-1]])
+            t, i = tris[-1]
+            fans[P] = (tuple(self.triangles[c][k] for c, k in tris) +
+                       (self.triangles[t][(i + 1) % 3],), tuple(tris))
         self._cache["fan"] = fans
-
-    def _end_class(self, end):
-        """Canonical id of an edge end; internal arcs glue end<->start."""
-        t, i, kind = end
-        e = self.triangles[t][i]
-        occ = self._cache["occ"][e]
-        if len(occ) == 1:
-            return (e, t, i, kind)
-        (t1, i1), (t2, i2) = occ
-        if (t, i) == (t1, i1):
-            other = (e, t2, i2, "start" if kind == "end" else "end")
-        else:
-            other = (e, t1, i1, "start" if kind == "end" else "end")
-        return min((e, t, i, kind), other)
 
     # -- public helpers -----------------------------------------------------
 
@@ -183,9 +172,14 @@ class Triangulation:
         return list(self._cache["marked"])
 
     def marked_of_marker(self, marker):
-        """Marked point of an endpoint marker (boundary_segment, end)."""
-        b, end = marker
-        if b not in self.boundary_segments or end not in (0, 1):
+        """Marked point of an endpoint marker (boundary_segment, end):
+        a pair of a boundary segment and the int 0 or 1."""
+        try:
+            b, end = marker
+        except (TypeError, ValueError):
+            b = end = None
+        if type(end) is not int or end not in (0, 1) or \
+                b not in self.boundary_segments:
             raise InconsistentSequence(f"bad endpoint marker {marker!r}")
         t, i = self._cache["occ"][b][0]
         return self._corner((t, i) if end == 1 else (t, (i - 1) % 3))
@@ -218,19 +212,18 @@ class Triangulation:
     def triangles_at_arc(self, a):
         return [t for t, _ in self._cache["occ"][a]]
 
-    def arrow_between(self, ti, x, y):
-        """Q_T arrow inside triangle ti between arcs x and y.
 
-        Returns (arrow_id, source_arc, target_arc); in a ccw triple
-        (e1, e2, e3) the arrows are e2->e1, e3->e2 and e1->e3.
-        """
-        tri = self.triangles[ti]
-        for k in range(3):
-            src, tgt = tri[(k + 1) % 3], tri[k]
-            if {src, tgt} == {x, y}:
-                return (f"t{ti}:{src}>{tgt}", src, tgt)
-        raise InconsistentSequence(
-            f"edges {x!r}, {y!r} not adjacent in triangle {ti}")
+def _corner_arrows(T):
+    """{(triangle, source arc, target arc): arrow id}, built once and
+    kept on T: in a ccw triple (e1, e2, e3) the corners between internal
+    arcs give e2->e1, e3->e2 and e1->e3, in that order."""
+    def build():
+        arcs = set(T.internal_arcs)
+        return {(ti, tri[(k + 1) % 3], tri[k]):
+                f"t{ti}:{tri[(k + 1) % 3]}>{tri[k]}"
+                for ti, tri in enumerate(T.triangles) for k in range(3)
+                if tri[k] in arcs and tri[(k + 1) % 3] in arcs}
+    return _kept(T, "_corner_arrows", build)
 
 
 def build_QT(T):
@@ -240,22 +233,14 @@ def build_QT(T):
 
 
 def _jacobian_algebra(T):
-    arcs = set(T.internal_arcs)
-    arrows = []
-    relations = []
-    for ti, tri in enumerate(T.triangles):
-        tri_arrows = []
-        for k in range(3):
-            tgt, src = tri[k], tri[(k + 1) % 3]
-            if tgt in arcs and src in arcs:
-                tri_arrows.append((f"t{ti}:{src}>{tgt}", src, tgt))
-        arrows += tri_arrows
-        if len(tri_arrows) == 3:  # an internal triangle
-            for (a2, s2, t2) in tri_arrows:
-                for (a1, s1, t1) in tri_arrows:
-                    if t1 == s2:
-                        relations.append((a2, a1))
-    q = Quiver(len(arcs), tuple(arrows))
+    """Q_T: the arrows of `_corner_arrows`, and the relation ba for each
+    two arrows a: x -> y and b: y -> z at corners of one triangle (whose
+    sides are then all internal arcs)."""
+    table = _corner_arrows(T)
+    arrows = [(aid, x, y) for (_, x, y), aid in table.items()]
+    relations = [(table[t, y, z], a) for (t, _, y), a in table.items()
+                 for z in T.triangles[t] if (t, y, z) in table]
+    q = Quiver(len(T.internal_arcs), tuple(arrows))
     A = validate_gentle(q, relations)
     if not is_jacobian(A):
         raise InvalidTriangulation("triangulation algebra failed Jacobian check")
@@ -414,36 +399,45 @@ def _cancel_backtrack(T, crossings, cyclic):
 # curve -> module dictionary
 
 
-def _letters_of(T, crossings, transitions, cyclic):
-    """Word letters from the transitions; the letter between crossings
-    i and i+1 is direct iff the triangle arrow points backwards."""
-    m = len(crossings)
+def _letters_of(T, gamma):
+    """The letters of an open curve or a loop, one per transition between
+    two crossings: a curve that goes from crossing x to crossing y
+    through triangle t turns at the corner of t between them, and its
+    letter is that corner's arrow (`_corner_arrows`), direct when it runs
+    y -> x and inverse when it runs x -> y."""
+    arrows = _corner_arrows(T)
+    crossings, m = gamma.crossings, len(gamma.crossings)
+    cyclic = gamma.kind == "loop"
+    transitions = gamma.transitions if cyclic else gamma.transitions[1:]
     letters = []
-    upto = m if cyclic else m - 1
-    for i in range(upto):
-        x, y = crossings[i], crossings[(i + 1) % m]
-        aid, src, tgt = T.arrow_between(transitions[i], x, y)
-        if src == y and tgt == x:
-            letters.append((aid, False))
-        elif src == x and tgt == y:
-            letters.append((aid, True))
-        else:
-            raise InconsistentSequence("arrow lookup failed")
-    return letters
+    for i in range(m if cyclic else m - 1):
+        t, x, y = transitions[i], crossings[i], crossings[(i + 1) % m]
+        key = (t, y, x) if (t, y, x) in arrows else (t, x, y)
+        if key not in arrows:
+            raise InconsistentSequence(
+                f"edges {x!r}, {y!r} not adjacent in triangle {t}")
+        letters.append((arrows[key], key[1] == x))
+    return tuple(letters)
+
+
+def _curve_word(T, gamma):
+    """The word of an open curve or a loop, its letters (`_letters_of`)
+    in crossing order, not canonicalized."""
+    if gamma.kind == "loop":
+        return BandWord(_letters_of(T, gamma))
+    if len(gamma.crossings) == 1:
+        return StringWord((), gamma.crossings[0])
+    return StringWord(_letters_of(T, gamma))
 
 
 def curve_to_module(T, gamma):
     """Negative-simple marker, StringWord, or BandWord of a curve."""
     if gamma.kind == "arc":
         return ("neg", gamma.arc)
-    if gamma.kind == "open":
-        if len(gamma.crossings) == 1:
-            return StringWord((), gamma.crossings[0])
-        letters = _letters_of(T, gamma.crossings,
-                              gamma.transitions[1:], cyclic=False)
-        return canonical_string(build_QT(T), StringWord(tuple(letters)))
-    letters = _letters_of(T, gamma.crossings, gamma.transitions, cyclic=True)
-    return canonical_band(build_QT(T), BandWord(tuple(letters)))
+    w = _curve_word(T, gamma)
+    if isinstance(w, BandWord):
+        return canonical_band(build_QT(T), w)
+    return canonical_string(build_QT(T), w)
 
 
 @dataclass(frozen=True)
@@ -453,21 +447,22 @@ class CoefficientQuiver:
     cyclic: bool
 
 
+def word_coefficient_quiver(A, w):
+    """Coefficient quiver of a string or band module from its word: the
+    basis vectors of `word_walk` and an arrow per step, positions 1-based."""
+    verts, steps = word_walk(A, w)
+    return CoefficientQuiver(tuple(verts),
+                             tuple((p + 1, q + 1, aid) for aid, p, q in steps),
+                             isinstance(w, BandWord))
+
+
 def coefficient_quiver(T, gamma):
-    """Positions of the crossing sequence with the triangle arrows: the
-    arrow of the letter between crossings i and i+1 (`_letters_of`) runs
-    from i to i+1 when the letter is inverse, and back when it is direct."""
+    """The coefficient quiver of the curve's word in crossing order
+    (`_curve_word`): position i is the i-th crossing, and the arrow of the
+    corner travelled between two crossings joins their positions."""
     if gamma.kind == "arc":
         raise NotOpenCurve("arcs of the triangulation have no crossings")
-    crossings = gamma.crossings
-    m = len(crossings)
-    cyclic = gamma.kind == "loop"
-    trans = gamma.transitions if cyclic else gamma.transitions[1:]
-    arrows = []
-    for i, (aid, inv) in enumerate(_letters_of(T, crossings, trans, cyclic)):
-        here, there = i + 1, (i + 1) % m + 1
-        arrows.append((here, there, aid) if inv else (there, here, aid))
-    return CoefficientQuiver(crossings, tuple(arrows), cyclic)
+    return word_coefficient_quiver(build_QT(T), _curve_word(T, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -690,39 +685,23 @@ def shear_of_lamination(T, L):
 # intersection-zero test, laminations, eta
 
 
-def curve_module_rep(T, gamma, lam=2):
-    w = curve_to_module(T, gamma)
-    if isinstance(w, tuple) and w[0] == "neg":
-        return None
-    if isinstance(w, BandWord):
-        return band_module(build_QT(T), w, lam)
-    return string_module(build_QT(T), w)
-
-
 def int_zero(T, gamma, delta):
     """Whether the two curves can be made disjoint.
 
-    Negative-simple cases reduce to dimension vanishing; everything
-    else goes through the vanishing of Hom(M, tau N) in both orders,
-    with distinct band parameters for equal loops.
+    An arc of the triangulation meets exactly the curves that cross it.
+    Two other curves are disjoint exactly when Hom(M, tau N) and
+    Hom(N, tau M) vanish for their modules M and N: entries (0, 1) and
+    (1, 0) of `schemes._word_pairs` on their two words, which gives two
+    copies of one loop distinct band parameters.
     """
     if gamma.kind == "arc" and delta.kind == "arc":
         return True
     if gamma.kind == "arc" or delta.kind == "arc":
         arc, other = (gamma, delta) if gamma.kind == "arc" else (delta, gamma)
         return arc.arc not in set(other.crossings)
-    A = build_QT(T)
-    M = curve_module_rep(T, gamma, lam=2)
-    same_loop = (gamma.kind == "loop" and delta.kind == "loop" and
-                 curve_to_module(T, gamma) == curve_to_module(T, delta))
-    N = curve_module_rep(T, delta, lam=3 if same_loop else 2)
-    if gamma.kind == "open" and delta.kind == "open" and \
-            gamma.crossings == delta.crossings and \
-            gamma.endpoints == delta.endpoints:
-        N = M
-    tauM = tau_dtr(A, M)
-    tauN = tau_dtr(A, N)
-    return hom_dim_oracle(A, M, tauN) == 0 and hom_dim_oracle(A, N, tauM) == 0
+    pairs = _word_pairs(build_QT(T), [curve_to_module(T, gamma),
+                                      curve_to_module(T, delta)], full=True)
+    return pairs[1][2] == 0 and pairs[2][2] == 0
 
 
 @dataclass(frozen=True)
@@ -803,15 +782,17 @@ def eta(T, L):
 # module -> curve (inverse dictionary)
 
 
-def arrow_triangle(aid):
-    """Triangle index encoded in a Q_T arrow id."""
-    return int(aid[1:aid.index(":")])
+def _letter_triangles(T, w):
+    """The triangle of each letter of w: the one whose corner holds the
+    letter's arrow (`_corner_arrows`)."""
+    at = {aid: t for (t, _, _), aid in _corner_arrows(T).items()}
+    return [at[aid] for aid, _ in w.letters]
 
 
 def string_to_curve(T, A, C):
     """The open curve of a string module, via the opposite-corner rule."""
     crossings = word_walk(A, C)[0]
-    mids = [arrow_triangle(c[0]) for c in C.letters]
+    mids = _letter_triangles(T, C)
     if mids:
         t0 = _other_side(T, crossings[0], mids[0])
         tm = _other_side(T, crossings[-1], mids[-1])
@@ -826,6 +807,6 @@ def string_to_curve(T, A, C):
 
 def band_to_curve(T, A, B):
     crossings = word_walk(A, B)[0]
-    trans = [arrow_triangle(c[0]) for c in B.letters]
+    trans = _letter_triangles(T, B)
     return CurveSeq("loop", crossings=tuple(crossings),
                     transitions=tuple(trans))

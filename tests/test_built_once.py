@@ -249,15 +249,18 @@ def test_component_dims_live_on_the_algebra():
     dims = [component_dim(A, Z) for Z in comps]
     for Z in comps:
         canonical_decomposition(A, Z)
-    memo = A.__dict__["_component_dims"]
-    assert memo == dict(zip(comps, dims))
-    assert _algebra_memo(A, "_component_dims") is memo
+    # dim Z is a sum over the kept block records, not a memo of its own
+    assert "_component_dims" not in A.__dict__
+    memo = A.__dict__["_block_records"]
+    assert memo
+    assert _algebra_memo(A, "_block_records") is memo
     assert A.__dict__["_word_modules"]
     # a second load of the same file shares neither memo
-    assert "_component_dims" not in B.__dict__
+    assert "_block_records" not in B.__dict__
     assert "_word_modules" not in B.__dict__
     assert [component_dim(B, Z) for Z in comps] == dims
-    assert B.__dict__["_component_dims"] is not memo
+    assert B.__dict__["_block_records"] == memo
+    assert B.__dict__["_block_records"] is not memo
     word_sum(B, [next(iter(A.__dict__["_word_modules"]))[0]])
     assert B.__dict__["_word_modules"] is not A.__dict__["_word_modules"]
     # no module global holds them
