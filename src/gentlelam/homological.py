@@ -380,34 +380,30 @@ def _right_basis(A, right, copies):
 
 def ext1_dim(A, M, N):
     """dim Ext^1(M, N) from the long exact sequence of the presentation
-    (see _ext1_of_presentation)."""
+    (see _ext1_minus_hom)."""
     if M.dim() == 0 or N.dim() == 0:
         return 0
-    return _ext1_of_presentation(A, min_proj_presentation(A, M), N,
-                                 hom_dim(A, M, N))
+    pres = min_proj_presentation(A, M)
+    return hom_dim(A, M, N) + _ext1_minus_hom(A, pres, N)
 
 
-def _ext1_of_presentation(A, pres, N, hom_mn):
-    """dim Ext^1(M, N), given the presentation of M and hom_mn =
-    dim Hom(M, N), from the exact sequence
+def _ext1_minus_hom(A, pres, N):
+    """dim Ext^1(M, N) - dim Hom(M, N), given the presentation of M, from
+    the exact sequence
     0 -> Hom(M, N) -> Hom(P0, N) -> Hom(Omega M, N) -> Ext^1(M, N) -> 0,
     with Hom(P_v, N) = N_v.  Omega is built as a representation here
     only."""
-    if not pres.omega_tops:
-        return 0  # projective module
-    omega = _subrep(A, pres.p0, pres.omega_bases)
     hom_p0 = sum(k * d for k, d in zip(pres.n_vec, N.dims))
-    return hom_dim(A, omega, N) - hom_p0 + hom_mn
+    if not pres.omega_tops:
+        return -hom_p0  # projective module: M = P0 and Omega = 0
+    return hom_dim(A, _subrep(A, pres.p0, pres.omega_bases), N) - hom_p0
 
 
 def _relation_rows(A, M, N):
     """(rows, variable count) of the relation differential
     (f_a) -> (N_a f_b + f_a M_b), one row per entry of each relation
     (a, b), on the variables f_a: M_s(a) -> N_t(a), arrow by arrow (entry
-    (u, k) of f_a is variable offs[a] + u * dim M_s(a) + k).  Its kernel
-    is Z^1 of the standard complex (`ext1_complex_dim`); with N = M it
-    is the differential of the relation equations at M, whose kernel is
-    the tangent space of the module scheme (`schemes.tangent_dim`)."""
+    (u, k) of f_a is variable offs[a] + u * dim M_s(a) + k)."""
     dM, dN = M.dims, N.dims
     offs = {}
     off = 0
@@ -434,21 +430,25 @@ def _relation_rows(A, M, N):
     return rows, off
 
 
-def ext1_complex_dim(A, M, N, hom_mn=None):
+def _cocycle_dim(A, M, N):
+    """dim Z^1(M, N), the kernel of the relation differential
+    (`_relation_rows`): Ext^1 is Z^1 / B^1 (`ext1_complex_dim`), and
+    Z^1(M, M) is the tangent space of the scheme at M (`tangent_dim`)."""
+    rows, nvars = _relation_rows(A, M, N)
+    return nvars - sparse_rank(rows)
+
+
+def ext1_complex_dim(A, M, N):
     """dim Ext^1(M, N) from the start of the standard complex of a
     quadratic monomial algebra (from its minimal bimodule resolution):
         + Hom(M_v, N_v)  ->  + Hom(M_s(a), N_t(a))  ->  + Hom(M_s(b), N_t(a))
     over the vertices, the arrows and the relations (a, b).  The kernel
     of the first map is Hom(M, N), so B^1 has dimension
-    sum dim M_v dim N_v - dim Hom(M, N); the second map is
-    `_relation_rows`, with kernel Z^1; and Ext^1 = Z^1 / B^1.  hom_mn,
-    when given, is dim Hom(M, N).  No presentation is built; `ext1_dim`
-    is the oracle."""
-    if hom_mn is None:
-        hom_mn = hom_dim(A, M, N)
-    rows, nvars = _relation_rows(A, M, N)
-    b1 = sum(x * y for x, y in zip(M.dims, N.dims)) - hom_mn
-    return nvars - sparse_rank(rows) - b1
+    sum dim M_v dim N_v - dim Hom(M, N); the kernel of the second is
+    Z^1 (`_cocycle_dim`); and Ext^1 = Z^1 / B^1.  No presentation is
+    built; `ext1_dim` is the oracle."""
+    b1 = sum(x * y for x, y in zip(M.dims, N.dims)) - hom_dim(A, M, N)
+    return _cocycle_dim(A, M, N) - b1
 
 
 def e_invariant(A, decM, decN):

@@ -34,15 +34,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FalseVerdict, InputError, InternalError
-from .exactlinalg import sparse_rank
-from .homological import (_ext1_of_presentation, _relation_rows,
-                          _tau_of_presentation, ext1_complex_dim, g_vector,
-                          hom_dim_oracle, min_proj_presentation)
+from .homological import (_cocycle_dim, _ext1_minus_hom,
+                          _tau_of_presentation, g_vector, hom_dim_oracle,
+                          min_proj_presentation)
 from .quiver import (InvalidDimensionVector, _dimension_vector, is_jacobian,
                      rho_blocks, transport_dimvec)
 from .strings import (BandWord, InvalidString, _algebra_memo, _word_rep,
                       _word_table, band_parameters, conjugate, decompose,
-                      random_glpoint, rank_function_of, word_sum)
+                      hom_dim, random_glpoint, rank_function_of, word_sum)
 
 
 class NotJacobian(InputError):
@@ -309,11 +308,10 @@ def is_smooth_point(A, M):
 
 
 def tangent_dim(A, M):
-    """dim of the scheme tangent space at M: ambient dimension minus the
-    rank of the differential of the relation equations
-    (`homological._relation_rows` with N = M)."""
-    rows, nvars = _relation_rows(A, M, M)
-    return nvars - sparse_rank(rows)
+    """dim of the scheme tangent space at M: the kernel of the
+    differential of the relation equations, which is Z^1(M, M) of the
+    standard complex (`homological._cocycle_dim`)."""
+    return _cocycle_dim(A, M, M)
 
 
 def components_through(A, M):
@@ -402,8 +400,8 @@ def generic_multiset(A, Z):
     candidates that still fit it; they are every word that fits d.  A
     multiset that adds up is certified generic by the exact dimension
     count dim Z = dim GL - dim End + #bands, with dim End summed over the
-    pairs of its summands (`_word_pairs`).  Results are memoized on the
-    algebra object.
+    Hom table of its summand pairs (`_word_pairs`).  Results are memoized
+    on the algebra object.
     """
     d, r = Z.d, Z.rank()
     total = sum(d)
@@ -424,7 +422,7 @@ def generic_multiset(A, Z):
         return [c for c in cands if (state - c[1]) & guards == guards]
 
     def certify(sol):
-        end = sum(pair[0] for pair in _word_pairs(A, sol))
+        end = sum(_word_pairs(A, sol, hom_dim))
         q = sum(isinstance(w, BandWord) for w in sol)
         return dz == gl - end + q
 
@@ -461,52 +459,33 @@ def _summands(words):
             for w in words]
 
 
-def _small(A, x):
-    """(module, g-vector) of the summand x = (word, parameter), each built
-    once and kept on the algebra (`_word_rep`, `_word_gvectors`)."""
-    M = _word_rep(A, *x)
+def _word_g(A, x):
+    """g-vector of the summand x = (word, parameter), kept on the algebra
+    (`_word_gvectors`); its module is `_word_rep`'s."""
     gvecs = _algebra_memo(A, "_word_gvectors")
     if x not in gvecs:
-        gvecs[x] = g_vector(A, M)
-    return M, gvecs[x]
+        gvecs[x] = g_vector(A, _word_rep(A, *x))
+    return gvecs[x]
 
 
-def _word_pairs(A, words, full=False):
-    """Per ordered pair (i, j) of summands of the generic direct sum of
-    `words`, (dim Hom(M_i, M_j),), or with `full` (dim Hom(M_i, M_j),
-    dim Ext^1(M_i, M_j), dim Hom(M_i, tau M_j)), in row-major order.
-
-    The summands are those of `_summands`.  These dimensions are read off
-    small word modules (`_small`) and kept on the algebra (`_word_pairs`)
-    by (w_i, w_j, i == j and w_i a band): the values do not depend on the
-    parameters as long as two distinct band summands have distinct ones,
-    but a band's pair with itself differs from its pair with another
-    summand of the same word.
-    Ext^1 comes from the standard complex (`ext1_complex_dim`), and
-    dim Hom(M_i, tau M_j) = dim Hom(M_j, M_i) + g(M_j) . dim M_i (the
-    dual E-invariant formula), so no presentation and no tau is built."""
-    memo = _algebra_memo(A, "_word_pairs")
+def _word_pairs(A, words, dim):
+    """dim(A, M_i, M_j) per ordered pair (i, j) of the summands
+    (`_summands`) of the generic direct sum of `words`, in row-major
+    order, for dim = `hom_dim` (the Hom table) or `_cocycle_dim` (the Z^1
+    table).  Each table is kept on the algebra (`_word_pairs`, one dict
+    per dim) by (w_i, w_j, i == j and w_i a band): the values do not
+    depend on the parameters as long as two distinct band summands have
+    distinct ones, but a band's pair with itself differs from its pair
+    with another summand of the same word."""
+    memo = _algebra_memo(A, "_word_pairs").setdefault(dim, {})
     summands = _summands(words)
-
-    def pair(x, y, same):
-        key = (x[0], y[0], same)
-        if key not in memo:
-            memo[key] = (hom_dim_oracle(A, _word_rep(A, *x),
-                                        _word_rep(A, *y)),)
-        return memo[key]
-
     out = []
     for i, x in enumerate(summands):
         for j, y in enumerate(summands):
-            same = i == j and x[1] is not None
-            got = pair(x, y, same)
-            if full and len(got) < 3:
-                (Mi, _), (Mj, gj) = _small(A, x), _small(A, y)
-                back = pair(y, x, same)[0]  # dim Hom(M_j, M_i)
-                got = memo[(x[0], y[0], same)] = got + (
-                    ext1_complex_dim(A, Mi, Mj, got[0]),
-                    back + sum(g * d for g, d in zip(gj, Mi.dims)))
-            out.append(got if full else got[:1])
+            key = (x[0], y[0], i == j and x[1] is not None)
+            if key not in memo:
+                memo[key] = dim(A, _word_rep(A, *x), _word_rep(A, *y))
+            out.append(memo[key])
     return out
 
 
@@ -538,7 +517,7 @@ def ceh_values(A, Z, seed=0):
         end = hom_dim_oracle(A, M, M)
         c = dz - (gl - end)
         pres = min_proj_presentation(A, M)
-        e = _ext1_of_presentation(A, pres, M, end)
+        e = end + _ext1_minus_hom(A, pres, M)
         h = hom_dim_oracle(A, M, _tau_of_presentation(A, pres))
         t = (c, e, h)
         best = t if best is None else tuple(min(x, y) for x, y in zip(best, t))
@@ -546,17 +525,22 @@ def ceh_values(A, Z, seed=0):
 
 
 def ceh_by_words(A, Z):
-    """(c, e, h) of the component summed over ordered pairs of summands
-    of its certified multiset (`generic_multiset`): dim End,
-    dim Ext^1(M, M) and dim Hom(M, tau M) are additive over the direct
-    sum, c = dim Z - dim GL + dim End, and each pair is read off small
-    word modules (`_word_pairs`): Ext^1 from the standard complex, and
-    Hom(-, tau -) from Hom and the g-vector.  It builds no generic point,
-    no presentation and no tau; the sampled `ceh_values` is its
-    oracle."""
-    pairs = _word_pairs(A, generic_multiset(A, Z), full=True)
-    end, e, h = (sum(col) for col in zip(*pairs)) if pairs else (0, 0, 0)
-    return component_dim(A, Z) - dim_gl(Z.d) + end, e, h
+    """(c, e, h) at the generic direct sum M of the component's certified
+    multiset, from the standard complex.  dim End M and dim Z^1(M, M) sum
+    the Hom and Z^1 tables of its summands (`_word_pairs`), and the orbit
+    has dimension dim GL - dim End M: c = dim Z - orbit, e = dim Z^1 -
+    orbit (Ext^1 is Z^1 modulo the orbit's tangent space, Voigt), and
+    h = dim Hom(M, tau M) = dim End M + g(M) . d (the E-invariant, g(M)
+    the sum of the word g-vectors `_word_g`).  It builds no generic
+    point, no presentation and no tau; `ceh_values` is its oracle."""
+    words = generic_multiset(A, Z)
+    gl = dim_gl(Z.d)
+    orbit = gl - sum(_word_pairs(A, words, hom_dim))
+    gd = sum(g * d for x in _summands(words)
+             for g, d in zip(_word_g(A, x), Z.d))
+    return (component_dim(A, Z) - orbit,
+            sum(_word_pairs(A, words, _cocycle_dim)) - orbit,
+            gl - orbit + gd)
 
 
 def canonical_decomposition(A, Z, seed=0):
@@ -611,12 +595,12 @@ class DecoratedComponent:
 
 def decorated_g_vector(A, DZ, words=None):
     """Generic g-vector of a decorated component: g is additive over
-    direct sums, so it is the decoration plus the word g-vectors (`_small`)
+    direct sums, so it is the decoration plus the word g-vectors (`_word_g`)
     of the generic module's word multiset: `words` when the caller knows
     it (a lamination names it, `surface.lamination_words`), else the
     certified multiset.  It builds no generic point; the g-vector of a
     `generic_point` is its oracle."""
     if words is None:
         words = generic_multiset(A, DZ.component)
-    return tuple(map(sum, zip(DZ.v, *(_small(A, x)[1]
+    return tuple(map(sum, zip(DZ.v, *(_word_g(A, x)
                                       for x in _summands(words)))))

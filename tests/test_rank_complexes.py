@@ -16,7 +16,8 @@ from gentlelam import (BandWord, band_module, build_QT, ceh_by_words,
                        g_vector, homological, min_proj_presentation, schemes,
                        string_module, tangent_dim, tau_dtr)
 from gentlelam.fileio import algebra_from_dict, triangulation_from_dict
-from gentlelam.homological import DecoratedModule, _g_of_presentation
+from gentlelam.homological import (DecoratedModule, _cocycle_dim,
+                                   _g_of_presentation)
 from gentlelam.strings import (band_parameters, conjugate, hom_dim,
                                random_glpoint)
 
@@ -100,9 +101,11 @@ def test_self_ext1_is_tangent_space_modulo_orbit(case):
 
 @pytest.mark.parametrize("name", ("torus_quiver", "pants", "double_loop"))
 def test_word_pairs_match_the_presentation_oracles(name):
-    """Every entry of the full pair list against Hom, `ext1_dim` and
-    Hom(M_i, tau_dtr(M_j)) of the summand modules, which take their band
-    parameters as `word_sum` does."""
+    """Every entry of the Hom table against `hom_dim`, and of the Z^1
+    table less B^1 against `ext1_dim`, of the summand modules, which take
+    their band parameters as `word_sum` does; and the Hom table with the
+    g-vectors against Hom(M, tau_dtr(M)) of their sum M, summed over the
+    pairs as dim Hom(M_i, tau_dtr(M_j))."""
     A = golden_algebra(name)
     words = enumerate_strings(A, 2) + enumerate_bands(A, 4)
     rng = random.Random(4)
@@ -111,11 +114,20 @@ def test_word_pairs_match_the_presentation_oracles(name):
         lams = band_parameters()
         mods = [band_module(A, w, next(lams)) if isinstance(w, BandWord)
                 else string_module(A, w) for w in multiset]
-        got = iter(schemes._word_pairs(A, multiset, full=True))
+        homs = schemes._word_pairs(A, multiset, hom_dim)
+        z1s = iter(schemes._word_pairs(A, multiset, _cocycle_dim))
+        got = iter(homs)
+        into_tau = 0
         for Mi in mods:
             for Mj in mods:
-                assert next(got) == (hom_dim(A, Mi, Mj), ext1_dim(A, Mi, Mj),
-                                     hom_dim(A, Mi, tau_dtr(A, Mj)))
+                hom = hom_dim(A, Mi, Mj)
+                b1 = sum(x * y for x, y in zip(Mi.dims, Mj.dims)) - hom
+                assert next(got) == hom
+                assert next(z1s) - b1 == ext1_dim(A, Mi, Mj)
+                into_tau += hom_dim(A, Mi, tau_dtr(A, Mj))
+        g = [sum(col) for col in zip(*(g_vector(A, M) for M in mods))]
+        d = [sum(col) for col in zip(*(M.dims for M in mods))]
+        assert into_tau == sum(homs) + sum(x * y for x, y in zip(g, d))
 
 
 def test_g_vector_and_pair_route_build_no_presentation(monkeypatch):

@@ -8,8 +8,9 @@ import pytest
 
 from gentlelam import (BandWord, Quiver, ceh_by_words, ceh_values,
                        components, schemes, strings, validate_gentle)
+from gentlelam.homological import _cocycle_dim
 from gentlelam.schemes import _candidates, _pack, generic_multiset
-from gentlelam.strings import word_shape
+from gentlelam.strings import hom_dim, word_shape
 
 
 def fresh_torus_algebra():
@@ -26,17 +27,22 @@ def test_repeated_band_word_fills_both_keys():
     B = words[0]
     assert isinstance(B, BandWord) and words == [B, B]
     assert ceh_by_words(A, Z) == ceh_values(A, Z, seed=11) == (2, 2, 2)
-    memo = A.__dict__["_word_pairs"]
-    # M(B, lam) is a brick with tau M = M; two parameters see nothing
-    assert memo[(B, B, True)] == (1, 1, 1)
-    assert memo[(B, B, False)] == (0, 0, 0)
+    hom = A.__dict__["_word_pairs"][hom_dim]
+    z1 = A.__dict__["_word_pairs"][_cocycle_dim]
+    # M(B, lam) is a brick with Ext^1(M, M) = 1; two parameters see
+    # nothing, and Z^1 = Ext^1 + B^1 with B^1 = 3 - dim Hom, as
+    # dim M = (0, 1, 1, 1)
+    assert (hom[(B, B, True)], z1[(B, B, True)]) == (1, 3)
+    assert (hom[(B, B, False)], z1[(B, B, False)]) == (0, 3)
 
 
 def test_string_pairs_carry_no_same_summand_key(torus_algebra):
     A = torus_algebra
     for Z in components(A, (1, 1, 1, 0)):
         ceh_by_words(A, Z)
-    assert not [k for k in A.__dict__["_word_pairs"]
+    tables = A.__dict__["_word_pairs"]
+    assert set(tables) == {hom_dim, _cocycle_dim}
+    assert not [k for table in tables.values() for k in table
                 if k[2] and not isinstance(k[0], BandWord)]
 
 
