@@ -14,11 +14,14 @@ handles each end as the start of the word or of its inverse (`_cohook`,
 the letter before a factor; the letter after it, inverted, is the letter
 before the factor in the inverse word, so one rule serves both sides.
 
-The algebra is quadratic monomial, so g-vectors (`g_vector`, from the
-ranks of `_tor_ranks`) and Ext^1 (`ext1_complex_dim`, from the standard
-complex) are also read off matrices built from the arrows and the
-relations, with no presentation; the presentation routes
-(`_g_of_presentation`, `ext1_dim`) are their oracles.
+The algebra is quadratic monomial, so Hom, Z^1, Ext^1 and g-vectors are
+also read off its standard complex C^0 -> C^1 -> C^2 of the vertices,
+arrows and relations, with no presentation.  One row builder
+(`strings._complex_rows`) writes both differentials: Hom(M, N) = ker d^0
+(`strings._intertwiner_rows`) and Z^1(M, N) = ker d^1 (`_relation_rows`,
+read by `_cocycle_dim` alone).  Ext^1 = Z^1 / B^1 (`ext1_complex_dim`),
+and g_v(M) = dim Z^1(M, S_v) - dim M_v (`g_vector`).  The presentation
+routes (`_g_of_presentation`, `ext1_dim`) are their oracles.
 """
 
 from dataclasses import dataclass
@@ -26,11 +29,11 @@ from dataclasses import dataclass
 from .errors import InternalError
 from .exactlinalg import (_echelon, _forward, _ratio, nullspace,
                           sparse_rank)
-from .quiver import _algebra_memo
-from .strings import (BandWord, StringWord, _letter_table, _subrep,
-                      _sum_offsets, canonical_band, canonical_string,
-                      direct_sum, hom_dim, letter_inv, letter_s, letter_t,
-                      make_rep, string_word, zero_rep)
+from .quiver import _algebra_memo, _kept
+from .strings import (BandWord, StringWord, _complex_rows, _letter_table,
+                      _subrep, _sum_offsets, _word_rep, canonical_band,
+                      canonical_string, direct_sum, hom_dim, letter_inv,
+                      letter_s, letter_t, make_rep, string_word, zero_rep)
 
 hom_dim_oracle = hom_dim
 
@@ -158,8 +161,9 @@ class Presentation:
     shared with every presentation of the same n_vec (see `_p0`).
 
     The presentation is built for tau (`tau_dtr`), Ext^1 (`ext1_dim`)
-    and the E-invariant; `g_vector` reads n_vec and m_vec off ranks
-    instead (`_tor_ranks`), and `_g_of_presentation` is its oracle.
+    and the E-invariant; `g_vector` reads m_vec - n_vec off the standard
+    complex instead (dim Z^1(M, S_v) - dim M_v), and `_g_of_presentation`
+    is its oracle.
     """
     n_vec: tuple  # top multiplicities of M
     m_vec: tuple  # top multiplicities of Omega(M)
@@ -219,57 +223,21 @@ def min_proj_presentation(A, M):
 
 
 def g_vector(A, dec):
-    """g_i = m_i - n_i + dim V_i, where n and m are the top multiplicities
-    of M and of Omega M in the minimal presentation of M, read off the
-    ranks of `_tor_ranks` without building the presentation.  The
-    presentation route `_g_of_presentation` is the oracle."""
+    """g_v = dim Z^1(M, S_v) - dim M_v + v_v = m_v - n_v + v_v: the tops
+    n_v of M and m_v of Omega M are dim Hom(M, S_v) and dim Ext^1(M, S_v),
+    and dim Z^1 = dim Ext^1 + dim B^1 = m_v + dim M_v - n_v.  S_v is
+    `_word_rep` of the trivial string at v, kept on the algebra.  No
+    presentation is built; `_g_of_presentation` is the oracle."""
     M = dec.module if isinstance(dec, DecoratedModule) else dec
     v = dec.decoration if isinstance(dec, DecoratedModule) else (0,) * A.n
-    n_vec, m_vec = _tor_ranks(A, M)
-    return tuple(m - n + x for m, n, x in zip(m_vec, n_vec, v))
+    simples = _kept(A, "_simples", lambda: tuple(
+        _word_rep(A, StringWord((), u)) for u in range(1, A.n + 1)))
+    return tuple(_cocycle_dim(A, M, S) - d + x
+                 for S, d, x in zip(simples, M.dims, v))
 
 
 def _g_of_presentation(pres, v):
     return tuple(m - n + x for m, n, x in zip(pres.m_vec, pres.n_vec, v))
-
-
-def _tor_ranks(A, M):
-    """(n_vec, m_vec): per vertex v, n_v = dim Tor_0(S_v^op, M), the top
-    multiplicity of M at v, and m_v = dim Tor_1(S_v^op, M) =
-    dim Ext^1(M, S_v), the top multiplicity of Omega M.
-
-    A quadratic monomial algebra resolves the simple right module at v
-    by the arrows a into v and the relations (a, b) with a into v, so
-    Tor(S_v^op, M) is the homology of
-        + M_s(b)  --d2-->  + M_s(a)  --d1-->  M_v,
-    where d1 = [M_a] and d2 sends x in the summand of (a, b) to M_b x in
-    block a (d1 d2 = 0 since M_a M_b = 0).  So n_v = dim M_v - rank d1
-    and m_v = sum dim M_s(a) - rank d1 - rank d2.  d2 is block diagonal
-    over a, each block the matrices M_b of the relations (a, b) side by
-    side."""
-    n_vec, m_vec = [], []
-    for v in range(1, A.n + 1):
-        into = A.quiver.arrows_into(v)
-        r1 = _rank_side_by_side([M.mats[a] for a in into])
-        r2 = sum(_rank_side_by_side([M.mats[b] for a2, b in A.relations
-                                     if a2 == a]) for a in into)
-        n_vec.append(M.dims[v - 1] - r1)
-        m_vec.append(sum(M.dims[A.s(a) - 1] for a in into) - r1 - r2)
-    return tuple(n_vec), tuple(m_vec)
-
-
-def _rank_side_by_side(mats):
-    """Rank of the matrices (with equal row counts) placed side by
-    side."""
-    rows = {}
-    off = 0
-    for m in mats:
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                if x:
-                    rows.setdefault(i, {})[off + j] = x
-        off += len(m[0]) if m else 0
-    return sparse_rank(rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -401,33 +369,15 @@ def _ext1_minus_hom(A, pres, N):
 
 def _relation_rows(A, M, N):
     """(rows, variable count) of the relation differential
-    (f_a) -> (N_a f_b + f_a M_b), one row per entry of each relation
-    (a, b), on the variables f_a: M_s(a) -> N_t(a), arrow by arrow (entry
-    (u, k) of f_a is variable offs[a] + u * dim M_s(a) + k)."""
-    dM, dN = M.dims, N.dims
-    offs = {}
-    off = 0
-    for aid in A.arrow_ids:
-        offs[aid] = off
-        off += dM[A.s(aid) - 1] * dN[A.t(aid) - 1]
-    rows = []
-    for a, b in A.relations:
-        Na, Mb = N.mats[a], M.mats[b]
-        dsa, dsb = dM[A.s(a) - 1], dM[A.s(b) - 1]
-        # entry (u, v) of f_a M_b + N_a f_b
-        for u in range(dN[A.t(a) - 1]):
-            for v in range(dsb):
-                row = {}
-                for k in range(dsa):
-                    if Mb[k][v]:
-                        row[offs[a] + u * dsa + k] = Mb[k][v]
-                for k, x in enumerate(Na[u]):
-                    if x:
-                        key = offs[b] + k * dsb + v
-                        row[key] = row.get(key, 0) + x
-                if row:
-                    rows.append(row)
-    return rows, off
+    (f_a) -> (f_a M_b + N_a f_b), one row per entry of each relation
+    (a, b), on the variables f_a: M_s(a) -> N_t(a), arrow by arrow
+    (`strings._complex_rows`, blocks per arrow, one term per relation)."""
+    pos = {aid: i for i, aid in enumerate(A.arrow_ids)}
+    sizes = [(N.dims[t - 1], M.dims[s - 1]) for _, s, t in A.quiver.arrows]
+    rows, _, nvars = _complex_rows(
+        sizes, [(pos[a], M.mats[b], pos[b], N.mats[a], range(sizes[pos[b]][1]))
+                for a, b in A.relations if sizes[pos[a]][0]], 1)
+    return rows, nvars
 
 
 def _cocycle_dim(A, M, N):

@@ -39,9 +39,9 @@ from .homological import (_cocycle_dim, _ext1_minus_hom,
                           min_proj_presentation)
 from .quiver import (InvalidDimensionVector, _dimension_vector, is_jacobian,
                      rho_blocks, transport_dimvec)
-from .strings import (BandWord, InvalidString, _algebra_memo, _word_rep,
-                      _word_table, band_parameters, conjugate, decompose,
-                      hom_dim, random_glpoint, rank_function_of, word_sum)
+from .strings import (BandWord, InvalidString, _algebra_memo, _glpoint,
+                      _word_rep, _word_table, band_parameters, conjugate,
+                      decompose, hom_dim, rank_function_of, word_sum)
 
 
 class NotJacobian(InputError):
@@ -451,42 +451,39 @@ def generic_multiset(A, Z):
     return list(sol)
 
 
-def _summands(words):
-    """(word, parameter) per summand of the generic direct sum `word_sum`
-    of `words`: a string has None, a band the next `band_parameters()`."""
-    lams = band_parameters()
-    return [(w, next(lams)) if isinstance(w, BandWord) else (w, None)
-            for w in words]
-
-
-def _word_g(A, x):
-    """g-vector of the summand x = (word, parameter), kept on the algebra
-    (`_word_gvectors`); its module is `_word_rep`'s."""
+def _word_g(A, w):
+    """g-vector of the module of the word w, kept on the algebra by the
+    word (`_word_gvectors`); that of M(B, lam) does not depend on lam, so
+    a band's is read at lam = 2."""
     gvecs = _algebra_memo(A, "_word_gvectors")
-    if x not in gvecs:
-        gvecs[x] = g_vector(A, _word_rep(A, *x))
-    return gvecs[x]
+    if w not in gvecs:
+        gvecs[w] = g_vector(A, _word_rep(A, w, 2))
+    return gvecs[w]
+
+
+def _word_pair(A, dim, v, w, same=False):
+    """dim(A, M, N) for the modules M and N of two summands with words v
+    and w of a generic direct sum (one summand when `same`), for dim =
+    `hom_dim` or `_cocycle_dim`, kept on the algebra (`_word_pairs`, one
+    dict per dim) by (v, w, same).  The value depends on the words alone
+    as long as distinct band summands have distinct parameters, so M is
+    M(v, 2) and N is M(w, 2), or M(w, 3) for two summands of one band."""
+    memo = _algebra_memo(A, "_word_pairs").setdefault(dim, {})
+    key = (v, w, same)
+    if key not in memo:
+        memo[key] = dim(A, _word_rep(A, v, 2),
+                        _word_rep(A, w, 3 if v == w and not same else 2))
+    return memo[key]
 
 
 def _word_pairs(A, words, dim):
-    """dim(A, M_i, M_j) per ordered pair (i, j) of the summands
-    (`_summands`) of the generic direct sum of `words`, in row-major
-    order, for dim = `hom_dim` (the Hom table) or `_cocycle_dim` (the Z^1
-    table).  Each table is kept on the algebra (`_word_pairs`, one dict
-    per dim) by (w_i, w_j, i == j and w_i a band): the values do not
-    depend on the parameters as long as two distinct band summands have
-    distinct ones, but a band's pair with itself differs from its pair
-    with another summand of the same word."""
+    """`_word_pair` per ordered pair (i, j) of the summands of the generic
+    direct sum of `words`, in row-major order: the Hom table for
+    dim = `hom_dim`, the Z^1 table for `_cocycle_dim`."""
     memo = _algebra_memo(A, "_word_pairs").setdefault(dim, {})
-    summands = _summands(words)
-    out = []
-    for i, x in enumerate(summands):
-        for j, y in enumerate(summands):
-            key = (x[0], y[0], i == j and x[1] is not None)
-            if key not in memo:
-                memo[key] = dim(A, _word_rep(A, *x), _word_rep(A, *y))
-            out.append(memo[key])
-    return out
+    keys = [(v, w, i == j and isinstance(v, BandWord))
+            for i, v in enumerate(words) for j, w in enumerate(words)]
+    return [memo[k] if k in memo else _word_pair(A, dim, *k) for k in keys]
 
 
 def generic_point(A, Z, seed=0):
@@ -497,7 +494,11 @@ def generic_point(A, Z, seed=0):
     words = generic_multiset(A, Z)
     rng = random.Random(seed)
     M = word_sum(A, words, band_parameters(rng))
-    N = conjugate(A, M, random_glpoint(rng, M.dims, 3))
+    # the draws of `random_glpoint`, g_v formed only where it acts: at the
+    # ends of an arrow with nonzero dims at both ends
+    live = {v - 1 for _, s, t in A.quiver.arrows
+            if M.dims[s - 1] and M.dims[t - 1] for v in (s, t)}
+    N = conjugate(A, M, _glpoint(rng, M.dims, 3, live))
     # conjugation is an isomorphism, and band ranks do not depend on the
     # parameter, so N has the rank function of the component
     rf = rank_function_of(A, N)
@@ -536,8 +537,7 @@ def ceh_by_words(A, Z):
     words = generic_multiset(A, Z)
     gl = dim_gl(Z.d)
     orbit = gl - sum(_word_pairs(A, words, hom_dim))
-    gd = sum(g * d for x in _summands(words)
-             for g, d in zip(_word_g(A, x), Z.d))
+    gd = sum(g * d for w in words for g, d in zip(_word_g(A, w), Z.d))
     return (component_dim(A, Z) - orbit,
             sum(_word_pairs(A, words, _cocycle_dim)) - orbit,
             gl - orbit + gd)
@@ -602,5 +602,4 @@ def decorated_g_vector(A, DZ, words=None):
     `generic_point` is its oracle."""
     if words is None:
         words = generic_multiset(A, DZ.component)
-    return tuple(map(sum, zip(DZ.v, *(_word_g(A, x)
-                                      for x in _summands(words)))))
+    return tuple(map(sum, zip(DZ.v, *(_word_g(A, w) for w in words))))

@@ -469,27 +469,20 @@ def _word_table(A, dims):
 
 
 def _word_rep(A, w, lam=None):
-    """The module of a StringWord, or of a BandWord with parameter lam,
-    built once per (word, parameter) and kept on the algebra
-    (`_word_modules`)."""
+    """The module of a StringWord (which ignores lam), or of a BandWord
+    with parameter lam, built once per (word, parameter) and kept on the
+    algebra (`_word_modules`)."""
+    band = isinstance(w, BandWord)
+    key = (w, lam if band else None)
     memo = _algebra_memo(A, "_word_modules")
-    M = memo.get((w, lam))
+    M = memo.get(key)
     if M is None:
-        M = memo[(w, lam)] = (string_module(A, w) if lam is None
-                              else band_module(A, w, lam))
+        M = memo[key] = band_module(A, w, lam) if band else string_module(A, w)
     return M
 
 
 def rank_function_of(A, rep):
-    r = {}
-    for aid in A.arrow_ids:
-        rows = []
-        for row in rep.mats[aid]:
-            d = {j: x for j, x in enumerate(row) if x}
-            if d:
-                rows.append(d)
-        r[aid] = sparse_rank(rows)
-    return r
+    return {aid: sparse_rank(rep.mats[aid]) for aid in A.arrow_ids}
 
 
 def _room(A, max_len, dims):
@@ -654,14 +647,16 @@ def word_sum(A, words, lams=None):
 def conjugate(A, rep, gs):
     """g.M for an invertible matrix tuple g (one matrix per vertex).  The
     inverse is exact; for a unimodular integer g (as `random_glpoint`
-    draws) it is an integer matrix, and g.M is integral when M is."""
-    inv = [mat_inverse(gs[v]) if rep.dims[v] else [] for v in range(A.n)]
-    mats = {}
+    draws) it is an integer matrix, and g.M is integral when M is.  g_v
+    is read only where an arrow with nonzero dims at both ends meets v."""
+    inv, mats = {}, {}
     for aid in A.arrow_ids:
         sv, tv = A.s(aid) - 1, A.t(aid) - 1
         # an arrow at a zero space keeps make_rep's zero matrix: its
         # product would go through an empty factor, which mat_mul rejects
         if rep.dims[sv] and rep.dims[tv]:
+            if sv not in inv:
+                inv[sv] = mat_inverse(gs[sv])
             mats[aid] = mat_mul(mat_mul(gs[tv], rep.mat(aid)), inv[sv])
     return make_rep(A, rep.dims, mats)
 
@@ -670,13 +665,19 @@ def random_glpoint(rng, dims, bound=5):
     """One unimodular integer matrix per vertex, g = L * U with L lower
     and U upper unitriangular, their off-diagonal entries drawn from
     [-bound, bound]: det g = 1, so g^-1 is an integer matrix too."""
+    return _glpoint(rng, dims, bound, range(len(dims)))
+
+
+def _glpoint(rng, dims, bound, live):
+    """The draws of `random_glpoint`, with g_v = L * U formed only for the
+    vertices v (0-based) in `live`, None at the others."""
     gs = []
-    for d in dims:
+    for v, d in enumerate(dims):
         lo = [[rng.randint(-bound, bound) if j < i else int(i == j)
                for j in range(d)] for i in range(d)]
         up = [[rng.randint(-bound, bound) if j > i else int(i == j)
                for j in range(d)] for i in range(d)]
-        gs.append(mat_mul(lo, up))
+        gs.append(mat_mul(lo, up) if v in live else None)
     return gs
 
 
@@ -684,40 +685,49 @@ def random_glpoint(rng, dims, bound=5):
 # Hom spaces and Krull-Schmidt decomposition
 
 
+def _complex_rows(sizes, terms, sign):
+    """Sparse rows of a differential of the standard complex of the
+    arrows and relations, (f_x) -> f_i X + sign Y f_j, one term per arrow
+    or relation.  The unknowns come in blocks: f_x is a matrix of shape
+    sizes[x] = (rows, columns), its entry (u, k) the unknown
+    offs[x] + u columns + k.  A term (i, X, j, Y, ws) gives the entries
+    (u, w) of f_i X + sign Y f_j, u over the rows of f_i and w over ws,
+    columns of f_j.  Returns (rows, offs, unknowns)."""
+    offs = list(itertools.accumulate((r * c for r, c in sizes), initial=0))
+    rows = []
+    for i, X, j, Y, ws in terms:
+        oi, (ri, ci) = offs[i], sizes[i]
+        oj, (rj, cj) = offs[j], sizes[j]
+        for u in range(ri):
+            Yu, base = Y[u], oi + u * ci
+            for w in ws:
+                row = {}
+                for k in range(ci):
+                    if X[k][w]:
+                        row[base + k] = X[k][w]
+                for k in range(rj):
+                    if Yu[k]:
+                        key = oj + k * cj + w
+                        row[key] = row.get(key, 0) + sign * Yu[k]
+                if row:
+                    rows.append(row)
+    return rows, offs[:-1], offs[-1]
+
+
 def _intertwiner_rows(A, M, N, skip=None):
     """The equations f_t M_a = N_a f_s of Hom(M, N) as sparse rows, one
     per arrow a, basis vector w of M at s(a) and coordinate u of N at
-    t(a): f(M_a w) = N_a f(w) in coordinate u.  Returns (rows, offs,
-    unknowns); f_v is the N_v x M_v matrix of the unknowns
-    offs[v] + u dM_v + k.  skip = (a, w) leaves out the rows of that one
-    pair."""
-    offs = []
-    off = 0
-    for v in range(A.n):
-        offs.append(off)
-        off += M.dims[v] * N.dims[v]
-    rows = []
-    for aid in A.arrow_ids:
-        sv, tv = A.s(aid) - 1, A.t(aid) - 1
-        Ma, Na = M.mats[aid], N.mats[aid]
-        dMs, dMt = M.dims[sv], M.dims[tv]
-        ws = range(dMs)
+    t(a): f(M_a w) = N_a f(w) in coordinate u (`_complex_rows`, blocks
+    per vertex, one term per arrow).  Returns (rows, offs, unknowns);
+    f_v is the N_v x M_v matrix of the unknowns offs[v] + u dM_v + k.
+    skip = (a, w) leaves out the rows of that one pair."""
+    terms = []
+    for aid, s, t in A.quiver.arrows:
+        ws = range(M.dims[s - 1])
         if skip is not None and skip[0] == aid:
             ws = [w for w in ws if w != skip[1]]
-        for u in range(N.dims[tv]):
-            for w in ws:
-                row = {}
-                for k in range(dMt):
-                    if Ma[k][w]:
-                        key = offs[tv] + u * dMt + k
-                        row[key] = row.get(key, 0) + Ma[k][w]
-                for k in range(N.dims[sv]):
-                    if Na[u][k]:
-                        key = offs[sv] + k * dMs + w
-                        row[key] = row.get(key, 0) - Na[u][k]
-                if row:
-                    rows.append(row)
-    return rows, offs, off
+        terms.append((t - 1, M.mats[aid], s - 1, N.mats[aid], ws))
+    return _complex_rows(list(zip(N.dims, M.dims)), terms, -1)
 
 
 def hom_dim(A, M, N):

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError
 from .quiver import Quiver, _UF, _kept, is_jacobian, validate_gentle
-from .schemes import DecoratedComponent, _summands, _word_g, _word_pairs, \
-    components, is_tau_reduced
+from .schemes import DecoratedComponent, _word_g, _word_pair, components, \
+    is_tau_reduced
 from .strings import BandWord, StringWord, canonical_band, \
     canonical_string, hom_dim, word_shape, word_walk
 
@@ -691,9 +691,10 @@ def int_zero(T, gamma, delta):
     An arc of the triangulation meets exactly the curves that cross it.
     Two other curves are disjoint exactly when Hom(M, tau N) and
     Hom(N, tau M) vanish for their modules M and N, and by the
-    E-invariant dim Hom(M, tau N) = dim Hom(N, M) + g(N) . dim M, read off
-    the Hom table of their two words (`schemes._word_pairs`, which gives
-    two copies of one loop distinct band parameters) and `schemes._word_g`.
+    E-invariant dim Hom(M, tau N) = dim Hom(N, M) + g(N) . dim M.  It
+    reads Hom(M, N) and Hom(N, M) off the pair values of the two words
+    (`schemes._word_pair`, which gives two copies of one loop distinct
+    band parameters) and their g-vectors off `schemes._word_g`.
     """
     if gamma.kind == "arc" and delta.kind == "arc":
         return True
@@ -701,10 +702,10 @@ def int_zero(T, gamma, delta):
         arc, other = (gamma, delta) if gamma.kind == "arc" else (delta, gamma)
         return arc.arc not in set(other.crossings)
     A = build_QT(T)
-    words = [curve_to_module(T, gamma), curve_to_module(T, delta)]
-    _, mn, nm, _ = _word_pairs(A, words, hom_dim)
-    (gm, dm), (gn, dn) = ((_word_g(A, x), word_shape(A, x[0])[0])
-                          for x in _summands(words))
+    v, w = curve_to_module(T, gamma), curve_to_module(T, delta)
+    mn, nm = _word_pair(A, hom_dim, v, w), _word_pair(A, hom_dim, w, v)
+    (gm, dm), (gn, dn) = ((_word_g(A, x), word_shape(A, x)[0])
+                          for x in (v, w))
     return (nm + sum(g * d for g, d in zip(gn, dm)) == 0
             and mn + sum(g * d for g, d in zip(gm, dn)) == 0)
 

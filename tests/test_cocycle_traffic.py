@@ -2,8 +2,10 @@
 pinned.
 
 `surface.int_zero` reads Hom(M, tau N) = Hom(N, M) + g(N) . dim M off the
-Hom table and the g-vectors, so it builds no relation rows; `ceh_by_words`
-builds them once per new key of the Z^1 table.  The values of
+Hom pair values and the g-vectors, so it builds relation rows only inside
+`g_vector` (g_v = dim Z^1(M, S_v) - dim M_v, against the simples);
+`ceh_by_words` builds them outside `g_vector` once per new key of the
+Z^1 table.  The values of
 `ceh_by_words` over every component of {0,1,2}^n on the five golden
 algebras are pinned by a digest taken on commit 85d3c9e, before e and h
 were read off the two differentials of the standard complex: sha256 of
@@ -12,16 +14,19 @@ order below, `itertools.product` order and component order."""
 
 import hashlib
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
+import lamgen
 from conftest import GOLDEN_ALGEBRAS, GOLDEN_SURFACES, case_algebra, golden
 from gentlelam import build_QT, ceh_by_words, components, homological, \
-    int_zero
+    int_zero, schemes, strings, surface
 from gentlelam.fileio import triangulation_from_dict
 from gentlelam.homological import _cocycle_dim
 from gentlelam.schemes import generic_multiset
 from lamgen import curve_pool
+from test_curve_layer import PAIRS, _accepted
 
 CEH_ALGEBRAS = ("torus_quiver", "double_loop", "two_cycle", "a3_relation",
                 "loop_algebra")
@@ -32,16 +37,31 @@ CEH_SHA256 = \
 
 @pytest.fixture
 def relation_rows(monkeypatch):
-    """The (M, N) of every `_relation_rows` call, in order."""
-    calls = []
-    real = homological._relation_rows
+    """The (M, N) of every `_relation_rows` call, in order: `g` holds the
+    calls made inside `g_vector` (which `schemes._word_g` calls), `pairs`
+    all others."""
+    calls = SimpleNamespace(pairs=[], g=[])
+    inside = []
+    real, real_g = homological._relation_rows, schemes.g_vector
 
     def counted(A, M, N):
-        calls.append((M, N))
+        (calls.g if inside else calls.pairs).append((M, N))
         return real(A, M, N)
 
+    def g_vector(A, M):
+        inside.append(M)
+        try:
+            return real_g(A, M)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(homological, "_relation_rows", counted)
+    monkeypatch.setattr(schemes, "g_vector", g_vector)
     return calls
+
+
+def against_simples(calls):
+    return all(sum(N.dims) == 1 for _, N in calls)
 
 
 @pytest.mark.parametrize("name", GOLDEN_SURFACES)
@@ -52,7 +72,44 @@ def test_int_zero_builds_no_relation_rows(name, relation_rows):
     verdicts = [int_zero(T, g, pool[j]) for i, g in enumerate(pool)
                 for j in range(i, len(pool))]
     assert len(pool) > 5 and any(verdicts) and not all(verdicts)
-    assert relation_rows == []
+    assert relation_rows.pairs == []
+    assert relation_rows.g and against_simples(relation_rows.g)
+
+
+def test_int_zero_builds_hom_of_a_module_with_itself_only_for_a_string(
+        monkeypatch):
+    """On fresh copies of the pools of `tests/test_curve_layer.py`, pool
+    construction included: Hom(M, M) rows (one module object as both
+    arguments) are built only for a string curve against itself, whose
+    verdict reads dim Hom(M, M); never for two distinct curves, and never
+    for a loop, whose second copy takes another band parameter."""
+    current, diagonal = [None], []
+    real_rows, real_int_zero = strings._intertwiner_rows, surface.int_zero
+
+    def rows(A, M, N, skip=None):
+        if M is N:
+            diagonal.append(current[0])
+        return real_rows(A, M, N, skip)
+
+    def int_zero_at(T, g, h):
+        current[0] = (g, h)
+        return real_int_zero(T, g, h)
+
+    monkeypatch.setattr(strings, "_intertwiner_rows", rows)
+    monkeypatch.setattr(lamgen, "int_zero", int_zero_at)
+    surfaces = [triangulation_from_dict(golden(f"{name}.json"))
+                for name in ("pants", "hexagon", "annulus")]
+    surfaces += itertools.islice(
+        (T for T in _accepted() if len(T.internal_arcs) >= 2), 60)
+    verdicts = 0
+    for T in surfaces:
+        pool = curve_pool(T, build_QT(T), max_crossings=8, depth=5)
+        for i, g in enumerate(pool):
+            for h in pool[i:]:
+                int_zero_at(T, g, h)
+                verdicts += 1
+    assert verdicts == PAIRS
+    assert diagonal and all(g is h and g.kind == "open" for g, h in diagonal)
 
 
 def test_ceh_by_words_builds_rows_once_per_new_cocycle_key(relation_rows):
@@ -64,9 +121,10 @@ def test_ceh_by_words_builds_rows_once_per_new_cocycle_key(relation_rows):
     assert len(set(words)) < len(words)
     first = ceh_by_words(A, Z)
     table = A.__dict__["_word_pairs"][_cocycle_dim]
-    assert len(relation_rows) == len(table) < len(words) ** 2
+    assert len(relation_rows.pairs) == len(table) < len(words) ** 2
     assert ceh_by_words(A, Z) == first
-    assert len(relation_rows) == len(table)
+    assert len(relation_rows.pairs) == len(table)
+    assert against_simples(relation_rows.g)
 
 
 def test_ceh_by_words_beyond_the_pants_is_pinned():

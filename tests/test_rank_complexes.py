@@ -10,8 +10,8 @@ import random
 import pytest
 
 from conftest import golden
-from gentlelam import (BandWord, band_module, build_QT, ceh_by_words,
-                       components, direct_sum, enumerate_bands,
+from gentlelam import (BandWord, StringWord, band_module, build_QT,
+                       ceh_by_words, components, direct_sum, enumerate_bands,
                        enumerate_strings, ext1_complex_dim, ext1_dim,
                        g_vector, homological, min_proj_presentation, schemes,
                        string_module, tangent_dim, tau_dtr)
@@ -63,11 +63,14 @@ def case(request):
 
 def test_tor_ranks_give_the_g_vector_of_the_presentation(case):
     A, mods = case
+    simples = [string_module(A, StringWord((), v)) for v in range(1, A.n + 1)]
     rng = random.Random(1)
     for M in mods:
         v = tuple(rng.randint(0, 2) for _ in range(A.n))
         pres = min_proj_presentation(A, M)
-        assert homological._tor_ranks(A, M) == (pres.n_vec, pres.m_vec)
+        # Hom(M, S_v) and Ext^1(M, S_v): the tops of M and of Omega M
+        assert [(hom_dim(A, M, S), ext1_complex_dim(A, M, S))
+                for S in simples] == list(zip(pres.n_vec, pres.m_vec))
         assert g_vector(A, DecoratedModule(M, v)) == \
             _g_of_presentation(pres, v)
 

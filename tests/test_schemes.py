@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from conftest import case_algebra
 from gentlelam import (InputError, InvalidDimensionVector, NotJacobian,
                        StringWord, band_module,
                        block_critical_summands, canonical_decomposition,
@@ -11,10 +13,11 @@ from gentlelam import (InputError, InvalidDimensionVector, NotJacobian,
                        is_smooth_point, is_tau_reduced,
                        maximal_rank_functions, rank_function_of,
                        rank_functions, string_module, tangent_dim,
-                       tau_reduced_components_census)
+                       strings, tau_reduced_components_census)
 from gentlelam.schemes import (components_through, generic_multiset,
                                max_component_dim_through)
-from gentlelam.strings import make_rep
+from gentlelam.strings import (band_parameters, conjugate, make_rep,
+                               random_glpoint, word_sum)
 
 
 def test_rank_functions_a3(a3_relation):
@@ -56,6 +59,44 @@ def test_the_word_search_takes_a_thousand_summands(pants_algebra):
     # limit (1,000 by default) does not bound the number of summands
     (Z,) = components(pants_algebra, (1000, 0, 0, 0, 0, 0))
     assert generic_multiset(pants_algebra, Z) == [StringWord((), 1)] * 1000
+
+
+def test_generic_point_forms_no_matrix_where_no_arrow_acts(monkeypatch,
+                                                           pants_algebra):
+    # no arrow of the pants has both ends at vertex 1, so the 300 x 300
+    # conjugating matrix there would act on nothing
+    calls = []
+    for name in ("mat_mul", "mat_inverse"):
+        real = getattr(strings, name)
+
+        def counted(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(strings, name, counted)
+    d = (300, 0, 0, 0, 0, 0)
+    (Z,) = components(pants_algebra, d)
+    M = generic_point(pants_algebra, Z, seed=5)
+    assert calls == []
+    assert M == direct_sum(pants_algebra, [
+        string_module(pants_algebra, StringWord((), 1))] * 300)
+
+
+@pytest.mark.parametrize("name", ("pants", "torus_quiver", "double_loop"))
+def test_generic_points_keep_the_draws_of_random_glpoint(name):
+    # the parent route: every g_v = L U formed from the same draws
+    A = case_algebra(name)
+    seen = 0
+    for d in itertools.product(range(3), repeat=A.n):
+        if sum(d) > 5:
+            continue
+        for Z in components(A, d):
+            for seed in (0, 3):
+                rng = random.Random(seed)
+                M = word_sum(A, generic_multiset(A, Z), band_parameters(rng))
+                want = conjugate(A, M, random_glpoint(rng, M.dims, 3))
+                assert generic_point(A, Z, seed) == want, (d, Z.r, seed)
+                seen += 1
+    assert seen > 100
 
 
 def test_component_counts(a3_relation, double_loop, loop_algebra):

@@ -3,13 +3,18 @@ the packed multiset search behind it."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from gentlelam import (BandWord, Quiver, ceh_by_words, ceh_values,
-                       components, schemes, strings, validate_gentle)
+from conftest import case_algebra
+from gentlelam import (BandWord, Quiver, band_module, ceh_by_words,
+                       ceh_values, components, enumerate_bands,
+                       enumerate_strings, g_vector, schemes, string_module,
+                       strings, validate_gentle)
 from gentlelam.homological import _cocycle_dim
-from gentlelam.schemes import _candidates, _pack, generic_multiset
+from gentlelam.schemes import (_candidates, _pack, _word_g, _word_pair,
+                               generic_multiset)
 from gentlelam.strings import hom_dim, word_shape
 
 
@@ -133,3 +138,38 @@ def test_multiset_adds_up_to_the_component(torus_algebra):
             assert (tuple(dims), ranks) == (d, Z.rank()), (d, Z.r)
             strings = sum(not isinstance(w, BandWord) for w in words)
             assert strings == sum(d) - sum(Z.rank().values())
+
+
+# bands of <= 6 letters (double_loop has none shorter than 8, the other
+# three none at all); pants 3, torus 6, double_loop 8
+PARAMETER_CASES = (("pants", 6), ("torus_quiver", 6), ("double_loop", 8),
+                   ("two_cycle", 6), ("loop_algebra", 6), ("a3_relation", 6))
+
+
+def test_pair_values_and_g_of_bands_do_not_depend_on_the_parameters():
+    """The pair values read at parameters 2 and 3 (`_word_pair`) and the
+    g-vectors read at 2 (`_word_g`) against other distinct parameters:
+    each band with itself, with a second summand of its word, with every
+    other band and with every string of <= 3 letters, both ways."""
+    others = ((5, 11), (Fraction(-1, 3), Fraction(7, 2)))
+    bands_seen = 0
+    for name, max_len in PARAMETER_CASES:
+        A = case_algebra(name)
+        bands = enumerate_bands(A, max_len)
+        strs = [(S, string_module(A, S)) for S in enumerate_strings(A, 3)]
+        bands_seen += len(bands)
+        for B in bands:
+            for lam, mu in others:
+                M, N = band_module(A, B, lam), band_module(A, B, mu)
+                assert g_vector(A, M) == _word_g(A, B)
+                for dim in (hom_dim, _cocycle_dim):
+                    assert dim(A, M, M) == _word_pair(A, dim, B, B, True)
+                    assert dim(A, M, N) == _word_pair(A, dim, B, B)
+                    for C in bands:
+                        if C != B:
+                            assert dim(A, M, band_module(A, C, mu)) == \
+                                _word_pair(A, dim, B, C), (B, C)
+                    for S, X in strs:
+                        assert dim(A, M, X) == _word_pair(A, dim, B, S)
+                        assert dim(A, X, M) == _word_pair(A, dim, S, B)
+    assert bands_seen == 17
