@@ -10,9 +10,12 @@ standard_homs (complete basis of Hom between string/band modules) and
 tau_string (hook/cohook surgery on the word).  Both write each end rule
 once, as the far end of a word is the start of its inverse: tau_string
 handles each end as the start of the word or of its inverse (`_cohook`,
-`_hook`), and the factor rules of standard_homs test the inverse flag of
+`_hook`), and the factor rule of standard_homs tests the inverse flag of
 the letter before a factor; the letter after it, inverted, is the letter
 before the factor in the inverse word, so one rule serves both sides.
+A band is a string read around its cycle, so one generator (`_factors`)
+yields the factors of both: a band's letters are read cyclically, and
+its factors wrap around up to a length bound.
 
 The algebra is quadratic monomial, so Hom, Z^1, Ext^1 and g-vectors are
 also read off its standard complex C^0 -> C^1 -> C^2 of the vertices,
@@ -510,49 +513,32 @@ def tau_string(A, C):
 # standard homomorphisms
 
 
-def _string_splits(A, C, kind):
-    """Factorizations (D, E, F) of a string; kind 'sub' for S(C) and
-    'quot' for F(C).  Yields (i, j, E) with E a letter tuple or
-    ('triv', vertex).  The letter before E (if any) is inverse for 'sub'
-    and direct for 'quot'; inverted, the letter after E is the letter
-    before E^- in the inverse word, so its own flag is the other one."""
-    if C.is_trivial:
-        yield (0, 0, ("triv", C.vertex))
+def _factors(A, X, kind, max_len=None):
+    """Factorizations (D, E, F) of a word; kind 'sub' for S(X) and
+    'quot' for F(X).  E is a letter tuple or ('triv', vertex), and the
+    letter before E (if any) is inverse for 'sub' and direct for 'quot';
+    inverted, the letter after E is the letter before E^- in the inverse
+    word, so its own flag is the other one.  A string yields (i, j, E)
+    with E its letters i..j-1; a band is the same rule read around its
+    cycle and yields (offset, length, E) for every length <= max_len."""
+    if not X.letters:
+        yield (0, 0, ("triv", X.vertex))
         return
+    band = isinstance(X, BandWord)
     before = kind == "sub"
-    ls = C.letters
+    ls = X.letters
     m = len(ls)
-
-    def vertex_at(i):
-        return letter_t(A, ls[i]) if i < m else letter_s(A, ls[m - 1])
-
-    for i in range(m + 1):
-        if i and ls[i - 1][1] != before:
+    # a band's letters around its cycle, as often as max_len needs
+    ring = ls * (2 + max_len // m) if band else ls
+    for i in range(m if band else m + 1):
+        if (i or band) and ls[i - 1][1] != before:
             continue
-        for j in range(i, m + 1):
-            if j < m and ls[j][1] == before:
+        for j in range(i, i + max_len + 1 if band else m + 1):
+            if (j < m or band) and ring[j][1] == before:
                 continue
-            E = ls[i:j] if j > i else ("triv", vertex_at(i))
-            yield (i, j, E)
-
-
-def _band_occurrences(A, B, kind, max_len):
-    """Wrapped factor occurrences (offset, length, E) of a band.
-
-    kind 'quot': previous letter direct and next letter inverse (images
-    of the band module); kind 'sub': the other way around."""
-    before = kind == "sub"
-    ls = B.letters
-    m = len(ls)
-    for o in range(m):
-        if ls[(o - 1) % m][1] != before:
-            continue
-        for L in range(0, max_len + 1):
-            if ls[(o + L) % m][1] == before:
-                continue
-            E = tuple(ls[(o + t) % m] for t in range(L)) if L else \
-                ("triv", letter_t(A, ls[o]))
-            yield (o, L, E)
+            E = ring[i:j] if j > i else \
+                ("triv", letter_t(A, ls[i]) if i < m else letter_s(A, ls[-1]))
+            yield (i, j - i if band else j, E)
 
 
 def _e_inverse(E):
@@ -571,16 +557,10 @@ def standard_homs(A, X, Y):
     out = []
     x_band = isinstance(X, BandWord)
     y_band = isinstance(Y, BandWord)
-    if x_band:
-        max_q = (len(Y) if not y_band else len(X) + len(Y)) + 2
-        quots = list(_band_occurrences(A, X, "quot", max_q))
-    else:
-        quots = list(_string_splits(A, X, "quot"))
-    if y_band:
-        max_s = (len(X) if not x_band else len(X) + len(Y)) + 2
-        subs = list(_band_occurrences(A, Y, "sub", max_s))
-    else:
-        subs = list(_string_splits(A, Y, "sub"))
+    quots = list(_factors(A, X, "quot", (len(X) if y_band else 0)
+                          + len(Y) + 2))
+    subs = list(_factors(A, Y, "sub", (len(Y) if x_band else 0)
+                         + len(X) + 2))
     # a quotient factor E1 matches sub-factor k when E1 equals it
     # (oriented) or its inverse (not oriented); a trivial factor is its
     # own inverse and matches oriented.  Indexing each sub-factor under

@@ -69,10 +69,6 @@ class LaurentPoly:
         return LaurentPoly(n, items)
 
     @staticmethod
-    def zero(n):
-        return LaurentPoly(n, ())
-
-    @staticmethod
     def one(n):
         return LaurentPoly.monomial(n, (0,) * n, (0,) * n)
 

@@ -30,6 +30,7 @@ bounded by the local boxes, not by the box of d: on the pants algebra
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -400,7 +401,7 @@ def generic_multiset(A, Z):
     candidates that still fit it; they are every word that fits d.  A
     multiset that adds up is certified generic by the exact dimension
     count dim Z = dim GL - dim End + #bands, with dim End summed over the
-    Hom table of its summand pairs (`_word_pairs`).  Results are memoized
+    Hom table of its summand pairs (`_pair_sum`).  Results are memoized
     on the algebra object.
     """
     d, r = Z.d, Z.rank()
@@ -422,7 +423,7 @@ def generic_multiset(A, Z):
         return [c for c in cands if (state - c[1]) & guards == guards]
 
     def certify(sol):
-        end = sum(_word_pairs(A, sol, hom_dim))
+        end = _pair_sum(A, sol, hom_dim)
         q = sum(isinstance(w, BandWord) for w in sol)
         return dz == gl - end + q
 
@@ -476,14 +477,24 @@ def _word_pair(A, dim, v, w, same=False):
     return memo[key]
 
 
-def _word_pairs(A, words, dim):
-    """`_word_pair` per ordered pair (i, j) of the summands of the generic
-    direct sum of `words`, in row-major order: the Hom table for
-    dim = `hom_dim`, the Z^1 table for `_cocycle_dim`."""
-    memo = _algebra_memo(A, "_word_pairs").setdefault(dim, {})
-    keys = [(v, w, i == j and isinstance(v, BandWord))
-            for i, v in enumerate(words) for j, w in enumerate(words)]
-    return [memo[k] if k in memo else _word_pair(A, dim, *k) for k in keys]
+def _pair_sum(A, words, dim):
+    """The sum of `_word_pair` over the ordered pairs (i, j) of the
+    summands of the generic direct sum of `words`: dim End for
+    dim = `hom_dim`, dim Z^1(M, M) for `_cocycle_dim`.  A repeated word
+    repeats its values, so the sum runs over the distinct words, weighted
+    by their multiplicities; of the m^2 pairs of a band repeated m times,
+    the m pairs of one summand with itself take the key `same`."""
+    mult = Counter(words)
+    total = 0
+    for v, mv in mult.items():
+        for w, mw in mult.items():
+            n = mv * mw
+            if v == w and isinstance(v, BandWord):
+                total += mv * _word_pair(A, dim, v, v, True)
+                n -= mv
+            if n:
+                total += n * _word_pair(A, dim, v, w)
+    return total
 
 
 def generic_point(A, Z, seed=0):
@@ -528,7 +539,7 @@ def ceh_values(A, Z, seed=0):
 def ceh_by_words(A, Z):
     """(c, e, h) at the generic direct sum M of the component's certified
     multiset, from the standard complex.  dim End M and dim Z^1(M, M) sum
-    the Hom and Z^1 tables of its summands (`_word_pairs`), and the orbit
+    the Hom and Z^1 tables of its summands (`_pair_sum`), and the orbit
     has dimension dim GL - dim End M: c = dim Z - orbit, e = dim Z^1 -
     orbit (Ext^1 is Z^1 modulo the orbit's tangent space, Voigt), and
     h = dim Hom(M, tau M) = dim End M + g(M) . d (the E-invariant, g(M)
@@ -536,10 +547,10 @@ def ceh_by_words(A, Z):
     point, no presentation and no tau; `ceh_values` is its oracle."""
     words = generic_multiset(A, Z)
     gl = dim_gl(Z.d)
-    orbit = gl - sum(_word_pairs(A, words, hom_dim))
+    orbit = gl - _pair_sum(A, words, hom_dim)
     gd = sum(g * d for w in words for g, d in zip(_word_g(A, w), Z.d))
     return (component_dim(A, Z) - orbit,
-            sum(_word_pairs(A, words, _cocycle_dim)) - orbit,
+            _pair_sum(A, words, _cocycle_dim) - orbit,
             gl - orbit + gd)
 
 
@@ -567,23 +578,11 @@ def tau_reduced_components_census(A, d_bound):
     if not is_jacobian(A):
         raise NotJacobian("census requires a gentle Jacobian algebra")
     out = []
-    n = A.n
-    d = [0] * n
-
-    def rec(i):
-        if i == n:
-            dv = tuple(d)
-            hits = [Z for Z in components(A, dv) if is_tau_reduced(A, Z)]
-            if len(hits) > 1:
-                raise UniquenessViolation(f"{len(hits)} tau-reduced components at {dv}")
-            out.extend((dv, Z) for Z in hits)
-            return
-        for v in range(d_bound + 1):
-            d[i] = v
-            rec(i + 1)
-        d[i] = 0
-
-    rec(0)
+    for dv in itertools.product(range(d_bound + 1), repeat=A.n):
+        hits = [Z for Z in components(A, dv) if is_tau_reduced(A, Z)]
+        if len(hits) > 1:
+            raise UniquenessViolation(f"{len(hits)} tau-reduced components at {dv}")
+        out.extend((dv, Z) for Z in hits)
     return out
 
 

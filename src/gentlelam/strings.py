@@ -636,7 +636,7 @@ def word_sum(A, words, lams=None):
     """Direct sum of the modules of string and band words, each band
     taking the next parameter from `lams` (default: band_parameters()).
     The summands come from `_word_rep`, so a module that the algebra
-    already holds (the modules of `schemes._word_pairs`, say) is
+    already holds (the modules of `schemes._word_pair`, say) is
     not built again."""
     lams = band_parameters() if lams is None else lams
     return direct_sum(A, [_word_rep(A, w, next(lams)

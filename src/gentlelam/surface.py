@@ -14,15 +14,19 @@ gives each letter's triangle back.
 
 Curves are crossing sequences.  An open curve carries two endpoint
 markers (boundary_segment, end) naming the marked point it starts and
-ends at; a loop is a cyclic sequence.  Each consecutive pair of crossed
+ends at; a loop is a cyclic sequence, an open curve whose ends are
+glued, and each rule on curves is written once for the open kind and
+read around the cycle for a loop.  Each consecutive pair of crossed
 arcs travels through a triangle containing both; those triangles are
-reconstructed by propagation (the two transitions at a crossing must
-use the two different sides of the crossed arc).  An open curve must be
-in minimal position: it leaves each endpoint through the side opposite
-it in its end triangle, so each endpoint is the corner opposite its end
-crossing, and any other endpoint is an input error (`NotLocallyMinimal`).
-Rotation and shear read each end of a curve off that corner.  Whether two
-curves can be made disjoint is read off the pair of their words.
+reconstructed by one walk (`_assign_transitions`) that crosses each arc
+into the triangle on its other side, and a loop's walk must close up.
+An open curve must be in minimal position: it leaves each endpoint
+through the side opposite it in its end triangle, so each endpoint is
+the corner opposite its end crossing, and any other endpoint is an input
+error (`NotLocallyMinimal`).  Rotation and shear read each end of a
+curve off that corner; shear reads a loop's ends as each other's
+neighbours (`_extended_data`).  Whether two curves can be made disjoint
+is read off the pair of their words.
 """
 
 from dataclasses import dataclass, field
@@ -268,6 +272,7 @@ def validate_curve(T, kind, crossings=(), endpoints=(), arc=None):
     Cancels one immediate backtrack (tau, tau', tau crossing the same
     triangle twice) before giving up.  Each endpoint of an open curve
     must be the corner opposite its end crossing in its end triangle.
+    Loops and open curves share one path; a loop is read around its cycle.
     """
     n = len(T.internal_arcs)
     if kind == "arc":
@@ -279,45 +284,34 @@ def validate_curve(T, kind, crossings=(), endpoints=(), arc=None):
         if type(c) is not int or not 1 <= c <= n:
             raise InconsistentSequence(f"unknown arc {c!r} in sequence")
     m = len(crossings)
-    if kind == "loop":
+    cyclic = kind == "loop"
+    if cyclic:
         if m < 1:
             raise InconsistentSequence("loops must cross at least one arc")
-        for i in range(m):
-            if crossings[i] == crossings[(i + 1) % m] and m > 1:
-                raise InconsistentSequence("equal consecutive arcs")
         if m == 1:
             raise InconsistentSequence(
                 "a loop crossing a single arc once is contractible")
-        try:
-            trans = _assign_transitions(T, crossings, cyclic=True)
-        except NotLocallyMinimal:
-            red = _cancel_backtrack(T, crossings, cyclic=True)
-            if red is None:
-                raise
-            return validate_curve(T, "loop", red)
-        return CurveSeq("loop", crossings=crossings, transitions=tuple(trans))
-    if kind != "open":
+        endpoints = ()
+    elif kind != "open":
         raise InconsistentSequence(f"unknown curve kind {kind!r}")
-    if len(endpoints) != 2:
+    elif len(endpoints) != 2:
         raise InconsistentSequence("open curves need two endpoint markers")
-    pa = T.marked_of_marker(endpoints[0])
-    pb = T.marked_of_marker(endpoints[1])
-    for i in range(m - 1):
-        if crossings[i] == crossings[i + 1]:
-            raise InconsistentSequence("equal consecutive arcs")
-    if m == 0:
+    ends = tuple(T.marked_of_marker(e) for e in endpoints)
+    if m == 0:  # an open curve: a loop crosses at least two arcs
         raise InconsistentSequence(
             "a crossing-free open curve is an arc of the triangulation "
             "or boundary-parallel; pass kind='arc'")
+    for i in range(m if cyclic else m - 1):
+        if crossings[i] == crossings[(i + 1) % m]:
+            raise InconsistentSequence("equal consecutive arcs")
     try:
-        trans = _assign_transitions(T, crossings, cyclic=False,
-                                    pa=pa, pb=pb)
+        trans = _assign_transitions(T, crossings, cyclic, *ends)
     except NotLocallyMinimal:
-        red = _cancel_backtrack(T, crossings, cyclic=False)
+        red = _cancel_backtrack(T, crossings, cyclic)
         if red is None:
             raise
-        return validate_curve(T, "open", red, endpoints)
-    return CurveSeq("open", crossings=crossings, endpoints=tuple(endpoints),
+        return validate_curve(T, kind, red, endpoints)
+    return CurveSeq(kind, crossings=crossings, endpoints=tuple(endpoints),
                     transitions=tuple(trans))
 
 
@@ -327,52 +321,33 @@ def _other_side(T, arc, tri):
 
 
 def _assign_transitions(T, crossings, cyclic, pa=None, pb=None):
-    """Triangles of the transitions; open curves get m+1 of them
-    (endpoint segments included), loops get m (cyclic)."""
+    """Triangles of the transitions, by one walk from a triangle before
+    the first crossing across each arc in turn.  Open curves start and
+    end at pa and pb and get m+1 of them (endpoint segments included);
+    loops must close up and get the m after each crossing (cyclic)."""
     m = len(crossings)
-    ntrans = m if cyclic else m + 1
-    shared = []
-    for i in range(m - 1 + (1 if cyclic else 0)):
+    for i in range(m if cyclic else m - 1):
         x, y = crossings[i], crossings[(i + 1) % m]
-        cand = [t for t in T.triangles_at_arc(x)
-                if y in T.triangles[t]]
-        if not cand:
+        if not any(y in T.triangles[t] for t in T.triangles_at_arc(x)):
             raise InconsistentSequence(
                 f"arcs {x!r}, {y!r} do not share a triangle")
-        shared.append(cand)
-
-    def propagate(first_choice):
-        if cyclic:
-            trans = [None] * m
-            trans[0] = first_choice
-            for i in range(1, m):
-                trans[i] = _other_side(T, crossings[i], trans[i - 1])
-                if crossings[(i + 1) % m] not in T.triangles[trans[i]]:
-                    return None
-            if trans[0] != _other_side(T, crossings[0], trans[m - 1]):
-                return None
-            return trans
-        trans = [None] * (m + 1)
-        trans[0] = first_choice
-        for i in range(1, m + 1):
-            trans[i] = _other_side(T, crossings[i - 1], trans[i - 1])
-            if i < m and crossings[i] not in T.triangles[trans[i]]:
-                return None
-        if T._corner(_end_corner(T, trans[m], crossings[m - 1])) != pb:
-            return None
-        return trans
-
-    if cyclic:
-        firsts = shared[0]
-    else:
-        firsts = [t for t in T.triangles_at_arc(crossings[0])
-                  if T._corner(_end_corner(T, t, crossings[0])) == pa]
-    # propagate keeps the next crossing in each transition triangle, so
-    # what it returns already meets every shared pair
-    for choice in firsts:
-        r = propagate(choice)
-        if r is not None:
-            return r
+    ts = T.triangles_at_arc(crossings[0])
+    # a loop tries the two sides of its first arc last one first, so that
+    # the triangles after it come in the order of `triangles_at_arc`
+    firsts = ts[::-1] if cyclic else \
+        [t for t in ts if T._corner(_end_corner(T, t, crossings[0])) == pa]
+    for first in firsts:
+        trans = [first]
+        for i, x in enumerate(crossings):
+            trans.append(_other_side(T, x, trans[-1]))
+            if i + 1 < m and crossings[i + 1] not in T.triangles[trans[-1]]:
+                break
+        else:
+            if cyclic and trans[m] == first:
+                return trans[1:]
+            if not cyclic and \
+                    T._corner(_end_corner(T, trans[m], crossings[-1])) == pb:
+                return trans
     if cyclic:
         raise NotLocallyMinimal("no consistent triangle assignment")
     raise NotLocallyMinimal(
@@ -383,8 +358,7 @@ def _assign_transitions(T, crossings, cyclic, pa=None, pb=None):
 
 def _cancel_backtrack(T, crossings, cyclic):
     m = len(crossings)
-    rng = range(m) if cyclic else range(m - 2)
-    for i in rng:
+    for i in range(m if cyclic else m - 2):
         a, b, c = (crossings[i], crossings[(i + 1) % m],
                    crossings[(i + 2) % m])
         if a == c and len([t for t in T.triangles_at_arc(a)
@@ -612,37 +586,31 @@ def _extended_data(T, gamma):
     travelled before and after it and its neighbouring edges.
 
     For open curves and arcs the sentinel neighbours of the outermost
-    items are the forward boundary segments of the endpoints.
+    items are the forward boundary segments of the endpoints; a loop's
+    are its cyclic ones, and it starts with its closing triangle.
     """
-    if gamma.kind == "loop":
-        items = list(gamma.crossings)
-        m = len(items)
-        prev_e = [items[(k - 1) % m] for k in range(m)]
-        next_e = [items[(k + 1) % m] for k in range(m)]
-        tb = list(gamma.transitions)  # tb[i] between item i and item i+1
-        tri_before = [tb[(k - 1) % m] for k in range(m)]
-        tri_after = [tb[k] for k in range(m)]
-        return items, tri_before, tri_after, prev_e, next_e
     # tri_between[i] is the triangle travelled before item i, and its
     # last entry the one after the last item
-    if gamma.kind == "arc":
-        items, tri_between, pa, pb = _swept_arc(T, gamma.arc, True)
+    if gamma.kind == "loop":
+        items = list(gamma.crossings)
+        tri_between = [gamma.transitions[-1], *gamma.transitions]
+        sa, sb = items[-1], items[0]
     else:
-        pa, ga = _fan_place(T, _end_corner(T, gamma.transitions[0],
-                                           gamma.crossings[0]))
-        pb, gb = _fan_place(T, _end_corner(T, gamma.transitions[-1],
-                                           gamma.crossings[-1]))
-        arcs_a, before_a = _fan_sweep(T, pa, ga, True)
-        arcs_b, before_b = _fan_sweep(T, pb, gb, True)
-        items = arcs_a + list(gamma.crossings) + arcs_b[::-1]
-        tri_between = before_a + list(gamma.transitions) + before_b[::-1]
-    sa, sb = T.forward_segment(pa), T.forward_segment(pb)
-    m = len(items)
-    prev_e = [sa if k == 0 else items[k - 1] for k in range(m)]
-    next_e = [sb if k == m - 1 else items[k + 1] for k in range(m)]
-    tri_before = [tri_between[k] for k in range(m)]
-    tri_after = [tri_between[k + 1] for k in range(m)]
-    return items, tri_before, tri_after, prev_e, next_e
+        if gamma.kind == "arc":
+            items, tri_between, pa, pb = _swept_arc(T, gamma.arc, True)
+        else:
+            pa, ga = _fan_place(T, _end_corner(T, gamma.transitions[0],
+                                               gamma.crossings[0]))
+            pb, gb = _fan_place(T, _end_corner(T, gamma.transitions[-1],
+                                               gamma.crossings[-1]))
+            arcs_a, before_a = _fan_sweep(T, pa, ga, True)
+            arcs_b, before_b = _fan_sweep(T, pb, gb, True)
+            items = arcs_a + list(gamma.crossings) + arcs_b[::-1]
+            tri_between = before_a + list(gamma.transitions) + \
+                before_b[::-1]
+        sa, sb = T.forward_segment(pa), T.forward_segment(pb)
+    return (items, tri_between[:-1], tri_between[1:], [sa] + items[:-1],
+            items[1:] + [sb])
 
 
 def _follows_ccw(T, tri, x, e):

@@ -104,11 +104,12 @@ def test_self_ext1_is_tangent_space_modulo_orbit(case):
 
 @pytest.mark.parametrize("name", ("torus_quiver", "pants", "double_loop"))
 def test_word_pairs_match_the_presentation_oracles(name):
-    """Every entry of the Hom table against `hom_dim`, and of the Z^1
-    table less B^1 against `ext1_dim`, of the summand modules, which take
-    their band parameters as `word_sum` does; and the Hom table with the
-    g-vectors against Hom(M, tau_dtr(M)) of their sum M, summed over the
-    pairs as dim Hom(M_i, tau_dtr(M_j))."""
+    """The Hom value (`_word_pair`) of every ordered pair of summands
+    against `hom_dim`, and its Z^1 value less B^1 against `ext1_dim`, of
+    the summand modules, which take their band parameters as `word_sum`
+    does; the pair sums (`_pair_sum`) against the sums of those values;
+    and the Hom values with the g-vectors against Hom(M, tau_dtr(M)) of
+    their sum M, summed over the pairs as dim Hom(M_i, tau_dtr(M_j))."""
     A = golden_algebra(name)
     words = enumerate_strings(A, 2) + enumerate_bands(A, 4)
     rng = random.Random(4)
@@ -117,17 +118,19 @@ def test_word_pairs_match_the_presentation_oracles(name):
         lams = band_parameters()
         mods = [band_module(A, w, next(lams)) if isinstance(w, BandWord)
                 else string_module(A, w) for w in multiset]
-        homs = schemes._word_pairs(A, multiset, hom_dim)
-        z1s = iter(schemes._word_pairs(A, multiset, _cocycle_dim))
-        got = iter(homs)
-        into_tau = 0
-        for Mi in mods:
-            for Mj in mods:
+        homs, z1s, into_tau = [], [], 0
+        for i, (v, Mi) in enumerate(zip(multiset, mods)):
+            for j, (w, Mj) in enumerate(zip(multiset, mods)):
+                same = i == j and isinstance(v, BandWord)
+                homs.append(schemes._word_pair(A, hom_dim, v, w, same))
+                z1s.append(schemes._word_pair(A, _cocycle_dim, v, w, same))
                 hom = hom_dim(A, Mi, Mj)
                 b1 = sum(x * y for x, y in zip(Mi.dims, Mj.dims)) - hom
-                assert next(got) == hom
-                assert next(z1s) - b1 == ext1_dim(A, Mi, Mj)
+                assert homs[-1] == hom
+                assert z1s[-1] - b1 == ext1_dim(A, Mi, Mj)
                 into_tau += hom_dim(A, Mi, tau_dtr(A, Mj))
+        assert schemes._pair_sum(A, multiset, hom_dim) == sum(homs)
+        assert schemes._pair_sum(A, multiset, _cocycle_dim) == sum(z1s)
         g = [sum(col) for col in zip(*(g_vector(A, M) for M in mods))]
         d = [sum(col) for col in zip(*(M.dims for M in mods))]
         assert into_tau == sum(homs) + sum(x * y for x, y in zip(g, d))

@@ -9,8 +9,9 @@ import pytest
 
 from gentlelam import (BandWord, StringWord, enumerate_bands,
                        enumerate_strings, homological)
-from gentlelam.homological import (StandardHom, _band_occurrences,
-                                   _e_inverse, _string_splits, _two_sided)
+from gentlelam.homological import (StandardHom, _e_inverse,
+                                   _factors as _band_occurrences,
+                                   _factors as _string_splits, _two_sided)
 from gentlelam.strings import canonical_band, parse_word, string_word
 
 
