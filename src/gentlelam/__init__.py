@@ -19,10 +19,11 @@ from .schemes import (Component, ConsistencyFailure, DecoratedComponent,
                       UniquenessViolation, block_critical_summands,
                       canonical_decomposition, ceh_by_words, ceh_values,
                       component_dim, components, critical_relation_pairs,
-                      decorated_g_vector, dim_gl, generic_point,
-                      is_generically_reduced, is_smooth_point,
-                      is_tau_reduced, maximal_rank_functions, rank_functions,
-                      tangent_dim, tau_reduced_components_census)
+                      decorated_g_vector, dim_gl, generic_multiset,
+                      generic_point, glued_words, is_generically_reduced,
+                      is_smooth_point, is_tau_reduced,
+                      maximal_rank_functions, rank_functions, tangent_dim,
+                      tau_reduced_components_census)
 from .surface import (CoefficientQuiver, CurveSeq, InconsistentSequence,
                       InvalidLamination, InvalidTriangulation, Lamination,
                       NotLocallyMinimal, NotOpenCurve, Triangulation,

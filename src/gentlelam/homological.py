@@ -23,8 +23,11 @@ arrows and relations, with no presentation.  One row builder
 (`strings._complex_rows`) writes both differentials: Hom(M, N) = ker d^0
 (`strings._intertwiner_rows`) and Z^1(M, N) = ker d^1 (`_relation_rows`,
 read by `_cocycle_dim` alone).  Ext^1 = Z^1 / B^1 (`ext1_complex_dim`),
-and g_v(M) = dim Z^1(M, S_v) - dim M_v (`g_vector`).  The presentation
-routes (`_g_of_presentation`, `ext1_dim`) are their oracles.
+and g_v(M) = dim Z^1(M, S_v) - dim M_v, which needs no elimination:
+Z^1(M, S_v) has a closed form in the dims and ranks of M
+(`strings._g_of_shape`, read by `g_vector`).  The presentation routes
+(`_g_of_presentation`, `ext1_dim`) and, for g, `_cocycle_dim(M, S_v)` are
+their oracles.
 """
 
 from dataclasses import dataclass
@@ -32,11 +35,12 @@ from dataclasses import dataclass
 from .errors import InternalError
 from .exactlinalg import (_echelon, _forward, _ratio, nullspace,
                           sparse_rank)
-from .quiver import _algebra_memo, _kept
+from .quiver import _algebra_memo
 from .strings import (BandWord, StringWord, _complex_rows, _letter_table,
-                      _subrep, _sum_offsets, _word_rep, canonical_band,
+                      _g_of_shape, _subrep, _sum_offsets, canonical_band,
                       canonical_string, direct_sum, hom_dim, letter_inv,
-                      letter_s, letter_t, make_rep, string_word, zero_rep)
+                      letter_s, letter_t, make_rep, rank_function_of,
+                      string_word, zero_rep)
 
 hom_dim_oracle = hom_dim
 
@@ -164,9 +168,9 @@ class Presentation:
     shared with every presentation of the same n_vec (see `_p0`).
 
     The presentation is built for tau (`tau_dtr`), Ext^1 (`ext1_dim`)
-    and the E-invariant; `g_vector` reads m_vec - n_vec off the standard
-    complex instead (dim Z^1(M, S_v) - dim M_v), and `_g_of_presentation`
-    is its oracle.
+    and the E-invariant; `g_vector` reads m_vec - n_vec off the dims and
+    ranks of M instead (dim Z^1(M, S_v) - dim M_v, `_g_of_shape`), and
+    `_g_of_presentation` is its oracle.
     """
     n_vec: tuple  # top multiplicities of M
     m_vec: tuple  # top multiplicities of Omega(M)
@@ -228,15 +232,13 @@ def min_proj_presentation(A, M):
 def g_vector(A, dec):
     """g_v = dim Z^1(M, S_v) - dim M_v + v_v = m_v - n_v + v_v: the tops
     n_v of M and m_v of Omega M are dim Hom(M, S_v) and dim Ext^1(M, S_v),
-    and dim Z^1 = dim Ext^1 + dim B^1 = m_v + dim M_v - n_v.  S_v is
-    `_word_rep` of the trivial string at v, kept on the algebra.  No
-    presentation is built; `_g_of_presentation` is the oracle."""
+    and dim Z^1 = dim Ext^1 + dim B^1 = m_v + dim M_v - n_v.  Z^1(M, S_v)
+    has a closed form in the dims and ranks of M (`_g_of_shape`), so g is
+    read off `rank_function_of(M)` with no elimination beyond the ranks;
+    `_cocycle_dim(M, S_v)` and `_g_of_presentation` are its oracles."""
     M = dec.module if isinstance(dec, DecoratedModule) else dec
-    v = dec.decoration if isinstance(dec, DecoratedModule) else (0,) * A.n
-    simples = _kept(A, "_simples", lambda: tuple(
-        _word_rep(A, StringWord((), u)) for u in range(1, A.n + 1)))
-    return tuple(_cocycle_dim(A, M, S) - d + x
-                 for S, d, x in zip(simples, M.dims, v))
+    v = dec.decoration if isinstance(dec, DecoratedModule) else None
+    return _g_of_shape(A, M.dims, rank_function_of(A, M), v)
 
 
 def _g_of_presentation(pres, v):

@@ -11,8 +11,11 @@ through the C_m / C~_m models, whose arrows a_i: i -> t_i are read in
 one place (`_model_arrows`): the generic module of a block component is
 (+) P_i^{p_i} (+) S_i^{q_i} with p_i the rank of a_i
 (`_model_multiplicities`), and its dim End is one sum over the model's
-Hom table (`_block_end_dim`).  Generic points are produced by
-conjugating the generic direct sum with random invertible matrices.
+Hom table (`_block_end_dim`).  The words of the generic direct sum are
+read off (d, r) alone by gluing positions at each vertex (`glued_words`)
+and certified by that dimension count (`generic_multiset`); generic
+points are produced by conjugating the sum with random invertible
+matrices.
 
 Everything a component's block contributes depends on the block's local
 dims and local ranks alone, so it is solved once per algebra and kept
@@ -36,13 +39,15 @@ from typing import NamedTuple
 
 from .errors import FalseVerdict, InputError, InternalError
 from .homological import (_cocycle_dim, _ext1_minus_hom,
-                          _tau_of_presentation, g_vector, hom_dim_oracle,
+                          _tau_of_presentation, hom_dim_oracle,
                           min_proj_presentation)
-from .quiver import (InvalidDimensionVector, _dimension_vector, is_jacobian,
-                     rho_blocks, transport_dimvec)
-from .strings import (BandWord, InvalidString, _algebra_memo, _glpoint,
-                      _word_rep, _word_table, band_parameters, conjugate,
-                      decompose, hom_dim, rank_function_of, word_sum)
+from .quiver import (InvalidDimensionVector, _dimension_vector, _kept,
+                     is_jacobian, rho_blocks, transport_dimvec)
+from .strings import (BandWord, InvalidString, StringWord, _algebra_memo,
+                      _g_of_shape, _glpoint, _letter_table, _word_rep,
+                      _word_table, band_parameters, canonical_band,
+                      canonical_string, conjugate, decompose, hom_dim,
+                      letter_inv, rank_function_of, word_shape, word_sum)
 
 
 class NotJacobian(InputError):
@@ -354,12 +359,136 @@ def is_tau_reduced(A, Z):
     return not block_critical_summands(A, Z)
 
 
+def _vertex_ends(A):
+    """The gluing table of `glued_words`, one (arrow, source, target,
+    end at the source, end at the target) per arrow, vertices 0-based;
+    an end is 0 or 1, the side of the vertex from which the arrow counts
+    its positions.
+
+    At a vertex x each incoming arrow a is paired with the outgoing arrow
+    b for which ba is not a relation (the direct letter before a in the
+    letter table), and each group of arrows is one end of x: a gentle
+    algebra gives x at most two.  The first end counts from the first
+    position, the second from the last.  Built once and kept on the
+    algebra."""
+    def build():
+        before = _letter_table(A).before
+        end = {}
+        for x in range(1, A.n + 1):
+            groups = []
+            for a in A.quiver.arrows_into(x):
+                b = before[a, False][0]
+                groups.append([(a, 1)] + ([] if b is None else [(b[0], 0)]))
+            paired = {e for g in groups for e in g}
+            groups += [[(b, 0)] for b in A.quiver.arrows_from(x)
+                       if (b, 0) not in paired]
+            for k, g in enumerate(groups):
+                for e in g:
+                    end[e] = k
+        return tuple((a, s - 1, t - 1, end[a, 0], end[a, 1])
+                     for a, s, t in A.quiver.arrows)
+    return _kept(A, "_vertex_ends", build)
+
+
+def glued_words(A, Z):
+    """The words of the generic module of the component Z, read off its
+    dims and ranks alone by gluing positions at each vertex.
+
+    Vertex x has positions 1..d_x, and its two ends (`_vertex_ends`)
+    count them from opposite sides.  An arrow a of rank r_a joins
+    positions 1..r_a, counted from its end, at its source and at its
+    target: position k at s(a) goes to position k at t(a).  The arrows
+    of one end compose (ba is no relation) and meet at the positions both
+    reach, while those of a relation ba count from opposite sides and
+    miss each other, since r_a + r_b <= d_x; so the coefficient quiver
+    this builds has at most two edges at each position.  Each of its
+    paths is a string (`canonical_string`), and a cycle that reads u^k
+    gives k copies of the band u (`canonical_band`).  The words come in
+    walk order; `generic_multiset` sorts and certifies them.
+
+    Why it is generic: at x, im a in ker b is a partial flag counted from
+    one end, and im a' in ker b' one counted from the other, which puts
+    the two flags in opposite, that is generic, relative position."""
+    d, r = Z.d, Z.rank()
+    offs = list(itertools.accumulate(d, initial=0))
+    at = [v + 1 for v, dv in enumerate(d) for _ in range(dv)]
+    # per position: (next position, letter read on the way there)
+    edges = [[] for _ in at]
+    for a, s, t, es, et in _vertex_ends(A):
+        for k in range(r[a]):
+            x = offs[s] + (d[s] - 1 - k if es else k)
+            y = offs[t] + (d[t] - 1 - k if et else k)
+            edges[x].append((y, (a, True)))
+            edges[y].append((x, (a, False)))
+    seen = [False] * len(at)
+
+    def walk(x, stop):
+        # the letters from x on, never back along the edge just taken,
+        # until a position without a way on or the position `stop`
+        letters, back = [], None
+        while True:
+            seen[x] = True
+            step = next((e for e in edges[x] if e[1] != back), None)
+            if step is None:
+                return letters
+            x, c = step
+            letters.append(c)
+            if x == stop:
+                return letters
+            back = letter_inv(c)
+
+    words = []
+    for x in range(len(at)):  # the paths, each from one of its ends
+        if not seen[x] and len(edges[x]) < 2:
+            letters = walk(x, None)
+            words.append(canonical_string(A, StringWord(tuple(letters))) if
+                         letters else StringWord((), at[x]))
+    for x in range(len(at)):  # the cycles
+        if not seen[x]:
+            ls = walk(x, x)
+            m = len(ls)
+            p = next(p for p in range(2, m + 1)
+                     if m % p == 0 and ls[p:] + ls[:p] == ls)
+            words += [canonical_band(A, BandWord(tuple(ls[:p])))] * (m // p)
+    return words
+
+
+def _certified(A, Z, words):
+    """Whether the generic direct sum of `words` has an orbit family of
+    the dimension of Z: dim Z = dim GL - dim End + #bands, with dim End
+    summed over the Hom table of its summand pairs (`_pair_sum`)."""
+    return component_dim(A, Z) == dim_gl(Z.d) - _pair_sum(
+        A, words, hom_dim) + sum(isinstance(w, BandWord) for w in words)
+
+
+def generic_multiset(A, Z):
+    """The canonical decomposition of the component as a word multiset:
+    the words of `glued_words`, sorted by (-dim, str(w)) (module
+    dimension, then text), certified generic by the exact dimension count
+    (`_certified`).  A multiset that fails the count is a
+    `ConsistencyFailure`; there is no other route to fall back on.  It
+    enumerates no words and builds no word table.  Results are memoized
+    on the algebra object.  The depth-first search over every word that
+    fits d (`_search_multiset`) is its oracle in the tests."""
+    memo = _algebra_memo(A, "_multisets")
+    key = (Z.d, Z.r)
+    if key not in memo:
+        words = sorted(glued_words(A, Z), key=lambda w: (
+            -len(w) - (not isinstance(w, BandWord)), str(w)))
+        if not _certified(A, Z, words):
+            raise ConsistencyFailure(
+                f"the glued words {list(map(str, words))} of {Z.r} fail the "
+                f"dimension count")
+        memo[key] = words
+    return list(memo[key])
+
+
 def _pack(values, width):
     return sum(v << (k * width) for k, v in enumerate(values))
 
 
 def _candidates(A, d):
-    """The words the search of `generic_multiset` may use for the
+    """The words the search of `_search_multiset` may use for the
     dimension vector d, as (word, packed shape) in search order, with the
     packing: (list, width, guards, dims_mask).
 
@@ -371,9 +500,9 @@ def _candidates(A, d):
     set) and a shape c, every field of s - c is >= 0 iff (s - c) & guards
     == guards: a field that goes negative clears its own guard and
     borrows nothing from the next one.  The words and their shapes are
-    read off the word table of d (`strings._word_table`, which
-    `decompose` reads too), which holds every word whose module fits d.
-    The list depends on d only and is kept on the algebra."""
+    read off the word table of d (`strings._word_table`), which holds
+    every word whose module fits d.  The list depends on d only and is
+    kept on the algebra."""
     memo = _algebra_memo(A, "_candidates")
     if d not in memo:
         width = sum(d).bit_length() + 1
@@ -391,41 +520,25 @@ def _candidates(A, d):
     return memo[d]
 
 
-def generic_multiset(A, Z):
-    """The canonical decomposition of the component as a word multiset.
-
-    Searches, depth first in the order of `_candidates`, for strings and
-    bands whose dimension vectors, rank functions (read off the words by
-    `word_shape`) and string counts add up to (d, r, sum d - sum r); each
-    search state is one packed integer, and a child keeps only the
-    candidates that still fit it; they are every word that fits d.  A
-    multiset that adds up is certified generic by the exact dimension
-    count dim Z = dim GL - dim End + #bands, with dim End summed over the
-    Hom table of its summand pairs (`_pair_sum`).  Results are memoized
-    on the algebra object.
-    """
+def _search_multiset(A, Z):
+    """The oracle of `generic_multiset`: a depth-first search, in the
+    order of `_candidates`, for strings and bands whose dimension
+    vectors, rank functions (read off the words by `word_shape`) and
+    string counts add up to (d, r, sum d - sum r), the first that passes
+    `_certified`.  Each search state is one packed integer, and a child
+    keeps only the candidates that still fit it; they are every word
+    that fits d.  Only the tests call it; nothing is memoized but the
+    candidate list."""
     d, r = Z.d, Z.rank()
     total = sum(d)
-    memo = _algebra_memo(A, "_multisets")
-    key = (d, Z.r)
-    if key in memo:
-        return list(memo[key])
     if total == 0:
-        memo[key] = []
         return []
     cand, width, guards, dims_mask = _candidates(A, d)
     start = guards | _pack(d + tuple(r[a] for a in A.arrow_ids)
                            + (total - sum(r.values()),), width)
-    dz = component_dim(A, Z)
-    gl = dim_gl(d)
 
     def fitting(state, cands):
         return [c for c in cands if (state - c[1]) & guards == guards]
-
-    def certify(sol):
-        end = _pair_sum(A, sol, hom_dim)
-        q = sum(isinstance(w, BandWord) for w in sol)
-        return dz == gl - end + q
 
     # depth first on an explicit stack, as a multiset may hold thousands
     # of words: a frame is [state, the candidates that fit it, the index
@@ -444,22 +557,9 @@ def generic_multiset(A, Z):
         elif rest == guards:
             # every basis vector placed, and the ranks and strings too
             sol = [cs[i - 1][0] for _, cs, i in stack]
-            if certify(sol):
-                break
-    else:
-        raise SamplingFailure(f"no generic decomposition for {Z.r}")
-    memo[key] = list(sol)
-    return list(sol)
-
-
-def _word_g(A, w):
-    """g-vector of the module of the word w, kept on the algebra by the
-    word (`_word_gvectors`); that of M(B, lam) does not depend on lam, so
-    a band's is read at lam = 2."""
-    gvecs = _algebra_memo(A, "_word_gvectors")
-    if w not in gvecs:
-        gvecs[w] = g_vector(A, _word_rep(A, w, 2))
-    return gvecs[w]
+            if _certified(A, Z, sol):
+                return sol
+    raise SamplingFailure(f"no generic decomposition for {Z.r}")
 
 
 def _word_pair(A, dim, v, w, same=False):
@@ -542,13 +642,15 @@ def ceh_by_words(A, Z):
     the Hom and Z^1 tables of its summands (`_pair_sum`), and the orbit
     has dimension dim GL - dim End M: c = dim Z - orbit, e = dim Z^1 -
     orbit (Ext^1 is Z^1 modulo the orbit's tangent space, Voigt), and
-    h = dim Hom(M, tau M) = dim End M + g(M) . d (the E-invariant, g(M)
-    the sum of the word g-vectors `_word_g`).  It builds no generic
-    point, no presentation and no tau; `ceh_values` is its oracle."""
+    h = dim Hom(M, tau M) = dim End M + g(M) . d (the E-invariant), with
+    g(M) read off the component's (d, r) in closed form
+    (`strings._g_of_shape`; g is additive, and the words' shapes add
+    up to (d, r)).  It builds no generic point, no presentation, no tau
+    and no Z^1 system for g; `ceh_values` is its oracle."""
     words = generic_multiset(A, Z)
     gl = dim_gl(Z.d)
     orbit = gl - _pair_sum(A, words, hom_dim)
-    gd = sum(g * d for w in words for g, d in zip(_word_g(A, w), Z.d))
+    gd = sum(g * d for g, d in zip(_g_of_shape(A, Z.d, Z.rank()), Z.d))
     return (component_dim(A, Z) - orbit,
             _pair_sum(A, words, _cocycle_dim) - orbit,
             gl - orbit + gd)
@@ -557,13 +659,17 @@ def ceh_by_words(A, Z):
 def canonical_decomposition(A, Z, seed=0):
     """Generic decomposition of the component into string and band
     labels, found by `decompose` at the generic point of `seed` and
-    checked against the certified multiset of `generic_multiset`."""
+    checked against the certified multiset of `generic_multiset`, whose
+    words `decompose` tries first on every piece (so it builds a word
+    table only for a piece that none of them matches, at that piece's
+    dims)."""
+    words = generic_multiset(A, Z)
     M = generic_point(A, Z, seed)
-    parts = decompose(A, M, seed=seed)
+    parts = decompose(A, M, seed=seed, words=words)
     labels = [("band", x[0]) if isinstance(x, tuple) else ("string", x)
               for x in parts]
     want = sorted(("band" if isinstance(w, BandWord) else "string", str(w))
-                  for w in generic_multiset(A, Z))
+                  for w in words)
     got = sorted((kind, str(w)) for kind, w in labels)
     if got != want:
         raise ConsistencyFailure(
@@ -593,12 +699,16 @@ class DecoratedComponent:
 
 
 def decorated_g_vector(A, DZ, words=None):
-    """Generic g-vector of a decorated component: g is additive over
-    direct sums, so it is the decoration plus the word g-vectors (`_word_g`)
-    of the generic module's word multiset: `words` when the caller knows
-    it (a lamination names it, `surface.lamination_words`), else the
-    certified multiset.  It builds no generic point; the g-vector of a
-    `generic_point` is its oracle."""
+    """Generic g-vector of a decorated component: the decoration plus
+    g read in closed form off a shape (`_g_of_shape`): the component's
+    own (d, r), or, when the caller names the generic module's words (a
+    lamination does, `surface.lamination_words`), the shape of each word
+    (`word_shape`), summed, as g is additive.  g is constant on a dense
+    open subset of the component (Plamondon), so no multiset, generic
+    point or Z^1 system is built; the g-vector of a `generic_point` is
+    its oracle."""
+    Z = DZ.component
     if words is None:
-        words = generic_multiset(A, DZ.component)
-    return tuple(map(sum, zip(DZ.v, *(_word_g(A, w) for w in words))))
+        return _g_of_shape(A, Z.d, Z.rank(), DZ.v)
+    return tuple(map(sum, zip(DZ.v, *(_g_of_shape(A, *word_shape(A, w))
+                                      for w in words))))

@@ -439,32 +439,62 @@ def word_shape(A, w):
     return tuple(dims), ranks
 
 
+def _g_of_shape(A, dims, ranks, v=None):
+    """The g-vector, plus the decoration v when given, of a module M with
+    dimension vector `dims` and ranks {arrow: rank}, with no elimination.
+
+    g_x = dim Z^1(M, S_x) - dim M_x (`homological.g_vector`).  The
+    unknowns of Z^1(M, S_x) are the rows f_a: M_s(a) -> k of the arrows a
+    into x, and S_x kills every arrow, so the one condition on f_a is
+    f_a M_b = 0 for the one arrow b with (a, b) a relation, if any: f_a
+    vanishes on im M_b.  So dim Z^1(M, S_x) = sum over the arrows a into
+    x of d_s(a) - r_b (r_b = 0 without b).  g is linear in (dims, ranks),
+    so the g-vector of a direct sum, and the generic one of a component
+    (constant on a dense open subset of it, Plamondon), is read off the
+    summed shape.  `_cocycle_dim(M, S_x)` and the presentation are its
+    oracles in the tests."""
+    partner = _kept(A, "_relation_partners", lambda: dict(A.relations))
+    g = [x - d for x, d in zip(v or (0,) * A.n, dims)]
+    for a, s, t in A.quiver.arrows:
+        b = partner.get(a)
+        g[t - 1] += dims[s - 1] - (0 if b is None else ranks[b])
+    return tuple(g)
+
+
 def _word_table(A, dims):
     """All canonical strings and bands whose modules fit dims (no word
-    longer than sum dims does), grouped by shape: {dims + ranks in arrow
-    order (read off `word_shape`): the words of that shape}, strings in
-    the order of `enumerate_strings`, then bands in that of
+    longer than sum dims does), grouped by shape (`_shape_table`),
+    strings in the order of `enumerate_strings`, then bands in that of
     `enumerate_bands`.
 
     A shape fixes the string count (sum dims - sum ranks: 1 for a string,
     0 for a band), so each group holds strings only or bands only.  The
-    table is kept on the algebra by dims; each word's shape is read once
-    per algebra (`_word_shapes`, with the first object of the word, which
-    every later table then holds in place of its own copy).  The search of
-    `schemes.generic_multiset` and `decompose` both read it."""
+    table is kept on the algebra by dims.  `decompose` reads it for a
+    piece that none of the words it was handed matches, at the piece's
+    own dims; the multiset search of the tests (`schemes._candidates`)
+    reads it too."""
     dims = tuple(dims)
     tables = _algebra_memo(A, "_word_tables")
-    table = tables.get(dims)
-    if table is None:
-        shapes = _algebra_memo(A, "_word_shapes")
-        table = tables[dims] = {}
-        for w in (enumerate_strings(A, sum(dims), dims)
-                  + enumerate_bands(A, sum(dims), dims)):
-            if w not in shapes:
-                wdims, ranks = word_shape(A, w)
-                shapes[w] = (w, wdims + tuple(ranks[a] for a in A.arrow_ids))
-            w, shape = shapes[w]
-            table.setdefault(shape, []).append(w)
+    if dims not in tables:
+        tables[dims] = _shape_table(A, enumerate_strings(A, sum(dims), dims)
+                                    + enumerate_bands(A, sum(dims), dims))
+    return tables[dims]
+
+
+def _shape_table(A, words):
+    """The distinct words of `words`, in order, grouped by shape: {dims +
+    ranks in arrow order (read off `word_shape`): the words of that
+    shape}.  Each word's shape is read once per algebra (`_word_shapes`,
+    with the first object of the word, which every later table then
+    holds in place of its own copy)."""
+    shapes = _algebra_memo(A, "_word_shapes")
+    table = {}
+    for w in dict.fromkeys(words):
+        if w not in shapes:
+            wdims, ranks = word_shape(A, w)
+            shapes[w] = (w, wdims + tuple(ranks[a] for a in A.arrow_ids))
+        w, shape = shapes[w]
+        table.setdefault(shape, []).append(w)
     return table
 
 
@@ -1159,40 +1189,48 @@ def _support_split(A, rep):
     return blocks
 
 
-def decompose(A, rep, seed=0):
+def decompose(A, rep, seed=0, words=None):
     """Krull-Schmidt decomposition into StringWords and (BandWord, lambda).
 
     Each piece, starting from rep, is first split along its support graph
     if that falls apart.  A block of that split is connected by
     construction and skips the test; a block of a Fitting split takes it
     only if identification rejects it.  A piece that does not fall apart
-    is identified before it is split: `_identify` looks its shape up in
-    the words that fit it (`_word_table`) and certifies a match with an
+    is identified before it is split: `_identify` looks its shape up in a
+    table of words (`_shape_table`) and certifies a match with an
     explicit invertible intertwiner, so an accepted piece is an
     indecomposable word module.  A piece identification rejects is split
     along maps drawn from `random.Random(seed)` (`_split_once`), each
     read off one reduced intertwiner system (`_hom_space`); one that does
     not split either is taken for no word module with a rational
     parameter (`DictionaryExhausted`), wrongly only if every draw
-    through its summands' words misses (at most 2/65,537 each).  The
-    pieces of a Fitting split read the table of the piece they came
-    from, which holds every word that fits them; the pieces of a support
-    split, small word modules when rep is a `word_sum`, look up the table
-    of their own dims."""
+    through its summands' words misses (at most 2/65,537 each).
+
+    The table of a piece is that of the words the caller names (`words`,
+    the certified multiset of a generic point, say) when there are any.
+    A piece that none of them matches and that does not split along
+    them reads the table of every word that fits its own dims
+    (`_word_table`) instead, as does every piece when `words` is None;
+    so no table of every word that fits the whole dims is built unless
+    rep is such a piece.  The pieces of a Fitting split keep the table of
+    the piece they came from, which holds every word that fits them; the
+    pieces of a support split, small word modules when rep is a
+    `word_sum`, take the named words or the table of their own dims."""
     rng = random.Random(seed)
-    pieces = [(rep, None, False)]
+    named = None if words is None else _shape_table(A, words)
+    pieces = [(rep, named, False)]
     out = []
     while pieces:
         p, table, connected = pieces.pop()
         if p.dim() == 0:
             continue
-        # a block of a Fitting split has its table at hand: identify it
-        # before its support is tested
+        # a piece with a table at hand is identified before its support
+        # is tested
         label = None if table is None else _identify(A, p, table)
         if label is None:
             blocks = None if connected else _support_split(A, p)
             if blocks is not None:
-                pieces.extend((b, None, True) for b in blocks)
+                pieces.extend((b, named, True) for b in blocks)
                 continue
             if table is None:
                 table = _word_table(A, p.dims)
@@ -1201,6 +1239,12 @@ def decompose(A, rep, seed=0):
             out.append(label)
             continue
         blocks = _split_once(A, p, rng, table)
+        if blocks is None and table is named:
+            # no named word is p, and p does not split along them: p is
+            # connected (its support was tested), so it comes back with
+            # the table of its own dims
+            pieces.append((p, None, True))
+            continue
         if blocks is None:
             raise DictionaryExhausted(
                 f"summand with dims {p.dims} neither splits nor is a word")
@@ -1211,11 +1255,12 @@ def decompose(A, rep, seed=0):
 
 def _identify(A, p, table):
     """The word (a StringWord, or (BandWord, lambda)) of p among the words
-    of `table` (a `_word_table`), or None.
+    of `table` (a `_shape_table`), or None.
 
     Only the words with p's shape (dims and rank function) can match, so
-    a piece whose string count is not 0 or 1, or whose shape no word has,
-    is rejected before any module is built.  Each candidate module is
+    a piece whose dims no word has is rejected before its ranks are read,
+    and one whose string count is not 0 or 1, or whose shape no word
+    has, before any module is built.  Each candidate module is
     built once per algebra (`_word_rep`), a band's at each parameter of
     `band_lambda_candidates` (read off the integer Hom system of M(B, 1)
     and p, and holding p's parameter if p is a module of the band B),
@@ -1230,6 +1275,8 @@ def _identify(A, p, table):
     isomorphic only when the walks agree up to reversal and rotation,
     with matching scalars, as the walk finds.  Whether p is monomial is
     read after the first walk that fails."""
+    if not any(shape[:A.n] == p.dims for shape in table):
+        return None
     rf = rank_function_of(A, p)
     monomial = None
     for w in table.get(p.dims + tuple(rf[a] for a in A.arrow_ids), ()):

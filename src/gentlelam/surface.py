@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, InternalError
 from .quiver import Quiver, _UF, _kept, is_jacobian, validate_gentle
-from .schemes import DecoratedComponent, _word_g, _word_pair, components, \
+from .schemes import DecoratedComponent, _word_pair, components, \
     is_tau_reduced
-from .strings import BandWord, StringWord, canonical_band, \
+from .strings import BandWord, StringWord, _g_of_shape, canonical_band, \
     canonical_string, hom_dim, word_shape, word_walk
 
 
@@ -662,7 +662,8 @@ def int_zero(T, gamma, delta):
     E-invariant dim Hom(M, tau N) = dim Hom(N, M) + g(N) . dim M.  It
     reads Hom(M, N) and Hom(N, M) off the pair values of the two words
     (`schemes._word_pair`, which gives two copies of one loop distinct
-    band parameters) and their g-vectors off `schemes._word_g`.
+    band parameters) and their g-vectors, in closed form, off the words'
+    shapes (`strings._g_of_shape` of `word_shape`).
     """
     if gamma.kind == "arc" and delta.kind == "arc":
         return True
@@ -672,8 +673,8 @@ def int_zero(T, gamma, delta):
     A = build_QT(T)
     v, w = curve_to_module(T, gamma), curve_to_module(T, delta)
     mn, nm = _word_pair(A, hom_dim, v, w), _word_pair(A, hom_dim, w, v)
-    (gm, dm), (gn, dn) = ((_word_g(A, x), word_shape(A, x)[0])
-                          for x in (v, w))
+    (gm, dm), (gn, dn) = ((_g_of_shape(A, *shape), shape[0])
+                          for shape in (word_shape(A, v), word_shape(A, w)))
     return (nm + sum(g * d for g, d in zip(gn, dm)) == 0
             and mn + sum(g * d for g, d in zip(gm, dn)) == 0)
 

@@ -2,10 +2,10 @@
 pinned.
 
 `surface.int_zero` reads Hom(M, tau N) = Hom(N, M) + g(N) . dim M off the
-Hom pair values and the g-vectors, so it builds relation rows only inside
-`g_vector` (g_v = dim Z^1(M, S_v) - dim M_v, against the simples);
-`ceh_by_words` builds them outside `g_vector` once per new key of the
-Z^1 table.  The values of
+Hom pair values and the g-vectors, and a g-vector is read in closed form
+off a shape (`strings._g_of_shape`), so it builds no relation rows at
+all; `ceh_by_words` builds them once per new key of the Z^1 table, and
+none for g.  The values of
 `ceh_by_words` over every component of {0,1,2}^n on the five golden
 algebras are pinned by a digest taken on commit 85d3c9e, before e and h
 were read off the two differentials of the standard complex: sha256 of
@@ -14,14 +14,13 @@ order below, `itertools.product` order and component order."""
 
 import hashlib
 import itertools
-from types import SimpleNamespace
 
 import pytest
 
 import lamgen
 from conftest import GOLDEN_ALGEBRAS, GOLDEN_SURFACES, case_algebra, golden
 from gentlelam import build_QT, ceh_by_words, components, homological, \
-    int_zero, schemes, strings, surface
+    int_zero, strings, surface
 from gentlelam.fileio import triangulation_from_dict
 from gentlelam.homological import _cocycle_dim
 from gentlelam.schemes import generic_multiset
@@ -37,31 +36,16 @@ CEH_SHA256 = \
 
 @pytest.fixture
 def relation_rows(monkeypatch):
-    """The (M, N) of every `_relation_rows` call, in order: `g` holds the
-    calls made inside `g_vector` (which `schemes._word_g` calls), `pairs`
-    all others."""
-    calls = SimpleNamespace(pairs=[], g=[])
-    inside = []
-    real, real_g = homological._relation_rows, schemes.g_vector
+    """The (M, N) of every `_relation_rows` call, in order."""
+    calls = []
+    real = homological._relation_rows
 
     def counted(A, M, N):
-        (calls.g if inside else calls.pairs).append((M, N))
+        calls.append((M, N))
         return real(A, M, N)
 
-    def g_vector(A, M):
-        inside.append(M)
-        try:
-            return real_g(A, M)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(homological, "_relation_rows", counted)
-    monkeypatch.setattr(schemes, "g_vector", g_vector)
     return calls
-
-
-def against_simples(calls):
-    return all(sum(N.dims) == 1 for _, N in calls)
 
 
 @pytest.mark.parametrize("name", GOLDEN_SURFACES)
@@ -72,8 +56,8 @@ def test_int_zero_builds_no_relation_rows(name, relation_rows):
     verdicts = [int_zero(T, g, pool[j]) for i, g in enumerate(pool)
                 for j in range(i, len(pool))]
     assert len(pool) > 5 and any(verdicts) and not all(verdicts)
-    assert relation_rows.pairs == []
-    assert relation_rows.g and against_simples(relation_rows.g)
+    # neither the Hom pair values nor the g-vectors build any
+    assert relation_rows == []
 
 
 def test_int_zero_builds_hom_of_a_module_with_itself_only_for_a_string(
@@ -121,10 +105,10 @@ def test_ceh_by_words_builds_rows_once_per_new_cocycle_key(relation_rows):
     assert len(set(words)) < len(words)
     first = ceh_by_words(A, Z)
     table = A.__dict__["_word_pairs"][_cocycle_dim]
-    assert len(relation_rows.pairs) == len(table) < len(words) ** 2
+    # one build per key of the Z^1 table, and none for the g-vector
+    assert len(relation_rows) == len(table) < len(words) ** 2
     assert ceh_by_words(A, Z) == first
-    assert len(relation_rows.pairs) == len(table)
-    assert against_simples(relation_rows.g)
+    assert len(relation_rows) == len(table)
 
 
 def test_ceh_by_words_beyond_the_pants_is_pinned():

@@ -266,3 +266,44 @@ def test_support_pieces_read_the_tables_of_their_own_dims():
         == sorted(map(str, words))
     assert set(A.__dict__["_word_tables"]) == {
         word_shape(A, w)[0] for w in words}
+
+
+# ---------------------------------------------------------------------------
+# the words a caller names
+
+
+def test_named_words_need_no_table_and_a_miss_reads_its_own_dims():
+    """The generic point of the torus component at (2, 2, 2, 2) with the
+    most summands, a repeated one among them: decomposed against its
+    certified words it builds no word table; against no words at all,
+    each piece that neither matches nor splits reads the table of its own
+    dims, never that of (2, 2, 2, 2)."""
+    A = load_algebra(os.path.join(GOLDEN, "torus_quiver.json"))
+    d = (2, 2, 2, 2)
+    Z = max(components(A, d), key=lambda Z: len(generic_multiset(A, Z)))
+    words = generic_multiset(A, Z)
+    assert len(words) > len(set(words)) > 1
+    M = schemes.generic_point(A, Z, seed=SEED)
+    want = sorted(map(str, words))
+    got = decompose(A, M, seed=SEED, words=words)
+    assert sorted(str(x[0] if isinstance(x, tuple) else x)
+                  for x in got) == want
+    assert not A.__dict__.get("_word_tables")
+    got = decompose(A, M, seed=SEED, words=[])
+    assert sorted(str(x[0] if isinstance(x, tuple) else x)
+                  for x in got) == want
+    tables = set(A.__dict__["_word_tables"])
+    assert tables and d not in tables
+    assert tables <= {word_shape(A, w)[0] for w in words}
+
+
+def test_identify_rejects_foreign_dims_before_reading_ranks(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ranks read for a piece no word can match")
+
+    A = load_algebra(os.path.join(GOLDEN, "torus_quiver.json"))
+    C, D = [w for w in enumerate_strings(A, 2) if len(w) == 1][:2]
+    p = string_module(A, C)
+    assert word_shape(A, C)[0] != word_shape(A, D)[0]
+    monkeypatch.setattr(strings, "rank_function_of", forbidden)
+    assert strings._identify(A, p, strings._shape_table(A, [D, D])) is None

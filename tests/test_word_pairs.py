@@ -1,5 +1,5 @@
 """c, e, h summed over word pairs of the certified generic multiset, and
-the packed multiset search behind it."""
+the packed multiset search that is the oracle of its words."""
 
 import itertools
 import random
@@ -13,9 +13,9 @@ from gentlelam import (BandWord, Quiver, band_module, ceh_by_words,
                        enumerate_strings, g_vector, schemes, string_module,
                        strings, validate_gentle)
 from gentlelam.homological import _cocycle_dim
-from gentlelam.schemes import (_candidates, _pack, _word_g, _word_pair,
-                               generic_multiset)
-from gentlelam.strings import hom_dim, word_shape
+from gentlelam.schemes import (_candidates, _pack, _search_multiset,
+                               _word_pair, generic_multiset)
+from gentlelam.strings import _g_of_shape, hom_dim, word_shape
 
 
 def fresh_torus_algebra():
@@ -94,7 +94,7 @@ def test_candidates_are_built_once_per_dimension_vector(monkeypatch):
     comps = components(A, d)
     assert len(comps) > 1
     for Z in comps:
-        generic_multiset(A, Z)
+        _search_multiset(A, Z)
     assert len(calls) == 1
     assert list(A.__dict__["_candidates"]) == [d]
 
@@ -148,7 +148,8 @@ PARAMETER_CASES = (("pants", 6), ("torus_quiver", 6), ("double_loop", 8),
 
 def test_pair_values_and_g_of_bands_do_not_depend_on_the_parameters():
     """The pair values read at parameters 2 and 3 (`_word_pair`) and the
-    g-vectors read at 2 (`_word_g`) against other distinct parameters:
+    g-vectors read off the word's shape (`_g_of_shape`) against other
+    distinct parameters:
     each band with itself, with a second summand of its word, with every
     other band and with every string of <= 3 letters, both ways."""
     others = ((5, 11), (Fraction(-1, 3), Fraction(7, 2)))
@@ -161,7 +162,7 @@ def test_pair_values_and_g_of_bands_do_not_depend_on_the_parameters():
         for B in bands:
             for lam, mu in others:
                 M, N = band_module(A, B, lam), band_module(A, B, mu)
-                assert g_vector(A, M) == _word_g(A, B)
+                assert g_vector(A, M) == _g_of_shape(A, *word_shape(A, B))
                 for dim in (hom_dim, _cocycle_dim):
                     assert dim(A, M, M) == _word_pair(A, dim, B, B, True)
                     assert dim(A, M, N) == _word_pair(A, dim, B, B)
