@@ -21,7 +21,7 @@ from .schemes import block_critical_summands, canonical_decomposition, \
     decorated_g_vector, dim_gl, is_generically_reduced, is_smooth_point, \
     is_tau_reduced, tangent_dim
 from .strings import rank_function_of
-from .surface import build_QT, eta, lamination_words, shear_of_lamination
+from .surface import build_QT, eta, shear_of_lamination
 
 
 def _emit(args, payload, human_lines):
@@ -142,7 +142,7 @@ def cmd_eta(args):
     A = build_QT(T)
     L = fileio.lamination_from_file(T, args.lamination)
     DZ = eta(T, L)
-    g = decorated_g_vector(A, DZ, lamination_words(T, L))
+    g = decorated_g_vector(A, DZ)
     crit = block_critical_summands(A, DZ.component)
     payload = {
         "d": list(DZ.component.d),

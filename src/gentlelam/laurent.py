@@ -35,8 +35,8 @@ from operator import mul
 from .errors import InputError
 from .homological import DecoratedModule, g_vector
 from .strings import DictionaryExhausted, decompose, word_sum
-from .surface import build_QT, coefficient_quiver, lamination_words, \
-    shear_coordinates, word_coefficient_quiver
+from .surface import _decoration, build_QT, coefficient_quiver, \
+    lamination_words, shear_coordinates, word_coefficient_quiver
 
 
 class UnsupportedModule(InputError):
@@ -408,11 +408,8 @@ def generic_decorated_module(T, L):
     """A generic point of eta(L): summands with pairwise distinct band
     parameters, plus the decoration from the arcs."""
     A = build_QT(T)
-    v = [0] * A.n
-    for gamma, mult in L.entries:
-        if gamma.kind == "arc":
-            v[gamma.arc - 1] += mult
-    return DecoratedModule(word_sum(A, lamination_words(T, L)), tuple(v))
+    return DecoratedModule(word_sum(A, lamination_words(T, L)),
+                           _decoration(A.n, L))
 
 
 def verify_bangle_equals_generic(T, L):

@@ -32,6 +32,7 @@ bounded by the local boxes, not by the box of d: on the pants algebra
 """
 
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -44,10 +45,10 @@ from .homological import (_cocycle_dim, _ext1_minus_hom,
 from .quiver import (InvalidDimensionVector, _dimension_vector, _kept,
                      is_jacobian, rho_blocks, transport_dimvec)
 from .strings import (BandWord, InvalidString, StringWord, _algebra_memo,
-                      _g_of_shape, _glpoint, _letter_table, _word_rep,
-                      _word_table, band_parameters, canonical_band,
-                      canonical_string, conjugate, decompose, hom_dim,
-                      letter_inv, rank_function_of, word_shape, word_sum)
+                      _g_of_shape, _letter_table, _word_rep, _word_table,
+                      band_parameters, canonical_band, canonical_string,
+                      conjugate, decompose, hom_dim, letter_inv,
+                      random_glpoint, rank_function_of, word_sum)
 
 
 class NotJacobian(InputError):
@@ -483,40 +484,21 @@ def generic_multiset(A, Z):
     return list(memo[key])
 
 
-def _pack(values, width):
-    return sum(v << (k * width) for k, v in enumerate(values))
-
-
 def _candidates(A, d):
     """The words the search of `_search_multiset` may use for the
-    dimension vector d, as (word, packed shape) in search order, with the
-    packing: (list, width, guards, dims_mask).
-
-    A shape packs the dims of the word's module, its ranks in arrow order
-    and its string count (1 for a string, 0 for a band) into fields of
-    `width` bits; no value reaches the top bit of its field, the guard.
-    `guards` has every guard bit set and `dims_mask` every value bit of
-    the dims fields.  For a state s (a remainder packed, with the guards
-    set) and a shape c, every field of s - c is >= 0 iff (s - c) & guards
-    == guards: a field that goes negative clears its own guard and
-    borrows nothing from the next one.  The words and their shapes are
-    read off the word table of d (`strings._word_table`), which holds
-    every word whose module fits d.  The list depends on d only and is
-    kept on the algebra."""
+    dimension vector d, as (word, shape) pairs in search order, by
+    (-dim, str(w)).  A shape is the tuple of the dims of the word's
+    module, its ranks in arrow order and its string count (1 for a
+    string, 0 for a band).  The words and their shapes are read off the
+    word table of d (`strings._word_table`), which holds every word whose
+    module fits d.  The list depends on d only and is kept on the
+    algebra."""
     memo = _algebra_memo(A, "_candidates")
     if d not in memo:
-        width = sum(d).bit_length() + 1
-        cand = []
-        for shape, words in _word_table(A, d).items():
-            for w in words:
-                band = isinstance(w, BandWord)
-                cand.append((-sum(shape[:A.n]), str(w), w,
-                             _pack(shape + (int(not band),), width)))
-        cand.sort(key=lambda x: x[:2])
-        slots = A.n + len(A.arrow_ids) + 1
-        memo[d] = ([x[2:] for x in cand], width,
-                   _pack([1 << (width - 1)] * slots, width),
-                   _pack([(1 << (width - 1)) - 1] * A.n, width))
+        cand = [(w, shape + (int(not isinstance(w, BandWord)),))
+                for shape, words in _word_table(A, d).items() for w in words]
+        cand.sort(key=lambda c: (-sum(c[1][:A.n]), str(c[0])))
+        memo[d] = cand
     return memo[d]
 
 
@@ -525,25 +507,23 @@ def _search_multiset(A, Z):
     order of `_candidates`, for strings and bands whose dimension
     vectors, rank functions (read off the words by `word_shape`) and
     string counts add up to (d, r, sum d - sum r), the first that passes
-    `_certified`.  Each search state is one packed integer, and a child
-    keeps only the candidates that still fit it; they are every word
-    that fits d.  Only the tests call it; nothing is memoized but the
-    candidate list."""
+    `_certified`.  A search state is the tuple of what remains of those,
+    and a child keeps only the candidates that still fit it, field by
+    field; they are every word that fits d.  Only the tests call it;
+    nothing is memoized but the candidate list."""
     d, r = Z.d, Z.rank()
     total = sum(d)
     if total == 0:
         return []
-    cand, width, guards, dims_mask = _candidates(A, d)
-    start = guards | _pack(d + tuple(r[a] for a in A.arrow_ids)
-                           + (total - sum(r.values()),), width)
+    start = d + tuple(r[a] for a in A.arrow_ids) + (total - sum(r.values()),)
 
     def fitting(state, cands):
-        return [c for c in cands if (state - c[1]) & guards == guards]
+        return [c for c in cands if all(map(operator.le, c[1], state))]
 
     # depth first on an explicit stack, as a multiset may hold thousands
     # of words: a frame is [state, the candidates that fit it, the index
     # of the next one to try], so the word it took last is at index - 1
-    stack = [[start, fitting(start, cand), 0]]
+    stack = [[start, fitting(start, _candidates(A, d)), 0]]
     while stack:
         frame = stack[-1]
         state, cands, k = frame
@@ -551,10 +531,10 @@ def _search_multiset(A, Z):
             stack.pop()
             continue
         frame[2] = k + 1
-        rest = state - cands[k][1]
-        if rest & dims_mask:
+        rest = tuple(map(operator.sub, state, cands[k][1]))
+        if any(rest[:A.n]):
             stack.append([rest, fitting(rest, cands[k:]), 0])
-        elif rest == guards:
+        elif not any(rest):
             # every basis vector placed, and the ranks and strings too
             sol = [cs[i - 1][0] for _, cs, i in stack]
             if _certified(A, Z, sol):
@@ -605,11 +585,12 @@ def generic_point(A, Z, seed=0):
     words = generic_multiset(A, Z)
     rng = random.Random(seed)
     M = word_sum(A, words, band_parameters(rng))
-    # the draws of `random_glpoint`, g_v formed only where it acts: at the
-    # ends of an arrow with nonzero dims at both ends
-    live = {v - 1 for _, s, t in A.quiver.arrows
+    # g_v is drawn only where it acts, at the ends of an arrow with
+    # nonzero dims at both ends: `random_glpoint` gets dim 0 elsewhere
+    live = {v for _, s, t in A.quiver.arrows
             if M.dims[s - 1] and M.dims[t - 1] for v in (s, t)}
-    N = conjugate(A, M, _glpoint(rng, M.dims, 3, live))
+    N = conjugate(A, M, random_glpoint(
+        rng, [x if v in live else 0 for v, x in enumerate(M.dims, 1)], 3))
     # conjugation is an isomorphism, and band ranks do not depend on the
     # parameter, so N has the rank function of the component
     rf = rank_function_of(A, N)
@@ -698,17 +679,11 @@ class DecoratedComponent:
     v: tuple
 
 
-def decorated_g_vector(A, DZ, words=None):
-    """Generic g-vector of a decorated component: the decoration plus
-    g read in closed form off a shape (`_g_of_shape`): the component's
-    own (d, r), or, when the caller names the generic module's words (a
-    lamination does, `surface.lamination_words`), the shape of each word
-    (`word_shape`), summed, as g is additive.  g is constant on a dense
-    open subset of the component (Plamondon), so no multiset, generic
-    point or Z^1 system is built; the g-vector of a `generic_point` is
-    its oracle."""
+def decorated_g_vector(A, DZ):
+    """Generic g-vector of a decorated component: the decoration plus g
+    read in closed form off the component's (d, r) (`_g_of_shape`).  g
+    is constant on a dense open subset of the component (Plamondon), so
+    no multiset, generic point or Z^1 system is built; the g-vector of a
+    `generic_point` is its oracle."""
     Z = DZ.component
-    if words is None:
-        return _g_of_shape(A, Z.d, Z.rank(), DZ.v)
-    return tuple(map(sum, zip(DZ.v, *(_g_of_shape(A, *word_shape(A, w))
-                                      for w in words))))
+    return _g_of_shape(A, Z.d, Z.rank(), DZ.v)

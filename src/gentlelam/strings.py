@@ -695,19 +695,14 @@ def random_glpoint(rng, dims, bound=5):
     """One unimodular integer matrix per vertex, g = L * U with L lower
     and U upper unitriangular, their off-diagonal entries drawn from
     [-bound, bound]: det g = 1, so g^-1 is an integer matrix too."""
-    return _glpoint(rng, dims, bound, range(len(dims)))
-
-
-def _glpoint(rng, dims, bound, live):
-    """The draws of `random_glpoint`, with g_v = L * U formed only for the
-    vertices v (0-based) in `live`, None at the others."""
     gs = []
-    for v, d in enumerate(dims):
+    for d in dims:
         lo = [[rng.randint(-bound, bound) if j < i else int(i == j)
                for j in range(d)] for i in range(d)]
         up = [[rng.randint(-bound, bound) if j > i else int(i == j)
                for j in range(d)] for i in range(d)]
-        gs.append(mat_mul(lo, up) if v in live else None)
+        # an empty space takes the empty matrix, with no product formed
+        gs.append(mat_mul(lo, up) if d else [])
     return gs
 
 

@@ -724,32 +724,33 @@ def lamination_words(T, L):
             for w in [curve_to_module(T, gamma)] * mult]
 
 
-def eta(T, L):
-    """The generically tau-reduced decorated component of a lamination."""
-    A = build_QT(T)
-    n = A.n
+def _decoration(n, L):
+    """The decoration v of a lamination on n arcs: v_i counts the arc i
+    of L with its multiplicity."""
     v = [0] * n
-    d = [0] * n
-    r = {aid: 0 for aid in A.arrow_ids}
     for gamma, mult in L.entries:
         if gamma.kind == "arc":
             v[gamma.arc - 1] += mult
-    for w in lamination_words(T, L):
-        dims, ranks = word_shape(A, w)
-        for i in range(n):
-            d[i] += dims[i]
-        for aid in A.arrow_ids:
-            r[aid] += ranks[aid]
-    if sum(d[i] * v[i] for i in range(n)):
+    return tuple(v)
+
+
+def eta(T, L):
+    """The generically tau-reduced decorated component of a lamination."""
+    A = build_QT(T)
+    v = _decoration(A.n, L)
+    shapes = [word_shape(A, w) for w in lamination_words(T, L)]
+    d = tuple(sum(dims[i] for dims, _ in shapes) for i in range(A.n))
+    if sum(x * y for x, y in zip(d, v)):
         raise InvalidLamination(
             "decoration and dimension vector are not orthogonal")
-    target = tuple(sorted(r.items()))
-    for Z in components(A, tuple(d)):
+    target = tuple(sorted((a, sum(ranks[a] for _, ranks in shapes))
+                          for a in A.arrow_ids))
+    for Z in components(A, d):
         if Z.r == target:
             if not is_tau_reduced(A, Z):
                 raise InvalidLamination(
                     "lamination produced a non-tau-reduced component")
-            return DecoratedComponent(Z, tuple(v))
+            return DecoratedComponent(Z, v)
     raise InvalidLamination("summed rank function is not maximal")
 
 

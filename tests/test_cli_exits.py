@@ -96,7 +96,8 @@ def test_json_numbers_that_are_no_integers_exit_2(tmp_path, capsys):
                              "--module", str(path))
         assert (code, out) == (2, "") and \
             err.startswith("error: module dims: expected an integer"), dims
-    algebra = json.loads(open(a3).read())
+    with open(a3) as fh:
+        algebra = json.load(fh)
     for field, value in (("vertices", 3.0), ("vertices", "3")):
         path.write_text(json.dumps(dict(algebra, **{field: value})))
         code, out, err = run(capsys, "check", "--input", str(path))
@@ -105,8 +106,8 @@ def test_json_numbers_that_are_no_integers_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(algebra))
     code, out, err = run(capsys, "check", "--input", str(path))
     assert (code, out) == (2, "") and "arrow from" in err
-    petals = json.loads(open(os.path.join(GOLDEN, "pants_petals.json"))
-                        .read())
+    with open(os.path.join(GOLDEN, "pants_petals.json")) as fh:
+        petals = json.load(fh)
     for mult in (1.5, "1", True):
         petals[0]["mult"] = mult
         path.write_text(json.dumps(petals))

@@ -81,22 +81,66 @@ def test_generic_point_forms_no_matrix_where_no_arrow_acts(monkeypatch,
         string_module(pants_algebra, StringWord((), 1))] * 300)
 
 
+def acting(A, dims):
+    """The vertices at an end of an arrow with nonzero dims at both ends:
+    those where a conjugating matrix acts."""
+    return {v for _, s, t in A.quiver.arrows
+            if dims[s - 1] and dims[t - 1] for v in (s, t)}
+
+
 @pytest.mark.parametrize("name", ("pants", "torus_quiver", "double_loop"))
 def test_generic_points_keep_the_draws_of_random_glpoint(name):
-    # the parent route: every g_v = L U formed from the same draws
+    # the draws of `random_glpoint` with dim 0 at every vertex no arrow
+    # acts on, so a conjugating matrix is drawn only where it acts
     A = case_algebra(name)
     seen = 0
     for d in itertools.product(range(3), repeat=A.n):
         if sum(d) > 5:
             continue
+        live = acting(A, d)
         for Z in components(A, d):
             for seed in (0, 3):
                 rng = random.Random(seed)
                 M = word_sum(A, generic_multiset(A, Z), band_parameters(rng))
-                want = conjugate(A, M, random_glpoint(rng, M.dims, 3))
-                assert generic_point(A, Z, seed) == want, (d, Z.r, seed)
+                gs = random_glpoint(rng, [x if v in live else 0
+                                          for v, x in enumerate(d, 1)], 3)
+                assert generic_point(A, Z, seed) == conjugate(A, M, gs), \
+                    (d, Z.r, seed)
                 seen += 1
     assert seen > 100
+
+
+def test_conjugators_are_drawn_at_acting_vertices_only(monkeypatch,
+                                                       pants_algebra):
+    # L and U of a d x d conjugator take d (d - 1) / 2 draws each, and a
+    # vertex no arrow acts on takes none: none at all at (300, 0, ..., 0)
+    made = []
+
+    class Counting(random.Random):
+        def __init__(self, seed=None):
+            super().__init__(seed)
+            self.randints = 0
+            made.append(self)
+
+        def randint(self, a, b):
+            self.randints += 1
+            return super().randint(a, b)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    A = pants_algebra
+    box = list(itertools.product(range(3), repeat=A.n))[::7]
+    seen = skipped = 0
+    for d in [(300, 0, 0, 0, 0, 0)] + box:
+        live = acting(A, d)
+        skipped += any(d[v - 1] for v in set(range(1, A.n + 1)) - live)
+        for Z in components(A, d):
+            made.clear()
+            generic_point(A, Z, seed=1)
+            (rng,) = made
+            assert rng.randints == sum(d[v - 1] * (d[v - 1] - 1)
+                                       for v in live), (d, Z.r)
+            seen += 1
+    assert seen > 100 and skipped > 10
 
 
 def test_component_counts(a3_relation, double_loop, loop_algebra):

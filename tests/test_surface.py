@@ -7,10 +7,9 @@ from gentlelam import (BandWord, CurveSeq, DecoratedModule,
                        canonical_band, canonical_string, coefficient_quiver,
                        curve_to_module, decorated_g_vector, enumerate_bands,
                        enumerate_strings, eta, g_vector, generic_point,
-                       int_zero, is_jacobian, lamination_words,
-                       make_lamination, rotate_tau, shear_coordinates,
-                       shear_of_lamination, string_module, string_to_curve,
-                       tau_string, validate_curve)
+                       int_zero, is_jacobian, make_lamination, rotate_tau,
+                       shear_coordinates, shear_of_lamination, string_module,
+                       string_to_curve, tau_string, validate_curve)
 from lamgen import random_laminations
 
 SIGMA = (3, 6, 1, 5, 4, 6, 2)
@@ -260,17 +259,6 @@ def test_decorated_g_vector_is_that_of_a_generic_point(pants, pants_algebra):
         M = generic_point(A, DZ.component, k)
         assert decorated_g_vector(A, DZ) == \
             g_vector(A, DecoratedModule(M, DZ.v)), L
-
-
-def test_lamination_words_give_the_decorated_g_vector(pants,
-                                                      pants_algebra):
-    # the lamination's words against the generic-multiset search, on the
-    # laminations of acceptance criterion 5 (~1.5 s on a fresh algebra)
-    A = pants_algebra
-    for L in random_laminations(pants, A, 50, seed=123):
-        DZ = eta(pants, L)
-        assert decorated_g_vector(A, DZ, lamination_words(pants, L)) == \
-            decorated_g_vector(A, DZ), L
 
 
 def test_word_curve_roundtrips(pants, pants_algebra):

@@ -1,11 +1,8 @@
 """c, e, h summed over word pairs of the certified generic multiset, and
-the packed multiset search that is the oracle of its words."""
+the multiset search that is the oracle of its words."""
 
 import itertools
-import random
 from fractions import Fraction
-
-import pytest
 
 from conftest import case_algebra
 from gentlelam import (BandWord, Quiver, band_module, ceh_by_words,
@@ -13,8 +10,7 @@ from gentlelam import (BandWord, Quiver, band_module, ceh_by_words,
                        enumerate_strings, g_vector, schemes, string_module,
                        strings, validate_gentle)
 from gentlelam.homological import _cocycle_dim
-from gentlelam.schemes import (_candidates, _pack, _search_multiset,
-                               _word_pair, generic_multiset)
+from gentlelam.schemes import _search_multiset, _word_pair, generic_multiset
 from gentlelam.strings import _g_of_shape, hom_dim, word_shape
 
 
@@ -97,32 +93,6 @@ def test_candidates_are_built_once_per_dimension_vector(monkeypatch):
         _search_multiset(A, Z)
     assert len(calls) == 1
     assert list(A.__dict__["_candidates"]) == [d]
-
-
-@pytest.mark.parametrize("d", [(1, 2, 2, 1), (3, 3, 2, 3), (0, 1, 0, 2)])
-def test_packed_fit_is_the_fieldwise_comparison(d):
-    A = fresh_torus_algebra()
-    cand, width, guards, dims_mask = _candidates(A, d)
-    assert cand
-    shapes = {}
-    for w, packed in cand:
-        dims, ranks = word_shape(A, w)
-        shapes[w] = (dims + tuple(ranks[a] for a in A.arrow_ids)
-                     + (int(not isinstance(w, BandWord)),))
-        assert packed == _pack(shapes[w], width)
-    rng = random.Random(7)
-    slots = A.n + len(A.arrow_ids) + 1
-    for _ in range(200):
-        rem = [rng.randint(0, sum(d)) for _ in range(slots)]
-        state = guards | _pack(rem, width)
-        assert bool(state & dims_mask) == any(rem[:A.n])
-        for w, packed in cand:
-            rest = state - packed
-            fits = all(x >= y for x, y in zip(rem, shapes[w]))
-            assert (rest & guards == guards) == fits, (rem, w)
-            if fits:
-                assert rest == guards | _pack(
-                    [x - y for x, y in zip(rem, shapes[w])], width)
 
 
 def test_multiset_adds_up_to_the_component(torus_algebra):
