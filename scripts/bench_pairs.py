@@ -29,8 +29,10 @@ direction, and two verdicts:
 Then the number of pairs with equal digests and the failed op executions
 per side.  An existing --out file of the same parent keeps
 its other workloads, so one file can collect several invocations.
-Stdlib only; a run that fails, or an --out file of another parent,
-stops the script with exit 2.
+Stdlib only; a run that fails, an --out file of another parent, or a
+`__pycache__` under src/ or perfbench/ of the working tree (the change
+would skip compiling what the parent's fresh archive compiles) stops the
+script with exit 2.
 """
 
 import argparse
@@ -113,6 +115,16 @@ def run_side(tree, workload, seed, seconds):
     return parse_run(proc.stdout)
 
 
+def compiled_caches(tree):
+    """The `__pycache__` directories under src/ and perfbench/ of tree."""
+    found = []
+    for top in ("src", "perfbench"):
+        for path, dirs, _ in os.walk(os.path.join(tree, top)):
+            if "__pycache__" in dirs:
+                found.append(os.path.join(path, "__pycache__"))
+    return sorted(found)
+
+
 def unpack(rev, into):
     data = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                           capture_output=True).stdout
@@ -147,6 +159,11 @@ def main(argv=None):
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
+    caches = compiled_caches(ROOT)
+    if caches:
+        print("error: remove " + ", ".join(caches) + " first: the parent's "
+              "archive holds no compiled modules", file=sys.stderr)
+        return 2
     short = subprocess.run(["git", "rev-parse", "--short", args.parent],
                            cwd=ROOT, check=True, capture_output=True,
                            text=True).stdout.strip()

@@ -20,9 +20,10 @@ the result does not depend on the order of the rows, and `rref` (each
 row divided by its pivot entry), `nullspace`, `solve` and `mat_inverse`
 are views of it.  `_kernel_point` reads one integer kernel vector off
 it for given values of the free unknowns; `nullspace` builds its basis
-with it, and `strings._hom_space` the module maps of `strings`
-(endomorphisms that `decompose` splits along, and the isomorphism
-certificates of modules that are not both in monomial bases).  Band
+with it, and `strings._hom_space` the module maps of `strings` (the
+maps through word modules that `decompose` peels summands off along,
+and the isomorphism certificates of modules that are not both in
+monomial bases).  Band
 parameters go through the same kernel: `strings.band_lambda_candidates`
 reads them off a `nullspace` of integer intertwiner rows and the
 `charpoly` of a small rational matrix, with no polynomial arithmetic.

@@ -14,14 +14,13 @@ draw their band parameters from `band_parameters`.
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalError
 from .exactlinalg import (_echelon, _kernel_point, _ratio, charpoly,
                           identity, is_invertible, mat_inverse, mat_mul,
-                          nullspace, rational_roots, rref, sparse_rank)
+                          nullspace, rational_roots, sparse_rank)
 from .quiver import _UF, _algebra_memo, _dimension_vector, _kept
 
 
@@ -47,8 +46,8 @@ class DictionaryExhausted(InternalError):
 
 class SubspaceNotInvariant(InternalError):
     """`_subrep` was given per-vertex bases whose span an arrow leaves:
-    every caller passes kernels and images of module maps (of
-    endomorphisms, and Omega inside P0), which are invariant."""
+    every caller passes kernels of module maps (the rest of a peel, and
+    Omega inside P0), which are invariant."""
 
 
 def letter(arrow_id, inv=False):
@@ -708,6 +707,13 @@ def random_glpoint(rng, dims, bound=5):
 
 # ---------------------------------------------------------------------------
 # Hom spaces and Krull-Schmidt decomposition
+#
+# Every module map is a point of one reduced intertwiner system
+# (`_hom_space`).  `decompose` has one split rule beside the support
+# graph: a word module W has a local endomorphism ring, so a word summand
+# is split off along f: W -> p and g: p -> W with g f invertible, and
+# f certifies it (`_peel`).  A piece is named by `_identify`, which
+# certifies a match by an explicit invertible intertwiner too.
 
 
 def _complex_rows(sizes, terms, sign):
@@ -967,129 +973,6 @@ def _subrep(A, rep, bases):
     return make_rep(A, dims, mats)
 
 
-def _shifted_power(phi_v, r, m):
-    """(q phi_v - p)^m for r = p/q, which has the kernel and image of
-    (phi_v - r)^m and integer entries when phi_v has."""
-    p, q = r.numerator, r.denominator
-    b = [[q * x - (p if i == j else 0) for j, x in enumerate(row)]
-         for i, row in enumerate(phi_v)]
-    pw = b
-    for _ in range(m - 1):
-        pw = mat_mul(b, pw)
-    return pw
-
-
-def _try_split(A, rep, phi):
-    """Split rep along the endomorphism phi, or None.
-
-    phi is block diagonal, so its eigenvalues are those of its vertex
-    blocks phi_v; their rational ones, with multiplicities, are read once
-    per block: a 1x1 block is its own eigenvalue, a larger one gives
-    `rational_roots` of its `charpoly` (0 among them when phi_v is
-    singular).  rep is the direct sum of the generalized eigenspaces at
-    the rational roots r and of the image of the product of the
-    (phi - r)^m, on which phi has no rational eigenvalue; all are
-    subrepresentations, since phi commutes with the arrows.  At a vertex
-    the eigenspace of r is built only where r is an eigenvalue of phi_v:
-    the unit basis where it is the only one, else ker (phi_v - r)^m with
-    m its multiplicity there; the image is built only at the vertices
-    the eigenspaces leave unfilled.  One block per eigenspace, in
-    increasing r, then the image when the eigenspaces do not fill rep
-    (with one rational root, the Fitting split ker + im); a single
-    eigenvalue, or none rational, gives no split."""
-    mult = [{} if not d else {Fraction(phi[v][0][0]): 1} if d == 1 else
-            Counter(rational_roots(charpoly(phi[v])))
-            for v, d in enumerate(rep.dims)]
-    roots = sorted(set().union(*mult))
-    index = {r: k for k, r in enumerate(roots)}
-    sizes = [0] * len(roots)
-    for m in mult:
-        for r, e in m.items():
-            sizes[index[r]] += e
-    total = rep.dim()
-    if not roots or total in sizes:
-        return None
-    bases = [[[] for _ in rep.dims] for _ in roots]
-    image = []
-    for v, (m, d) in enumerate(zip(mult, rep.dims)):
-        rest = identity(d) if sum(m.values()) < d else None
-        for r, e in m.items():
-            if e == d:
-                bases[index[r]][v] = identity(d)
-                continue
-            pw = _shifted_power(phi[v], r, e)
-            bases[index[r]][v] = nullspace(pw, d)
-            if rest is not None:
-                rest = mat_mul(pw, rest)
-        image.append([] if rest is None else rref(list(zip(*rest)), d)[0])
-    if sum(sizes) < total:
-        bases.append(image)
-    return [_subrep(A, rep, b) for b in bases]
-
-
-def _split_once(A, rep, rng, table):
-    """Try `_try_split` along six random endomorphisms, then along those
-    of `_through_words`; each is a point of a `_hom_space`.
-
-    Modulo rad End(rep), a random phi acts on each word summand by a
-    rational scalar, and non-isomorphic summands almost always get
-    different ones, so one `_try_split` cuts rep into a block per class
-    of isomorphic summands.  The free unknowns take seeded draws from
-    [-9, 9], all six drawn up front.  End(rep) = Q (one free unknown)
-    means rep is indecomposable."""
-    free, point = _hom_space(A, rep, rep)
-    if len(free) == 1:
-        return None
-    draws = [{f: rng.randint(-9, 9) for f in free} for _ in range(6)]
-    for phi in itertools.chain(map(point, draws),
-                               _through_words(A, rep, table, rng)):
-        blocks = _try_split(A, rep, phi)
-        if blocks:
-            return blocks
-    return None
-
-
-def _through_words(A, rep, table, rng):
-    """Endomorphisms f g of rep through the word modules W of `table`
-    whose dims and ranks fit under rep's: two per (word, parameter),
-    f in Hom(W, rep) and g in Hom(rep, W) points of their `_hom_space`
-    at values drawn from `rng` in [-2^15, 2^15].  A band is tried at
-    each parameter of `band_lambda_candidates` for rep, which lists the
-    parameter of every band summand of rep with that word.
-
-    g f lies in End(W) = Q + rad (Crawley-Boevey 1989), so f g has one
-    nonzero eigenvalue c at most, rational, and splits along c and 0.
-    When W is a summand of rep, c is a nonzero bilinear form in the
-    drawn values, so a draw misses (c = 0) with probability at most
-    2/65,537 (Schwartz-Zippel).  These maps split repeated summands
-    M + M, on which every random endomorphism may act as X (x) id_M with
-    X irreducible over Q."""
-    rf = rank_function_of(A, rep)
-    top = rep.dims + tuple(rf[a] for a in A.arrow_ids)
-
-    def draw(free):
-        return {k: rng.randint(-2 ** 15, 2 ** 15) for k in free}
-
-    for shape, words in table.items():
-        if any(x > y for x, y in zip(shape, top)):
-            continue
-        for w in words:
-            lams = ([None] if not isinstance(w, BandWord)
-                    else band_lambda_candidates(A, w, rep))
-            for lam in lams:
-                W = _word_rep(A, w, lam)
-                g_free, g_at = _hom_space(A, rep, W)
-                if not g_free:
-                    continue
-                f_free, f_at = _hom_space(A, W, rep)
-                for _ in range(2) if f_free else ():
-                    g, f = g_at(draw(g_free)), f_at(draw(f_free))
-                    # f_v g_v is zero where W_v = 0
-                    yield [mat_mul(fv, gv) if gv else
-                           [[0] * d for _ in range(d)]
-                           for fv, gv, d in zip(f, g, rep.dims)]
-
-
 def band_lambda_candidates(A, B, rep):
     """The nonzero rationals mu at which dim Hom(M(B, mu), rep) exceeds
     its generic value, and 1, as a sorted list of Fractions: it holds
@@ -1184,33 +1067,72 @@ def _support_split(A, rep):
     return blocks
 
 
+def _peel(A, p, table, rng):
+    """One word summand of p split off along a map through it: (label,
+    rest) with p = W + rest, or None.
+
+    The words of `table` whose dims and ranks fit under p's are tried in
+    turn, a band at each parameter of `band_lambda_candidates` for p
+    (which lists the parameter of every band summand of p with that
+    word).  For a word module W with Hom(p, W) and Hom(W, p) nonzero, two
+    pairs f in Hom(W, p), g in Hom(p, W) are drawn, points of their
+    `_hom_space` at values from `rng` in [-2^15, 2^15].  When g_v f_v is
+    invertible at every vertex where W_v != 0, g f is an automorphism of
+    W, so f is a split mono: p = im f + ker g, and f itself certifies
+    im f = W.  The rest ker g is the `nullspace` of g_v at each vertex
+    (the unit basis of p_v where W_v = 0), restricted by `_subrep`.
+
+    End(W) = Q + rad (Butler-Ringel 1987, Crawley-Boevey 1989), so g f
+    fails only when its scalar part is 0; when W is a summand of p that
+    scalar is a nonzero bilinear form in the drawn values, so a draw
+    misses with probability at most 2/65,537 (Schwartz-Zippel)."""
+    rf = rank_function_of(A, p)
+    top = p.dims + tuple(rf[a] for a in A.arrow_ids)
+
+    def draw(free):
+        return {k: rng.randint(-2 ** 15, 2 ** 15) for k in free}
+
+    for shape, words in table.items():
+        if any(x > y for x, y in zip(shape, top)):
+            continue
+        for w in words:
+            band = isinstance(w, BandWord)
+            for lam in band_lambda_candidates(A, w, p) if band else (None,):
+                W = _word_rep(A, w, lam)
+                g_free, g_at = _hom_space(A, p, W)
+                if not g_free:
+                    continue
+                f_free, f_at = _hom_space(A, W, p)
+                for _ in range(2) if f_free else ():
+                    g, f = g_at(draw(g_free)), f_at(draw(f_free))
+                    # g_v has no rows where W_v = 0: no condition there,
+                    # and its nullspace is all of p_v
+                    if all(is_invertible(mat_mul(gv, fv))
+                           for gv, fv in zip(g, f) if gv):
+                        rest = _subrep(A, p, [nullspace(gv, d) for gv, d
+                                              in zip(g, p.dims)])
+                        return ((w, lam) if band else w), rest
+    return None
+
+
 def decompose(A, rep, seed=0, words=None):
-    """Krull-Schmidt decomposition into StringWords and (BandWord, lambda).
+    """Krull-Schmidt decomposition into StringWords and (BandWord, lambda),
+    sorted by kind (strings first), word text and lambda.
 
-    Each piece, starting from rep, is first split along its support graph
-    if that falls apart.  A block of that split is connected by
-    construction and skips the test; a block of a Fitting split takes it
-    only if identification rejects it.  A piece that does not fall apart
-    is identified before it is split: `_identify` looks its shape up in a
-    table of words (`_shape_table`) and certifies a match with an
-    explicit invertible intertwiner, so an accepted piece is an
-    indecomposable word module.  A piece identification rejects is split
-    along maps drawn from `random.Random(seed)` (`_split_once`), each
-    read off one reduced intertwiner system (`_hom_space`); one that does
-    not split either is taken for no word module with a rational
-    parameter (`DictionaryExhausted`), wrongly only if every draw
-    through its summands' words misses (at most 2/65,537 each).
-
-    The table of a piece is that of the words the caller names (`words`,
-    the certified multiset of a generic point, say) when there are any.
-    A piece that none of them matches and that does not split along
-    them reads the table of every word that fits its own dims
-    (`_word_table`) instead, as does every piece when `words` is None;
-    so no table of every word that fits the whole dims is built unless
-    rep is such a piece.  The pieces of a Fitting split keep the table of
-    the piece they came from, which holds every word that fits them; the
-    pieces of a support split, small word modules when rep is a
-    `word_sum`, take the named words or the table of their own dims."""
+    A piece, starting from rep, is first matched against a table of words
+    (`_identify`), then split along its support graph (`_support_split`;
+    a block of that split is connected and skips the test), then peeled
+    (`_peel`): one word summand is split off along a map through its
+    word module, drawn from `random.Random(seed)`, and the rest goes back
+    on the stack.  Every label is certified by an explicit intertwiner.
+    The table is that of the words the caller names (`words`, the
+    certified multiset of a generic point, say); a piece that none of
+    them matches or peels, and every piece when `words` is None, reads
+    the table of every word that fits its own dims (`_word_table`).  A
+    piece that neither matches nor peels there is taken for no word
+    module with a rational parameter (`DictionaryExhausted`), wrongly
+    only if every draw through its summands' words misses (at most
+    2/65,537 each)."""
     rng = random.Random(seed)
     named = None if words is None else _shape_table(A, words)
     pieces = [(rep, named, False)]
@@ -1219,8 +1141,6 @@ def decompose(A, rep, seed=0, words=None):
         p, table, connected = pieces.pop()
         if p.dim() == 0:
             continue
-        # a piece with a table at hand is identified before its support
-        # is tested
         label = None if table is None else _identify(A, p, table)
         if label is None:
             blocks = None if connected else _support_split(A, p)
@@ -1233,19 +1153,19 @@ def decompose(A, rep, seed=0, words=None):
         if label is not None:
             out.append(label)
             continue
-        blocks = _split_once(A, p, rng, table)
-        if blocks is None and table is named:
-            # no named word is p, and p does not split along them: p is
-            # connected (its support was tested), so it comes back with
+        peeled = _peel(A, p, table, rng)
+        if peeled is not None:
+            out.append(peeled[0])
+            pieces.append((peeled[1], named, False))
+        elif table is named:
+            # p is connected (its support was tested): it comes back with
             # the table of its own dims
             pieces.append((p, None, True))
-            continue
-        if blocks is None:
+        else:
             raise DictionaryExhausted(
-                f"summand with dims {p.dims} neither splits nor is a word")
-        pieces.extend((b, table, False) for b in blocks)
-    return sorted(out, key=lambda x: (isinstance(x, tuple), str(x[0] if
-                                      isinstance(x, tuple) else x)))
+                f"summand with dims {p.dims} neither peels nor is a word")
+    return sorted(out, key=lambda x: (True, str(x[0]), x[1])
+                  if isinstance(x, tuple) else (False, str(x), 0))
 
 
 def _identify(A, p, table):

@@ -93,3 +93,24 @@ def test_run_length_and_directions_come_from_the_benchmark():
     assert seconds == spec["run_seconds"]
     assert metrics == {m["name"]: (m["better"], m["bound"])
                       for m in spec["end_to_end"]}
+
+
+def test_a_compiled_cache_in_the_working_tree_stops_the_script(
+        tmp_path, monkeypatch, capsys):
+    # the parent side is a fresh archive; a change side that holds
+    # compiled modules would skip compiling them and read faster set-ups
+    for top in ("src", "perfbench"):
+        (tmp_path / top / "pkg").mkdir(parents=True)
+    (tmp_path / "tests" / "__pycache__").mkdir(parents=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    args = ["--parent", "HEAD", "--workload", "census", "--pairs", "1",
+            "--first-seed", "1", "--out", str(tmp_path / "out.json")]
+    assert bench_pairs.compiled_caches(str(tmp_path)) == []
+    for top in ("src", "perfbench"):
+        cache = tmp_path / top / "pkg" / "__pycache__"
+        cache.mkdir()
+        assert bench_pairs.compiled_caches(str(tmp_path)) == [str(cache)]
+        assert bench_pairs.main(args) == 2
+        assert str(cache) in capsys.readouterr().err
+        cache.rmdir()
+    assert not (tmp_path / "out.json").exists()

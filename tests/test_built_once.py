@@ -1,8 +1,8 @@
-"""Work that a `components` request does once: a random endomorphism
-splits a generic point into all of its summand classes at once, word
-modules and component dimensions are kept on the algebra, support
-blocks are read off by index, and the letter table tests only letter
-pairs that meet at a vertex."""
+"""Work that a `components` request does once: one map through a word
+module peels a copy of a repeated summand off, word modules and
+component dimensions are kept on the algebra, support blocks are read
+off by index, and the letter table tests only letter pairs that meet at
+a vertex."""
 
 import gc
 import os
@@ -20,8 +20,8 @@ from gentlelam.fileio import (algebra_from_dict, load_algebra,
                               triangulation_from_dict)
 from gentlelam.schemes import (canonical_decomposition, component_dim,
                                components)
-from gentlelam.strings import (_algebra_memo, _letter_table, _subrep,
-                               _support_split, _try_split, _word_table,
+from gentlelam.strings import (_algebra_memo, _letter_table, _peel,
+                               _subrep, _support_split, _word_table,
                                conjugate, letter_s, letter_t, parse_word,
                                random_glpoint, word_sum)
 
@@ -52,98 +52,53 @@ def label(x):
 
 
 @pytest.fixture
-def splits(monkeypatch):
-    """The number of blocks of each `_split_once` call, and the
-    endomorphisms drawn from `_through_words`."""
-    seen = {"blocks": [], "through_words": 0}
-    split_once, through_words = strings._split_once, strings._through_words
+def peels(monkeypatch):
+    """The labels of the pieces `_peel` splits off."""
+    seen = []
+    peel = strings._peel
 
-    def counted_split_once(*args):
-        blocks = split_once(*args)
-        seen["blocks"].append(len(blocks) if blocks else 0)
-        return blocks
+    def counted_peel(*args):
+        got = peel(*args)
+        if got is not None:
+            seen.append(got[0])
+        return got
 
-    def counted_through_words(*args):
-        for phi in through_words(*args):
-            seen["through_words"] += 1
-            yield phi
-
-    monkeypatch.setattr(strings, "_split_once", counted_split_once)
-    monkeypatch.setattr(strings, "_through_words", counted_through_words)
+    monkeypatch.setattr(strings, "_peel", counted_peel)
     return seen
 
 
 # ---------------------------------------------------------------------------
-# k-way splits
-
-
-def connected_sums(A, rng, sizes):
-    """Per size k, a conjugated direct sum of k distinct words of
-    `words_of`, drawn again until the support graph does not split it
-    (a summand alone at some vertex would fall off before any
-    endomorphism is tried)."""
-    pool = words_of(A)
-    for k in sizes:
-        while True:
-            parts = rng.sample(pool, k)
-            M = direct_sum(A, [module(A, w, lam) for w, lam in parts])
-            M = conjugate(A, M, random_glpoint(rng, M.dims, 3))
-            if _support_split(A, M) is None:
-                yield parts, M
-                break
-
-
-@pytest.mark.parametrize("surface", ["pants", "torus_quiver"])
-def test_one_random_endomorphism_splits_every_summand_class(surface,
-                                                            splits):
-    # modulo rad End, a random endomorphism acts on each word summand by
-    # a rational scalar, so its rational eigenspaces cut the sum into one
-    # block per summand.  Two summands get equal scalars with probability
-    # about 1/19 per pair (coefficients in [-9, 9]); such a collision
-    # costs a second `_split_once`, never a wrong label, and is allowed
-    # once in the six sums
-    A = golden_algebra(surface)
-    sizes = (3, 4, 3, 4, 3, 4)
-    full = 0
-    for parts, M in connected_sums(A, random.Random(SEED), sizes):
-        splits["blocks"].clear()
-        got = decompose(A, M, seed=len(parts))
-        assert sorted(map(label, got)) == sorted(str(w) for w, _ in parts)
-        assert splits["blocks"][0] >= 2
-        full += splits["blocks"] == [len(parts)]
-    assert full >= len(sizes) - 1
-    assert any(isinstance(w, BandWord) for w, _ in words_of(A))
+# repeated summands
 
 
 @pytest.mark.parametrize("surface", ["pants", "torus_quiver"])
 def test_repeated_summands_split_through_a_word_module(surface):
-    # on M + M every endomorphism acts as X (x) id_M modulo the radical:
-    # when X has irrational or equal eigenvalues for every random
-    # endomorphism, `_through_words` is what splits it
+    # on M + M every endomorphism acts as X (x) id_M modulo the radical;
+    # a map through the word module M splits one copy off, and the rest,
+    # ker g, is the other
     A = golden_algebra(surface)
     C = [C for C in enumerate_strings(A, 3) if len(C) == 2][0]
-    M = direct_sum(A, [string_module(A, C)] * 2)
-    M = conjugate(A, M, random_glpoint(random.Random(SEED), M.dims, 3))
+    W = string_module(A, C)
+    M = direct_sum(A, [W] * 2)
     table = _word_table(A, M.dims)
-    for phi in strings._through_words(A, M, table, random.Random(SEED)):
-        blocks = _try_split(A, M, phi)
-        if blocks:
-            break
-    assert len(blocks) == 2
-    assert all(iso_test(A, B, string_module(A, C)) for B in blocks)
-    assert decompose(A, M, seed=SEED) == [C, C]
+    for seed in range(SEED, SEED + 8):
+        N = conjugate(A, M, random_glpoint(random.Random(seed), M.dims, 3))
+        label, rest = _peel(A, N, table, random.Random(seed))
+        assert label == C
+        assert iso_test(A, rest, W)
+        assert decompose(A, N, seed=seed) == [C, C]
 
 
 @pytest.mark.parametrize("seed", [3, 7])
-def test_repeated_torus_summand_reaches_the_word_path(seed, splits):
-    # here the six random endomorphisms all fail
+def test_repeated_torus_summand_reaches_the_word_path(seed, peels):
+    # six random endomorphisms of this M + M split it on neither seed;
+    # one peel does, and the rest is identified
     A = golden_algebra("torus_quiver")
     C = canonical_string(A, parse_word("b2,a2-,c-"))
     M = direct_sum(A, [string_module(A, C)] * 2)
     M = conjugate(A, M, random_glpoint(random.Random(seed), M.dims, 3))
     assert decompose(A, M, seed=seed) == [C, C]
-    assert splits["through_words"]
-    assert splits["blocks"] == [2]
+    assert peels == [C]
 
 
 # ---------------------------------------------------------------------------

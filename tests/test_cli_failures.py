@@ -57,8 +57,8 @@ def test_decomposition_off_the_certified_multiset_exits_3(capsys,
 
 
 def test_non_invariant_subspace_exits_3(capsys, monkeypatch):
-    # `decompose` restricts to kernels and images of endomorphisms, which
-    # are invariant; a failure there is internal, not bad input
+    # `decompose` restricts to kernels of module maps, which are
+    # invariant; a failure there is internal, not bad input
     def not_invariant(*args):
         raise SubspaceNotInvariant("subspace not invariant")
 

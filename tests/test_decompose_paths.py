@@ -1,10 +1,10 @@
-"""`decompose` identifies a piece before it splits it, splits along all
-rational generalized eigenspaces of an endomorphism at once, with what
-is left (where the eigenvalues are irrational) in one image block, and
-splits repeated summands at endomorphisms that factor through a word
-module; the word table it reads lives on the algebra."""
+"""`decompose` identifies a piece before it splits it, and peels one
+word summand off at a time along a map through its word module, which
+splits repeated summands too and never reduces the End system of a
+piece; the word table it reads lives on the algebra."""
 
 import gc
+import itertools
 import os
 import random
 import weakref
@@ -14,13 +14,12 @@ import pytest
 from conftest import GOLDEN
 from gentlelam import (BandWord, band_module, build_QT, canonical_string,
                        decompose, direct_sum, enumerate_bands,
-                       enumerate_strings, iso_test, schemes, string_module,
-                       strings)
+                       enumerate_strings, schemes, string_module, strings)
 from gentlelam.fileio import load_algebra
 from gentlelam.schemes import components, generic_multiset
-from gentlelam.strings import (_algebra_memo, _try_split, _word_table,
-                               conjugate, parse_word, random_glpoint,
-                               word_shape, word_sum)
+from gentlelam.strings import (_algebra_memo, _word_table, conjugate,
+                               parse_word, random_glpoint, word_shape,
+                               word_sum)
 
 SEED = 14
 
@@ -71,18 +70,10 @@ def module(A, w, lam):
 @pytest.fixture
 def traced(monkeypatch):
     """Pieces accepted by `_identify`, pieces whose End system was
-    reduced (`_hom_space(p, p)`), image blocks of `_try_split` (each is
-    the one `rref` of strings), and endomorphisms drawn from
-    `_through_words`."""
-    seen = {"accepted": [], "endo": [], "image": 0, "through_words": 0}
-    identify, hom_space, rref = strings._identify, strings._hom_space, \
-        strings.rref
-    through_words = strings._through_words
-
-    def counted_through_words(*args):
-        for phi in through_words(*args):
-            seen["through_words"] += 1
-            yield phi
+    reduced (`_hom_space(p, p)`), and the labels of `_peel`."""
+    seen = {"accepted": [], "endo": [], "peeled": []}
+    identify, hom_space, peel = strings._identify, strings._hom_space, \
+        strings._peel
 
     def counted_identify(A, p, table):
         got = identify(A, p, table)
@@ -95,14 +86,15 @@ def traced(monkeypatch):
             seen["endo"].append(M)
         return hom_space(A, M, N)
 
-    def counted_rref(*args):
-        seen["image"] += 1
-        return rref(*args)
+    def counted_peel(*args):
+        got = peel(*args)
+        if got is not None:
+            seen["peeled"].append(got[0])
+        return got
 
     monkeypatch.setattr(strings, "_identify", counted_identify)
     monkeypatch.setattr(strings, "_hom_space", counted_hom_space)
-    monkeypatch.setattr(strings, "rref", counted_rref)
-    monkeypatch.setattr(strings, "_through_words", counted_through_words)
+    monkeypatch.setattr(strings, "_peel", counted_peel)
     return seen
 
 
@@ -119,87 +111,34 @@ def test_conjugated_sums_on_the_golden_algebras(request, traced):
             count += 1
     accepted = {id(p) for p in traced["accepted"]}
     assert len(accepted) == len(traced["accepted"])
-    assert not accepted & {id(p) for p in traced["endo"]}
-    assert traced["endo"]
+    # every split is a peel through a word module: no End system
+    assert traced["peeled"] and not traced["endo"]
     assert count >= 75
 
 
-@pytest.mark.parametrize("surface,words,seed,image", [
-    # M + M + N: the endomorphisms tried first act on M + M as X (x) id
-    # with X irreducible over Q, so N splits off with M + M as the image
+@pytest.mark.parametrize("surface,words,seed,mixed", [
+    # M + M + N
     (None, ("a1,b1-", "a1,b1-", "b3,c"), 7, True),
     # C + C with C of dims (2, 3): no vector is c (x) w for a single copy
     ("annulus", ("t0:1>2,t1:1>2-,t0:1>2,t1:1>2-",) * 2, 0, False),
 ])
 def test_repeated_summands_split_through_a_word(request, torus_algebra,
                                                 traced, surface, words,
-                                                seed, image):
-    # M + M splits only at an endomorphism f g through the word module M
+                                                seed, mixed):
+    # on M + M every endomorphism acts as X (x) id_M modulo the radical;
+    # a map through the word module M peels one copy off, on every seed;
+    # the last summand is identified, and a rest may fall apart along its
+    # support (it keeps all of p_v where the peeled word is 0)
     A = build_QT(request.getfixturevalue(surface)) if surface \
         else torus_algebra
     parts = [(canonical_string(A, parse_word(w)), None) for w in words]
+    assert (len(set(parts)) > 1) == mixed
     M = direct_sum(A, [module(A, w, lam) for w, lam in parts])
-    M = conjugate(A, M, random_glpoint(random.Random(seed), M.dims, 3))
-    assert labels(decompose(A, M, seed=seed)) == labels(parts)
-    assert traced["through_words"]
-    assert bool(traced["image"]) == image, traced
-
-
-def eigen_endo(A, M, rep, X, tail):
-    """Per vertex, X (x) id_M on the first len(X) summands, all copies
-    of M, and tail times the identity on the rest of rep."""
-    out = []
-    for m, total in zip(M.dims, rep.dims):
-        k = len(X)
-        f = [[0] * total for _ in range(total)]
-        for a in range(k):
-            for b in range(k):
-                for i in range(m):
-                    f[a * m + i][b * m + i] = X[a][b]
-        for i in range(k * m, total):
-            f[i][i] = tail
-        out.append(f)
-    return out
-
-
-def a3_pair(A):
-    # the strings a (dims 1, 1, 0) and b (dims 0, 1, 1) of 1 <- 2 <- 3
-    return string_module(A, [("a", False)]), string_module(A, [("b", False)])
-
-
-def test_rational_eigenvalues_split_at_once(a3_relation):
-    A = a3_relation
-    M, N = a3_pair(A)
-    rep = direct_sum(A, [M, M, N])
-    # diag(1, 2) on M + M and 3 on N: three generalized eigenspaces
-    blocks = _try_split(A, rep, eigen_endo(A, M, rep, [[1, 0], [0, 2]], 3))
-    assert [B.dims for B in blocks] == [M.dims, M.dims, N.dims]
-    assert all(iso_test(A, B, W) for B, W in zip(blocks, (M, M, N)))
-    # one eigenvalue: nothing to split along
-    assert _try_split(A, rep, eigen_endo(A, M, rep, [[2, 1], [0, 2]], 2)) \
-        is None
-
-
-def test_irrational_eigenvalues_stay_in_one_image_block(a3_relation):
-    A = a3_relation
-    M, N = a3_pair(A)
-    golden = [[1, 1], [1, 0]]  # x^2 - x - 1
-    # only the root 0 of N is rational: ker = N, im = M + M
-    rep = direct_sum(A, [M, M, N])
-    ker, im = _try_split(A, rep, eigen_endo(A, M, rep, golden, 0))
-    assert iso_test(A, ker, N)
-    assert iso_test(A, im, direct_sum(A, [M, M]))
-    # two rational roots beside the irrational pair: an eigenspace each,
-    # in increasing order, then the image
-    rep = direct_sum(A, [M, M, M, N])
-    X = [[1, 1, 0], [1, 0, 0], [0, 0, 2]]
-    blocks = _try_split(A, rep, eigen_endo(A, M, rep, X, 0))
-    want = (N, M, direct_sum(A, [M, M]))
-    assert [B.dims for B in blocks] == [W.dims for W in want]
-    assert all(iso_test(A, B, W) for B, W in zip(blocks, want))
-    # no rational eigenvalue at all: nothing to split along
-    rep = direct_sum(A, [M, M])
-    assert _try_split(A, rep, eigen_endo(A, M, rep, golden, 0)) is None
+    for k in range(seed, seed + 8):
+        N = conjugate(A, M, random_glpoint(random.Random(k), M.dims, 3))
+        traced["peeled"].clear()
+        assert labels(decompose(A, N, seed=k)) == labels(parts)
+        assert 1 <= len(traced["peeled"]) <= len(parts) - 1, k
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +215,10 @@ def test_named_words_need_no_table_and_a_miss_reads_its_own_dims():
     """The generic point of the torus component at (2, 2, 2, 2) with the
     most summands, a repeated one among them: decomposed against its
     certified words it builds no word table; against no words at all,
-    each piece that neither matches nor splits reads the table of its own
-    dims, never that of (2, 2, 2, 2)."""
+    each piece that neither matches nor peels reads the table of its own
+    dims, never that of (2, 2, 2, 2).  Nothing peels without a table, so
+    a support block that is a sum of words (M + M) reads the table of its
+    own dims, which are no word's."""
     A = load_algebra(os.path.join(GOLDEN, "torus_quiver.json"))
     d = (2, 2, 2, 2)
     Z = max(components(A, d), key=lambda Z: len(generic_multiset(A, Z)))
@@ -294,7 +235,11 @@ def test_named_words_need_no_table_and_a_miss_reads_its_own_dims():
                   for x in got) == want
     tables = set(A.__dict__["_word_tables"])
     assert tables and d not in tables
-    assert tables <= {word_shape(A, w)[0] for w in words}
+    shapes = [word_shape(A, w)[0] for w in words]
+    sub_sums = {tuple(map(sum, zip(*sub))) for k in range(1, len(shapes))
+                for sub in itertools.combinations(shapes, k)}
+    assert tables <= sub_sums
+    assert tables - set(shapes)
 
 
 def test_identify_rejects_foreign_dims_before_reading_ranks(monkeypatch):

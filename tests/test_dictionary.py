@@ -8,12 +8,13 @@ import pytest
 from conftest import golden
 from gentlelam import (DictionaryExhausted, StringWord, band_module,
                        build_QT, canonical_band, canonical_string,
-                       decompose, enumerate_bands, enumerate_strings,
-                       string_module)
+                       decompose, direct_sum, enumerate_bands,
+                       enumerate_strings, iso_test, string_module)
 from gentlelam.fileio import algebra_from_dict, triangulation_from_dict
 from gentlelam import strings
-from gentlelam.strings import (_letter_table, _pair_rule, letter, make_rep,
-                               parse_word, word_walk)
+from gentlelam.strings import (_letter_table, _pair_rule, conjugate,
+                               letter, make_rep, parse_word, random_glpoint,
+                               word_walk)
 
 ALGEBRAS = ("a3_relation", "double_loop", "loop_algebra", "torus_quiver",
             "two_cycle")
@@ -123,63 +124,61 @@ PANTS_BAND = "t0:2>6,t2:2>3-,t1:6>3,t0:6>1-,t4:1>5-,t3:4>5,t1:4>6-"
 def test_exhausted_path_draws_two_maps_per_word(lam, monkeypatch):
     # a module of no word walks the whole table before it is rejected;
     # each (word, parameter) W with Hom(rep, W) != 0 costs at most two
-    # random f g, where a loop over Hom bases took 1,921 and 1,912
+    # draws of (f, g), where a loop over Hom bases took 1,921 and 1,912
     A = golden_algebra("pants")
     M = flat_band(A, canonical_band(A, parse_word(PANTS_BAND)), lam)
-    seen = {"rep": None, "nonzero": 0, "yielded": 0}
-    through, hom_space = strings._through_words, strings._hom_space
+    seen = {"rep": None, "nonzero": 0, "drawn": 0}
+    peel, hom_space = strings._peel, strings._hom_space
 
-    def counted(A, rep, table, rng):
-        walk = through(A, rep, table, rng)
-        while True:
-            seen["rep"] = rep
-            try:
-                phi = next(walk)
-            except StopIteration:
-                return
-            finally:
-                seen["rep"] = None
-            seen["yielded"] += 1
-            yield phi
+    def counted_peel(A, p, table, rng):
+        seen["rep"] = p
+        try:
+            return peel(A, p, table, rng)
+        finally:
+            seen["rep"] = None
 
     def counted_hom_space(A, M, N):
         free, point = hom_space(A, M, N)
-        if M is seen["rep"] and free:
+        rep = seen["rep"]
+        if M is rep and free:
             seen["nonzero"] += 1  # Hom(rep, W) != 0 for a W of the table
-        return free, point
+        if N is not rep:
+            return free, point
 
-    monkeypatch.setattr(strings, "_through_words", counted)
+        def counted_point(values):
+            seen["drawn"] += 1  # one f in Hom(W, rep)
+            return point(values)
+        return free, counted_point
+
+    monkeypatch.setattr(strings, "_peel", counted_peel)
     monkeypatch.setattr(strings, "_hom_space", counted_hom_space)
     with pytest.raises(DictionaryExhausted):
         decompose(A, M)
     assert seen["nonzero"]
-    assert 0 < seen["yielded"] <= 2 * seen["nonzero"], seen
+    assert 0 < seen["drawn"] <= 2 * seen["nonzero"], seen
 
 
-def test_through_words_yields_zero_blocks_where_the_word_is_zero(
-        monkeypatch):
-    # f_v g_v through a word module W with W_v = 0 is the zero block of
-    # rep's size at v, not an empty one
+def test_peel_keeps_all_of_p_where_the_word_is_zero():
+    # the rest of a peel is ker g; where the peeled word W is 0, g_v is
+    # empty and the rest keeps all of p_v, in p's own basis
     A = golden_algebra("pants")
-    B = canonical_band(A, parse_word(PANTS_BAND))
-    M = flat_band(A, B, NOT_WORDS[0])
-    built, zero_blocks = [], []
-    word_rep, through = strings._word_rep, strings._through_words
-
-    def recorded(*args):
-        built.append(word_rep(*args))
-        return built[-1]
-
-    def counted(A, rep, table, rng):
-        for phi in through(A, rep, table, rng):
-            W = built[-1]
-            zero_blocks.extend(
-                phi[v] == [[0] * d for _ in range(d)]
-                for v, d in enumerate(rep.dims) if d and not W.dims[v])
-            yield phi
-
-    monkeypatch.setattr(strings, "_word_rep", recorded)
-    monkeypatch.setattr(strings, "_through_words", counted)
-    with pytest.raises(DictionaryExhausted):
-        decompose(A, M)
-    assert zero_blocks and all(zero_blocks)
+    rng = random.Random(SEED)
+    strs = [C for C in enumerate_strings(A, 3) if len(C)]
+    seen = 0
+    for _ in range(40):
+        C, D = rng.sample(strs, 2)
+        W, X = string_module(A, C), string_module(A, D)
+        zero = [w == 0 for w in W.dims]
+        if not any(z and x for z, x in zip(zero, X.dims)):
+            continue
+        M = direct_sum(A, [W, X])
+        M = conjugate(A, M, random_glpoint(rng, M.dims, 3))
+        label, rest = strings._peel(A, M, strings._shape_table(A, [C]), rng)
+        assert label == C
+        assert rest.dims == X.dims
+        assert iso_test(A, rest, X)
+        for aid in A.arrow_ids:
+            if zero[A.s(aid) - 1] and zero[A.t(aid) - 1]:
+                assert rest.mats[aid] == M.mats[aid]
+        seen += 1
+    assert seen >= 10

@@ -1,6 +1,7 @@
-"""The integer routes of the Fitting split, the subrepresentation and the
-AR translate, each against the Fraction route it replaced, kept here as
-the reference: results must be equal entry for entry."""
+"""The integer routes of the subrepresentation (on Omega and on the rests
+of `decompose`'s splits), the characteristic polynomial and the AR
+translate, each against the Fraction route it replaced, kept here as the
+reference: results must be equal entry for entry."""
 
 import random
 from fractions import Fraction

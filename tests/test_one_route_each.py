@@ -4,7 +4,12 @@ no packing helper (`_pack`) is defined; `generic_point` draws through
 `random_glpoint` itself, so no private replay of its stream (`_glpoint`)
 is defined; the decorated g-vector has one route, off the component's
 (d, r), so `decorated_g_vector` takes exactly (A, DZ) and the CLI never
-asks for a lamination's words (`lamination_words`)."""
+asks for a lamination's words (`lamination_words`).  `decompose` splits
+a piece one way, by peeling a word summand off along a map through it
+(`_peel`): no random-endomorphism split (`_split_once`), eigenspace
+split (`_try_split`, `_shifted_power`) or endomorphism through a word
+(`_through_words`) is defined, and `strings` imports neither `rref` nor
+`Counter`, which only the eigenspace split read."""
 
 import ast
 
@@ -12,6 +17,7 @@ from test_one_cocycle_kernel import functions, names_called, parsed
 from test_one_eliminator import MODULES
 
 RETIRED = {"_pack", "_glpoint"}
+SPLITS = {"_split_once", "_try_split", "_shifted_power", "_through_words"}
 
 
 def test_no_packing_helper_or_private_draw():
@@ -36,3 +42,19 @@ def test_the_cli_never_asks_for_lamination_words():
     assert "lamination_words" not in {
         alias.name for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_decompose_peels_and_splits_no_other_way():
+    defined = [(f, fn.name) for f in MODULES for fn in functions(parsed(f))]
+    found = [x for x in defined if x[1] in SPLITS]
+    assert not found, found
+    assert ("strings.py", "_peel") in defined
+
+
+def test_strings_imports_neither_rref_nor_counter():
+    imported = {alias.asname or alias.name
+                for node in ast.walk(parsed("strings.py"))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "nullspace" in imported
+    assert not imported & {"rref", "Counter"}, imported

@@ -2,8 +2,8 @@
 (`fuzz.random_gentle`, seeds 0-39, at most 4 vertices): the pair route
 `ceh_by_words` equals the sampled `ceh_values`, and
 `canonical_decomposition` finds the certified multiset at a generic
-point, which runs `decompose`'s splits on algebras no golden file
-holds.  About 1,850 components, 5-6 seconds."""
+point, which runs `decompose`'s peels on algebras no golden file holds.
+About 1,850 components, 5-6 seconds."""
 
 import itertools
 import random
@@ -14,15 +14,15 @@ from gentlelam import (canonical_decomposition, ceh_by_words, ceh_values,
 
 
 def test_components_of_random_algebras(monkeypatch):
-    splits = []
-    split_once = strings._split_once
+    peels = []
+    peel = strings._peel
 
-    def counted_split_once(*args):
-        blocks = split_once(*args)
-        splits.append(bool(blocks))
-        return blocks
+    def counted_peel(*args):
+        got = peel(*args)
+        peels.append(got is not None)
+        return got
 
-    monkeypatch.setattr(strings, "_split_once", counted_split_once)
+    monkeypatch.setattr(strings, "_peel", counted_peel)
     count = 0
     for seed in range(40):
         A = random_gentle(random.Random(seed), max_vertices=4)
@@ -34,4 +34,4 @@ def test_components_of_random_algebras(monkeypatch):
                 canonical_decomposition(A, Z)
                 count += 1
     assert count >= 1800
-    assert sum(splits) >= 100, "the split path was not reached"
+    assert sum(peels) >= 100, "the peel was not reached"
