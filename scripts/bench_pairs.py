@@ -5,10 +5,13 @@
 
 The repository is the one holding this script.  The parent side is a
 `git archive` of --parent, unpacked into a fresh temporary directory;
-the change side is the working tree.  Pair k runs `perfbench/run.py
---workload W --seed (first_seed + k) --seconds S --trace 0` on both
-sides, with S the `run_seconds` of BENCHMARK.json, the parent first
-when k is even and the change first when it is odd, one run at a time.
+the change side is a fresh copy of the working tree's files that git
+tracks or does not ignore (`git ls-files -co --exclude-standard`), so
+neither side holds a `__pycache__` and both compile from scratch.  Pair
+k runs `perfbench/run.py --workload W --seed (first_seed + k) --seconds
+S --trace 0` on both sides, with S the `run_seconds` of BENCHMARK.json,
+the parent first when k is even and the change first when it is odd,
+one run at a time.
 
 Each run contributes the JSON summary line run.py prints last (correct,
 attempted, failed, metrics) and the payload digest from its first line.
@@ -29,10 +32,8 @@ direction, and two verdicts:
 Then the number of pairs with equal digests and the failed op executions
 per side.  An existing --out file of the same parent keeps
 its other workloads, so one file can collect several invocations.
-Stdlib only; a run that fails, an --out file of another parent, or a
-`__pycache__` under src/ or perfbench/ of the working tree (the change
-would skip compiling what the parent's fresh archive compiles) stops the
-script with exit 2.
+Stdlib only; a run that fails or an --out file of another parent stops
+the script with exit 2.
 """
 
 import argparse
@@ -41,6 +42,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -115,16 +117,6 @@ def run_side(tree, workload, seed, seconds):
     return parse_run(proc.stdout)
 
 
-def compiled_caches(tree):
-    """The `__pycache__` directories under src/ and perfbench/ of tree."""
-    found = []
-    for top in ("src", "perfbench"):
-        for path, dirs, _ in os.walk(os.path.join(tree, top)):
-            if "__pycache__" in dirs:
-                found.append(os.path.join(path, "__pycache__"))
-    return sorted(found)
-
-
 def unpack(rev, into):
     data = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                           capture_output=True).stdout
@@ -135,11 +127,27 @@ def unpack(rev, into):
             tar.extractall(into)
 
 
+def copy_working_tree(into):
+    """Copy the working tree's files that git tracks or does not ignore
+    into `into`: a tracked file deleted from the tree is left out, and so
+    is every ignored one (compiled modules, run outputs)."""
+    names = subprocess.run(["git", "ls-files", "-co", "--exclude-standard",
+                            "-z"], cwd=ROOT, check=True,
+                           capture_output=True).stdout.decode().split("\0")
+    for name in names:
+        path = os.path.join(ROOT, name)
+        if name and os.path.isfile(path):
+            os.makedirs(os.path.dirname(os.path.join(into, name)),
+                        exist_ok=True)
+            shutil.copy2(path, os.path.join(into, name))
+
+
 NOTE = ("each run is the summary line (last stdout line) of run.py, on the "
-        "files of the parent (a git archive) and of the change (the working "
-        "tree), each in its own directory; pairs alternate which side runs "
-        "first (order); IQR is the distance between the inclusive quartiles; "
-        "digest is the payload digest run.py prints")
+        "files of the parent (a git archive) and of the change (a copy of "
+        "the working tree's files), each in its own directory; pairs "
+        "alternate which side runs first (order); IQR is the distance "
+        "between the inclusive quartiles; digest is the payload digest "
+        "run.py prints")
 
 
 def benchmark_spec():
@@ -159,11 +167,6 @@ def main(argv=None):
     ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    caches = compiled_caches(ROOT)
-    if caches:
-        print("error: remove " + ", ".join(caches) + " first: the parent's "
-              "archive holds no compiled modules", file=sys.stderr)
-        return 2
     short = subprocess.run(["git", "rev-parse", "--short", args.parent],
                            cwd=ROOT, check=True, capture_output=True,
                            text=True).stdout.strip()
@@ -185,8 +188,10 @@ def main(argv=None):
         "note": NOTE,
     })
     with tempfile.TemporaryDirectory() as tmp:
-        unpack(args.parent, tmp)
-        trees = {"parent": tmp, "change": ROOT}
+        trees = {side: os.path.join(tmp, side)
+                 for side in ("parent", "change")}
+        unpack(args.parent, trees["parent"])
+        copy_working_tree(trees["change"])
         for workload in args.workload:
             pairs = []
             for k in range(args.pairs):

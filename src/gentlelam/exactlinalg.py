@@ -23,10 +23,13 @@ it for given values of the free unknowns; `nullspace` builds its basis
 with it, and `strings._hom_space` the module maps of `strings` (the
 maps through word modules that `decompose` peels summands off along,
 and the isomorphism certificates of modules that are not both in
-monomial bases).  Band
-parameters go through the same kernel: `strings.band_lambda_candidates`
-reads them off a `nullspace` of integer intertwiner rows and the
-`charpoly` of a small rational matrix, with no polynomial arithmetic.
+monomial bases).  Band parameters go through the same kernel:
+`strings.band_lambda_candidates` reads them off a `nullspace` of integer
+intertwiner rows and the `rational_roots` of the `charpoly` of a small
+rational matrix.  Only these roots take integer polynomial arithmetic:
+from degree 3 on, a squarefree part by Euclid's algorithm with
+pseudo-remainders (`_squarefree`, `_pseudo_remainder`) and Hensel
+lifting of its roots modulo a prime (`_integer_roots`).
 
 Dense matrices are lists of row-lists.  `nullspace` returns primitive
 integer vectors; `mat_inverse` gives integral entries as int (so the

@@ -49,8 +49,10 @@ class ExponentOutOfRange(InputError):
 
 
 class ShapeMismatch(InputError):
-    """An x-exponent offset whose length is not n, or a position label
-    outside 1..n, for a coideal sum over an n x n exchange matrix."""
+    """A shape that does not fit n: an x-exponent offset or a list of
+    y-values whose length is not n, a label outside 1..n (of a coideal
+    sum or a `yhat` over an n x n exchange matrix), or a sum or product
+    of two LaurentPolys in different numbers of variables."""
 
 
 class NotPathOrCycle(InputError):
@@ -76,13 +78,20 @@ class LaurentPoly:
     def monomial(n, xe, ye, coeff=1):
         return LaurentPoly.from_dict(n, {(tuple(xe), tuple(ye)): coeff})
 
+    def _same_n(self, other):
+        if other.n != self.n:
+            raise ShapeMismatch(
+                f"LaurentPolys in {self.n} and {other.n} variables")
+
     def __add__(self, other):
+        self._same_n(other)
         d = dict(self.terms)
         for k, v in other.terms:
             d[k] = d.get(k, 0) + v
         return LaurentPoly.from_dict(self.n, d)
 
     def __mul__(self, other):
+        self._same_n(other)
         d = {}
         for (x1, y1), c1 in self.terms:
             for (x2, y2), c2 in other.terms:
@@ -136,10 +145,12 @@ class LaurentPoly:
 
 
 def specialize(poly, y_values=None):
-    """Substitute integers for the y-variables (all 1 by default)."""
+    """Substitute integers for the y-variables (all 1 by default), one
+    per variable (`ShapeMismatch`)."""
     n = poly.n
-    if y_values is None:
-        y_values = [1] * n
+    y_values = [1] * n if y_values is None else list(y_values)
+    if len(y_values) != n:
+        raise ShapeMismatch(f"{len(y_values)} y-values, not n = {n}")
     d = {}
     for (xe, ye), c in poly.terms:
         f = c
@@ -166,8 +177,11 @@ def signed_adjacency(T):
 
 
 def yhat(j, B):
-    """The monomial y_j * prod_i x_i^{b_ij}."""
+    """The monomial y_j * prod_i x_i^{b_ij}, for j in 1..n
+    (`ShapeMismatch`)."""
     n = len(B)
+    if not 1 <= j <= n:
+        raise ShapeMismatch(f"label {j!r} is outside 1..{n}")
     xe = tuple(B[i][j - 1] for i in range(n))
     ye = tuple(1 if i == j - 1 else 0 for i in range(n))
     return LaurentPoly.monomial(n, xe, ye)

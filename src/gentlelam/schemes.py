@@ -642,7 +642,7 @@ def canonical_decomposition(A, Z, seed=0):
     labels, found by `decompose` at the generic point of `seed` and
     checked against the certified multiset of `generic_multiset`, whose
     words `decompose` tries first on every piece (so it builds a word
-    table only for a piece that none of them matches, at that piece's
+    table only for a piece that none of them peels, at that piece's
     dims)."""
     words = generic_multiset(A, Z)
     M = generic_point(A, Z, seed)

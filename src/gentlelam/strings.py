@@ -46,8 +46,8 @@ class DictionaryExhausted(InternalError):
 
 class SubspaceNotInvariant(InternalError):
     """`_subrep` was given per-vertex bases whose span an arrow leaves:
-    every caller passes kernels of module maps (the rest of a peel, and
-    Omega inside P0), which are invariant."""
+    every caller passes kernels of module maps (the rest ker g of a peel,
+    and Omega inside P0), which are invariant."""
 
 
 def letter(arrow_id, inv=False):
@@ -469,9 +469,9 @@ def _word_table(A, dims):
     A shape fixes the string count (sum dims - sum ranks: 1 for a string,
     0 for a band), so each group holds strings only or bands only.  The
     table is kept on the algebra by dims.  `decompose` reads it for a
-    piece that none of the words it was handed matches, at the piece's
-    own dims; the multiset search of the tests (`schemes._candidates`)
-    reads it too."""
+    piece that peels against none of the words it was handed, at the
+    piece's own dims; the multiset search of the tests
+    (`schemes._candidates`) reads it too."""
     dims = tuple(dims)
     tables = _algebra_memo(A, "_word_tables")
     if dims not in tables:
@@ -709,11 +709,11 @@ def random_glpoint(rng, dims, bound=5):
 # Hom spaces and Krull-Schmidt decomposition
 #
 # Every module map is a point of one reduced intertwiner system
-# (`_hom_space`).  `decompose` has one split rule beside the support
-# graph: a word module W has a local endomorphism ring, so a word summand
-# is split off along f: W -> p and g: p -> W with g f invertible, and
-# f certifies it (`_peel`).  A piece is named by `_identify`, which
-# certifies a match by an explicit invertible intertwiner too.
+# (`_hom_space`).  `decompose` names word summands one way beside the
+# support graph (`_peel`): a word module W has a local endomorphism ring,
+# so a word summand is split off along f: W -> p and g: p -> W with g f
+# invertible, and f certifies it; a word of p's own shape is a summand
+# only when it is p, certified by an invertible intertwiner p -> W.
 
 
 def _complex_rows(sizes, terms, sign):
@@ -838,7 +838,7 @@ def _basis_matching(A, M, N):
     x and the next y is tried.  A walk that succeeds matches x's whole
     component, and components are taken greedily.  The map is an
     intertwiner and a bijection of bases, hence invertible.  None says
-    M != N when N is a word module, as `_identify` reads it, but not in
+    M != N when N is a word module, as `_peel` reads it, but not in
     general: M(B^2, mu^2) = M(B, mu) + M(B, -mu), yet no basis matching
     joins the two."""
     steps_m = _monomial_steps(A, M)
@@ -1068,50 +1068,71 @@ def _support_split(A, rep):
 
 
 def _peel(A, p, table, rng):
-    """One word summand of p split off along a map through it: (label,
-    rest) with p = W + rest, or None.
+    """One word summand of p split off: (label, rest) with p = W + rest,
+    rest None when p is W, or None.
 
-    The words of `table` whose dims and ranks fit under p's are tried in
-    turn, a band at each parameter of `band_lambda_candidates` for p
-    (which lists the parameter of every band summand of p with that
-    word).  For a word module W with Hom(p, W) and Hom(W, p) nonzero, two
-    pairs f in Hom(W, p), g in Hom(p, W) are drawn, points of their
-    `_hom_space` at values from `rng` in [-2^15, 2^15].  When g_v f_v is
-    invertible at every vertex where W_v != 0, g f is an automorphism of
-    W, so f is a split mono: p = im f + ker g, and f itself certifies
-    im f = W.  The rest ker g is the `nullspace` of g_v at each vertex
-    (the unit basis of p_v where W_v = 0), restricted by `_subrep`.
+    A word is a summand only if its dims and ranks fit under p's, and one
+    of p's own shape only if it is p, so the words of that shape in
+    `table` (a `_shape_table`) come first, a band's at each parameter of
+    `band_lambda_candidates` for p (which lists the parameter of every
+    band summand of p with that word), each module built once per algebra
+    (`_word_rep`).  One names p when an invertible intertwiner certifies
+    it: one that follows arrows (`_basis_matching`), else, for a piece
+    not in a monomial basis (a conjugated generic point, say), a point of
+    the reduced Hom system (`_hom_certificate`).  A monomial piece (a
+    support block of a `word_sum`) is named by the walk alone: a word
+    module is indecomposable, so its coefficient quiver in a monomial
+    basis is one walk, and walk modules are isomorphic only when the
+    walks agree up to reversal and rotation, with matching scalars, as
+    the walk finds.
 
-    End(W) = Q + rad (Butler-Ringel 1987, Crawley-Boevey 1989), so g f
-    fails only when its scalar part is 0; when W is a summand of p that
-    scalar is a nonzero bilinear form in the drawn values, so a draw
-    misses with probability at most 2/65,537 (Schwartz-Zippel)."""
+    Every other word W that fits is peeled.  When Hom(p, W) and
+    Hom(W, p) are nonzero, two pairs f in Hom(W, p), g in Hom(p, W) are
+    drawn, points of their `_hom_space` at values from `rng` in
+    [-2^15, 2^15].  When g_v f_v is invertible wherever W_v != 0, g f is
+    an automorphism of W, so f is a split mono: p = im f + ker g, and f
+    certifies im f = W.  The rest ker g is the `nullspace` of each g_v
+    (all of p_v where W_v = 0), restricted by `_subrep`.  End(W) = Q +
+    rad (Butler-Ringel 1987, Crawley-Boevey 1989), so g f fails only when
+    its scalar part, a nonzero bilinear form in the draws when W is a
+    summand, is 0: with probability at most 2/65,537 (Schwartz-Zippel)."""
     rf = rank_function_of(A, p)
     top = p.dims + tuple(rf[a] for a in A.arrow_ids)
+
+    def modules(words):
+        for w in words:
+            band = isinstance(w, BandWord)
+            for lam in band_lambda_candidates(A, w, p) if band else (None,):
+                yield ((w, lam) if band else w), _word_rep(A, w, lam)
+
+    monomial = None
+    for label, W in modules(table.get(top, ())):
+        if _basis_matching(A, p, W) is None:
+            if monomial is None:
+                monomial = _monomial_steps(A, p) is not None
+            if monomial or _hom_certificate(A, p, W) is None:
+                continue
+        return label, None
 
     def draw(free):
         return {k: rng.randint(-2 ** 15, 2 ** 15) for k in free}
 
     for shape, words in table.items():
-        if any(x > y for x, y in zip(shape, top)):
+        if shape == top or any(x > y for x, y in zip(shape, top)):
             continue
-        for w in words:
-            band = isinstance(w, BandWord)
-            for lam in band_lambda_candidates(A, w, p) if band else (None,):
-                W = _word_rep(A, w, lam)
-                g_free, g_at = _hom_space(A, p, W)
-                if not g_free:
-                    continue
-                f_free, f_at = _hom_space(A, W, p)
-                for _ in range(2) if f_free else ():
-                    g, f = g_at(draw(g_free)), f_at(draw(f_free))
-                    # g_v has no rows where W_v = 0: no condition there,
-                    # and its nullspace is all of p_v
-                    if all(is_invertible(mat_mul(gv, fv))
-                           for gv, fv in zip(g, f) if gv):
-                        rest = _subrep(A, p, [nullspace(gv, d) for gv, d
-                                              in zip(g, p.dims)])
-                        return ((w, lam) if band else w), rest
+        for label, W in modules(words):
+            g_free, g_at = _hom_space(A, p, W)
+            if not g_free:
+                continue
+            f_free, f_at = _hom_space(A, W, p)
+            for _ in range(2) if f_free else ():
+                g, f = g_at(draw(g_free)), f_at(draw(f_free))
+                # g_v has no rows where W_v = 0: no condition there, and
+                # its nullspace is all of p_v
+                if all(is_invertible(mat_mul(gv, fv))
+                       for gv, fv in zip(g, f) if gv):
+                    return label, _subrep(A, p, [nullspace(gv, d) for gv, d
+                                                 in zip(g, p.dims)])
     return None
 
 
@@ -1119,89 +1140,37 @@ def decompose(A, rep, seed=0, words=None):
     """Krull-Schmidt decomposition into StringWords and (BandWord, lambda),
     sorted by kind (strings first), word text and lambda.
 
-    A piece, starting from rep, is first matched against a table of words
-    (`_identify`), then split along its support graph (`_support_split`;
-    a block of that split is connected and skips the test), then peeled
-    (`_peel`): one word summand is split off along a map through its
-    word module, drawn from `random.Random(seed)`, and the rest goes back
-    on the stack.  Every label is certified by an explicit intertwiner.
-    The table is that of the words the caller names (`words`, the
-    certified multiset of a generic point, say); a piece that none of
-    them matches or peels, and every piece when `words` is None, reads
-    the table of every word that fits its own dims (`_word_table`).  A
-    piece that neither matches nor peels there is taken for no word
-    module with a rational parameter (`DictionaryExhausted`), wrongly
-    only if every draw through its summands' words misses (at most
-    2/65,537 each)."""
+    A piece, starting from rep, is split along its support graph
+    (`_support_split`; a block of that split is connected and skips the
+    test), else has one word summand split off (`_peel`, its draws from
+    `random.Random(seed)`), and the rest goes back on the stack.  Every
+    label is certified by an explicit intertwiner.  A piece is peeled
+    against the words the caller names (`words`, the certified multiset
+    of a generic point, say), and when none of them peels, or `words` is
+    None, against every word that fits its own dims (`_word_table`).  A
+    piece that peels against neither is taken for no sum of word modules
+    with rational parameters (`DictionaryExhausted`), wrongly only if
+    every draw through its summands' words misses (at most 2/65,537
+    each)."""
     rng = random.Random(seed)
     named = None if words is None else _shape_table(A, words)
-    pieces = [(rep, named, False)]
+    pieces = [(rep, False)] if rep.dim() else []  # no block or rest is 0
     out = []
     while pieces:
-        p, table, connected = pieces.pop()
-        if p.dim() == 0:
+        p, connected = pieces.pop()
+        blocks = None if connected else _support_split(A, p)
+        if blocks is not None:
+            pieces.extend((b, True) for b in blocks)
             continue
-        label = None if table is None else _identify(A, p, table)
-        if label is None:
-            blocks = None if connected else _support_split(A, p)
-            if blocks is not None:
-                pieces.extend((b, named, True) for b in blocks)
-                continue
-            if table is None:
-                table = _word_table(A, p.dims)
-                label = _identify(A, p, table)
-        if label is not None:
-            out.append(label)
-            continue
-        peeled = _peel(A, p, table, rng)
-        if peeled is not None:
-            out.append(peeled[0])
-            pieces.append((peeled[1], named, False))
-        elif table is named:
-            # p is connected (its support was tested): it comes back with
-            # the table of its own dims
-            pieces.append((p, None, True))
-        else:
+        peeled = None if named is None else _peel(A, p, named, rng)
+        if peeled is None:
+            peeled = _peel(A, p, _word_table(A, p.dims), rng)
+        if peeled is None:
             raise DictionaryExhausted(
-                f"summand with dims {p.dims} neither peels nor is a word")
+                f"summand with dims {p.dims} peels off no word")
+        label, rest = peeled
+        out.append(label)
+        if rest is not None:
+            pieces.append((rest, False))
     return sorted(out, key=lambda x: (True, str(x[0]), x[1])
                   if isinstance(x, tuple) else (False, str(x), 0))
-
-
-def _identify(A, p, table):
-    """The word (a StringWord, or (BandWord, lambda)) of p among the words
-    of `table` (a `_shape_table`), or None.
-
-    Only the words with p's shape (dims and rank function) can match, so
-    a piece whose dims no word has is rejected before its ranks are read,
-    and one whose string count is not 0 or 1, or whose shape no word
-    has, before any module is built.  Each candidate module is
-    built once per algebra (`_word_rep`), a band's at each parameter of
-    `band_lambda_candidates` (read off the integer Hom system of M(B, 1)
-    and p, and holding p's parameter if p is a module of the band B),
-    and an explicit invertible intertwiner certifies every match: one
-    that follows arrows (`_basis_matching`), else, for a piece not in a
-    monomial basis (a conjugated generic point, say), a point of the
-    reduced Hom system (`_hom_certificate`).  A monomial piece (a
-    support-split piece of a `word_sum`) is identified by the walk alone:
-    a word module is indecomposable, so its coefficient quiver in a
-    monomial basis is connected, hence one walk (the relations allow each
-    basis vector one continuation on each side), and walk modules are
-    isomorphic only when the walks agree up to reversal and rotation,
-    with matching scalars, as the walk finds.  Whether p is monomial is
-    read after the first walk that fails."""
-    if not any(shape[:A.n] == p.dims for shape in table):
-        return None
-    rf = rank_function_of(A, p)
-    monomial = None
-    for w in table.get(p.dims + tuple(rf[a] for a in A.arrow_ids), ()):
-        band = isinstance(w, BandWord)
-        for lam in band_lambda_candidates(A, w, p) if band else (None,):
-            N = _word_rep(A, w, lam)
-            if _basis_matching(A, p, N) is None:
-                if monomial is None:
-                    monomial = _monomial_steps(A, p) is not None
-                if monomial or _hom_certificate(A, p, N) is None:
-                    continue
-            return (w, lam) if band else w
-    return None

@@ -52,8 +52,8 @@ def hom_basis(A, M, N):
 
 def invertible_hom(A, M, N):
     """A map M -> N invertible at every vertex, or None, found as
-    `strings._identify` finds one: by following arrows, else as a point
-    of the reduced Hom system."""
+    `strings._peel` certifies a word of a piece's own shape: by following
+    arrows, else as a point of the reduced Hom system."""
     return _basis_matching(A, M, N) or _hom_certificate(A, M, N)
 
 

@@ -1,9 +1,10 @@
-"""The summary of `scripts/bench_pairs.py`, on fixed numbers: no
-benchmark runs here (a few milliseconds)."""
+"""The summary of `scripts/bench_pairs.py`, on fixed numbers, and its
+copy of the working tree: no benchmark runs here (a few milliseconds)."""
 
 import importlib.util
 import json
 import os
+import subprocess
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "scripts", "bench_pairs.py")
@@ -95,22 +96,27 @@ def test_run_length_and_directions_come_from_the_benchmark():
                       for m in spec["end_to_end"]}
 
 
-def test_a_compiled_cache_in_the_working_tree_stops_the_script(
-        tmp_path, monkeypatch, capsys):
-    # the parent side is a fresh archive; a change side that holds
-    # compiled modules would skip compiling them and read faster set-ups
-    for top in ("src", "perfbench"):
-        (tmp_path / top / "pkg").mkdir(parents=True)
-    (tmp_path / "tests" / "__pycache__").mkdir(parents=True)
-    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
-    args = ["--parent", "HEAD", "--workload", "census", "--pairs", "1",
-            "--first-seed", "1", "--out", str(tmp_path / "out.json")]
-    assert bench_pairs.compiled_caches(str(tmp_path)) == []
-    for top in ("src", "perfbench"):
-        cache = tmp_path / top / "pkg" / "__pycache__"
-        cache.mkdir()
-        assert bench_pairs.compiled_caches(str(tmp_path)) == [str(cache)]
-        assert bench_pairs.main(args) == 2
-        assert str(cache) in capsys.readouterr().err
-        cache.rmdir()
-    assert not (tmp_path / "out.json").exists()
+def test_the_change_side_copies_no_compiled_cache(tmp_path, monkeypatch):
+    # the parent side is a fresh archive; the change side is a fresh copy
+    # of the files git tracks or does not ignore, so a `__pycache__` of
+    # the working tree does not let the change skip compiling its modules
+    tree, into = tmp_path / "tree", tmp_path / "copy"
+    for name, text in ((".gitignore", "__pycache__/\n"),
+                       ("src/pkg/mod.py", "x = 1\n"),
+                       ("src/pkg/__pycache__/mod.cpython.pyc", "cache"),
+                       ("perfbench/__pycache__/run.cpython.pyc", "cache"),
+                       ("perfbench/run.py", "y = 2\n"),
+                       ("gone.py", "")):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text(text)
+    git = ["git", "-C", str(tree)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", ".gitignore", "src", "gone.py"], check=True)
+    (tree / "gone.py").unlink()  # tracked, deleted from the tree
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tree))
+    bench_pairs.copy_working_tree(str(into))
+    copied = sorted(str(p.relative_to(into)) for p in into.rglob("*")
+                    if p.is_file())
+    # perfbench/run.py is untracked and not ignored: copied too
+    assert copied == [".gitignore", "perfbench/run.py", "src/pkg/mod.py"]
+    assert (into / "src/pkg/mod.py").read_text() == "x = 1\n"

@@ -1,7 +1,8 @@
-"""`decompose` identifies a piece before it splits it, and peels one
-word summand off at a time along a map through its word module, which
-splits repeated summands too and never reduces the End system of a
-piece; the word table it reads lives on the algebra."""
+"""`decompose` names word summands one way: it peels one off at a time
+along a map through its word module, which splits repeated summands too
+and never reduces the End system of a piece, and a word of the piece's
+own shape is a peel with no rest; the word table it reads lives on the
+algebra."""
 
 import gc
 import itertools
@@ -69,30 +70,26 @@ def module(A, w, lam):
 
 @pytest.fixture
 def traced(monkeypatch):
-    """Pieces accepted by `_identify`, pieces whose End system was
-    reduced (`_hom_space(p, p)`), and the labels of `_peel`."""
+    """Pieces `_peel` names whole (its rest is None: an identification),
+    pieces whose End system was reduced (`_hom_space(p, p)`), and the
+    labels `_peel` splits off with a rest."""
     seen = {"accepted": [], "endo": [], "peeled": []}
-    identify, hom_space, peel = strings._identify, strings._hom_space, \
-        strings._peel
-
-    def counted_identify(A, p, table):
-        got = identify(A, p, table)
-        if got is not None:
-            seen["accepted"].append(p)
-        return got
+    hom_space, peel = strings._hom_space, strings._peel
 
     def counted_hom_space(A, M, N):
         if M is N:
             seen["endo"].append(M)
         return hom_space(A, M, N)
 
-    def counted_peel(*args):
-        got = peel(*args)
+    def counted_peel(A, p, table, rng):
+        got = peel(A, p, table, rng)
         if got is not None:
-            seen["peeled"].append(got[0])
+            if got[1] is None:
+                seen["accepted"].append(p)
+            else:
+                seen["peeled"].append(got[0])
         return got
 
-    monkeypatch.setattr(strings, "_identify", counted_identify)
     monkeypatch.setattr(strings, "_hom_space", counted_hom_space)
     monkeypatch.setattr(strings, "_peel", counted_peel)
     return seen
@@ -242,13 +239,23 @@ def test_named_words_need_no_table_and_a_miss_reads_its_own_dims():
     assert tables - set(shapes)
 
 
-def test_identify_rejects_foreign_dims_before_reading_ranks(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("ranks read for a piece no word can match")
-
+def test_a_conjugated_word_module_is_named_by_one_hom_system(monkeypatch):
+    # a word of the piece's own shape is a summand only when it is the
+    # piece: one point of Hom(p, W) certifies it, and no map W -> p is
+    # drawn to peel it
     A = load_algebra(os.path.join(GOLDEN, "torus_quiver.json"))
-    C, D = [w for w in enumerate_strings(A, 2) if len(w) == 1][:2]
-    p = string_module(A, C)
-    assert word_shape(A, C)[0] != word_shape(A, D)[0]
-    monkeypatch.setattr(strings, "rank_function_of", forbidden)
-    assert strings._identify(A, p, strings._shape_table(A, [D, D])) is None
+    C = max(enumerate_strings(A, 4), key=len)
+    M = string_module(A, C)
+    M = conjugate(A, M, random_glpoint(random.Random(SEED), M.dims, 3))
+    assert strings._monomial_steps(A, M) is None
+    calls = []
+    hom_space = strings._hom_space
+
+    def counted_hom_space(A, X, Y):
+        calls.append((X, Y))
+        return hom_space(A, X, Y)
+
+    monkeypatch.setattr(strings, "_hom_space", counted_hom_space)
+    assert decompose(A, M, seed=SEED, words=[C]) == [C]
+    ((X, Y),) = calls
+    assert X is M and Y is strings._word_rep(A, C)

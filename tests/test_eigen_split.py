@@ -76,12 +76,11 @@ def test_two_by_two_charpoly_in_closed_form():
 
 def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
     # a block of a support split is connected by construction; the rest
-    # of a peel is identified against the named words first, and tested
-    # (it may fall apart) only if identification rejects it
+    # of a peel is tested (it may fall apart) before it is peeled again,
+    # and a piece named whole (a peel with no rest) is one or the other
     A = pants_algebra
-    tested, support_blocks, rests, rejected = [], [], [], []
+    tested, support_blocks, rests, named = [], [], [], []
     support_split, peel = strings._support_split, strings._peel
-    identify = strings._identify
 
     def recording_support_split(A, rep):
         tested.append(rep)
@@ -91,19 +90,14 @@ def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
 
     def recording_peel(A, p, table, rng):
         peeled = peel(A, p, table, rng)
-        if peeled is not None:
+        if peeled is not None and peeled[1] is None:
+            named.append(p)
+        elif peeled is not None:
             rests.append(peeled[1])
         return peeled
 
-    def recording_identify(A, p, table):
-        label = identify(A, p, table)
-        if label is None:
-            rejected.append(p)
-        return label
-
     monkeypatch.setattr(strings, "_support_split", recording_support_split)
     monkeypatch.setattr(strings, "_peel", recording_peel)
-    monkeypatch.setattr(strings, "_identify", recording_identify)
     rng = random.Random(SEED)
     words = [w for w in enumerate_strings(A, 3) if len(w)]
     for k in range(6):
@@ -114,8 +108,9 @@ def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
         got = strings.decompose(A, M, seed=k, words=parts + parts[:1])
         assert sorted(map(str, got)) == sorted(map(str, parts + parts[:1]))
     tested_ids = {id(p) for p in tested}
-    assert support_blocks and rests
-    assert not tested_ids & {id(b) for b in support_blocks}
-    # a rest is support-tested only if identification rejected it
-    assert {id(b) for b in rests if b.dim()} & tested_ids <= \
-        {id(p) for p in rejected}
+    block_ids = {id(b) for b in support_blocks}
+    rest_ids = {id(b) for b in rests}
+    assert support_blocks and rests and named
+    assert not tested_ids & block_ids
+    assert rest_ids <= tested_ids
+    assert {id(p) for p in named} <= block_ids | rest_ids

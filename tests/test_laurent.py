@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from conftest import golden
-from gentlelam import (CurveSeq, DecoratedModule, LaurentPoly, bangle,
+from gentlelam import (CurveSeq, DecoratedModule, LaurentPoly, ShapeMismatch,
+                       bangle,
                        bangle_lamination, band_module, cc_prime,
                        coefficient_quiver, curve_to_module, direct_sum,
                        enumerate_strings, make_lamination, order_coideals,
@@ -28,6 +31,35 @@ def test_poly_arithmetic():
     assert dict(p.terms)[((1, -1), (1, 0))] == 6
     assert dict(p.terms)[((0, -2), (2, 0))] == 9
     assert (x + LaurentPoly.monomial(2, (1, 0), (0, 0), -1)).terms == ()
+
+
+def test_poly_arithmetic_needs_one_n():
+    # the exponents were zipped: x1*y3 (n = 3) times x4^5*y4 (n = 4) gave
+    # x1*y3, and the sum an n = 3 polynomial holding a 4-tuple term
+    p = LaurentPoly.monomial(3, (1, 0, 0), (0, 0, 1))
+    q = LaurentPoly.monomial(4, (0, 0, 0, 5), (0, 0, 0, 1))
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(ShapeMismatch, match="variables"):
+            a * b
+        with pytest.raises(ShapeMismatch, match="variables"):
+            a + b
+    assert (p * p).n == (p + p).n == 3
+
+
+def test_specialize_and_yhat_need_shapes_of_n(pants):
+    # a short y-list raised a bare IndexError and a long one was cut;
+    # yhat(0, B) read column -1 of B and yhat(n + 1, B) an IndexError
+    B = signed_adjacency(pants)
+    n = len(B)
+    p = yhat(2, B) * yhat(2, B)
+    assert specialize(p, [3] * n) == LaurentPoly.monomial(
+        n, [2 * row[1] for row in B], (0,) * n, 9)
+    for values in ([3] * (n - 1), [3] * (n + 1), []):
+        with pytest.raises(ShapeMismatch, match=f"{len(values)} y-values"):
+            specialize(p, values)
+    for j in (0, n + 1, -1):
+        with pytest.raises(ShapeMismatch, match=f"label {j}"):
+            yhat(j, B)
 
 
 def test_poly_json_roundtrip():

@@ -9,7 +9,11 @@ a piece one way, by peeling a word summand off along a map through it
 (`_peel`): no random-endomorphism split (`_split_once`), eigenspace
 split (`_try_split`, `_shifted_power`) or endomorphism through a word
 (`_through_words`) is defined, and `strings` imports neither `rref` nor
-`Counter`, which only the eigenspace split read."""
+`Counter`, which only the eigenspace split read.  It names a word summand
+one way too: a word of the piece's own shape is a peel with no rest, so
+no separate matcher (`_identify`) is defined, and `decompose` calls no
+helper of its own but `_support_split`, `_peel`, `_shape_table` and
+`_word_table`."""
 
 import ast
 
@@ -58,3 +62,13 @@ def test_strings_imports_neither_rref_nor_counter():
                 for alias in node.names}
     assert "nullspace" in imported
     assert not imported & {"rref", "Counter"}, imported
+
+
+def test_decompose_names_words_only_by_peeling():
+    defined = [(f, fn.name) for f in MODULES for fn in functions(parsed(f))]
+    assert not [x for x in defined if x[1] == "_identify"]
+    (fn,) = [fn for fn in functions(parsed("strings.py"))
+             if fn.name == "decompose"]
+    private = {name for name in names_called(fn) if name.startswith("_")}
+    assert private == {"_support_split", "_peel", "_shape_table",
+                       "_word_table"}, private

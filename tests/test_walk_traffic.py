@@ -56,7 +56,7 @@ def test_lamination_pieces_are_identified_by_the_walk(pants, pants_algebra,
 def test_lamination_pieces_reduce_no_hom_system(pants, pants_algebra,
                                                 monkeypatch):
     """A piece in a monomial basis that no walk matches to a candidate
-    word is no word module (`strings._identify`): decomposing the same 50
+    word is no word module (`strings._peel`): decomposing the same 50
     laminations reduces no Hom system at all."""
     A = pants_algebra
     calls = []
