@@ -478,12 +478,12 @@ def tau_string(A, C):
     projective module.  Each end is handled as the start of the word or
     of its inverse (`_cohook`, `_hook`).
     """
-    C = canonical_string(A, C) if not isinstance(C, StringWord) else C
+    C = string_word(A, C) if isinstance(C, StringWord) else \
+        canonical_string(A, C)
     if C.is_trivial:
         front = _cohook(A, None, C.vertex, C.sign)
         back = _cohook(A, None, C.vertex, -C.sign)
     else:
-        string_word(A, C)
         front = _cohook(A, C.letters[0])
         back = _cohook(A, letter_inv(C.letters[-1]))
     new = list(C.letters)
@@ -524,7 +524,7 @@ def _factors(A, X, kind, max_len=None):
     with E its letters i..j-1; a band is the same rule read around its
     cycle and yields (offset, length, E) for every length <= max_len."""
     if not X.letters:
-        yield (0, 0, ("triv", X.vertex))
+        yield (0, 0, ("triv", string_word(A, X).vertex))
         return
     band = isinstance(X, BandWord)
     before = kind == "sub"

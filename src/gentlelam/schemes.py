@@ -12,7 +12,9 @@ one place (`_model_arrows`): the generic module of a block component is
 (+) P_i^{p_i} (+) S_i^{q_i} with p_i the rank of a_i
 (`_model_multiplicities`), and its dim End is one sum over the model's
 Hom table (`_block_end_dim`).  The words of the generic direct sum are
-read off (d, r) alone by gluing positions at each vertex (`glued_words`)
+read off (d, r) alone by gluing positions at each vertex into a
+coefficient quiver and walking it (`glued_words`, through
+`strings._walks`, the walk that also reads a monomial module's words),
 and certified by that dimension count (`generic_multiset`); generic
 points are produced by conjugating the sum with random invertible
 matrices.
@@ -45,9 +47,9 @@ from .homological import (_cocycle_dim, _ext1_minus_hom,
 from .quiver import (InvalidDimensionVector, _dimension_vector, _kept,
                      is_jacobian, rho_blocks, transport_dimvec)
 from .strings import (BandWord, InvalidString, StringWord, _algebra_memo,
-                      _g_of_shape, _letter_table, _word_rep, _word_table,
-                      band_parameters, canonical_band, canonical_string,
-                      conjugate, decompose, hom_dim, letter_inv,
+                      _g_of_shape, _letter_table, _walks, _word_rep,
+                      _word_table, band_parameters, canonical_band,
+                      canonical_string, conjugate, decompose, hom_dim,
                       random_glpoint, rank_function_of, word_sum)
 
 
@@ -402,10 +404,11 @@ def glued_words(A, Z):
     of one end compose (ba is no relation) and meet at the positions both
     reach, while those of a relation ba count from opposite sides and
     miss each other, since r_a + r_b <= d_x; so the coefficient quiver
-    this builds has at most two edges at each position.  Each of its
-    paths is a string (`canonical_string`), and a cycle that reads u^k
-    gives k copies of the band u (`canonical_band`).  The words come in
-    walk order; `generic_multiset` sorts and certifies them.
+    this builds, every entry 1, has at most two edges at each position.
+    Its walks (`strings._walks`) give the words: each path is a string
+    (`canonical_string`), and a cycle that reads u^k gives k copies of
+    the band u (`canonical_band`).  The words come in walk order;
+    `generic_multiset` sorts and certifies them.
 
     Why it is generic: at x, im a in ker b is a partial flag counted from
     one end, and im a' in ker b' one counted from the other, which puts
@@ -413,44 +416,24 @@ def glued_words(A, Z):
     d, r = Z.d, Z.rank()
     offs = list(itertools.accumulate(d, initial=0))
     at = [v + 1 for v, dv in enumerate(d) for _ in range(dv)]
-    # per position: (next position, letter read on the way there)
+    # per position: (next position, letter read on the way there, entry)
     edges = [[] for _ in at]
     for a, s, t, es, et in _vertex_ends(A):
         for k in range(r[a]):
             x = offs[s] + (d[s] - 1 - k if es else k)
             y = offs[t] + (d[t] - 1 - k if et else k)
-            edges[x].append((y, (a, True)))
-            edges[y].append((x, (a, False)))
-    seen = [False] * len(at)
-
-    def walk(x, stop):
-        # the letters from x on, never back along the edge just taken,
-        # until a position without a way on or the position `stop`
-        letters, back = [], None
-        while True:
-            seen[x] = True
-            step = next((e for e in edges[x] if e[1] != back), None)
-            if step is None:
-                return letters
-            x, c = step
-            letters.append(c)
-            if x == stop:
-                return letters
-            back = letter_inv(c)
-
+            edges[x].append((y, (a, True), 1))
+            edges[y].append((x, (a, False), 1))
     words = []
-    for x in range(len(at)):  # the paths, each from one of its ends
-        if not seen[x] and len(edges[x]) < 2:
-            letters = walk(x, None)
-            words.append(canonical_string(A, StringWord(tuple(letters))) if
-                         letters else StringWord((), at[x]))
-    for x in range(len(at)):  # the cycles
-        if not seen[x]:
-            ls = walk(x, x)
-            m = len(ls)
-            p = next(p for p in range(2, m + 1)
-                     if m % p == 0 and ls[p:] + ls[:p] == ls)
-            words += [canonical_band(A, BandWord(tuple(ls[:p])))] * (m // p)
+    for x, ls, ratio in _walks(edges):
+        if ratio is None:
+            words.append(canonical_string(A, StringWord(ls)) if ls
+                         else StringWord((), at[x]))
+            continue
+        m = len(ls)
+        p = next(p for p in range(2, m + 1)
+                 if m % p == 0 and ls[p:] + ls[:p] == ls)
+        words += [canonical_band(A, BandWord(ls[:p]))] * (m // p)
     return words
 
 

@@ -150,8 +150,9 @@ class StringWord:
     sign: int = 1
 
     def __post_init__(self):
-        if not self.letters and self.vertex is None:
-            raise InvalidString("trivial string needs a vertex")
+        if not self.letters and (self.vertex is None or
+                                 self.sign not in (1, -1)):
+            raise InvalidString("trivial string needs a vertex, sign 1 or -1")
 
     def __hash__(self):
         try:
@@ -233,6 +234,9 @@ def check_string(A, letters):
 
 def string_word(A, letters):
     if isinstance(letters, StringWord):
+        v = letters.vertex
+        if letters.is_trivial and (type(v) is not int or not 1 <= v <= A.n):
+            raise InvalidString(f"trivial string at {v!r}, no vertex 1..{A.n}")
         check_string(A, letters.letters)
         return letters
     check_string(A, tuple(letters))
@@ -709,10 +713,12 @@ def random_glpoint(rng, dims, bound=5):
 # Hom spaces and Krull-Schmidt decomposition
 #
 # Every module map is a point of one reduced intertwiner system
-# (`_hom_space`).  `decompose` names word summands one way beside the
-# support graph (`_peel`): a word module W has a local endomorphism ring,
-# so a word summand is split off along f: W -> p and g: p -> W with g f
-# invertible, and f certifies it; a word of p's own shape is a summand
+# (`_hom_space`); a module in a monomial basis needs none, as one walk of
+# its coefficient quiver reads its words (`_monomial_labels`, `_walks`).
+# `decompose` names the word summands of any other piece one way beside
+# the support graph (`_peel`): a word module W has a local endomorphism
+# ring, so a word summand is split off along f: W -> p and g: p -> W with
+# g f invertible, and f certifies it; a word of p's own shape is a summand
 # only when it is p, certified by an invertible intertwiner p -> W.
 
 
@@ -788,10 +794,11 @@ def _hom_space(A, M, N):
 def _monomial_steps(A, rep):
     """The coefficient quiver of rep in its own basis, when every arrow
     matrix has at most one nonzero entry in each row and each column (a
-    monomial basis, as word modules have): one (arrow, source, target,
-    entry) per nonzero entry, the basis vectors numbered through the
-    vertices in order.  None otherwise, returned at the first row or
-    column that holds a second nonzero entry."""
+    monomial basis, as word modules and their direct sums have): one
+    (arrow, source, target, entry) per nonzero entry, the basis vectors
+    numbered through the vertices in order, which `_monomial_labels`
+    walks.  None otherwise, returned at the first row or column that
+    holds a second nonzero entry."""
     offs = list(itertools.accumulate(rep.dims, initial=0))
     steps = []
     for aid in A.arrow_ids:
@@ -810,99 +817,90 @@ def _monomial_steps(A, rep):
     return steps
 
 
-def _arrow_edges(steps, n):
-    """The edges of each of the n basis vectors x in the coefficient
-    quiver `steps`: (a, True) -> (x', m) where a sends x to m x', and
-    (a, False) -> (x', m) where a sends x' to m x."""
-    edges = [{} for _ in range(n)]
-    for aid, j, i, x in steps:
-        edges[j][aid, True] = (i, x)
-        edges[i][aid, False] = (j, x)
-    return edges
+def _walks(edges):
+    """The walks of a coefficient quiver with at most two edges at each
+    position x: edges[x] lists (next position, letter read on the way,
+    arrow-matrix entry), the letter inverse where the arrow leaves x.
+    Yields (x, letters, None) for each path, walked from its end x, then
+    (x, letters, (num, den)) for each cycle, walked once around from x:
+    num multiplies the entries along inverse letters, den those along
+    direct ones.  A walk never turns back along the letter it came by."""
+    seen = [False] * len(edges)
+
+    def walk(x, stop):
+        letters, ratio, back = [], [1, 1], None
+        while True:
+            seen[x] = True
+            for x, c, m in edges[x]:  # the edge not back the way it came
+                if c != back:
+                    break
+            else:
+                return tuple(letters), None
+            letters.append(c)
+            ratio[not c[1]] *= m  # num along inverse, den along direct
+            if x == stop:
+                return tuple(letters), tuple(ratio)
+            back = letter_inv(c)
+
+    for x in range(len(edges)):
+        if not seen[x] and len(edges[x]) < 2:
+            yield (x, *walk(x, None))
+    for x in range(len(edges)):
+        if not seen[x]:
+            yield (x, *walk(x, x))
 
 
-def _basis_matching(A, M, N):
-    """An isomorphism M -> N that sends each basis vector to a multiple
-    of one basis vector, as per-vertex N_v x M_v matrices, or None; M and
-    N have equal dimension vectors.
+def _monomial_labels(A, rep):
+    """The labels of rep's word summands, sorted, read off its
+    coefficient quiver (`_walks`), or None unless rep is in a monomial
+    basis (`_monomial_steps`), every basis vector has at most two edges
+    and no cycle reads a proper power.
 
-    Both bases must be monomial (`_monomial_steps`), else None at once.
-    The basis vectors x of M are taken in order, each not yet matched
-    tried against the unused basis vectors y of N at its vertex with its
-    set of edge labels (bucketed by both).  From x -> y the map follows
-    the edges of the two coefficient quivers: where a sends x to m x' and
-    y to k y', x' -> (c k / m) y', and where a sends x' to m x and y' to
-    k y, x' -> (c m / k) y', for x -> c y.  Every matched pair has equal
-    edge-label sets, so N_a f = f M_a also where M_a x = 0; a pair that
-    clashes with an earlier one, or a y used twice, undoes the walk from
-    x and the next y is tried.  A walk that succeeds matches x's whole
-    component, and components are taken greedily.  The map is an
-    intertwiner and a bijection of bases, hence invertible.  None says
-    M != N when N is a word module, as `_peel` reads it, but not in
-    general: M(B^2, mu^2) = M(B, mu) + M(B, -mu), yet no basis matching
-    joins the two."""
-    steps_m = _monomial_steps(A, M)
-    steps_n = None if steps_m is None else _monomial_steps(A, N)
-    if steps_n is None:
+    A path names its `canonical_string`, a cycle (B, lam) with B its
+    `canonical_band`.  Rescaling the basis along the walk is an
+    isomorphism onto the module of each label, every entry 1 but the
+    last, num / den (the same from every start) when the walk ends in an
+    inverse letter: M(B, mu) read along B gives mu exactly when B ends in
+    one.  So lam is num / den, inverted once if B reads the cycle
+    backwards (a band is no rotation of its inverse) and once more if B
+    ends in a direct letter."""
+    steps = _monomial_steps(A, rep)
+    if steps is None:
         return None
-    n = M.dim()
-    em, en = _arrow_edges(steps_m, n), _arrow_edges(steps_n, n)
-    offs = list(itertools.accumulate(M.dims, initial=0))
-    vertex = [v for v, d in enumerate(M.dims) for _ in range(d)]
-    bucket = {}
-    for y in range(n):
-        bucket.setdefault((vertex[y], frozenset(en[y])), []).append(y)
-    image = [None] * n  # x -> (y, c): x goes to c y
-    used = [False] * n
-
-    def walk(x0, y0):
-        image[x0], used[y0] = (y0, 1), True
-        done, stack = [x0], [x0]
-        while stack:
-            x = stack.pop()
-            y, c = image[x]
-            ey = en[y]
-            for label, (x2, m) in em[x].items():
-                y2, k = ey[label]
-                c2 = _ratio(c * k, m) if label[1] else _ratio(c * m, k)
-                if image[x2] is not None:
-                    if image[x2] == (y2, c2):
-                        continue
-                elif not used[y2] and em[x2].keys() == en[y2].keys():
-                    image[x2], used[y2] = (y2, c2), True
-                    done.append(x2)
-                    stack.append(x2)
-                    continue
-                for z in done:
-                    used[image[z][0]] = False
-                    image[z] = None
-                return False
-        return True
-
-    for x0 in range(n):
-        if image[x0] is None and not any(
-                walk(x0, y0) for y0 in bucket.get(
-                    (vertex[x0], frozenset(em[x0])), ()) if not used[y0]):
+    at = [v + 1 for v, d in enumerate(rep.dims) for _ in range(d)]
+    edges = [[] for _ in at]
+    for aid, j, i, x in steps:
+        edges[j].append((i, (aid, True), x))
+        edges[i].append((j, (aid, False), x))
+    if any(len(e) > 2 for e in edges):
+        return None
+    labels = []
+    for x, ls, ratio in _walks(edges):
+        if ratio is None:
+            labels.append(canonical_string(A, StringWord(ls)) if ls
+                          else StringWord((), at[x]))
+            continue
+        if _is_proper_power(ls):
             return None
-    f = [[[0] * d for _ in range(d)] for d in M.dims]
-    for x, (y, c) in enumerate(image):
-        v = vertex[x]
-        f[v][y - offs[v]][x - offs[v]] = c
-    return f
+        B = canonical_band(A, BandWord(ls))
+        backwards = B.letters not in (ls[k:] + ls[:k] for k in range(len(ls)))
+        lam = Fraction(*ratio)
+        labels.append((B, 1 / lam if backwards == B.letters[-1][1] else lam))
+    return sorted(labels, key=str)
 
 
 def iso_test(A, M, N):
-    """Whether M and N are isomorphic: dimension vectors first, then a
-    map that follows the arrows when both bases are monomial
-    (`_basis_matching`), then rank functions and an invertible point of
-    the reduced Hom system (`_hom_certificate`).  Every True is certified
-    by an explicit invertible intertwiner."""
+    """Whether M and N are isomorphic: dimension vectors first, then, when
+    both are read off a walk (`_monomial_labels`; the zero module reads as
+    no word), their word labels, which decide either way by Krull-Schmidt,
+    else rank functions and an invertible point of the reduced Hom system
+    (`_hom_certificate`).  Every True is certified by explicit
+    isomorphisms."""
     if M.dims != N.dims:
         return False
-    if M.dim() == 0:
-        return True
-    if _basis_matching(A, M, N) is not None:
-        return True
+    labels = _monomial_labels(A, M), _monomial_labels(A, N)
+    if None not in labels:
+        return labels[0] == labels[1]
     if rank_function_of(A, M) != rank_function_of(A, N):
         return False
     return _hom_certificate(A, M, N) is not None
@@ -1036,7 +1034,9 @@ def _support_split(A, rep):
     of unit vectors, so its matrices are the rows and columns of rep's
     at those indices (in increasing order per vertex), and `make_rep`
     checks the relations on them as on every construction.  `_subrep` on
-    the unit vectors gives the same blocks and is the oracle.
+    the unit vectors gives the same blocks and is the oracle.  A sum in a
+    monomial basis comes here only if a cycle reads a proper power (see
+    `_monomial_labels`).
     """
     nodes = [(v, i) for v in range(A.n) for i in range(rep.dims[v])]
     if not nodes:
@@ -1076,15 +1076,10 @@ def _peel(A, p, table, rng):
     `table` (a `_shape_table`) come first, a band's at each parameter of
     `band_lambda_candidates` for p (which lists the parameter of every
     band summand of p with that word), each module built once per algebra
-    (`_word_rep`).  One names p when an invertible intertwiner certifies
-    it: one that follows arrows (`_basis_matching`), else, for a piece
-    not in a monomial basis (a conjugated generic point, say), a point of
-    the reduced Hom system (`_hom_certificate`).  A monomial piece (a
-    support block of a `word_sum`) is named by the walk alone: a word
-    module is indecomposable, so its coefficient quiver in a monomial
-    basis is one walk, and walk modules are isomorphic only when the
-    walks agree up to reversal and rotation, with matching scalars, as
-    the walk finds.
+    (`_word_rep`).  One names p when an invertible point of the reduced
+    Hom system certifies it (`_hom_certificate`).  `decompose` reads a
+    piece in a monomial basis off its walk (`_monomial_labels`) before it
+    gets here, so p is a conjugated generic point, say, or a rest.
 
     Every other word W that fits is peeled.  When Hom(p, W) and
     Hom(W, p) are nonzero, two pairs f in Hom(W, p), g in Hom(p, W) are
@@ -1105,14 +1100,9 @@ def _peel(A, p, table, rng):
             for lam in band_lambda_candidates(A, w, p) if band else (None,):
                 yield ((w, lam) if band else w), _word_rep(A, w, lam)
 
-    monomial = None
     for label, W in modules(table.get(top, ())):
-        if _basis_matching(A, p, W) is None:
-            if monomial is None:
-                monomial = _monomial_steps(A, p) is not None
-            if monomial or _hom_certificate(A, p, W) is None:
-                continue
-        return label, None
+        if _hom_certificate(A, p, W) is not None:
+            return label, None
 
     def draw(free):
         return {k: rng.randint(-2 ** 15, 2 ** 15) for k in free}
@@ -1140,11 +1130,13 @@ def decompose(A, rep, seed=0, words=None):
     """Krull-Schmidt decomposition into StringWords and (BandWord, lambda),
     sorted by kind (strings first), word text and lambda.
 
-    A piece, starting from rep, is split along its support graph
-    (`_support_split`; a block of that split is connected and skips the
-    test), else has one word summand split off (`_peel`, its draws from
-    `random.Random(seed)`), and the rest goes back on the stack.  Every
-    label is certified by an explicit intertwiner.  A piece is peeled
+    A piece, starting from rep, is read as its words when it is in a
+    monomial basis (`_monomial_labels`; a `word_sum`, say), else split
+    along its support graph (`_support_split`; a block of that split is
+    connected and skips the test), else has one word summand split off
+    (`_peel`, its draws from `random.Random(seed)`), and the rest goes
+    back on the stack.  Every label is certified by an explicit
+    intertwiner, the rescaling along a walk or a map.  A piece is peeled
     against the words the caller names (`words`, the certified multiset
     of a generic point, say), and when none of them peels, or `words` is
     None, against every word that fits its own dims (`_word_table`).  A
@@ -1154,10 +1146,14 @@ def decompose(A, rep, seed=0, words=None):
     each)."""
     rng = random.Random(seed)
     named = None if words is None else _shape_table(A, words)
-    pieces = [(rep, False)] if rep.dim() else []  # no block or rest is 0
+    pieces = [(rep, False)]  # the walk reads the zero module as no label
     out = []
     while pieces:
         p, connected = pieces.pop()
+        labels = _monomial_labels(A, p)
+        if labels is not None:
+            out += labels
+            continue
         blocks = None if connected else _support_split(A, p)
         if blocks is not None:
             pieces.extend((b, True) for b in blocks)

@@ -13,8 +13,7 @@ from fuzz import random_gentle
 from gentlelam import Quiver, Triangulation, build_QT, validate_gentle
 from gentlelam.exactlinalg import nullspace
 from gentlelam.fileio import algebra_from_dict, triangulation_from_dict
-from gentlelam.strings import (_basis_matching, _hom_certificate,
-                               _intertwiner_rows)
+from gentlelam.strings import _intertwiner_rows
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_ALGEBRAS = ("a3_relation", "double_loop", "loop_algebra",
@@ -48,13 +47,6 @@ def hom_basis(A, M, N):
     return [[[vec[o + u * dM:o + (u + 1) * dM] for u in range(dN)]
              for o, dM, dN in zip(offs, M.dims, N.dims)]
             for vec in nullspace(rows, nvars)]
-
-
-def invertible_hom(A, M, N):
-    """A map M -> N invertible at every vertex, or None, found as
-    `strings._peel` certifies a word of a piece's own shape: by following
-    arrows, else as a point of the reduced Hom system."""
-    return _basis_matching(A, M, N) or _hom_certificate(A, M, N)
 
 
 def reference(rows, ncols):

@@ -76,11 +76,15 @@ def test_two_by_two_charpoly_in_closed_form():
 
 def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
     # a block of a support split is connected by construction; the rest
-    # of a peel is tested (it may fall apart) before it is peeled again,
-    # and a piece named whole (a peel with no rest) is one or the other
+    # of a peel is read by a walk or tested (it may fall apart) before it
+    # is peeled again, and a piece named whole (a peel with no rest) is
+    # one or the other.  A module in a monomial basis is read by a walk
+    # before any split, so the support blocks here come from a conjugated
+    # M + M and a conjugated word beside two word modules.
     A = pants_algebra
-    tested, support_blocks, rests, named = [], [], [], []
+    tested, support_blocks, rests, named, walked = [], [], [], [], []
     support_split, peel = strings._support_split, strings._peel
+    monomial_labels = strings._monomial_labels
 
     def recording_support_split(A, rep):
         tested.append(rep)
@@ -96,21 +100,42 @@ def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
             rests.append(peeled[1])
         return peeled
 
+    def recording_monomial_labels(A, rep):
+        labels = monomial_labels(A, rep)
+        if labels is not None:
+            walked.append(rep)
+        return labels
+
     monkeypatch.setattr(strings, "_support_split", recording_support_split)
     monkeypatch.setattr(strings, "_peel", recording_peel)
+    monkeypatch.setattr(strings, "_monomial_labels",
+                        recording_monomial_labels)
     rng = random.Random(SEED)
     words = [w for w in enumerate_strings(A, 3) if len(w)]
+    # a word with a space of dimension 2 stays dense when conjugated
+    tall = [w for w in words if max(string_module(A, w).dims) > 1]
+
+    def conjugated(ws):
+        M = direct_sum(A, [string_module(A, w) for w in ws])
+        return conjugate(A, M, random_glpoint(rng, M.dims, 2))
+
     for k in range(6):
-        parts = rng.sample(words, 3)
-        M = direct_sum(A, [string_module(A, w) for w in parts + parts[:1]])
+        parts = rng.sample(words, 3) + rng.sample(tall, 1)
+        want = parts + parts[:1]
         if k % 2:
-            M = conjugate(A, M, random_glpoint(rng, M.dims, 2))
-        got = strings.decompose(A, M, seed=k, words=parts + parts[:1])
-        assert sorted(map(str, got)) == sorted(map(str, parts + parts[:1]))
+            M = conjugated(want)
+        else:
+            M = direct_sum(A, [conjugated(parts[:1] * 2),
+                               conjugated(parts[3:])]
+                           + [string_module(A, w) for w in parts[1:3]])
+        got = strings.decompose(A, M, seed=k, words=want)
+        assert sorted(map(str, got)) == sorted(map(str, want))
     tested_ids = {id(p) for p in tested}
     block_ids = {id(b) for b in support_blocks}
     rest_ids = {id(b) for b in rests}
+    walked_ids = {id(p) for p in walked}
     assert support_blocks and rests and named
+    assert block_ids - walked_ids  # a block that is not monomial
     assert not tested_ids & block_ids
-    assert rest_ids <= tested_ids
+    assert rest_ids <= tested_ids | walked_ids
     assert {id(p) for p in named} <= block_ids | rest_ids

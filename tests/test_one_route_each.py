@@ -12,8 +12,12 @@ split (`_try_split`, `_shifted_power`) or endomorphism through a word
 `Counter`, which only the eigenspace split read.  It names a word summand
 one way too: a word of the piece's own shape is a peel with no rest, so
 no separate matcher (`_identify`) is defined, and `decompose` calls no
-helper of its own but `_support_split`, `_peel`, `_shape_table` and
-`_word_table`."""
+helper of its own but `_monomial_labels`, `_support_split`, `_peel`,
+`_shape_table` and `_word_table`.  One walk (`strings._walks`) turns a
+coefficient quiver into words, for the glued positions of a component
+(`glued_words`) and for a module in a monomial basis
+(`_monomial_labels`): no matcher of basis vectors (`_basis_matching`,
+`_arrow_edges`) is defined."""
 
 import ast
 
@@ -70,5 +74,12 @@ def test_decompose_names_words_only_by_peeling():
     (fn,) = [fn for fn in functions(parsed("strings.py"))
              if fn.name == "decompose"]
     private = {name for name in names_called(fn) if name.startswith("_")}
-    assert private == {"_support_split", "_peel", "_shape_table",
-                       "_word_table"}, private
+    assert private == {"_monomial_labels", "_support_split", "_peel",
+                       "_shape_table", "_word_table"}, private
+
+
+def test_one_walk_reads_every_coefficient_quiver():
+    defined = {fn.name: fn for f in MODULES for fn in functions(parsed(f))}
+    assert not {"_basis_matching", "_arrow_edges"} & set(defined)
+    for name in ("glued_words", "_monomial_labels"):
+        assert "_walks" in set(names_called(defined[name])), name

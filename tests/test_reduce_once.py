@@ -16,10 +16,9 @@ from gentlelam import (band_module, enumerate_bands, enumerate_strings,
 from gentlelam.exactlinalg import (_echelon, _kernel_point, is_invertible,
                                    nullspace, sparse_rank)
 from gentlelam.homological import _paths_ending_at
-from gentlelam.strings import conjugate, random_glpoint
+from gentlelam.strings import _hom_certificate, conjugate, random_glpoint
 
-from conftest import (GOLDEN, assert_certificate, hom_basis, invertible_hom,
-                      reference)
+from conftest import GOLDEN, assert_certificate, hom_basis, reference
 
 SEED = 20
 
@@ -122,7 +121,7 @@ def test_certificates_of_conjugated_word_modules(torus_algebra,
                   for lam in (1, -2, Fraction(3, 2))]
         for M in words[::3]:
             N = conjugate(A, M, random_glpoint(rng, M.dims))
-            assert_certificate(A, M, N, invertible_hom(A, M, N))
+            assert_certificate(A, M, N, _hom_certificate(A, M, N))
 
 
 def test_certificates_of_tau_string_against_tau_dtr(torus_algebra,
@@ -136,7 +135,7 @@ def test_certificates_of_tau_string_against_tau_dtr(torus_algebra,
                 continue
             M = string_module(A, W)
             assert M.dims == N.dims
-            assert_certificate(A, M, N, invertible_hom(A, M, N))
+            assert_certificate(A, M, N, _hom_certificate(A, M, N))
 
 
 def test_bands_at_different_parameters_have_no_certificate(torus_algebra,
@@ -147,7 +146,7 @@ def test_bands_at_different_parameters_have_no_certificate(torus_algebra,
         assert bands
         for B in bands:
             M2, M3 = band_module(A, B, 2), band_module(A, B, 3)
-            assert invertible_hom(A, M2, M3) is None
+            assert _hom_certificate(A, M2, M3) is None
             assert not iso_test(A, M2, M3)
 
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from fuzz import random_gentle
-from gentlelam import (BandWord, NotPrimitive, StringWord, ZeroLambda,
-                       band_module, band_word, canonical_band,
+from gentlelam import (BandWord, InvalidString, NotPrimitive, StringWord,
+                       ZeroLambda, band_module, band_word, canonical_band,
                        canonical_string, decompose, direct_sum,
                        enumerate_bands, enumerate_strings, rank_function_of,
-                       string_module, string_word)
+                       standard_homs, string_module, string_word, tau_string)
 from gentlelam.strings import (conjugate, letter, make_rep, parse_word,
                                random_glpoint)
 
@@ -52,6 +52,42 @@ def test_band_power_not_primitive(torus_algebra):
 def test_trivial_string_module(torus_algebra):
     M = string_module(torus_algebra, StringWord((), 3))
     assert M.dims == (0, 0, 1, 0)
+
+
+@pytest.mark.parametrize("vertex", [0, 7, 99, -1, "3", 3.0, True])
+def test_trivial_string_outside_the_quiver_is_rejected(pants_algebra,
+                                                       vertex):
+    A = pants_algebra
+    assert A.n == 6
+    C = StringWord((), vertex)
+    for fn in (string_word, string_module, tau_string):
+        with pytest.raises(InvalidString):
+            fn(A, C)
+    with pytest.raises(InvalidString):
+        standard_homs(A, C, C)
+    if vertex == 0:
+        with pytest.raises(InvalidString):
+            string_module(A, parse_word("1@0"))
+
+
+@pytest.mark.parametrize("sign", [0, 3, -2, 2])
+def test_trivial_string_sign_is_one_or_minus_one(sign):
+    with pytest.raises(InvalidString):
+        StringWord((), 2, sign)
+    # a nontrivial string ignores its sign
+    assert StringWord((("a", False),), None, sign).letters
+
+
+def test_trivial_strings_inside_the_quiver_are_kept(pants_algebra):
+    A = pants_algebra
+    for v in range(1, A.n + 1):
+        for sign in (1, -1):
+            C = StringWord((), v, sign)
+            assert string_word(A, C) is C
+            assert string_module(A, C).dims == tuple(
+                int(u == v) for u in range(1, A.n + 1))
+            tau_string(A, C)
+            assert standard_homs(A, C, C)
 
 
 def test_single_arrow_module(torus_algebra):

@@ -1,6 +1,7 @@
-"""Which route certifies which isomorphism, counted rather than guessed:
-word-shaped modules are matched by following arrows
-(`strings._basis_matching`) and never reach the Hom system."""
+"""Which route names which module, counted rather than guessed: word
+modules in a monomial basis are read off one walk of their coefficient
+quiver (`strings._monomial_labels`) and never reach the support split,
+a word table, a band-parameter search or the Hom system."""
 
 from gentlelam import (decompose, enumerate_strings, iso_test, strings,
                        string_module, tau_dtr, tau_string)
@@ -9,13 +10,13 @@ from lamgen import random_laminations
 
 
 def counted(monkeypatch, name, seen):
-    """Patch strings.<name>, a function of (A, M, N), to append (M, its
+    """Patch strings.<name>, a function of (A, X, ...), to append (X, its
     result) to `seen` on every call."""
     real = getattr(strings, name)
 
-    def wrapper(A, M, N):
-        got = real(A, M, N)
-        seen.append((M, got))
+    def wrapper(A, X, *rest):
+        got = real(A, X, *rest)
+        seen.append((X, got))
         return got
     monkeypatch.setattr(strings, name, wrapper)
 
@@ -38,29 +39,32 @@ def test_tau_pairs_reduce_no_hom_system(torus_algebra, pants_algebra,
 def test_lamination_pieces_are_identified_by_the_walk(pants, pants_algebra,
                                                       monkeypatch):
     """`decompose` of the generic decorated modules of the 50 laminations
-    pinned in tests/test_pinned_outputs.py: each piece of the support
-    split is a word module, certified by one walk, and no point of a Hom
-    system certifies anything."""
+    pinned in tests/test_pinned_outputs.py: each module is read whole by
+    one walk, which names all of its pieces, and it is neither split
+    along its support nor peeled."""
     A = pants_algebra
-    walks, certificates = [], []
-    counted(monkeypatch, "_basis_matching", walks)
-    counted(monkeypatch, "_hom_certificate", certificates)
+    walks, splits, peels = [], [], []
+    counted(monkeypatch, "_monomial_labels", walks)
+    counted(monkeypatch, "_support_split", splits)
+    counted(monkeypatch, "_peel", peels)
     pieces = 0
     for L in random_laminations(pants, A, 50, seed=123):
         pieces += len(decompose(A, generic_decorated_module(pants, L).module))
-    found = [M for M, f in walks if f is not None]
-    assert pieces == 79 and len(found) == pieces
-    assert all(f is None for _, f in certificates)
+    # 12 of the 50 modules are 0, read as no piece
+    assert pieces == 79 and len(walks) == 50
+    assert sum(len(labels) for _, labels in walks) == pieces
+    assert splits == peels == []
 
 
 def test_lamination_pieces_reduce_no_hom_system(pants, pants_algebra,
                                                 monkeypatch):
-    """A piece in a monomial basis that no walk matches to a candidate
-    word is no word module (`strings._peel`): decomposing the same 50
-    laminations reduces no Hom system at all."""
+    """Decomposing the same 50 laminations builds no word table, searches
+    no band parameter and reduces no Hom system at all."""
     A = pants_algebra
-    calls = []
+    calls, searches, tables = [], [], []
     counted(monkeypatch, "_hom_space", calls)
+    counted(monkeypatch, "band_lambda_candidates", searches)
+    counted(monkeypatch, "_word_table", tables)
     for L in random_laminations(pants, A, 50, seed=123):
         decompose(A, generic_decorated_module(pants, L).module)
-    assert len(calls) == 0
+    assert calls == searches == tables == []
