@@ -38,9 +38,9 @@ from .exactlinalg import (_echelon, _forward, _ratio, nullspace,
 from .quiver import _algebra_memo
 from .strings import (BandWord, StringWord, _complex_rows, _letter_table,
                       _g_of_shape, _subrep, _sum_offsets, canonical_band,
-                      canonical_string, direct_sum, hom_dim, letter_inv,
-                      letter_s, letter_t, make_rep, rank_function_of,
-                      string_word, zero_rep)
+                      band_word, canonical_string, direct_sum, hom_dim,
+                      letter_inv, letter_s, letter_t, make_rep,
+                      rank_function_of, string_word, zero_rep)
 
 hom_dim_oracle = hom_dim
 
@@ -524,7 +524,7 @@ def _factors(A, X, kind, max_len=None):
     with E its letters i..j-1; a band is the same rule read around its
     cycle and yields (offset, length, E) for every length <= max_len."""
     if not X.letters:
-        yield (0, 0, ("triv", string_word(A, X).vertex))
+        yield (0, 0, ("triv", X.vertex))
         return
     band = isinstance(X, BandWord)
     before = kind == "sub"
@@ -552,10 +552,13 @@ def _e_inverse(E):
 def standard_homs(A, X, Y):
     """Complete basis of standard homomorphisms M(X) -> M(Y).
 
-    X and Y are StringWords or BandWords; band modules are taken with
-    parameter 1 and quasi-length 1, so equal canonical bands denote the
-    same module (whose identity map joins the list).
+    X and Y are StringWords or BandWords, each checked by `string_word`
+    or `band_word` (`InvalidString`, `InvalidBand`); band modules are
+    taken with parameter 1 and quasi-length 1, so equal canonical bands
+    denote the same module (whose identity map joins the list).
     """
+    for W in (X, Y):
+        (band_word if isinstance(W, BandWord) else string_word)(A, W)
     out = []
     x_band = isinstance(X, BandWord)
     y_band = isinstance(Y, BandWord)

@@ -622,14 +622,14 @@ def ceh_by_words(A, Z):
 
 def canonical_decomposition(A, Z, seed=0):
     """Generic decomposition of the component into string and band
-    labels, found by `decompose` at the generic point of `seed` and
-    checked against the certified multiset of `generic_multiset`, whose
-    words `decompose` tries first on every piece (so it builds a word
-    table only for a piece that none of them peels, at that piece's
-    dims)."""
+    labels, found by `decompose` at the generic point of `seed` (the
+    seed draws only that point) and checked against the certified
+    multiset of `generic_multiset`, whose words `decompose` pairs with
+    every piece first (so it builds a word table only for a piece that
+    they do not fill, at that piece's dims)."""
     words = generic_multiset(A, Z)
     M = generic_point(A, Z, seed)
-    parts = decompose(A, M, seed=seed, words=words)
+    parts = decompose(A, M, words=words)
     labels = [("band", x[0]) if isinstance(x, tuple) else ("string", x)
               for x in parts]
     want = sorted(("band" if isinstance(w, BandWord) else "string", str(w))

@@ -46,8 +46,8 @@ class DictionaryExhausted(InternalError):
 
 class SubspaceNotInvariant(InternalError):
     """`_subrep` was given per-vertex bases whose span an arrow leaves:
-    every caller passes kernels of module maps (the rest ker g of a peel,
-    and Omega inside P0), which are invariant."""
+    its one caller passes Omega inside P0, the kernel of a module map,
+    which is invariant."""
 
 
 def letter(arrow_id, inv=False):
@@ -473,8 +473,8 @@ def _word_table(A, dims):
     A shape fixes the string count (sum dims - sum ranks: 1 for a string,
     0 for a band), so each group holds strings only or bands only.  The
     table is kept on the algebra by dims.  `decompose` reads it for a
-    piece that peels against none of the words it was handed, at the
-    piece's own dims; the multiset search of the tests
+    piece that the words it was handed do not fill, at the piece's own
+    dims; the multiset search of the tests
     (`schemes._candidates`) reads it too."""
     dims = tuple(dims)
     tables = _algebra_memo(A, "_word_tables")
@@ -716,10 +716,10 @@ def random_glpoint(rng, dims, bound=5):
 # (`_hom_space`); a module in a monomial basis needs none, as one walk of
 # its coefficient quiver reads its words (`_monomial_labels`, `_walks`).
 # `decompose` names the word summands of any other piece one way beside
-# the support graph (`_peel`): a word module W has a local endomorphism
-# ring, so a word summand is split off along f: W -> p and g: p -> W with
-# g f invertible, and f certifies it; a word of p's own shape is a summand
-# only when it is p, certified by an invertible intertwiner p -> W.
+# the support graph (`_multiplicity`): a word module W has End(W) = Q +
+# rad with a nilpotent radical, so the trace pairing of Hom(p, W) with
+# Hom(W, p) has the multiplicity of W in p for its rank, and words whose
+# multiplicities fill p's dims leave no room for another summand.
 
 
 def _complex_rows(sizes, terms, sign):
@@ -1067,84 +1067,74 @@ def _support_split(A, rep):
     return blocks
 
 
-def _peel(A, p, table, rng):
-    """One word summand of p split off: (label, rest) with p = W + rest,
-    rest None when p is W, or None.
+def _multiplicity(A, p, W):
+    """How many copies of the word module W are summands of p: the rank
+    of the trace pairing Hom(p, W) x Hom(W, p) -> Q, (g, f) -> tr(g f),
+    over the points of each `_hom_space` at unit values of its free
+    unknowns (Hom(W, p) is reduced only when Hom(p, W) is nonzero).
 
-    A word is a summand only if its dims and ranks fit under p's, and one
-    of p's own shape only if it is p, so the words of that shape in
-    `table` (a `_shape_table`) come first, a band's at each parameter of
-    `band_lambda_candidates` for p (which lists the parameter of every
-    band summand of p with that word), each module built once per algebra
-    (`_word_rep`).  One names p when an invertible point of the reduced
-    Hom system certifies it (`_hom_certificate`).  `decompose` reads a
-    piece in a monomial basis off its walk (`_monomial_labels`) before it
-    gets here, so p is a conjugated generic point, say, or a rest.
-
-    Every other word W that fits is peeled.  When Hom(p, W) and
-    Hom(W, p) are nonzero, two pairs f in Hom(W, p), g in Hom(p, W) are
-    drawn, points of their `_hom_space` at values from `rng` in
-    [-2^15, 2^15].  When g_v f_v is invertible wherever W_v != 0, g f is
-    an automorphism of W, so f is a split mono: p = im f + ker g, and f
-    certifies im f = W.  The rest ker g is the `nullspace` of each g_v
-    (all of p_v where W_v = 0), restricted by `_subrep`.  End(W) = Q +
-    rad (Butler-Ringel 1987, Crawley-Boevey 1989), so g f fails only when
-    its scalar part, a nonzero bilinear form in the draws when W is a
-    summand, is 0: with probability at most 2/65,537 (Schwartz-Zippel)."""
-    rf = rank_function_of(A, p)
-    top = p.dims + tuple(rf[a] for a in A.arrow_ids)
-
-    def modules(words):
-        for w in words:
-            band = isinstance(w, BandWord)
-            for lam in band_lambda_candidates(A, w, p) if band else (None,):
-                yield ((w, lam) if band else w), _word_rep(A, w, lam)
-
-    for label, W in modules(table.get(top, ())):
-        if _hom_certificate(A, p, W) is not None:
-            return label, None
-
-    def draw(free):
-        return {k: rng.randint(-2 ** 15, 2 ** 15) for k in free}
-
-    for shape, words in table.items():
-        if shape == top or any(x > y for x, y in zip(shape, top)):
-            continue
-        for label, W in modules(words):
-            g_free, g_at = _hom_space(A, p, W)
-            if not g_free:
-                continue
-            f_free, f_at = _hom_space(A, W, p)
-            for _ in range(2) if f_free else ():
-                g, f = g_at(draw(g_free)), f_at(draw(f_free))
-                # g_v has no rows where W_v = 0: no condition there, and
-                # its nullspace is all of p_v
-                if all(is_invertible(mat_mul(gv, fv))
-                       for gv, fv in zip(g, f) if gv):
-                    return label, _subrep(A, p, [nullspace(gv, d) for gv, d
-                                                 in zip(g, p.dims)])
-    return None
+    End(W) = Q + rad with a nilpotent radical (Butler-Ringel 1987,
+    Crawley-Boevey 1989), so a radical endomorphism has trace 0, and a
+    map W -> X -> W is radical when X has no W summand.  On p = W^m + X
+    the pairing is dim W times the sum over the m copies of the products
+    of the scalar parts of g and f, a form of rank m."""
+    g_free, g_at = _hom_space(A, p, W)
+    if not g_free:
+        return 0
+    f_free, f_at = _hom_space(A, W, p)
+    # g_v is W_v x p_v and f_v is p_v x W_v: tr(g f) pairs g_v[u][k] with
+    # f_v[k][u], so g is read by rows and f by columns
+    gs = [[x for gv in g_at({k: 1}) for row in gv for x in row]
+          for k in g_free]
+    fs = [[x for fv in f_at({k: 1}) for col in zip(*fv) for x in col]
+          for k in f_free]
+    return sparse_rank([[sum(x * y for x, y in zip(g, f) if x) for f in fs]
+                        for g in gs])
 
 
-def decompose(A, rep, seed=0, words=None):
+def decompose(A, rep, words=None):
     """Krull-Schmidt decomposition into StringWords and (BandWord, lambda),
     sorted by kind (strings first), word text and lambda.
 
     A piece, starting from rep, is read as its words when it is in a
     monomial basis (`_monomial_labels`; a `word_sum`, say), else split
     along its support graph (`_support_split`; a block of that split is
-    connected and skips the test), else has one word summand split off
-    (`_peel`, its draws from `random.Random(seed)`), and the rest goes
-    back on the stack.  Every label is certified by an explicit
-    intertwiner, the rescaling along a walk or a map.  A piece is peeled
-    against the words the caller names (`words`, the certified multiset
-    of a generic point, say), and when none of them peels, or `words` is
-    None, against every word that fits its own dims (`_word_table`).  A
-    piece that peels against neither is taken for no sum of word modules
-    with rational parameters (`DictionaryExhausted`), wrongly only if
-    every draw through its summands' words misses (at most 2/65,537
-    each)."""
-    rng = random.Random(seed)
+    connected and skips the test), else filled with words: each word W
+    whose shape (dims + ranks) fits the room p leaves, a band at each
+    parameter of `band_lambda_candidates`, adds its multiplicity in p
+    (`_multiplicity`, an exact rank) to the labels and takes that many
+    copies of its shape off the room.  Once the copies add up to p's
+    dims (and ranks), no room is left for another summand
+    (Krull-Schmidt), so that equality certifies the labels, and no rest
+    of p is formed or drawn.  A piece
+    is filled from the words the caller names (`words`, the certified
+    multiset of a generic point, say), and when they do not fill it, or
+    `words` is None, from every word that fits its own dims
+    (`_word_table`).  A piece that neither fills is no sum of word
+    modules with rational parameters (`DictionaryExhausted`): M(B, J)
+    for a Jordan block or the companion matrix of an irreducible
+    polynomial J pairs with no word."""
+
+    def fill(p, table):
+        rf = rank_function_of(A, p)
+        room, found = list(p.dims) + [rf[a] for a in A.arrow_ids], []
+        for shape, ws in table.items():
+            for w in ws:
+                # every word of ws has this shape, and the room only
+                # shrinks: once it does not fit, no later word of ws does
+                if any(x > y for x, y in zip(shape, room)):
+                    break
+                band = isinstance(w, BandWord)
+                for lam in band_lambda_candidates(A, w, p) if band else [None]:
+                    if any(x > y for x, y in zip(shape, room)):
+                        break
+                    m = _multiplicity(A, p, _word_rep(A, w, lam))
+                    found += [(w, lam) if band else w] * m
+                    room = [y - m * x for x, y in zip(shape, room)]
+                    if not any(room):
+                        return found
+        return None
+
     named = None if words is None else _shape_table(A, words)
     pieces = [(rep, False)]  # the walk reads the zero module as no label
     out = []
@@ -1158,15 +1148,12 @@ def decompose(A, rep, seed=0, words=None):
         if blocks is not None:
             pieces.extend((b, True) for b in blocks)
             continue
-        peeled = None if named is None else _peel(A, p, named, rng)
-        if peeled is None:
-            peeled = _peel(A, p, _word_table(A, p.dims), rng)
-        if peeled is None:
+        labels = None if named is None else fill(p, named)
+        if labels is None:
+            labels = fill(p, _word_table(A, p.dims))
+        if labels is None:
             raise DictionaryExhausted(
-                f"summand with dims {p.dims} peels off no word")
-        label, rest = peeled
-        out.append(label)
-        if rest is not None:
-            pieces.append((rest, False))
+                f"summand with dims {p.dims} is filled by no words")
+        out += labels
     return sorted(out, key=lambda x: (True, str(x[0]), x[1])
                   if isinstance(x, tuple) else (False, str(x), 0))

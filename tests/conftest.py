@@ -11,9 +11,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from fuzz import random_gentle
 from gentlelam import Quiver, Triangulation, build_QT, validate_gentle
-from gentlelam.exactlinalg import nullspace
+from gentlelam import strings
+from gentlelam.exactlinalg import is_invertible, mat_mul, nullspace
 from gentlelam.fileio import algebra_from_dict, triangulation_from_dict
-from gentlelam.strings import _intertwiner_rows
+from gentlelam.strings import BandWord, DictionaryExhausted, _intertwiner_rows
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_ALGEBRAS = ("a3_relation", "double_loop", "loop_algebra",
@@ -47,6 +48,88 @@ def hom_basis(A, M, N):
     return [[[vec[o + u * dM:o + (u + 1) * dM] for u in range(dN)]
              for o, dM, dN in zip(offs, M.dims, N.dims)]
             for vec in nullspace(rows, nvars)]
+
+
+def peel(A, p, table, rng):
+    """One word summand of p split off: (label, rest) with p = W + rest,
+    rest None when p is W, or None.  The split of `decompose` before it
+    read multiplicities off the trace pairing, kept as a reference for
+    tests: it reads `strings` functions at call time, so a test that
+    patches one (`_subrep`, say) sees the peel's calls too.
+
+    A word of p's own shape (dims + ranks) in `table` names p when an
+    invertible point of Hom(p, W) certifies it.  Every other word W that
+    fits is peeled: two pairs f in Hom(W, p), g in Hom(p, W) are drawn at
+    values from `rng` in [-2^15, 2^15]; when g_v f_v is invertible
+    wherever W_v != 0, f is a split mono, and the rest is ker g (all of
+    p_v where W_v = 0), restricted by `_subrep`.  It misses a summand
+    with probability at most 2/65,537 (Schwartz-Zippel)."""
+    rf = strings.rank_function_of(A, p)
+    top = p.dims + tuple(rf[a] for a in A.arrow_ids)
+
+    def modules(words):
+        for w in words:
+            band = isinstance(w, BandWord)
+            lams = strings.band_lambda_candidates(A, w, p) if band \
+                else (None,)
+            for lam in lams:
+                yield ((w, lam) if band else w), strings._word_rep(A, w, lam)
+
+    for label, W in modules(table.get(top, ())):
+        if strings._hom_certificate(A, p, W) is not None:
+            return label, None
+
+    def draw(free):
+        return {k: rng.randint(-2 ** 15, 2 ** 15) for k in free}
+
+    for shape, words in table.items():
+        if shape == top or any(x > y for x, y in zip(shape, top)):
+            continue
+        for label, W in modules(words):
+            g_free, g_at = strings._hom_space(A, p, W)
+            if not g_free:
+                continue
+            f_free, f_at = strings._hom_space(A, W, p)
+            for _ in range(2) if f_free else ():
+                g, f = g_at(draw(g_free)), f_at(draw(f_free))
+                if all(is_invertible(mat_mul(gv, fv))
+                       for gv, fv in zip(g, f) if gv):
+                    return label, strings._subrep(
+                        A, p, [nullspace(gv, d) for gv, d in zip(g, p.dims)])
+    return None
+
+
+def peel_decompose(A, rep, seed=0, words=None):
+    """The labels of `decompose` read by peeling (`peel`, its draws from
+    `random.Random(seed)`), one word summand at a time, each rest back on
+    the stack, sorted as `decompose` sorts them.  A reference for tests;
+    the library reads multiplicities off the trace pairing."""
+    rng = random.Random(seed)
+    named = None if words is None else strings._shape_table(A, words)
+    pieces = [(rep, False)]
+    out = []
+    while pieces:
+        p, connected = pieces.pop()
+        labels = strings._monomial_labels(A, p)
+        if labels is not None:
+            out += labels
+            continue
+        blocks = None if connected else strings._support_split(A, p)
+        if blocks is not None:
+            pieces.extend((b, True) for b in blocks)
+            continue
+        peeled = None if named is None else peel(A, p, named, rng)
+        if peeled is None:
+            peeled = peel(A, p, strings._word_table(A, p.dims), rng)
+        if peeled is None:
+            raise DictionaryExhausted(
+                f"summand with dims {p.dims} peels off no word")
+        label, rest = peeled
+        out.append(label)
+        if rest is not None:
+            pieces.append((rest, False))
+    return sorted(out, key=lambda x: (True, str(x[0]), x[1])
+                  if isinstance(x, tuple) else (False, str(x), 0))
 
 
 def reference(rows, ncols):

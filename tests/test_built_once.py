@@ -1,5 +1,6 @@
-"""Work that a `components` request does once: one map through a word
-module peels a copy of a repeated summand off, word modules and
+"""Work that a `components` request does once: one trace pairing
+through a word module counts every copy of a repeated summand, word
+modules and
 component dimensions are kept on the algebra, support blocks are read
 off by index, and the letter table tests only letter pairs that meet at
 a vertex."""
@@ -14,14 +15,13 @@ import pytest
 from conftest import GOLDEN, golden
 from gentlelam import (BandWord, band_module, build_QT, canonical_string,
                        decompose, direct_sum, enumerate_bands,
-                       enumerate_strings, iso_test, schemes, string_module,
-                       strings)
+                       enumerate_strings, schemes, string_module, strings)
 from gentlelam.fileio import (algebra_from_dict, load_algebra,
                               triangulation_from_dict)
 from gentlelam.schemes import (canonical_decomposition, component_dim,
                                components)
-from gentlelam.strings import (_algebra_memo, _letter_table, _peel,
-                               _subrep, _support_split, _word_table,
+from gentlelam.strings import (_algebra_memo, _letter_table,
+                               _multiplicity, _subrep, _support_split,
                                conjugate, letter_s, letter_t, parse_word,
                                random_glpoint, word_sum)
 
@@ -52,19 +52,19 @@ def label(x):
 
 
 @pytest.fixture
-def peels(monkeypatch):
-    """The labels of the pieces `_peel` splits off with a rest (one with
-    no rest, named whole, is an identification and not counted)."""
+def pairings(monkeypatch):
+    """(word module, multiplicity) of each pairing `_multiplicity` reads
+    that finds a summand."""
     seen = []
-    peel = strings._peel
+    multiplicity = strings._multiplicity
 
-    def counted_peel(*args):
-        got = peel(*args)
-        if got is not None and got[1] is not None:
-            seen.append(got[0])
+    def counted_multiplicity(A, p, W):
+        got = multiplicity(A, p, W)
+        if got:
+            seen.append((W, got))
         return got
 
-    monkeypatch.setattr(strings, "_peel", counted_peel)
+    monkeypatch.setattr(strings, "_multiplicity", counted_multiplicity)
     return seen
 
 
@@ -75,31 +75,28 @@ def peels(monkeypatch):
 @pytest.mark.parametrize("surface", ["pants", "torus_quiver"])
 def test_repeated_summands_split_through_a_word_module(surface):
     # on M + M every endomorphism acts as X (x) id_M modulo the radical;
-    # a map through the word module M splits one copy off, and the rest,
-    # ker g, is the other
+    # the trace pairing through the word module M has rank 2, one for
+    # each copy
     A = golden_algebra(surface)
     C = [C for C in enumerate_strings(A, 3) if len(C) == 2][0]
     W = string_module(A, C)
     M = direct_sum(A, [W] * 2)
-    table = _word_table(A, M.dims)
     for seed in range(SEED, SEED + 8):
         N = conjugate(A, M, random_glpoint(random.Random(seed), M.dims, 3))
-        label, rest = _peel(A, N, table, random.Random(seed))
-        assert label == C
-        assert iso_test(A, rest, W)
-        assert decompose(A, N, seed=seed) == [C, C]
+        assert _multiplicity(A, N, W) == 2
+        assert decompose(A, N) == [C, C]
 
 
 @pytest.mark.parametrize("seed", [3, 7])
-def test_repeated_torus_summand_reaches_the_word_path(seed, peels):
+def test_repeated_torus_summand_reaches_the_word_path(seed, pairings):
     # six random endomorphisms of this M + M split it on neither seed;
-    # one peel does, and the rest is named whole (a peel with no rest)
+    # one pairing through the word module counts both copies
     A = golden_algebra("torus_quiver")
     C = canonical_string(A, parse_word("b2,a2-,c-"))
     M = direct_sum(A, [string_module(A, C)] * 2)
     M = conjugate(A, M, random_glpoint(random.Random(seed), M.dims, 3))
-    assert decompose(A, M, seed=seed) == [C, C]
-    assert peels == [C]
+    assert decompose(A, M) == [C, C]
+    assert pairings == [(strings._word_rep(A, C), 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ from gentlelam import (ConsistencyFailure, DictionaryExhausted,
                        schemes)
 from gentlelam.fileio import ParseError
 from gentlelam.quiver import UnclassifiableBlock
+from gentlelam.strings import SubspaceNotInvariant
 
 TORUS = os.path.join(GOLDEN, "torus_quiver.json")
 INTERNAL = (SamplingFailure, DictionaryExhausted, FormulaMismatch,
-            UnclassifiableBlock, ConsistencyFailure)
+            UnclassifiableBlock, ConsistencyFailure, SubspaceNotInvariant)
 
 
 def run(capsys, *argv):

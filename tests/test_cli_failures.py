@@ -4,9 +4,9 @@ code."""
 import os
 
 from conftest import GOLDEN
-from gentlelam import cli, schemes, strings
+from gentlelam import cli, schemes
 from gentlelam.schemes import ConsistencyFailure
-from gentlelam.strings import DictionaryExhausted, SubspaceNotInvariant
+from gentlelam.strings import DictionaryExhausted
 
 TORUS = os.path.join(GOLDEN, "torus_quiver.json")
 
@@ -54,17 +54,3 @@ def test_decomposition_off_the_certified_multiset_exits_3(capsys,
     assert code == 3 and not out
     assert err.startswith("internal error (ConsistencyFailure): ")
     assert "certified multiset" in err
-
-
-def test_non_invariant_subspace_exits_3(capsys, monkeypatch):
-    # `decompose` restricts to kernels of module maps, which are
-    # invariant; a failure there is internal, not bad input
-    def not_invariant(*args):
-        raise SubspaceNotInvariant("subspace not invariant")
-
-    monkeypatch.setattr(strings, "_subrep", not_invariant)
-    # the generic point of (2, 1, 1, 0) has two summands, so it is split
-    code = cli.main(["components", "--input", TORUS, "--dims", "2,1,1,0"])
-    out, err = capsys.readouterr()
-    assert code == 3 and not out
-    assert err.startswith("internal error (SubspaceNotInvariant): ")

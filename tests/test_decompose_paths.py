@@ -1,8 +1,9 @@
-"""`decompose` names word summands one way: it peels one off at a time
-along a map through its word module, which splits repeated summands too
-and never reduces the End system of a piece, and a word of the piece's
-own shape is a peel with no rest; the word table it reads lives on the
-algebra."""
+"""`decompose` names word summands one way: it reads the multiplicity
+of each word in a piece off one trace pairing of the Hom spaces through
+its word module, which counts repeated summands too, never reduces the
+End system of a piece and leaves no rest; its labels are those of the
+peel it replaced (`conftest.peel_decompose`), and the word table it
+reads lives on the algebra."""
 
 import gc
 import itertools
@@ -12,7 +13,7 @@ import weakref
 
 import pytest
 
-from conftest import GOLDEN
+from conftest import GOLDEN, peel_decompose
 from gentlelam import (BandWord, band_module, build_QT, canonical_string,
                        decompose, direct_sum, enumerate_bands,
                        enumerate_strings, schemes, string_module, strings)
@@ -70,72 +71,100 @@ def module(A, w, lam):
 
 @pytest.fixture
 def traced(monkeypatch):
-    """Pieces `_peel` names whole (its rest is None: an identification),
-    pieces whose End system was reduced (`_hom_space(p, p)`), and the
-    labels `_peel` splits off with a rest."""
-    seen = {"accepted": [], "endo": [], "peeled": []}
-    hom_space, peel = strings._hom_space, strings._peel
+    """Pieces whose End system was reduced (`_hom_space(p, p)`), and the
+    multiplicities `_multiplicity` reads, each with its piece."""
+    seen = {"endo": [], "paired": []}
+    hom_space, multiplicity = strings._hom_space, strings._multiplicity
 
     def counted_hom_space(A, M, N):
         if M is N:
             seen["endo"].append(M)
         return hom_space(A, M, N)
 
-    def counted_peel(A, p, table, rng):
-        got = peel(A, p, table, rng)
-        if got is not None:
-            if got[1] is None:
-                seen["accepted"].append(p)
-            else:
-                seen["peeled"].append(got[0])
+    def counted_multiplicity(A, p, W):
+        got = multiplicity(A, p, W)
+        seen["paired"].append((p, got))
         return got
 
     monkeypatch.setattr(strings, "_hom_space", counted_hom_space)
-    monkeypatch.setattr(strings, "_peel", counted_peel)
+    monkeypatch.setattr(strings, "_multiplicity", counted_multiplicity)
     return seen
 
 
-def test_conjugated_sums_on_the_golden_algebras(request, traced):
+def conjugated_sums(request):
+    """(algebra name, algebra, parts, conjugated direct sum) for the sums
+    of `sums` on the five golden algebras, seeded by SEED."""
     rng = random.Random(SEED)
-    count = 0
     for name, A in golden_algebras(request).items():
         for parts in sums(A, rng):
             M = direct_sum(A, [module(A, w, lam) for w, lam in parts])
             # conjugated, so the support graph does not split it
-            M = conjugate(A, M, random_glpoint(rng, M.dims, 3))
-            got = decompose(A, M, seed=count)
-            assert labels(got) == labels(parts), (name, parts)
-            count += 1
-    accepted = {id(p) for p in traced["accepted"]}
-    assert len(accepted) == len(traced["accepted"])
-    # every split is a peel through a word module: no End system
-    assert traced["peeled"] and not traced["endo"]
+            yield name, A, parts, conjugate(A, M,
+                                            random_glpoint(rng, M.dims, 3))
+
+
+def test_conjugated_sums_on_the_golden_algebras(request, traced):
+    count = 0
+    for name, A, parts, M in conjugated_sums(request):
+        got = decompose(A, M)
+        assert labels(got) == labels(parts), (name, parts)
+        count += 1
+    # every summand is counted by a pairing through its word module, a
+    # repeated one at once, and no End system is reduced
+    found = [m for _, m in traced["paired"]]
+    assert max(found) >= 2 and not traced["endo"]
     assert count >= 75
 
 
-@pytest.mark.parametrize("surface,words,seed,mixed", [
+REPEATED = [
     # M + M + N
     (None, ("a1,b1-", "a1,b1-", "b3,c"), 7, True),
     # C + C with C of dims (2, 3): no vector is c (x) w for a single copy
     ("annulus", ("t0:1>2,t1:1>2-,t0:1>2,t1:1>2-",) * 2, 0, False),
-])
+]
+
+
+def repeated_sum(request, torus_algebra, surface, words):
+    A = build_QT(request.getfixturevalue(surface)) if surface \
+        else torus_algebra
+    parts = [(canonical_string(A, parse_word(w)), None) for w in words]
+    return A, parts, direct_sum(A, [module(A, w, lam) for w, lam in parts])
+
+
+def test_decompose_finds_the_labels_of_the_frozen_peel(request,
+                                                       torus_algebra):
+    # the peel, one word summand split off along drawn maps at a time, is
+    # the oracle of the pairing: the same labels with their parameters
+    count = 0
+    for name, A, parts, M in conjugated_sums(request):
+        assert decompose(A, M) == peel_decompose(A, M, count), (name, parts)
+        count += 1
+    for surface, words, seed, _ in REPEATED:
+        A, parts, M = repeated_sum(request, torus_algebra, surface, words)
+        for k in range(seed, seed + 4):
+            N = conjugate(A, M, random_glpoint(random.Random(k), M.dims, 3))
+            assert decompose(A, N) == peel_decompose(A, N, k), k
+            count += 1
+    assert count >= 83
+
+
+@pytest.mark.parametrize("surface,words,seed,mixed", REPEATED)
 def test_repeated_summands_split_through_a_word(request, torus_algebra,
                                                 traced, surface, words,
                                                 seed, mixed):
     # on M + M every endomorphism acts as X (x) id_M modulo the radical;
-    # a map through the word module M peels one copy off, on every seed;
-    # the last summand is identified, and a rest may fall apart along its
-    # support (it keeps all of p_v where the peeled word is 0)
-    A = build_QT(request.getfixturevalue(surface)) if surface \
-        else torus_algebra
-    parts = [(canonical_string(A, parse_word(w)), None) for w in words]
+    # the trace pairing through the word module M has rank 2, on every
+    # seed: each word of the sum is paired with the piece once, and no
+    # rest is formed
+    A, parts, M = repeated_sum(request, torus_algebra, surface, words)
     assert (len(set(parts)) > 1) == mixed
-    M = direct_sum(A, [module(A, w, lam) for w, lam in parts])
+    copies = sorted(parts.count(x) for x in set(parts))
     for k in range(seed, seed + 8):
         N = conjugate(A, M, random_glpoint(random.Random(k), M.dims, 3))
-        traced["peeled"].clear()
-        assert labels(decompose(A, N, seed=k)) == labels(parts)
-        assert 1 <= len(traced["peeled"]) <= len(parts) - 1, k
+        traced["paired"].clear()
+        assert labels(decompose(A, N)) == labels(parts), k
+        assert {id(p) for p, _ in traced["paired"]} == {id(N)}, k
+        assert sorted(m for _, m in traced["paired"] if m) == copies, k
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +219,7 @@ def test_word_table_is_the_dictionary_of_decompose(torus_algebra):
     assert _word_table(A, d) is table
 
 
-def test_support_pieces_read_the_tables_of_their_own_dims():
+def test_a_word_sum_builds_no_word_table():
     # a word_sum is in a monomial basis, so one walk of its coefficient
     # quiver names every summand and no word table is built at all
     A = load_algebra(os.path.join(GOLDEN, "torus_quiver.json"))
@@ -211,8 +240,8 @@ def test_named_words_need_no_table_and_a_miss_reads_its_own_dims():
     """The generic point of the torus component at (2, 2, 2, 2) with the
     most summands, a repeated one among them: decomposed against its
     certified words it builds no word table; against no words at all,
-    each piece that neither matches nor peels reads the table of its own
-    dims, never that of (2, 2, 2, 2).  Nothing peels without a table, so
+    each piece that no walk reads is filled from the table of its own
+    dims, never that of (2, 2, 2, 2).  Nothing fills without a table, so
     a support block that is a sum of words (M + M) reads the table of its
     own dims, which are no word's."""
     A = load_algebra(os.path.join(GOLDEN, "torus_quiver.json"))
@@ -222,11 +251,11 @@ def test_named_words_need_no_table_and_a_miss_reads_its_own_dims():
     assert len(words) > len(set(words)) > 1
     M = schemes.generic_point(A, Z, seed=SEED)
     want = sorted(map(str, words))
-    got = decompose(A, M, seed=SEED, words=words)
+    got = decompose(A, M, words=words)
     assert sorted(str(x[0] if isinstance(x, tuple) else x)
                   for x in got) == want
     assert not A.__dict__.get("_word_tables")
-    got = decompose(A, M, seed=SEED, words=[])
+    got = decompose(A, M, words=[])
     assert sorted(str(x[0] if isinstance(x, tuple) else x)
                   for x in got) == want
     tables = set(A.__dict__["_word_tables"])
@@ -238,10 +267,9 @@ def test_named_words_need_no_table_and_a_miss_reads_its_own_dims():
     assert tables - set(shapes)
 
 
-def test_a_conjugated_word_module_is_named_by_one_hom_system(monkeypatch):
-    # a word of the piece's own shape is a summand only when it is the
-    # piece: one point of Hom(p, W) certifies it, and no map W -> p is
-    # drawn to peel it
+def test_a_conjugated_word_module_is_named_by_one_pairing(monkeypatch):
+    # a word of the piece's own shape fills it with one copy: one pairing
+    # of Hom(p, W) with Hom(W, p), two Hom systems in all
     A = load_algebra(os.path.join(GOLDEN, "torus_quiver.json"))
     C = max(enumerate_strings(A, 4), key=len)
     M = string_module(A, C)
@@ -255,6 +283,6 @@ def test_a_conjugated_word_module_is_named_by_one_hom_system(monkeypatch):
         return hom_space(A, X, Y)
 
     monkeypatch.setattr(strings, "_hom_space", counted_hom_space)
-    assert decompose(A, M, seed=SEED, words=[C]) == [C]
-    ((X, Y),) = calls
-    assert X is M and Y is strings._word_rep(A, C)
+    assert decompose(A, M, words=[C]) == [C]
+    (X, Y), (U, V) = calls
+    assert X is V is M and Y is U is strings._word_rep(A, C)

@@ -75,15 +75,16 @@ def test_two_by_two_charpoly_in_closed_form():
 
 
 def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
-    # a block of a support split is connected by construction; the rest
-    # of a peel is read by a walk or tested (it may fall apart) before it
-    # is peeled again, and a piece named whole (a peel with no rest) is
-    # one or the other.  A module in a monomial basis is read by a walk
-    # before any split, so the support blocks here come from a conjugated
-    # M + M and a conjugated word beside two word modules.
+    # a block of a support split is connected by construction, and the
+    # pairing leaves no rest: every piece paired with a word is a block
+    # or a piece the support test kept whole.  A module in a monomial
+    # basis is read by a walk before any split, so the support blocks
+    # here come from a conjugated M + M and a conjugated word beside two
+    # word modules.
     A = pants_algebra
-    tested, support_blocks, rests, named, walked = [], [], [], [], []
-    support_split, peel = strings._support_split, strings._peel
+    tested, support_blocks, paired, walked = [], [], [], []
+    support_split = strings._support_split
+    multiplicity = strings._multiplicity
     monomial_labels = strings._monomial_labels
 
     def recording_support_split(A, rep):
@@ -92,13 +93,9 @@ def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
         support_blocks.extend(blocks or ())
         return blocks
 
-    def recording_peel(A, p, table, rng):
-        peeled = peel(A, p, table, rng)
-        if peeled is not None and peeled[1] is None:
-            named.append(p)
-        elif peeled is not None:
-            rests.append(peeled[1])
-        return peeled
+    def recording_multiplicity(A, p, W):
+        paired.append(p)
+        return multiplicity(A, p, W)
 
     def recording_monomial_labels(A, rep):
         labels = monomial_labels(A, rep)
@@ -107,7 +104,7 @@ def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
         return labels
 
     monkeypatch.setattr(strings, "_support_split", recording_support_split)
-    monkeypatch.setattr(strings, "_peel", recording_peel)
+    monkeypatch.setattr(strings, "_multiplicity", recording_multiplicity)
     monkeypatch.setattr(strings, "_monomial_labels",
                         recording_monomial_labels)
     rng = random.Random(SEED)
@@ -128,14 +125,14 @@ def test_support_blocks_skip_the_support_test(pants_algebra, monkeypatch):
             M = direct_sum(A, [conjugated(parts[:1] * 2),
                                conjugated(parts[3:])]
                            + [string_module(A, w) for w in parts[1:3]])
-        got = strings.decompose(A, M, seed=k, words=want)
+        got = strings.decompose(A, M, words=want)
         assert sorted(map(str, got)) == sorted(map(str, want))
     tested_ids = {id(p) for p in tested}
     block_ids = {id(b) for b in support_blocks}
-    rest_ids = {id(b) for b in rests}
+    paired_ids = {id(p) for p in paired}
     walked_ids = {id(p) for p in walked}
-    assert support_blocks and rests and named
+    assert support_blocks and paired
     assert block_ids - walked_ids  # a block that is not monomial
     assert not tested_ids & block_ids
-    assert rest_ids <= tested_ids | walked_ids
-    assert {id(p) for p in named} <= block_ids | rest_ids
+    assert paired_ids <= block_ids | tested_ids
+    assert not paired_ids & walked_ids

@@ -10,7 +10,8 @@ from gentlelam import (BandWord, DecoratedModule, Quiver, StringWord,
                        min_proj_presentation, standard_homs, string_module,
                        tau_dtr, tau_string, validate_gentle)
 from gentlelam.homological import projective_rep
-from gentlelam.strings import letter, parse_word
+from gentlelam.strings import (InvalidBand, InvalidString, letter,
+                               parse_word)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,21 @@ def test_standard_homs_match_oracle(torus_algebra, a3_relation):
             for Y in words:
                 assert len(standard_homs(A, X, Y)) == \
                     hom_dim_oracle(A, mods[X], mods[Y]), (str(X), str(Y))
+
+
+def test_standard_homs_check_both_words(pants_algebra):
+    # letters that do not compose, a band word whose letters do not close
+    # up, and an unknown arrow: each word is checked as `string_word` or
+    # `band_word` checks it, on either side
+    A = pants_algebra
+    bad = [StringWord((("t0:1>2", False), ("t0:1>2", False))),
+           BandWord((("t0:1>2", False), ("t0:6>1", False))),
+           StringWord((("zz", False),))]
+    good = StringWord((("t0:1>2", False),))
+    for X in bad:
+        for pair in ((X, X), (X, good), (good, X)):
+            with pytest.raises((InvalidString, InvalidBand)):
+                standard_homs(A, *pair)
 
 
 def test_band_self_homs_contain_identity(torus_algebra):

@@ -1,7 +1,8 @@
 """The integer routes of the subrepresentation (on Omega and on the rests
-of `decompose`'s splits), the characteristic polynomial and the AR
-translate, each against the Fraction route it replaced, kept here as the
-reference: results must be equal entry for entry."""
+of the frozen peel, `conftest.peel_decompose`), the characteristic
+polynomial and the AR translate, each against the Fraction route it
+replaced, kept here as the reference: results must be equal entry for
+entry."""
 
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from conftest import peel_decompose
 from gentlelam import (BandWord, InternalError, band_module, decompose,
                        direct_sum, enumerate_bands, enumerate_strings,
                        min_proj_presentation, string_module, strings)
@@ -228,7 +230,11 @@ def test_subrep_of_fitting_splits_matches_the_solve_route(request, name,
             continue
         # conjugated, so the support graph does not split it
         M = conjugate(A, M, random_glpoint(rng, M.dims, 3))
-        assert len(decompose(A, M, seed=sums)) == len(parts)
+        # the rests of the frozen peel, kernels of maps p -> W, are the
+        # invariant bases `_subrep` restricts to; `decompose` forms none
+        got = decompose(A, M)
+        assert len(got) == len(parts)
+        assert peel_decompose(A, M, sums) == got
         sums += 1
     assert sums >= 10 and calls
 

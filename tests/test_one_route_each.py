@@ -4,20 +4,22 @@ no packing helper (`_pack`) is defined; `generic_point` draws through
 `random_glpoint` itself, so no private replay of its stream (`_glpoint`)
 is defined; the decorated g-vector has one route, off the component's
 (d, r), so `decorated_g_vector` takes exactly (A, DZ) and the CLI never
-asks for a lamination's words (`lamination_words`).  `decompose` splits
-a piece one way, by peeling a word summand off along a map through it
-(`_peel`): no random-endomorphism split (`_split_once`), eigenspace
-split (`_try_split`, `_shifted_power`) or endomorphism through a word
+asks for a lamination's words (`lamination_words`).  `decompose` names
+the word summands of a piece one way, by the multiplicity of each word
+read off one trace pairing (`_multiplicity`): no peel along drawn maps
+(`_peel`), random-endomorphism split (`_split_once`), eigenspace split
+(`_try_split`, `_shifted_power`) or endomorphism through a word
 (`_through_words`) is defined, and `strings` imports neither `rref` nor
-`Counter`, which only the eigenspace split read.  It names a word summand
-one way too: a word of the piece's own shape is a peel with no rest, so
-no separate matcher (`_identify`) is defined, and `decompose` calls no
-helper of its own but `_monomial_labels`, `_support_split`, `_peel`,
-`_shape_table` and `_word_table`.  One walk (`strings._walks`) turns a
-coefficient quiver into words, for the glued positions of a component
-(`glued_words`) and for a module in a monomial basis
-(`_monomial_labels`): no matcher of basis vectors (`_basis_matching`,
-`_arrow_edges`) is defined."""
+`Counter`, which only the eigenspace split read.  No separate matcher
+(`_identify`) is defined either, and `decompose` calls no helper of its
+own but the walk (`_monomial_labels`), the support split
+(`_support_split`) and the pairing (`_multiplicity`), with the tables of
+words it pairs (`_shape_table`, `_word_table`, `_word_rep`); neither it
+nor the pairing takes a seed or draws.  One walk
+(`strings._walks`) turns a coefficient quiver into words, for the glued
+positions of a component (`glued_words`) and for a module in a monomial
+basis (`_monomial_labels`): no matcher of basis vectors
+(`_basis_matching`, `_arrow_edges`) is defined."""
 
 import ast
 
@@ -25,7 +27,8 @@ from test_one_cocycle_kernel import functions, names_called, parsed
 from test_one_eliminator import MODULES
 
 RETIRED = {"_pack", "_glpoint"}
-SPLITS = {"_split_once", "_try_split", "_shifted_power", "_through_words"}
+SPLITS = {"_peel", "_split_once", "_try_split", "_shifted_power",
+          "_through_words"}
 
 
 def test_no_packing_helper_or_private_draw():
@@ -56,7 +59,7 @@ def test_decompose_peels_and_splits_no_other_way():
     defined = [(f, fn.name) for f in MODULES for fn in functions(parsed(f))]
     found = [x for x in defined if x[1] in SPLITS]
     assert not found, found
-    assert ("strings.py", "_peel") in defined
+    assert ("strings.py", "_multiplicity") in defined
 
 
 def test_strings_imports_neither_rref_nor_counter():
@@ -68,14 +71,15 @@ def test_strings_imports_neither_rref_nor_counter():
     assert not imported & {"rref", "Counter"}, imported
 
 
-def test_decompose_names_words_only_by_peeling():
+def test_decompose_names_words_only_by_pairing():
     defined = [(f, fn.name) for f in MODULES for fn in functions(parsed(f))]
     assert not [x for x in defined if x[1] == "_identify"]
     (fn,) = [fn for fn in functions(parsed("strings.py"))
              if fn.name == "decompose"]
     private = {name for name in names_called(fn) if name.startswith("_")}
-    assert private == {"_monomial_labels", "_support_split", "_peel",
-                       "_shape_table", "_word_table"}, private
+    assert private == {"_monomial_labels", "_support_split",
+                       "_multiplicity", "_shape_table", "_word_table",
+                       "_word_rep"}, private
 
 
 def test_one_walk_reads_every_coefficient_quiver():
@@ -83,3 +87,14 @@ def test_one_walk_reads_every_coefficient_quiver():
     assert not {"_basis_matching", "_arrow_edges"} & set(defined)
     for name in ("glued_words", "_monomial_labels"):
         assert "_walks" in set(names_called(defined[name])), name
+
+
+def test_decompose_takes_no_seed_and_draws_nothing():
+    # the multiplicities are exact ranks, so neither `decompose` nor its
+    # pairing takes a seed or draws a map
+    fns = {fn.name: fn for fn in functions(parsed("strings.py"))}
+    args = fns["decompose"].args
+    assert [a.arg for a in args.args] == ["A", "rep", "words"]
+    for name in ("decompose", "_multiplicity"):
+        called = set(names_called(fns[name]))
+        assert not called & {"Random", "randint", "random"}, name

@@ -211,7 +211,7 @@ def test_decompose_conjugated_mixture(torus_algebra):
                 expected.append(canonical_string(A, C))
         M = conjugate(A, direct_sum(A, parts),
                       random_glpoint(rng, direct_sum(A, parts).dims, 3))
-        got = decompose(A, M, seed=trial)
+        got = decompose(A, M)
         assert sorted(map(str, got)) == sorted(map(str, expected)) or \
             _same_multiset(got, expected)
 
@@ -240,5 +240,5 @@ def test_decompose_conjugated_on_surface_algebra(pants_algebra):
             M = string_module(A, w)
             want = [canonical_string(A, w)]
         M2 = conjugate(A, M, random_glpoint(rng, M.dims, 3))
-        got = decompose(A, M2, seed=1)
+        got = decompose(A, M2)
         assert _same_multiset(got, want), str(w)

@@ -41,19 +41,19 @@ def test_lamination_pieces_are_identified_by_the_walk(pants, pants_algebra,
     """`decompose` of the generic decorated modules of the 50 laminations
     pinned in tests/test_pinned_outputs.py: each module is read whole by
     one walk, which names all of its pieces, and it is neither split
-    along its support nor peeled."""
+    along its support nor paired with a word (`_multiplicity`)."""
     A = pants_algebra
-    walks, splits, peels = [], [], []
+    walks, splits, pairings = [], [], []
     counted(monkeypatch, "_monomial_labels", walks)
     counted(monkeypatch, "_support_split", splits)
-    counted(monkeypatch, "_peel", peels)
+    counted(monkeypatch, "_multiplicity", pairings)
     pieces = 0
     for L in random_laminations(pants, A, 50, seed=123):
         pieces += len(decompose(A, generic_decorated_module(pants, L).module))
     # 12 of the 50 modules are 0, read as no piece
     assert pieces == 79 and len(walks) == 50
     assert sum(len(labels) for _, labels in walks) == pieces
-    assert splits == peels == []
+    assert splits == pairings == []
 
 
 def test_lamination_pieces_reduce_no_hom_system(pants, pants_algebra,
