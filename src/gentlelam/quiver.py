@@ -100,6 +100,8 @@ class Quiver:
     arrows: tuple  # of (arrow_id, source, target)
 
     def __post_init__(self):
+        if self.n_vertices < 0:
+            raise ValueError(f"vertex count {self.n_vertices} is negative")
         # (source, target) per arrow, so `source` and `target` are one
         # dict lookup; the algebras over this quiver share it
         ends = {}

@@ -8,10 +8,16 @@ the block's relation chain (`maximal_rank_functions`, checked in the
 tests against the full enumeration `rank_functions` filtered by
 single-arrow increments).  All dimension counts run block by block
 through the C_m / C~_m models, whose arrows a_i: i -> t_i are read in
-one place (`_model_arrows`): the generic module of a block component is
-(+) P_i^{p_i} (+) S_i^{q_i} with p_i the rank of a_i
-(`_model_multiplicities`), and its dim End is one sum over the model's
-Hom table (`_block_end_dim`).  The words of the generic direct sum are
+one place (`_model_arrows`): the generic module X of a block component
+is (+) P_i^{p_i} (+) S_i^{q_i} with p_i the rank of a_i
+(`_model_multiplicities`), its dim End is one sum over the model's Hom
+table (`_block_end_dim`), and its dim Ext^1 is the sum of q_i q_{t_i},
+as over the model only S_i extends S_{t_i}, along a_i (`_block_ext1`).
+Each relation couples two arrows of one block, so the tangent space
+Z^1(M, M) of mod(A, d) at a generic M is the direct sum of the block
+tangent spaces, each of dimension dim O_X + dim Ext^1(X, X); as dim Z
+sums the dim O_X, e = c + the sum of the blocks' Ext^1, read with no
+Z^1 system (`ceh_by_words`).  The words of the generic direct sum are
 read off (d, r) alone by gluing positions at each vertex into a
 coefficient quiver and walking it (`glued_words`, through
 `strings._walks`, the walk that also reads a monomial module's words),
@@ -22,14 +28,16 @@ matrices.
 Everything a component's block contributes depends on the block's local
 dims and local ranks alone, so it is solved once per algebra and kept
 on it (`_algebra_memo`): the maximal local rank assignments per (block,
-local dims) (`_block_maximals`), and the orbit dimension and critical
-summands per (block, local dims, local ranks) (`_block_record`).  The
-rank functions, dim Z and the block criterion of a component are a
-product, a sum and a union over these records.  A box sweep over
-d in {0, ..., N}^n keeps at most (N + 1)^(vertices of the block) lists
-per block and one record per local component, so these memos are
-bounded by the local boxes, not by the box of d: on the pants algebra
-{0, 1, 2}^6 leaves 81 lists for its 3,645 (block, d) pairs, and
+local dims) (`_block_maximals`), and the orbit dimension, Ext^1 and
+critical summands per (block, local dims, local ranks)
+(`_block_record`).  The rank functions, dim Z, e - c and the block
+criterion of a component are a product, two sums and a union over these
+records, which each component looks up once (`_block_records`, one
+tuple per component, as `generic_multiset` keeps one multiset).  A box
+sweep over d in {0, ..., N}^n keeps at most (N + 1)^(vertices of the
+block) lists per block and one record per local component, so these
+memos are bounded by the local boxes, not by the box of d: on the pants
+algebra {0, 1, 2}^6 leaves 81 lists for its 3,645 (block, d) pairs, and
 {0, ..., 3}^6 176 for 20,480.
 """
 
@@ -242,10 +250,28 @@ def _block_end_dim(block, p, q):
         p[i] * (p[i] + q[i] + q[t] + p[t]) for i, t in _model_arrows(block))
 
 
+def _block_ext1(block, q):
+    """dim Ext^1(X, X) of the generic block module X = (+) P_i^{p_i} (+)
+    S_i^{q_i}: over the model only S_i extends S_{t_i}, along a_i.  P_i
+    is projective, and Ext^1(S_i, P_j) = 0: Omega S_i = rad P_i = S_{t_i}
+    maps only into P_i, the one P_j with socle S_{t_i}, and that map
+    extends to the identity of P_i."""
+    return sum(q[i] * q[t] for i, t in _model_arrows(block))
+
+
 class BlockRecord(NamedTuple):
     """What one component of a rho-block's module scheme contributes to
-    a component of mod(A, d) that restricts to it."""
+    a component of mod(A, d) that restricts to it.
+
+    The tangent space of the block's scheme at its generic module X is
+    the orbit's plus Ext^1(X, X), so it has dimension orbit_dim + ext1.
+    Each relation couples two arrows of one block, so Z^1(M, M), the
+    tangent space of mod(A, d) at M, is the direct sum of the tangent
+    spaces of M's block restrictions: at a generic M of the component it
+    has dimension dim Z + the sum of ext1 over the blocks
+    (`ceh_by_words`)."""
     orbit_dim: int  # sum dd_i^2 - dim End of the generic block module
+    ext1: int  # dim Ext^1 of the generic block module (`_block_ext1`)
     type1: tuple  # arrows with a type I critical summand, in chain order
     type2: tuple  # arrows with a type II critical summand
 
@@ -269,17 +295,23 @@ def _block_record(A, block, dd, rr):
                 type2.append(arrow)
         memo[key] = BlockRecord(
             sum(x * x for x in dd) - _block_end_dim(block, p, q),
-            tuple(type1), tuple(type2))
+            _block_ext1(block, q), tuple(type1), tuple(type2))
     return memo[key]
 
 
 def _block_records(A, Z):
     """(block, `BlockRecord`) for every rho-block of A, read off the
-    local dims and local ranks of the component Z."""
-    r = Z.rank()
-    return [(b, _block_record(A, b, transport_dimvec(b, Z.d),
-                              tuple([r[a] for a in b.arrows])))
-            for b in rho_blocks(A)]
+    local dims and local ranks of the component Z once per component and
+    kept on the algebra (`_component_blocks`): dim Z, e and the block
+    criterion all read them."""
+    memo = _algebra_memo(A, "_component_blocks")
+    key = (Z.d, Z.r)
+    if key not in memo:
+        r = Z.rank()
+        memo[key] = tuple((b, _block_record(A, b, transport_dimvec(b, Z.d),
+                                            tuple([r[a] for a in b.arrows])))
+                          for b in rho_blocks(A))
+    return memo[key]
 
 
 def component_dim(A, Z):
@@ -528,10 +560,12 @@ def _search_multiset(A, Z):
 def _word_pair(A, dim, v, w, same=False):
     """dim(A, M, N) for the modules M and N of two summands with words v
     and w of a generic direct sum (one summand when `same`), for dim =
-    `hom_dim` or `_cocycle_dim`, kept on the algebra (`_word_pairs`, one
-    dict per dim) by (v, w, same).  The value depends on the words alone
-    as long as distinct band summands have distinct parameters, so M is
-    M(v, 2) and N is M(w, 2), or M(w, 3) for two summands of one band."""
+    `hom_dim` (the End sums of `_certified` and `ceh_by_words`) or
+    `_cocycle_dim` (the Z^1 oracle of e in the tests), kept on the
+    algebra (`_word_pairs`, one dict per dim) by (v, w, same).  The value
+    depends on the words alone as long as distinct band summands have
+    distinct parameters, so M is M(v, 2) and N is M(w, 2), or M(w, 3) for
+    two summands of one band."""
     memo = _algebra_memo(A, "_word_pairs").setdefault(dim, {})
     key = (v, w, same)
     if key not in memo:
@@ -602,22 +636,32 @@ def ceh_values(A, Z, seed=0):
 
 def ceh_by_words(A, Z):
     """(c, e, h) at the generic direct sum M of the component's certified
-    multiset, from the standard complex.  dim End M and dim Z^1(M, M) sum
-    the Hom and Z^1 tables of its summands (`_pair_sum`), and the orbit
-    has dimension dim GL - dim End M: c = dim Z - orbit, e = dim Z^1 -
-    orbit (Ext^1 is Z^1 modulo the orbit's tangent space, Voigt), and
+    multiset.  dim End M sums the Hom table of its summands (`_pair_sum`),
+    and the orbit has dimension dim GL - dim End M, so c = dim Z - orbit.
+
+    e = dim Z^1(M, M) - orbit (Ext^1 is Z^1 modulo the orbit's tangent
+    space, Voigt), and Z^1(M, M) is the tangent space of mod(A, d) at M,
+    the direct sum over the rho-blocks of the block tangent spaces, since
+    each relation couples two arrows of one block.  On a block, M is the
+    generic block module X, whose tangent space has dimension dim O_X +
+    dim Ext^1(X, X) (`BlockRecord`), and dim Z sums the dim O_X.  So
+    e = c + the sum over the blocks of Ext^1(X, X), which only the
+    simples S_i, S_{t_i} at the two ends of a model arrow carry
+    (`_block_ext1`).  The Z^1 pair sum `_pair_sum(A, words, _cocycle_dim)`
+    - orbit is its oracle in the tests.
+
     h = dim Hom(M, tau M) = dim End M + g(M) . d (the E-invariant), with
     g(M) read off the component's (d, r) in closed form
     (`strings._g_of_shape`; g is additive, and the words' shapes add
     up to (d, r)).  It builds no generic point, no presentation, no tau
-    and no Z^1 system for g; `ceh_values` is its oracle."""
+    and no Z^1 system; `ceh_values` is its oracle."""
     words = generic_multiset(A, Z)
     gl = dim_gl(Z.d)
     orbit = gl - _pair_sum(A, words, hom_dim)
+    c = component_dim(A, Z) - orbit
+    ext1 = sum(rec.ext1 for _, rec in _block_records(A, Z))
     gd = sum(g * d for g, d in zip(_g_of_shape(A, Z.d, Z.rank()), Z.d))
-    return (component_dim(A, Z) - orbit,
-            _pair_sum(A, words, _cocycle_dim) - orbit,
-            gl - orbit + gd)
+    return c, c + ext1, gl - orbit + gd
 
 
 def canonical_decomposition(A, Z, seed=0):

@@ -1,17 +1,21 @@
-"""dim End of the generic block module against the Hom space of the model
-algebra itself.  C_m has arrows a_i: i -> i + 1 (i < m) and C~_m arrows
+"""dim End and dim Ext^1 of the generic block module against the Hom and
+Ext^1 spaces of the model algebra itself.  C_m has arrows a_i: i -> i + 1 (i < m) and C~_m arrows
 a_i: i -> i % m + 1 (i <= m), with every length-2 path a_{t_i} a_i zero.
 P_i is the string module of the letter a_i and S_i the trivial string at
-i, and `_block_end_dim(block, p, q)` must be dim End of
-(+) P_i^{p_i} (+) S_i^{q_i}, computed here from the intertwiner system
-(`hom_dim`), which knows nothing of the model's Hom table."""
+i.  `_block_end_dim(block, p, q)` must be dim End of
+X = (+) P_i^{p_i} (+) S_i^{q_i}, computed here from the intertwiner system
+(`hom_dim`), which knows nothing of the model's Hom table, and
+`_block_ext1(block, q)` dim Ext^1(X, X), computed from the standard
+complex (`ext1_complex_dim`), which knows nothing of which summands
+extend which."""
 
 import itertools
 
 import pytest
 
-from gentlelam import Quiver, hom_dim, rho_blocks, validate_gentle
-from gentlelam.schemes import _block_end_dim
+from gentlelam import (Quiver, ext1_complex_dim, hom_dim, rho_blocks,
+                       validate_gentle)
+from gentlelam.schemes import _block_end_dim, _block_ext1
 from gentlelam.strings import StringWord, direct_sum, letter, string_module
 
 # (m, closed, the (p, q) with entries <= 2 and sum <= 5): 2,012 in all
@@ -43,5 +47,6 @@ def test_end_of_the_generic_block_module(m, closed, count):
         parts = [M for M, n in zip(P + S, mult) for _ in range(n)]
         M = direct_sum(A, parts)
         assert _block_end_dim(block, p, q) == hom_dim(A, M, M), (p, q)
+        assert _block_ext1(block, q) == ext1_complex_dim(A, M, M), (p, q)
         cases += 1
     assert cases == count

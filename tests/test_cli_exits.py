@@ -84,6 +84,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "endpoint" in err
 
 
+def test_a_negative_vertex_count_exits_2(tmp_path, capsys):
+    # with no arrows, no endpoint's range check can catch it
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps({"vertices": -1, "arrows": []}))
+    code, out, err = run(capsys, "check", "--input", str(bad))
+    assert (code, out) == (2, "") and "vertex count -1" in err
+
+
 def test_json_numbers_that_are_no_integers_exit_2(tmp_path, capsys):
     """A float (even 1.0), a numeric string or a boolean where the file
     formats want an integer is a parse error, not truncated or coerced;

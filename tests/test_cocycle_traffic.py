@@ -4,8 +4,10 @@ pinned.
 `surface.int_zero` reads Hom(M, tau N) = Hom(N, M) + g(N) . dim M off the
 Hom pair values and the g-vectors, and a g-vector is read in closed form
 off a shape (`strings._g_of_shape`), so it builds no relation rows at
-all; `ceh_by_words` builds them once per new key of the Z^1 table, and
-none for g.  The values of
+all; nor does `ceh_by_words`, which reads e off the block records
+(`BlockRecord.ext1`) and g in closed form, so the 27 requests of the
+census build none either, and look up each component's block records
+once.  The values of
 `ceh_by_words` over every component of {0,1,2}^n on the five golden
 algebras are pinned by a digest taken on commit 85d3c9e, before e and h
 were read off the two differentials of the standard complex: sha256 of
@@ -14,18 +16,21 @@ order below, `itertools.product` order and component order."""
 
 import hashlib
 import itertools
+import json
 
 import pytest
 
 import lamgen
 from conftest import GOLDEN_ALGEBRAS, GOLDEN_SURFACES, case_algebra, golden
-from gentlelam import build_QT, ceh_by_words, components, homological, \
-    int_zero, strings, surface
+from gentlelam import build_QT, ceh_by_words, components, fileio, \
+    homological, int_zero, rho_blocks, schemes, strings, surface
+from gentlelam.cli import main
 from gentlelam.fileio import triangulation_from_dict
 from gentlelam.homological import _cocycle_dim
-from gentlelam.schemes import generic_multiset
+from gentlelam.schemes import _pair_sum, generic_multiset
 from lamgen import curve_pool
 from test_curve_layer import PAIRS, _accepted
+from test_pinned_outputs import CENSUS_DIMS
 
 CEH_ALGEBRAS = ("torus_quiver", "double_loop", "two_cycle", "a3_relation",
                 "loop_algebra")
@@ -96,19 +101,62 @@ def test_int_zero_builds_hom_of_a_module_with_itself_only_for_a_string(
     assert diagonal and all(g is h and g.kind == "open" for g, h in diagonal)
 
 
-def test_ceh_by_words_builds_rows_once_per_new_cocycle_key(relation_rows):
+def test_ceh_by_words_builds_no_relation_rows(relation_rows):
     A = case_algebra("torus_quiver")
     # the component with the most summands, a repeated word among them
     Z = max(components(A, (2, 2, 2, 2)),
             key=lambda Z: len(generic_multiset(A, Z)))
     words = generic_multiset(A, Z)
     assert len(set(words)) < len(words)
-    first = ceh_by_words(A, Z)
+    c, e, h = ceh_by_words(A, Z)
+    assert relation_rows == []
+    assert _cocycle_dim not in A.__dict__["_word_pairs"]
+    # the Z^1 oracle of e builds one row set per key of its table
+    z1 = _pair_sum(A, words, _cocycle_dim)
     table = A.__dict__["_word_pairs"][_cocycle_dim]
-    # one build per key of the Z^1 table, and none for the g-vector
     assert len(relation_rows) == len(table) < len(words) ** 2
-    assert ceh_by_words(A, Z) == first
-    assert len(relation_rows) == len(table)
+    orbit = schemes.component_dim(A, Z) - c
+    assert e == z1 - orbit
+
+
+def test_census_requests_reduce_no_cocycle_system(relation_rows, tmp_path,
+                                                  monkeypatch, capsys):
+    """The 27 `components` requests of the census benchmark: no Z^1
+    system, and each component's block records built once, one record
+    read per rho-block, though dim Z, c, e and the block criterion all
+    read them."""
+    cocycles, records, reads = [], [], []
+    real_cocycle = homological._cocycle_dim
+    real_records, real_record = schemes._block_records, schemes._block_record
+
+    def cocycle(*args):
+        cocycles.append(args)
+        return real_cocycle(*args)
+
+    def block_records(A, Z):
+        records.append((Z.d, Z.r))
+        return real_records(A, Z)
+
+    def block_record(*args):
+        reads.append(args)
+        return real_record(*args)
+
+    monkeypatch.setattr(homological, "_cocycle_dim", cocycle)
+    monkeypatch.setattr(schemes, "_cocycle_dim", cocycle)
+    monkeypatch.setattr(schemes, "_block_records", block_records)
+    monkeypatch.setattr(schemes, "_block_record", block_record)
+    A = case_algebra("pants")
+    algebra = tmp_path / "pants_algebra.json"
+    algebra.write_text(json.dumps(fileio.algebra_to_dict(A)))
+    count = 0
+    for d in CENSUS_DIMS:
+        assert main(["components", "--input", str(algebra), "--dims",
+                     ",".join(map(str, d)), "--format", "json"]) == 0
+        capsys.readouterr()
+        count += len(components(A, d))
+    assert cocycles == relation_rows == []
+    assert count == 67 and len(set(records)) == count < len(records)
+    assert len(reads) == count * len(rho_blocks(A)) == 335
 
 
 def test_ceh_by_words_beyond_the_pants_is_pinned():

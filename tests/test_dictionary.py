@@ -120,7 +120,7 @@ PANTS_BAND = "t0:2>6,t2:2>3-,t1:6>3,t0:6>1-,t4:1>5-,t3:4>5,t1:4>6-"
 
 
 @pytest.mark.parametrize("lam", NOT_WORDS, ids=["J2(3)", "x^2+2"])
-def test_exhausted_path_draws_two_maps_per_word(lam, monkeypatch):
+def test_exhausted_path_pairs_each_word_through_two_hom_systems(lam, monkeypatch):
     # a module of no word walks the whole table before it is rejected;
     # each (word, parameter) W costs at most the two Hom systems of its
     # pairing, Hom(W, rep) only where Hom(rep, W) != 0, and pairs with

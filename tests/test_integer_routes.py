@@ -214,8 +214,8 @@ def test_subrep_of_omega_matches_the_solve_route(request, name, cap):
 
 
 @pytest.mark.parametrize("name", SUM_CORPORA)
-def test_subrep_of_fitting_splits_matches_the_solve_route(request, name,
-                                                          monkeypatch):
+def test_subrep_on_the_frozen_peels_rests_matches_the_solve_route(
+        request, name, monkeypatch):
     A = request.getfixturevalue(name)
     rng = random.Random(77)
     words = enumerate_strings(A, 3) + enumerate_bands(A, 5)

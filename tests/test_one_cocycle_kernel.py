@@ -1,6 +1,6 @@
 """One Z^1 kernel: the relation differential (`homological._relation_rows`)
 is read by `homological._cocycle_dim` alone, which the tangent space, the
-complex Ext^1, the g-vectors and the pair tables of c, e and h share; no
+complex Ext^1 and the test oracles of the g-vectors and of e share; no
 function of `src/gentlelam/` takes a precomputed Hom (`hom_mn`) or a
 column switch (`full`), and `schemes` reaches ranks and Ext^1 through
 that kernel only, importing neither `sparse_rank` nor `ext1_complex_dim`.

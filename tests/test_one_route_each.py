@@ -55,7 +55,7 @@ def test_the_cli_never_asks_for_lamination_words():
         if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def test_decompose_peels_and_splits_no_other_way():
+def test_decompose_pairs_and_splits_no_other_way():
     defined = [(f, fn.name) for f in MODULES for fn in functions(parsed(f))]
     found = [x for x in defined if x[1] in SPLITS]
     assert not found, found

@@ -28,6 +28,13 @@ def test_arrow_ids_that_word_text_misreads_are_rejected(aid):
         Quiver(2, (("b", 1, 2), (aid, 2, 1)))
 
 
+@pytest.mark.parametrize("n", [-1, -5])
+def test_a_negative_vertex_count_is_rejected(n):
+    # no arrow endpoint is range-checked against n when there is no arrow
+    with pytest.raises(ValueError, match="vertex count"):
+        Quiver(n, ())
+
+
 def test_arrow_ids_of_the_word_text_are_kept():
     # an inner '-', '@' or space and the ids build_QT writes all pass
     q = Quiver(2, (("a-b", 1, 2), ("x@1", 2, 1), ("c d", 1, 1),

@@ -10,7 +10,8 @@ from gentlelam import (BandWord, Quiver, band_module, ceh_by_words,
                        enumerate_strings, g_vector, schemes, string_module,
                        strings, validate_gentle)
 from gentlelam.homological import _cocycle_dim
-from gentlelam.schemes import _search_multiset, _word_pair, generic_multiset
+from gentlelam.schemes import _pair_sum, _search_multiset, _word_pair, \
+    generic_multiset
 from gentlelam.strings import _g_of_shape, hom_dim, word_shape
 
 
@@ -28,6 +29,9 @@ def test_repeated_band_word_fills_both_keys():
     B = words[0]
     assert isinstance(B, BandWord) and words == [B, B]
     assert ceh_by_words(A, Z) == ceh_values(A, Z, seed=11) == (2, 2, 2)
+    # e reads no Z^1 value, so the Z^1 table is filled here
+    for same in (True, False):
+        _word_pair(A, _cocycle_dim, B, B, same)
     hom = A.__dict__["_word_pairs"][hom_dim]
     z1 = A.__dict__["_word_pairs"][_cocycle_dim]
     # M(B, lam) is a brick with Ext^1(M, M) = 1; two parameters see
@@ -40,7 +44,9 @@ def test_repeated_band_word_fills_both_keys():
 def test_string_pairs_carry_no_same_summand_key(torus_algebra):
     A = torus_algebra
     for Z in components(A, (1, 1, 1, 0)):
+        # the Hom table through c and h, the Z^1 table through its oracle
         ceh_by_words(A, Z)
+        _pair_sum(A, generic_multiset(A, Z), _cocycle_dim)
     tables = A.__dict__["_word_pairs"]
     assert set(tables) == {hom_dim, _cocycle_dim}
     assert not [k for table in tables.values() for k in table
